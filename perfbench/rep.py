@@ -26,16 +26,24 @@ def main() -> None:
     # measures the core the work runs on, and no migration between the
     # host's unevenly loaded vCPUs lands inside a timing.
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    probe = SpeedProbe().start()
     job = json.loads(sys.stdin.read())
-    traced = bool(job.get("trace"))
+    probe = SpeedProbe().start()
 
-    def tracer_factory():
-        return Tracer().install() if traced else None
+    def on_ready() -> None:
+        # Set-up time is normalized for every workload, the timed part
+        # only for the CPU-bound ones.  Elsewhere the probe's loop would
+        # hold the interpreter lock inside measured requests.
+        if job["workload"] not in workloads.CPU_BOUND:
+            probe.stop()
 
+    # Installed before set-up, so set-up phases (model training) are
+    # timed too; the workload resets the counts when set-up ends.
+    tracer = Tracer().install() if job.get("trace") else None
     try:
-        rep = workloads.run(job, tracer_factory)
+        rep = workloads.run(job, tracer, on_ready)
     finally:
+        if tracer is not None:
+            tracer.uninstall()
         samples = probe.stop()
     result = rep.to_dict()
     result["probe"] = samples

@@ -6,7 +6,8 @@ benchmark's side: it replaces the function object in its defining module
 with ``from module import name`` (``datagen/stage2.py`` calls its own
 ``bounded_check`` binding, so patching only ``repro.sva.bmc`` would miss
 those calls).  Methods are patched on their class.  ``uninstall()`` puts
-every original back.
+every original back, including in modules imported after ``install()``
+that bound a wrapper.
 
 Each thread keeps its own span stack, because batcher, HTTP handler and
 client threads all run wrapped functions at once.  A layer's self time
@@ -65,7 +66,19 @@ LAYERS: Tuple[Tuple[str, str, str, Optional[str]], ...] = (
      None),
     ("eval.run_eval", "repro.eval.runner", "run_eval", None),
     ("eval.report", "repro.eval.report", "EvalReport.from_result", None),
+    ("model.pretrain", "repro.model.assertsolver", "AssertSolver.pretrain",
+     None),
+    ("model.train_sft", "repro.model.assertsolver", "AssertSolver.train_sft",
+     None),
+    ("model.train_dpo", "repro.model.assertsolver", "AssertSolver.train_dpo",
+     None),
 )
+
+
+def _program_modules() -> list:
+    return [module for name, module in list(sys.modules.items())
+            if module is not None
+            and (name == "repro" or name.startswith("repro."))]
 
 
 class LayerStats:
@@ -92,6 +105,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._patches: List[Tuple[object, str, object]] = []
+        self._originals: Dict[int, object] = {}  # id(wrapper) -> original
 
     # -- patching ------------------------------------------------------------
 
@@ -114,10 +128,8 @@ class Tracer:
                 continue
             original = getattr(owner, attr)
             wrapped = self._wrap(layer, original, post)
-            for module in list(sys.modules.values()):
-                name = getattr(module, "__name__", "") or ""
-                if not (name == "repro" or name.startswith("repro.")):
-                    continue
+            self._originals[id(wrapped)] = original
+            for module in _program_modules():
                 for key, value in list(vars(module).items()):
                     if value is original:
                         self._patch(module, key, original, wrapped)
@@ -131,6 +143,22 @@ class Tracer:
         while self._patches:
             owner, attr, original = self._patches.pop()
             setattr(owner, attr, original)
+        # A module imported while the wrappers were in place bound them.
+        for module in _program_modules():
+            for key, value in list(vars(module).items()):
+                original = self._originals.get(id(value))
+                if original is not None and getattr(
+                        value, "__wrapped__", None) is original:
+                    setattr(module, key, original)
+
+    def reset(self) -> None:
+        """Zero every layer's totals (the wrappers stay installed)."""
+        with self._lock:
+            for stats in self.stats.values():
+                stats.calls = 0
+                stats.total_s = stats.self_s = 0.0
+                stats.counts.clear()
+                stats.samples.clear()
 
     # -- spans ---------------------------------------------------------------
 

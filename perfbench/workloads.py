@@ -7,22 +7,24 @@ Each workload has two halves:
   repetition.  Every repetition later runs in a fresh interpreter, so
   process-global caches (the compile cache, the per-design compiled
   programs) start empty each time, as they do for a user.
-- ``run_<name>(job, tracer_factory)`` runs in that fresh interpreter.  It sets
-  up (imports, service start, training), marks the set-up finished, then
-  runs the timed part and returns measurements plus a digest of the
-  program's outputs.
+- ``run_<name>(job, rep)`` runs in that fresh interpreter.  It sets up
+  (imports, service start, training), marks the set-up finished, then
+  runs the timed part and fills :class:`Rep` with measurements plus a
+  digest of the program's outputs.
 
 Work is sized from ``seconds`` with per-workload nominal rates measured
 on a 2-CPU x86 host, so a run does about ``seconds`` of timed work there
-(``datagen`` does more, see :func:`plan_datagen`); inputs are a pure
-function of ``(seed, seconds)``, which is what lets the exact counts and
-digests repeat bit for bit.
+(``datagen`` and ``solve_cold`` do more, see their planners); inputs are
+a pure function of ``(seed, seconds)``, which is what lets the exact
+counts and digests repeat bit for bit.
 
-Inputs are stratified by corpus template family: every repetition covers
-every registered family equally, and the seed picks which instance of
-each family is used.  The per-design cost differs by up to 40x between
-families, so an unstratified random corpus made run-to-run spread depend
-mostly on which families the seed happened to draw.
+The per-design cost differs by up to 40x between corpus template
+families, so inputs drawn at random made run-to-run spread depend mostly
+on which families the seed happened to draw.  The solve workloads are
+therefore stratified by family: every repetition covers every registered
+family equally, and the seed picks the instances.  ``datagen`` keeps the
+program's own weighted family sampling and instead draws its pipeline
+seeds from a pool vetted to cost about the median (:func:`plan_datagen`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ CHEAP_FAMILIES = ("alu", "comparator", "decoder", "fifo", "gray_counter",
 EVAL_DATAGEN_DESIGNS = 12
 EVAL_N_SAMPLES = 20
 
+#: Designs per ``run_pipeline`` call: the scale of the datagen baseline
+#: in ROADMAP.md and of ``examples/quickstart_eval.py``.
+DATAGEN_DESIGNS = 24
+#: Calls per run (one per repetition), whatever ``seconds`` says: fewer
+#: left the designs/s spread between seeds above a tenth.
+DATAGEN_MIN_CALLS = 4
+#: Pipeline seeds whose 24-design call costs within a tenth of the median
+#: of 40 candidates, chosen by ``pool.py``; a run draws its calls here.
+DATAGEN_SEED_POOL = (
+    29846114, 76033655, 184143801, 328964110, 352121028, 567041140,
+    708308679, 842340115, 1149562940, 1404790098, 1522021314, 1533974899,
+    1554266301, 1725049102, 1745764009, 2079945083,
+)
+
 
 def sub_seed(*parts) -> int:
     """A 31-bit seed derived from the benchmark seed and a label path."""
@@ -85,18 +101,21 @@ def plan(workload: str, seed: int, seconds: int) -> List[dict]:
 
 
 def plan_datagen(seed: int, seconds: int) -> List[dict]:
-    names = families()
-    # One single-design pipeline per family per round: a user turning one
-    # golden design into dataset entries, timed per call.  One round per
-    # repetition, and at least one round per repetition: per-design
-    # latency is heavy-tailed, and p90 needs about 100 designs to leave
-    # ten beyond it.
-    rounds = max(REPS, round(seconds * DATAGEN_DESIGNS_PER_S / len(names)))
-    return [{"workload": "datagen",
-             "calls": [{"family": name,
-                        "seed": sub_seed(seed, "datagen", r, name)}
-                       for name in names]}
-            for r in range(rounds)]
+    """One ``DATAGEN_DESIGNS``-design pipeline over every family per
+    repetition, as a user builds a dataset.
+
+    The cost of such a call swings from 0.7x to 1.4x the median with the
+    designs and mutants its pipeline seed draws, so four random calls
+    made designs/s differ by a fifth between benchmark seeds.  The seed
+    therefore samples calls from :data:`DATAGEN_SEED_POOL`, pipeline
+    seeds vetted to cost about the median.
+    """
+    calls = max(DATAGEN_MIN_CALLS,
+                round(seconds * DATAGEN_DESIGNS_PER_S / DATAGEN_DESIGNS))
+    chosen = random.Random(sub_seed(seed, "datagen")).sample(
+        DATAGEN_SEED_POOL, min(calls, len(DATAGEN_SEED_POOL)))
+    return [{"workload": "datagen", "seed": pipeline_seed}
+            for pipeline_seed in chosen]
 
 
 def _solve_payload(design, hints: bool) -> dict:
@@ -161,7 +180,9 @@ def plan_solve_hot(seed: int, seconds: int) -> List[dict]:
 
 
 def plan_eval(seed: int, seconds: int) -> List[dict]:
-    passes = max(REPS, round(seconds * EVAL_PASSES_PER_S))
+    # At least three passes per repetition: with five a run, host-speed
+    # noise moved cases/s between seeds by a tenth.
+    passes = max(3 * REPS, round(seconds * EVAL_PASSES_PER_S))
     per_rep = [passes // REPS + (1 if r < passes % REPS else 0)
                for r in range(REPS)]
     return [{"workload": "eval",
@@ -180,7 +201,10 @@ PLANS = {"datagen": plan_datagen, "solve_cold": plan_solve_cold,
 class Rep:
     """What one repetition measured."""
 
-    def __init__(self):
+    def __init__(self, tracer=None, on_ready=None):
+        #: The layer tracer of a traced repetition, else ``None``.
+        self._tracer = tracer
+        self._on_ready = on_ready
         self.ready = 0.0  # time.monotonic() when set-up finished
         self.timed_at = 0.0  # time.monotonic() when the timed part began
         self.timed_s = 0.0
@@ -196,18 +220,36 @@ class Rep:
         self.errors: List[str] = []
 
     def mark_ready(self) -> None:
+        """Set-up is over: keep the layer times it took, then trace the
+        timed part from zero."""
         self.ready = time.monotonic()
+        if self._on_ready is not None:
+            self._on_ready()
+        if self._tracer is not None:
+            self.setup_parts = {layer: stats["total_s"] for layer, stats
+                                in self._tracer.snapshot().items()
+                                if stats["calls"]}
+            self._tracer.reset()
 
     def start_timing(self) -> float:
         self.timed_at = time.monotonic()
         return time.perf_counter()
 
+    def finish_trace(self) -> None:
+        if self._tracer is not None:
+            self._tracer.uninstall()
+            self.extra["layers"] = self._tracer.snapshot()
+
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return {key: value for key, value in self.__dict__.items()
+                if not key.startswith("_")}
 
 
-def run(job: dict, tracer_factory) -> Rep:
-    return RUNNERS[job["workload"]](job, tracer_factory)
+def run(job: dict, tracer, on_ready) -> Rep:
+    """Run one repetition; ``on_ready`` is called when set-up ends."""
+    rep = Rep(tracer, on_ready)
+    RUNNERS[job["workload"]](job, rep)
+    return rep
 
 
 def _profile():
@@ -222,47 +264,36 @@ def _profile_delta(before: Dict[str, int], rep: Rep) -> None:
         rep.extra[f"profile.{key}"] = after.get(key, 0) - before.get(key, 0)
 
 
-def run_datagen(job: dict, tracer_factory) -> Rep:
+def run_datagen(job: dict, rep: Rep) -> None:
     from repro.datagen import pipeline
 
-    rep = Rep()
-    configs = [pipeline.DatagenConfig(
-        n_designs=1, seed=call["seed"], template_families=(call["family"],),
-        n_workers=1, backend="serial") for call in job["calls"]]
+    config = pipeline.DatagenConfig(n_designs=DATAGEN_DESIGNS,
+                                    seed=job["seed"], n_workers=1,
+                                    backend="serial")
     rep.mark_ready()
-    tracer = tracer_factory()
     profile_before = _profile()
-    bundles = []
+    rep.attempted = config.n_designs
     started = rep.start_timing()
-    for config in configs:
-        rep.attempted += 1
-        at, t0 = time.monotonic(), time.perf_counter()
-        try:
-            bundles.append(pipeline.run_pipeline(config))
-        except Exception as exc:  # noqa: BLE001 - counted, not raised
-            rep.failed += 1
-            rep.errors.append(f"{type(exc).__name__}: {exc}")
-            continue
-        rep.latencies.append((at, time.perf_counter() - t0))
-        rep.items += config.n_designs
+    at = time.monotonic()
+    try:
+        bundle = pipeline.run_pipeline(config)
+    except Exception as exc:  # noqa: BLE001 - counted, not raised
+        bundle = None
+        rep.failed = config.n_designs
+        rep.errors.append(f"{type(exc).__name__}: {exc}")
     rep.timed_s = time.perf_counter() - started
-    if tracer is not None:
-        tracer.uninstall()
-        rep.extra["layers"] = tracer.snapshot()
+    rep.finish_trace()
+    if bundle is None:
+        return
+    rep.latencies.append((at, rep.timed_s))
+    rep.items = config.n_designs
     _profile_delta(profile_before, rep)
-    stage_s: Dict[str, float] = {}
-    misses = hits = 0
-    for bundle in bundles:
-        cache = bundle.stats["compile_cache"]
-        misses += cache["misses"]
-        hits += cache["hits"]
-        for name, stage in bundle.stats["engine"]["stages"].items():
-            stage_s[name] = stage_s.get(name, 0.0) + stage["seconds"]
-    rep.digest = digest_of(bundle.fingerprint() for bundle in bundles)
-    rep.counts["compile_misses"] = misses
-    rep.extra["compile_hits"] = hits
-    rep.extra["stage_s"] = stage_s
-    return rep
+    cache = bundle.stats["compile_cache"]
+    rep.digest = bundle.fingerprint()
+    rep.counts["compile_misses"] = cache["misses"]
+    rep.extra["compile_hits"] = cache["hits"]
+    rep.extra["stage_s"] = {name: stage["seconds"] for name, stage
+                            in bundle.stats["engine"]["stages"].items()}
 
 
 def _solve_request(payload: dict, index: int):
@@ -361,11 +392,9 @@ def _service_delta(before: dict, after: dict) -> dict:
     return delta
 
 
-def _finish_solve(rep: Rep, responses, tracer, before: dict, after: dict,
+def _finish_solve(rep: Rep, responses, before: dict, after: dict,
                   cache_before: dict, cache_after: dict) -> None:
-    if tracer is not None:
-        tracer.uninstall()
-        rep.extra["layers"] = tracer.snapshot()
+    rep.finish_trace()
     rep.digest = digest_of(r.to_json() if r is not None else "missing"
                            for r in responses)
     rep.counts["compile_misses"] = (cache_after["misses"]
@@ -374,11 +403,10 @@ def _finish_solve(rep: Rep, responses, tracer, before: dict, after: dict,
     rep.extra["service"] = _service_delta(before, after)
 
 
-def run_solve_cold(job: dict, tracer_factory) -> Rep:
+def run_solve_cold(job: dict, rep: Rep) -> None:
     from repro.serve import AssertService, ServeConfig
     from repro.verilog.compile import compile_cache_counters
 
-    rep = Rep()
     requests = [_solve_request(payload, i)
                 for i, payload in enumerate(job["requests"])]
     service = AssertService(ServeConfig(n_workers=1, backend="serial"))
@@ -388,12 +416,11 @@ def run_solve_cold(job: dict, tracer_factory) -> Rep:
         before = _service_probe(service)
         cache_before = compile_cache_counters()
         profile_before = _profile()
-        tracer = tracer_factory()
         responses = _closed_loop(service, requests, rep)
         after = _service_probe(service)
         cache_after = compile_cache_counters()
         _profile_delta(profile_before, rep)
-        _finish_solve(rep, responses, tracer, before, after, cache_before,
+        _finish_solve(rep, responses, before, after, cache_before,
                       cache_after)
     finally:
         service.close()
@@ -404,10 +431,9 @@ def run_solve_cold(job: dict, tracer_factory) -> Rep:
     if service_delta["cache_hits"] != 0:
         rep.errors.append(f"{service_delta['cache_hits']} cache hits on "
                           f"distinct designs")
-    return rep
 
 
-def run_solve_hot(job: dict, tracer_factory) -> Rep:
+def run_solve_hot(job: dict, rep: Rep) -> None:
     from repro.serve import (
         AssertClient,
         AssertHttpServer,
@@ -417,7 +443,6 @@ def run_solve_hot(job: dict, tracer_factory) -> Rep:
     )
     from repro.verilog.compile import compile_cache_counters
 
-    rep = Rep()
     hot = [_solve_request(payload, i) for i, payload in enumerate(job["hot"])]
     requests = [hot[index] for index in job["stream"]]
     service = AssertService(ServeConfig(n_workers=1, backend="serial"))
@@ -432,12 +457,11 @@ def run_solve_hot(job: dict, tracer_factory) -> Rep:
         before = _service_probe(service)
         cache_before = compile_cache_counters()
         profile_before = _profile()
-        tracer = tracer_factory()
         responses = _closed_loop(client, requests, rep)
         after = _service_probe(service)
         cache_after = compile_cache_counters()
         _profile_delta(profile_before, rep)
-        _finish_solve(rep, responses, tracer, before, after, cache_before,
+        _finish_solve(rep, responses, before, after, cache_before,
                       cache_after)
     finally:
         server.close()
@@ -448,46 +472,31 @@ def run_solve_hot(job: dict, tracer_factory) -> Rep:
         rep.errors.append(f"{service_delta['solved']} solves and "
                           f"{service_delta['cache_misses']} cache misses "
                           f"after warm-up")
-    return rep
 
 
-def run_eval(job: dict, tracer_factory) -> Rep:
-    from repro.datagen.pipeline import DatagenConfig
-    from repro.datagen.pipeline import run_pipeline as build_bundle
-    from repro.eval import EvalConfig, runner
-    from repro.eval.benchmark import build_benchmark
-    from repro.model.assertsolver import AssertSolver
+def run_eval(job: dict, rep: Rep) -> None:
+    from repro.core.api import AssertSolverPipeline, PipelineConfig
+    from repro.eval import runner
 
-    rep = Rep()
-    seed = job["datagen_seed"]
-    bundle = build_bundle(DatagenConfig(
-        n_designs=EVAL_DATAGEN_DESIGNS, seed=seed,
-        template_families=CHEAP_FAMILIES, n_workers=1, backend="serial"))
-    base = AssertSolver(seed=seed, name="Base Model")
-    sft = AssertSolver(seed=seed, name="SFT Model")
-    t0 = time.perf_counter()
-    sft.pretrain(bundle.verilog_pt)
-    t1 = time.perf_counter()
-    sft.train_sft(bundle.sva_bug_train, bundle.verilog_bug)
-    t2 = time.perf_counter()
-    solver = sft.clone_checkpoint("AssertSolver")
-    solver._train_examples = sft._train_examples
-    solver.train_dpo()
-    t3 = time.perf_counter()
-    rep.setup_parts = {"pretrain": t1 - t0, "train_sft": t2 - t1,
-                       "train_dpo": t3 - t2}
-    cases = build_benchmark(bundle, include_human=True).cases
-    config = EvalConfig(n_samples=EVAL_N_SAMPLES, seed=job["eval_seed"])
+    pipeline = AssertSolverPipeline(PipelineConfig(
+        n_designs=EVAL_DATAGEN_DESIGNS, seed=job["datagen_seed"],
+        n_samples=EVAL_N_SAMPLES, template_families=CHEAP_FAMILIES,
+        n_workers=1, backend="serial"))
+    pipeline.train()
+    cases = pipeline.build_benchmark().cases
+    config = pipeline.config.eval_config(seed=job["eval_seed"])
+    models = (pipeline.base_model, pipeline.sft_model, pipeline.assertsolver)
     rep.mark_ready()
-    tracer = tracer_factory()
     reports: Dict[str, list] = {}
     started = rep.start_timing()
     for _ in range(job["passes"]):
         # One pass is Table III's evaluation: every checkpoint over every
-        # case.  Its wall time is the latency sample.
+        # case.  Its wall time is the latency sample (per run_eval call,
+        # samples of the three checkpoints mix and the median jumps
+        # between them).
         at, t0 = time.monotonic(), time.perf_counter()
         complete = True
-        for model in (base, sft, solver):
+        for model in models:
             rep.attempted += len(cases)
             try:
                 report = runner.run_eval(model, cases, config)
@@ -501,9 +510,7 @@ def run_eval(job: dict, tracer_factory) -> Rep:
         if complete:
             rep.latencies.append((at, time.perf_counter() - t0))
     rep.timed_s = time.perf_counter() - started
-    if tracer is not None:
-        tracer.uninstall()
-        rep.extra["layers"] = tracer.snapshot()
+    rep.finish_trace()
     texts = []
     for name, runs in reports.items():
         first = runs[0].to_json()
@@ -512,7 +519,6 @@ def run_eval(job: dict, tracer_factory) -> Rep:
         texts.append(first)
     rep.digest = digest_of(texts)
     rep.counts["cases"] = len(cases)
-    return rep
 
 
 RUNNERS = {"datagen": run_datagen, "solve_cold": run_solve_cold,
