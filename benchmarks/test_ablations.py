@@ -6,7 +6,8 @@
 - DPO beta sweep: the preference-strength knob of Section III-C.
 """
 
-from repro.eval.runner import evaluate_model
+from repro.eval.config import EvalConfig
+from repro.eval.runner import run_eval
 from repro.model.assertsolver import AssertSolver
 
 
@@ -21,7 +22,7 @@ def test_ablation_pt_off(benchmark, pipeline):
         return model
 
     model = benchmark.pedantic(train_without_pt, rounds=1, iterations=1)
-    no_pt = evaluate_model(model, cases, n=10)
+    no_pt = run_eval(model, cases, EvalConfig(n_samples=10)).result
     with_pt = pipeline.evaluate()["SFT Model"]
     print(f"\nPT ablation (machine pass@1): with PT = "
           f"{with_pt.pass_at_origin(1, 'machine'):.2%}, "
@@ -40,7 +41,7 @@ def test_ablation_dpo_beta_sweep(benchmark, pipeline):
             model = sft.clone_checkpoint(f"dpo-beta{beta}")
             model._train_examples = sft._train_examples
             model.train_dpo(beta=beta)
-            result = evaluate_model(model, cases, n=10)
+            result = run_eval(model, cases, EvalConfig(n_samples=10)).result
             scores[beta] = result.pass_at(1)
         return scores
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Quickstart: pass@k evaluation as a memoized, serveable workload.
 
-Evaluation used to be a batch-only affair: ``evaluate_model(model,
-cases, n=..., seed=...)`` scored everything from scratch, every time.
-This walkthrough shows the redesigned surface —
+Evaluation is a workload like datagen and solve, not a batch-only
+helper that scores everything from scratch every time.  This
+walkthrough shows its surface —
 
 - :class:`repro.eval.EvalConfig` holds the validated knobs;
 - :func:`repro.eval.run_eval` returns an :class:`EvalReport` whose

@@ -46,8 +46,7 @@ _SERVE_EXPORTS = ("AssertClient", "AssertHttpServer", "AssertService",
                   "SolveRequest")
 _STORE_EXPORTS = ("DiskStore", "MemoryStore", "StoreConfig", "TieredStore")
 _OBS_EXPORTS = ("MetricsRegistry", "TraceBuffer")
-_EVAL_EXPORTS = ("EvalConfig", "EvalReport", "EvalResult", "evaluate_model",
-                 "run_eval")
+_EVAL_EXPORTS = ("EvalConfig", "EvalReport", "EvalResult", "run_eval")
 __all__ = [*_API_EXPORTS, *_SERVE_EXPORTS, *_STORE_EXPORTS, *_OBS_EXPORTS,
            *_EVAL_EXPORTS]
 __version__ = "1.5.0"

@@ -14,7 +14,6 @@ __all__ = [
     "case_digest",
     "cases_from_json",
     "cases_to_json",
-    "evaluate_model",
     "eval_memo_key",
     "is_correct",
     "model_digest",
@@ -30,7 +29,6 @@ _LAZY = {
     "case_digest": "repro.eval.cases",
     "cases_from_json": "repro.eval.cases",
     "cases_to_json": "repro.eval.cases",
-    "evaluate_model": "repro.eval.runner",
     "eval_memo_key": "repro.eval.runner",
     "is_correct": "repro.eval.runner",
     "model_digest": "repro.eval.runner",

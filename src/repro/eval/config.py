@@ -24,12 +24,12 @@ from typing import Optional, Tuple
 class EvalConfig:
     """Result-changing knobs for :func:`repro.eval.run_eval`.
 
-    ``n_samples`` / ``seed`` parameterize the per-case sampling exactly
-    as ``evaluate_model``'s old positional knobs did; ``semantic_check``
-    additionally accepts a textually-wrong repair when patching it into
-    the design passes the bounded checker (the paper compares text
-    only, so the default is off); ``k_values`` selects which pass@k
-    columns the report carries.
+    ``n_samples`` / ``seed`` parameterize the per-case sampling:
+    ``n_samples`` responses per case from an RNG derived per ``(seed,
+    case_id)``; ``semantic_check`` additionally accepts a textually-wrong
+    repair when patching it into the design passes the bounded checker
+    (the paper compares text only, so the default is off); ``k_values``
+    selects which pass@k columns the report carries.
     """
 
     n_samples: int = 20

@@ -4,9 +4,9 @@
 surrogates) over a case list under an :class:`EvalConfig` and produces
 an :class:`EvalReport` holding everything the paper's tables and figures
 need: per-case correct counts, aggregate pass@k for the config's
-k-vector, per-origin splits, per-bucket splits and the c-histogram.
-``evaluate_model`` survives as a thin deprecated shim over it, returning
-the legacy :class:`EvalResult`.
+k-vector, per-origin splits, per-bucket splits and the c-histogram;
+``report.result`` is the plain :class:`EvalResult` the table renderers
+take.
 
 Correctness follows the paper: the answer's buggy line must match the
 golden buggy line and the suggested fix must match the golden fixed line
@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 import random
-import warnings
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -159,7 +158,7 @@ def _score_case(model, case: SvaEvalCase, n: int, seed: int,
 # A process-pool run used to pickle the model object graph once per chunk
 # (workers * 4 times per model); for large checkpoints the serialization
 # dominated the fan-out cost.  Now the model is pickled exactly once per
-# evaluate_model call and the same immutable blob rides along with every
+# run_eval call and the same immutable blob rides along with every
 # chunk (re-sending bytes is a buffer copy, not a graph walk); each
 # worker deserializes it once, verifies the content digest, and memoizes
 # it, so later chunks on the same worker skip deserialization too.
@@ -306,20 +305,3 @@ def run_eval(model, cases: Iterable[SvaEvalCase],
     report.stats = {"cases": len(cases), "memo_hits": hits,
                     "computed": len(miss_idx)}
     return report
-
-
-def evaluate_model(model, cases: Iterable[SvaEvalCase], n: int = 20,
-                   seed: int = 123,
-                   engine: Optional[ExecutionEngine] = None) -> EvalResult:
-    """Deprecated shim over :func:`run_eval` (paper defaults: n=20).
-
-    The loose positional knobs became :class:`EvalConfig`; this keeps
-    the old signature and :class:`EvalResult` return working while
-    callers migrate."""
-    warnings.warn(
-        "evaluate_model() is deprecated; use "
-        "run_eval(model, cases, EvalConfig(n_samples=..., seed=...))",
-        DeprecationWarning, stacklevel=2)
-    report = run_eval(model, cases,
-                      EvalConfig(n_samples=n, seed=seed), engine=engine)
-    return report.result

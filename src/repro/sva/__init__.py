@@ -1,13 +1,18 @@
 """SystemVerilog Assertion checking (substitute for SymbiYosys).
 
-Two checking modes over the same property subset:
+Two checking layers over the same property subset:
 
-- :mod:`repro.sva.monitor` — runtime checking of a property over a finished
-  simulation trace (the "simulation" role: produces the failure logs a
-  verification engineer would read).
+- :mod:`repro.sva.monitor` — runtime checking of properties over a
+  simulation trace, cycle by cycle as it grows
+  (:class:`repro.sva.monitor.IncrementalChecker`; its failure records are
+  the logs a verification engineer would read).
 - :mod:`repro.sva.bmc` — bounded model checking: searches the stimulus
   space (exhaustive when small, directed + random otherwise) for a
   counterexample trace (the "formal" role the paper fills with SymbiYosys).
+  One driver serves both of the pipeline's questions:
+  :func:`bounded_check` stops at the first failing stimulus and keeps its
+  trace and log; :func:`repro.sva.bmc.bounded_check_batch` scores every
+  assertion label of a design independently in one shared run.
 
 :mod:`repro.sva.mine` additionally mines candidate invariants from a
 design's continuous assignments, so the serving layer can propose
@@ -22,12 +27,10 @@ The property subset is the temporal layer parsed by
 
 from repro.sva.bmc import BmcConfig, BmcResult, bounded_check
 from repro.sva.mine import mine_invariant_hints
-from repro.sva.monitor import AssertionFailure, check_assertions, check_trace
+from repro.sva.monitor import AssertionFailure
 
 __all__ = [
     "AssertionFailure",
-    "check_assertions",
-    "check_trace",
     "BmcConfig",
     "BmcResult",
     "bounded_check",

@@ -36,11 +36,7 @@ from repro.sim.stimulus import (
     walking_ones_sequence,
 )
 from repro.sim.trace import Trace
-from repro.sva.monitor import (
-    AssertionFailure,
-    IncrementalChecker,
-    check_assertions,
-)
+from repro.sva.monitor import AssertionFailure, IncrementalChecker
 from repro.verilog.elaborator import Design
 
 
@@ -154,11 +150,10 @@ def _stimulus_portfolio(design: Design, config: BmcConfig) -> Iterable[Stimulus]
 
 
 def _candidate_stimuli(design: Design, config: BmcConfig) -> Iterable[Stimulus]:
-    """The shared candidate selection for every bounded check.
+    """The candidate selection of the bounded-check driver.
 
-    :func:`bounded_check` and :func:`bounded_check_batch` must draw the
-    exact same stimuli or their verdict-equivalence contract breaks, so
-    the exhaustive-bits decision lives only here.
+    The exhaustive-bits decision lives only here, so both driver modes
+    draw the exact same stimuli.
     """
     total_bits = sum(s.width for s in design.free_inputs())
     if total_bits * config.depth <= config.exhaustive_bits:
@@ -167,13 +162,26 @@ def _candidate_stimuli(design: Design, config: BmcConfig) -> Iterable[Stimulus]:
     return _stimulus_portfolio(design, config)
 
 
-def bounded_check(design: Design, config: Optional[BmcConfig] = None) -> BmcResult:
-    """Search for an assertion counterexample within the budget."""
-    config = config or BmcConfig()
-    result = BmcResult()
-    if not design.assertions:
-        return result
+def _drive(design: Design, config: BmcConfig,
+           result: "BmcResult | BmcBatchResult",
+           first_failure: bool) -> None:
+    """The one bounded-check driver: fills ``result`` in place.
 
+    One simulator and one :class:`IncrementalChecker` serve every
+    candidate stimulus; the driver owns the ``simulate``/``monitor``/
+    ``bmc`` timers and the coverage sink.  An RTL-level simulation error
+    voids every assertion alike (``sim_error`` / ``design_error``).
+
+    ``first_failure=False`` (a :class:`BmcBatchResult`) scores every
+    label independently: the checker advances after each simulated
+    cycle, and simulation stops — mid-stimulus if need be — once every
+    label has a verdict.  ``first_failure=True`` (a :class:`BmcResult`)
+    simulates each stimulus to completion, scans it once in full, and
+    stops at the first stimulus with a failure or a property
+    ``EvalError``.
+    """
+    if not design.assertions:
+        return
     start = perf_counter()
     sim_seconds = 0.0
     monitor_seconds = 0.0
@@ -184,30 +192,57 @@ def bounded_check(design: Design, config: Optional[BmcConfig] = None) -> BmcResu
         simulator = make_simulator(design, config.sim_mode)
         if sink is not None:
             simulator.cov = sink
-        compiled_props = config.sim_mode == "compiled"
+        checker = IncrementalChecker(design, config.reset_cycles + 1,
+                                     compiled=config.sim_mode == "compiled",
+                                     quality=quality,
+                                     exhaustive=first_failure)
+        labels = {assertion.label for assertion in design.assertions}
+        resolved: set = set()
         for stimulus in candidates:
             result.stimuli_tried += 1
+            cycles = simulator.run_iter(stimulus)
+            t0 = perf_counter()
             try:
-                t0 = perf_counter()
-                trace = simulator.run(stimulus)
-                t1 = perf_counter()
-                sim_seconds += t1 - t0
-                failures = check_assertions(design, trace, config.reset_cycles,
-                                            compiled=compiled_props,
-                                            quality=quality)
-                monitor_seconds += perf_counter() - t1
+                trace = next(cycles)
+                checker.start(trace, resolved)
+                for _ in cycles:
+                    if first_failure:
+                        continue  # scanned once, complete, in finalize()
+                    t1 = perf_counter()
+                    sim_seconds += t1 - t0
+                    checker.advance()
+                    t0 = perf_counter()
+                    monitor_seconds += t0 - t1
+                    if checker.all_resolved():
+                        break  # every pending label has a verdict
+                else:
+                    t1 = perf_counter()
+                    sim_seconds += t1 - t0
+                    checker.finalize()
+                    t0 = perf_counter()
+                    monitor_seconds += t0 - t1
             except (SimulationError, EvalError) as exc:
-                # Hallucinated SVAs can reference constructs the monitor
-                # cannot evaluate; that is a rejection, not a crash.
-                result.sim_error = str(exc)
-                return result
-            if failures:
-                result.failed = True
-                result.failures = failures
-                result.trace = trace
-                result.stimulus = stimulus
-                return result
-        return result
+                # An RTL-level error voids every assertion alike.  In
+                # first-failure mode so does a property the monitor cannot
+                # evaluate (hallucinated SVAs): a rejection, not a crash.
+                if first_failure:
+                    result.sim_error = str(exc)
+                else:
+                    result.design_error = str(exc)
+                return
+            if first_failure:
+                if checker.failures:
+                    result.failed = True
+                    result.failures = checker.failures
+                    result.trace = trace
+                    result.stimulus = stimulus
+                    return
+                continue
+            result.failed_labels |= checker.failed
+            result.error_labels.update(checker.errors)
+            resolved = result.failed_labels.union(result.error_labels)
+            if resolved >= labels:
+                break  # every assertion resolved; no verdict can change
     finally:
         if sink is not None:
             result.coverage = sink.report(quality)
@@ -215,6 +250,19 @@ def bounded_check(design: Design, config: Optional[BmcConfig] = None) -> BmcResu
         metrics.add_time("simulate", sim_seconds)
         metrics.add_time("monitor", monitor_seconds)
         metrics.add_time("bmc", perf_counter() - start)
+
+
+def bounded_check(design: Design, config: Optional[BmcConfig] = None) -> BmcResult:
+    """Search for an assertion counterexample within the budget.
+
+    Stops at the first stimulus whose complete trace fails an assertion;
+    ``failures`` lists every failure on that trace, ordered by assertion
+    declaration, then by start cycle.  A simulation error, or a property
+    the monitor cannot evaluate, sets ``sim_error`` instead.
+    """
+    result = BmcResult()
+    _drive(design, config or BmcConfig(), result, first_failure=True)
+    return result
 
 
 def bounded_check_batch(design: Design,
@@ -228,83 +276,11 @@ def bounded_check_batch(design: Design,
     ``rejects(label)`` reproduces the individual ``not passed_bound``
     verdict while simulating the shared RTL once instead of N times.
 
-    Execution is incremental with early exit: one compiled program is
-    reused across every stimulus, SVA monitors are evaluated per cycle as
-    the trace grows (:class:`IncrementalChecker`), a label resolves at its
-    first definitive event (failure or property ``EvalError``) in
-    start-cycle order, and simulation stops — mid-stimulus if need be —
-    the moment every label has a verdict.
+    SVA monitors are evaluated per cycle as the trace grows; a label
+    resolves at its first definitive event (failure or property
+    ``EvalError``) in start-cycle order, and simulation stops —
+    mid-stimulus if need be — the moment every label has a verdict.
     """
-    config = config or BmcConfig()
     result = BmcBatchResult()
-    if not design.assertions:
-        return result
-
-    start = perf_counter()
-    sim_seconds = 0.0
-    monitor_seconds = 0.0
-    sink = CoverageSink.for_design(design) if config.coverage else None
-    quality: Optional[dict] = {} if config.coverage else None
-    try:
-        candidates = _candidate_stimuli(design, config)
-        simulator = make_simulator(design, config.sim_mode)
-        if sink is not None:
-            simulator.cov = sink
-        compiled_props = config.sim_mode == "compiled"
-        pending = list(design.assertions)
-        for stimulus in candidates:
-            result.stimuli_tried += 1
-            cycles = simulator.run_iter(stimulus)
-            t0 = perf_counter()
-            try:
-                trace = next(cycles)
-            except (SimulationError, EvalError) as exc:
-                # RTL-level problem: every per-assertion run would hit it.
-                result.design_error = str(exc)
-                return result
-            finally:
-                sim_seconds += perf_counter() - t0
-            checker = IncrementalChecker(design, trace, pending,
-                                         config.reset_cycles + 1,
-                                         compiled=compiled_props,
-                                         quality=quality)
-            while True:
-                t0 = perf_counter()
-                try:
-                    next(cycles)
-                except StopIteration:
-                    sim_seconds += perf_counter() - t0
-                    t0 = perf_counter()
-                    checker.finalize()
-                    monitor_seconds += perf_counter() - t0
-                    break
-                except (SimulationError, EvalError) as exc:
-                    sim_seconds += perf_counter() - t0
-                    result.design_error = str(exc)
-                    return result
-                sim_seconds += perf_counter() - t0
-                t0 = perf_counter()
-                checker.advance()
-                monitor_seconds += perf_counter() - t0
-                if checker.all_resolved():
-                    break  # every pending label has a verdict: stop this run
-            result.failed_labels |= checker.failed
-            result.error_labels.update(checker.errors)
-            pending = [assertion for assertion in pending
-                       if assertion.label not in result.failed_labels
-                       and assertion.label not in result.error_labels]
-            if not pending:
-                break  # every assertion resolved; no verdict can change
-        return result
-    finally:
-        if sink is not None:
-            result.coverage = sink.report(quality)
-            accumulate_totals(result.coverage)
-        metrics.add_time("simulate", sim_seconds)
-        metrics.add_time("monitor", monitor_seconds)
-        metrics.add_time("bmc", perf_counter() - start)
-
-
-def holds_within_bound(design: Design, config: Optional[BmcConfig] = None) -> bool:
-    """True when no assertion counterexample exists within the budget."""
-    return bounded_check(design, config).passed_bound
+    _drive(design, config or BmcConfig(), result, first_failure=False)
+    return result

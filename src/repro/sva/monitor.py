@@ -23,7 +23,7 @@ from repro.sim.eval import EvalError, Evaluator
 from repro.sim.trace import Trace
 from repro.sim.values import FourState
 from repro.verilog import ast
-from repro.verilog.elaborator import Design, ResolvedAssertion
+from repro.verilog.elaborator import Design
 
 
 class AssertionFailure:
@@ -344,43 +344,9 @@ def _bool_verdict(value: FourState) -> str:
     return UNDET
 
 
-def _record_quality(counters, checker: "PropertyChecker",
-                    body: ast.PropExpr, cycle: int, verdict: str) -> None:
-    """Fold one evaluated start cycle into an assertion-quality record.
-
-    For implications the antecedent is re-evaluated at the start cycle to
-    split a TRUE verdict into *vacuous* (antecedent never matched) vs
-    *real* pass — today's checkers collapse both into TRUE.  The extra
-    evaluation dispatches through :meth:`PropertyChecker.eval_prop`, so
-    compiled and interpreted tiers count identically; it only runs when a
-    quality sink is attached.  ``verdict == TRUE`` implies the antecedent
-    was TRUE or FALSE (an UNDET antecedent makes the implication UNDET),
-    and ``verdict == FALSE`` implies it was TRUE — so ``fails`` always
-    pairs with an activation.
-    """
-    if verdict == UNDET:
-        return
-    if isinstance(body, ast.PropImplication):
-        antecedent, _ = checker.eval_prop(body.antecedent, cycle)
-        if antecedent == TRUE:
-            counters["activations"] += 1
-        if verdict == TRUE:
-            if antecedent == FALSE:
-                counters["vacuous"] += 1
-            else:
-                counters["real_passes"] += 1
-        else:
-            counters["fails"] += 1
-        return
-    counters["activations"] += 1
-    if verdict == TRUE:
-        counters["real_passes"] += 1
-    else:
-        counters["fails"] += 1
-
-
 class PropertyChecker:
-    """Evaluates one property over a trace.
+    """Evaluates properties over one trace (the per-stimulus evaluator of
+    :class:`IncrementalChecker`).
 
     ``compiled=True`` (the default) evaluates boolean layers through
     per-design closures compiled by :class:`_PropLowerer` — same verdicts,
@@ -474,43 +440,6 @@ class PropertyChecker:
         start = match_end if prop.overlapped else match_end + 1
         return self.eval_prop(prop.consequent, start)
 
-    def check(self, assertion: ResolvedAssertion,
-              skip_cycles: int = 0,
-              quality: Optional[dict] = None) -> List[AssertionFailure]:
-        """All failures of ``assertion`` over the trace.
-
-        ``skip_cycles`` excludes the reset preamble from evaluation-start
-        positions (matching tools that begin checking after reset release).
-        ``quality`` (label -> counter dict) receives per-assertion
-        activation/vacuity counters when provided.
-        """
-        failures: List[AssertionFailure] = []
-        prop = assertion.prop
-        program = self._program
-        body_fn = program.prop_fn(prop.body) if program is not None else None
-        disable = prop.disable
-        disable_fn = (program.expr_fn(disable)
-                      if program is not None and disable is not None else None)
-        counters = (quality.setdefault(assertion.label, new_quality())
-                    if quality is not None else None)
-        trace = self.trace
-        for cycle in range(skip_cycles, len(trace)):
-            if disable is not None:
-                active = (disable_fn((trace, cycle))
-                          if disable_fn is not None
-                          else self._eval_bool(disable, cycle))
-                if not active.is_false():
-                    continue
-            verdict, at = (body_fn(trace, cycle) if body_fn is not None
-                           else self.eval_prop(prop.body, cycle))
-            if counters is not None:
-                _record_quality(counters, self, prop.body, cycle, verdict)
-            if verdict == FALSE:
-                failures.append(AssertionFailure(
-                    self.design.name, assertion.label, prop.name,
-                    cycle, at, assertion.message))
-        return failures
-
 
 def property_lookahead(prop: ast.PropExpr) -> int:
     """Static bound on how far past its start cycle a property can sample.
@@ -542,49 +471,71 @@ def property_lookahead(prop: ast.PropExpr) -> int:
     return 0
 
 
+
+
 class IncrementalChecker:
-    """Per-cycle assertion evaluation over a still-growing trace.
+    """The SVA monitor scan behind every bounded check.
 
-    Feeds the BMC batch driver: after each simulated cycle,
-    :meth:`advance` evaluates every start cycle whose lookahead window is
-    now complete (see :func:`property_lookahead`), so verdicts are
-    available — and simulation can stop — as early as possible.
+    Built once per check: each assertion's closures, lookahead (see
+    :func:`property_lookahead`) and quality counters are resolved here,
+    not once per stimulus.  :meth:`start` binds each new stimulus's
+    trace, which may still be growing.
+
+    By default every label is scored independently (the batch driver's
+    mode).  After each simulated cycle :meth:`advance` evaluates every
+    start cycle whose lookahead window is now complete, so verdicts are
+    available — and simulation can stop — as early as possible;
     :meth:`finalize` evaluates the remaining tail start cycles once the
-    trace is complete, exactly as a post-hoc check would.
+    trace is complete.  A label *resolves* at its first definitive event
+    in start-cycle order: an assertion failure (into ``failed``) or an
+    ``EvalError`` from the property (into ``errors``).
 
-    A label *resolves* at its first definitive event in start-cycle
-    order: an assertion failure (into ``failed``) or an ``EvalError``
-    from the property (into ``errors``).  Verdicts match
-    :meth:`PropertyChecker.check` cycle for cycle.
+    ``exhaustive=True`` is the post-hoc check of one complete trace
+    (:func:`repro.sva.bmc.bounded_check`): :meth:`finalize` scans every
+    start cycle of every assertion in declaration order and records
+    every failure into ``failures``; a property ``EvalError`` propagates
+    and leaves the later assertions unscanned and uncounted.
+
+    With a ``quality`` dict (label -> counters) every evaluated start
+    cycle is counted once: a TRUE implication whose antecedent was FALSE
+    is a *vacuous* pass, any other TRUE a *real* pass, a FALSE a fail
+    (always with an activation, since only a TRUE antecedent can fail);
+    UNDET counts nothing.  Compiled and interpreted tiers count alike.
     """
 
-    def __init__(self, design: Design, trace: Trace,
-                 assertions: List[ResolvedAssertion], skip_cycles: int,
-                 compiled: bool = True, quality: Optional[dict] = None):
-        self.checker = PropertyChecker(design, trace, compiled=compiled)
-        self.trace = trace
+    def __init__(self, design: Design, skip_cycles: int,
+                 compiled: bool = True, quality: Optional[dict] = None,
+                 exhaustive: bool = False):
+        self.design = design
+        self.skip_cycles = skip_cycles
+        self.compiled = compiled
+        self.quality = quality
+        self.exhaustive = exhaustive
+        self.trace: Optional[Trace] = None
         self.failed: set = set()
         self.errors: dict = {}
-        self.quality = quality
-        # [assertion, lookahead, next start cycle, body_fn, disable_fn,
-        #  counters, antecedent, ant_fn, fast] — the per-assertion
-        # closures and quality plumbing are resolved once here, not on
-        # every scan.  ``fast`` is ``(ant_expr_fn, cons_fn, overlapped)``
-        # for implication bodies whose antecedent is a plain boolean:
-        # there ``match_end == cycle``, so the scan can evaluate the
-        # antecedent expression once and then only the consequent —
-        # instead of the whole implication plus a second antecedent pass
-        # for vacuity classification.
-        program = self.checker._program
-        self._pending = []
-        for assertion in assertions:
+        self.failures: List[AssertionFailure] = []
+        self._pending: list = []
+        # (assertion, lookahead, body_fn, disable_fn, counters,
+        #  antecedent, ant_fn, fast) per assertion.  ``fast`` is
+        # ``(ant_expr_fn, cons_fn, overlapped)`` for implication bodies
+        # whose antecedent is a plain boolean: there ``match_end ==
+        # cycle``, so the scan can evaluate the antecedent expression
+        # once and then only the consequent — instead of the whole
+        # implication plus a second antecedent pass for vacuity
+        # classification.
+        program = _prop_program(design) if compiled else None
+        counters_by_label: dict = {}
+        self._plans = []
+        for assertion in design.assertions:
             body = assertion.prop.body
             disable = assertion.prop.disable
             body_fn = program.prop_fn(body) if program is not None else None
             disable_fn = (program.expr_fn(disable)
                           if program is not None and disable is not None
                           else None)
-            counters = (quality.setdefault(assertion.label, new_quality())
+            counters = (counters_by_label.setdefault(assertion.label,
+                                                     new_quality())
                         if quality is not None else None)
             antecedent = ant_fn = fast = None
             if counters is not None and isinstance(body,
@@ -598,10 +549,28 @@ class IncrementalChecker:
                         cons_fn = program.prop_fn(body.consequent)
                         if ant_expr_fn is not None and cons_fn is not None:
                             fast = (ant_expr_fn, cons_fn, body.overlapped)
-            self._pending.append(
-                [assertion, property_lookahead(body), skip_cycles,
-                 body_fn, disable_fn, counters, antecedent, ant_fn,
-                 fast])
+            self._plans.append(
+                (assertion, property_lookahead(body), body_fn, disable_fn,
+                 counters, antecedent, ant_fn, fast))
+
+    def start(self, trace: Trace, resolved=()) -> None:
+        """Monitor a new stimulus's ``trace`` from its first cycle.
+
+        Assertions whose label is in ``resolved`` (verdicts from earlier
+        stimuli) are dropped for the rest of the check.
+        """
+        if resolved:
+            self._plans = [plan for plan in self._plans
+                           if plan[0].label not in resolved]
+        self.trace = trace
+        self._checker = PropertyChecker(self.design, trace,
+                                        compiled=self.compiled)
+        self.failed = set()
+        self.errors = {}
+        self.failures = []
+        self._pending = [[plan, self.skip_cycles] for plan in self._plans]
+        if not self.exhaustive:
+            self._register(self._plans)
 
     def all_resolved(self) -> bool:
         return not self._pending
@@ -613,22 +582,33 @@ class IncrementalChecker:
         length = len(self.trace)
         self._pending = [
             entry for entry in self._pending
-            if not self._scan(entry, length - 1 - entry[1])]
+            if not self._scan(entry, length - 1 - entry[0][1])]
 
     def finalize(self) -> None:
-        """Trace complete: evaluate the remaining start cycles post-hoc."""
-        if not self._pending:
+        """Trace complete: evaluate the remaining start cycles."""
+        limit = len(self.trace) - 1
+        if self.exhaustive:
+            for entry in self._pending:
+                self._register((entry[0],))
+                self._scan(entry, limit)
+            self._pending = []
             return
-        length = len(self.trace)
         self._pending = [entry for entry in self._pending
-                         if not self._scan(entry, length - 1)]
+                         if not self._scan(entry, limit)]
+
+    def _register(self, plans) -> None:
+        """Enter the plans' counters into the quality report."""
+        if self.quality is not None:
+            for plan in plans:
+                self.quality.setdefault(plan[0].label, plan[4])
 
     def _scan(self, entry, limit: int) -> bool:
         """Evaluate start cycles up to ``limit``; True when resolved."""
-        (assertion, _, cycle, body_fn, disable_fn,
-         counters, antecedent, ant_fn, fast) = entry
+        plan, cycle = entry
+        (assertion, _, body_fn, disable_fn,
+         counters, antecedent, ant_fn, fast) = plan
         prop = assertion.prop
-        checker = self.checker
+        checker = self._checker
         disable = prop.disable
         trace = self.trace
         if fast is not None:
@@ -648,7 +628,7 @@ class IncrementalChecker:
                     # is moot because cycle <= limit < len(trace).
                     value = ant_expr_fn((trace, cycle))
                     if value.value != 0:
-                        verdict, _ = cons_fn(
+                        verdict, at = cons_fn(
                             trace, cycle if overlapped else cycle + 1)
                         if verdict == TRUE:
                             counters["activations"] += 1
@@ -661,69 +641,41 @@ class IncrementalChecker:
                         counters["vacuous"] += 1
                     else:
                         verdict = UNDET
-                    cycle += 1
-                    if verdict == FALSE:
-                        self.failed.add(assertion.label)
-                        return True
-                    continue
-                verdict, _ = (body_fn(trace, cycle) if body_fn is not None
-                              else checker.eval_prop(prop.body, cycle))
-                if counters is not None and verdict != UNDET:
-                    if antecedent is None:
-                        counters["activations"] += 1
-                        counters["real_passes" if verdict == TRUE
-                                 else "fails"] += 1
-                    else:
-                        ant, _ = (ant_fn(trace, cycle)
-                                  if ant_fn is not None
-                                  else checker.eval_prop(antecedent,
-                                                         cycle))
-                        if ant == TRUE:
+                else:
+                    verdict, at = (body_fn(trace, cycle)
+                                   if body_fn is not None
+                                   else checker.eval_prop(prop.body, cycle))
+                    if counters is not None and verdict != UNDET:
+                        if antecedent is None:
                             counters["activations"] += 1
-                        if verdict == TRUE:
-                            if ant == FALSE:
-                                counters["vacuous"] += 1
-                            else:
-                                counters["real_passes"] += 1
+                            counters["real_passes" if verdict == TRUE
+                                     else "fails"] += 1
                         else:
-                            counters["fails"] += 1
-                cycle += 1
+                            ant, _ = (ant_fn(trace, cycle)
+                                      if ant_fn is not None
+                                      else checker.eval_prop(antecedent,
+                                                             cycle))
+                            if ant == TRUE:
+                                counters["activations"] += 1
+                            if verdict == TRUE:
+                                if ant == FALSE:
+                                    counters["vacuous"] += 1
+                                else:
+                                    counters["real_passes"] += 1
+                            else:
+                                counters["fails"] += 1
                 if verdict == FALSE:
                     self.failed.add(assertion.label)
-                    return True
+                    self.failures.append(AssertionFailure(
+                        self.design.name, assertion.label, prop.name,
+                        cycle, at, assertion.message))
+                    if not self.exhaustive:
+                        return True
+                cycle += 1
         except EvalError as exc:
+            if self.exhaustive:
+                raise
             self.errors[assertion.label] = str(exc)
             return True
-        entry[2] = cycle
+        entry[1] = cycle
         return False
-
-
-def check_trace(design: Design, trace: Trace,
-                skip_cycles: Optional[int] = None,
-                compiled: bool = True,
-                quality: Optional[dict] = None) -> List[AssertionFailure]:
-    """Check every assertion in ``design`` against ``trace``."""
-    if skip_cycles is None:
-        skip_cycles = 0
-    checker = PropertyChecker(design, trace, compiled=compiled)
-    failures: List[AssertionFailure] = []
-    for assertion in design.assertions:
-        failures.extend(checker.check(assertion, skip_cycles,
-                                      quality=quality))
-    return failures
-
-
-def check_assertions(design: Design, trace: Trace,
-                     reset_cycles: int = 2,
-                     compiled: bool = True,
-                     quality: Optional[dict] = None
-                     ) -> List[AssertionFailure]:
-    """Like :func:`check_trace` but skipping the reset preamble.
-
-    Checking starts one cycle *after* reset release: properties that sample
-    ``$past`` would otherwise compare post-reset state against reset-era
-    values that never followed the design's update rule.  This matches the
-    common verification practice of arming checkers a cycle after reset.
-    """
-    return check_trace(design, trace, skip_cycles=reset_cycles + 1,
-                       compiled=compiled, quality=quality)

@@ -17,7 +17,8 @@ from repro.engine import (
     derive_rng,
     derive_seed,
 )
-from repro.eval.runner import evaluate_model
+from repro.eval.config import EvalConfig
+from repro.eval.runner import run_eval
 from repro.verilog.compile import CompileCache, compile_source
 
 
@@ -312,9 +313,10 @@ class TestParallelEvaluation:
         if not cases:
             pytest.skip("no machine cases at this scale")
         model = make_baseline("GPT-4", seed=3)
-        serial = evaluate_model(model, cases, n=6, seed=11)
+        serial = run_eval(model, cases,
+                          EvalConfig(n_samples=6, seed=11)).result
         with ExecutionEngine(n_workers=3, backend="process") as engine:
-            parallel = evaluate_model(model, cases, n=6, seed=11,
-                                      engine=engine)
+            parallel = run_eval(model, cases, EvalConfig(n_samples=6, seed=11),
+                                engine=engine).result
         assert [(o.n, o.c) for o in serial.outcomes] == \
             [(o.n, o.c) for o in parallel.outcomes]

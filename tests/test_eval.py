@@ -16,7 +16,6 @@ from repro.eval.report import EvalReport
 from repro.eval.reporting import render_table1, render_table3, render_table4
 from repro.eval.runner import (
     eval_memo_key,
-    evaluate_model,
     is_correct,
     model_digest,
     run_eval,
@@ -110,14 +109,16 @@ class TestCorrectness:
 class TestRunner:
     def test_evaluate_model_counts(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=8)
+        result = run_eval(sft, small_bundle.sva_eval_machine,
+                          EvalConfig(n_samples=8)).result
         assert len(result.outcomes) == len(small_bundle.sva_eval_machine)
         for outcome in result.outcomes:
             assert 0 <= outcome.c <= outcome.n == 8
 
     def test_histogram_total(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=8)
+        result = run_eval(sft, small_bundle.sva_eval_machine,
+                          EvalConfig(n_samples=8)).result
         series = histogram_series(result, n=8)
         assert sum(series) == len(result.outcomes)
         assert 0.0 <= extremity_mass(result, n=8) <= 1.0
@@ -125,7 +126,7 @@ class TestRunner:
     def test_origin_split(self, small_bundle, trained_models, human_cases):
         _, sft, _ = trained_models
         cases = small_bundle.sva_eval_machine + human_cases[:4]
-        result = evaluate_model(sft, cases, n=6)
+        result = run_eval(sft, cases, EvalConfig(n_samples=6)).result
         assert result.pass_at_origin(1, "machine") >= 0.0
         assert result.pass_at_origin(1, "human") >= 0.0
 
@@ -155,7 +156,7 @@ class SerializationCountingModel:
 
 
 class TestModelTransport:
-    """evaluate_model must serialize the model once per run, not per chunk."""
+    """run_eval must serialize the model once per run, not per chunk."""
 
     def test_process_run_pickles_model_once(self, small_bundle):
         from repro.engine import ExecutionEngine
@@ -164,11 +165,11 @@ class TestModelTransport:
         assert len(cases) > 1
         model = SerializationCountingModel()
         SerializationCountingModel.pickle_count = 0
-        serial = evaluate_model(model, cases, n=4, seed=9)
+        serial = run_eval(model, cases, EvalConfig(n_samples=4, seed=9)).result
         assert SerializationCountingModel.pickle_count == 0
         with ExecutionEngine(n_workers=2, backend="process") as engine:
-            parallel = evaluate_model(model, cases, n=4, seed=9,
-                                      engine=engine)
+            parallel = run_eval(model, cases, EvalConfig(n_samples=4, seed=9),
+                                engine=engine).result
             # However many chunks fan out, the object graph is walked
             # exactly twice per run: once for transport, once for the
             # after-run fingerprint assertion — never once per chunk.
@@ -182,8 +183,8 @@ class TestModelTransport:
         model = SerializationCountingModel()
         SerializationCountingModel.pickle_count = 0
         with ExecutionEngine(n_workers=2, backend="thread") as engine:
-            evaluate_model(model, small_bundle.sva_eval_machine, n=2,
-                           seed=9, engine=engine)
+            run_eval(model, small_bundle.sva_eval_machine,
+                     EvalConfig(n_samples=2, seed=9), engine=engine)
         assert SerializationCountingModel.pickle_count == 0
 
     def test_trained_model_parallel_matches_serial(self, small_bundle,
@@ -191,11 +192,12 @@ class TestModelTransport:
         from repro.engine import ExecutionEngine
 
         _, sft, _ = trained_models
-        serial = evaluate_model(sft, small_bundle.sva_eval_machine, n=4,
-                                seed=3)
+        serial = run_eval(sft, small_bundle.sva_eval_machine,
+                          EvalConfig(n_samples=4, seed=3)).result
         with ExecutionEngine(n_workers=2, backend="process") as engine:
-            parallel = evaluate_model(sft, small_bundle.sva_eval_machine,
-                                      n=4, seed=3, engine=engine)
+            parallel = run_eval(sft, small_bundle.sva_eval_machine,
+                                EvalConfig(n_samples=4, seed=3),
+                                engine=engine).result
         assert [(o.n, o.c) for o in serial.outcomes] == \
                [(o.n, o.c) for o in parallel.outcomes]
 
@@ -204,7 +206,8 @@ class TestBuckets:
     def test_bug_type_buckets_partition_axes(self, small_bundle,
                                              trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
+        result = run_eval(sft, small_bundle.sva_eval_machine,
+                          EvalConfig(n_samples=4)).result
         buckets = bug_type_buckets(result)
         n = len(result.outcomes)
         assert len(buckets["Direct"]) + len(buckets["Indirect"]) == n
@@ -212,13 +215,15 @@ class TestBuckets:
 
     def test_length_buckets_cover_all(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
+        result = run_eval(sft, small_bundle.sva_eval_machine,
+                          EvalConfig(n_samples=4)).result
         buckets = length_buckets(result)
         assert sum(len(v) for v in buckets.values()) == len(result.outcomes)
 
     def test_bucket_pass_at_unknown_axis(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
+        result = run_eval(sft, small_bundle.sva_eval_machine,
+                          EvalConfig(n_samples=4)).result
         with pytest.raises(ValueError):
             bucket_pass_at(result, 1, by="colour")
 
@@ -258,7 +263,7 @@ class TestBaselines:
         for name in ("o1-preview", "Claude-3.5", "GPT-4", "Llama-3.1-8b",
                      "CodeLlama-7b", "Deepseek-coder-6.7b"):
             model = make_baseline(name, seed=0)
-            result = evaluate_model(model, cases, n=20)
+            result = run_eval(model, cases, EvalConfig(n_samples=20)).result
             scores[name] = result.pass_at(1)
         assert scores["o1-preview"] > scores["GPT-4"]
         assert scores["Claude-3.5"] > scores["GPT-4"]
@@ -490,18 +495,6 @@ class TestEvalReport:
             EvalReport.from_json(json.dumps({"schema": "eval/v0"}))
 
 
-class TestDeprecatedShim:
-    def test_evaluate_model_warns_and_matches_run_eval(self, small_bundle,
-                                                       trained_models):
-        _, sft, _ = trained_models
-        cases = small_bundle.sva_eval_machine
-        with pytest.warns(DeprecationWarning):
-            legacy = evaluate_model(sft, cases, n=4, seed=5)
-        modern = run_eval(sft, cases, config=EvalConfig(n_samples=4, seed=5))
-        assert [(o.n, o.c) for o in legacy.outcomes] == \
-               [(o.n, o.c) for o in modern.result.outcomes]
-
-
 class TestReporting:
     def test_table1_renders_all_types(self):
         text = render_table1()
@@ -513,13 +506,12 @@ class TestReporting:
                                            trained_models):
         base, sft, solver = trained_models
         results = {
-            "Base Model": evaluate_model(base,
-                                         small_bundle.sva_eval_machine, n=4),
-            "SFT Model": evaluate_model(sft,
-                                        small_bundle.sva_eval_machine, n=4),
-            "AssertSolver": evaluate_model(solver,
-                                           small_bundle.sva_eval_machine,
-                                           n=4),
+            "Base Model": run_eval(base, small_bundle.sva_eval_machine,
+                                   EvalConfig(n_samples=4)).result,
+            "SFT Model": run_eval(sft, small_bundle.sva_eval_machine,
+                                  EvalConfig(n_samples=4)).result,
+            "AssertSolver": run_eval(solver, small_bundle.sva_eval_machine,
+                                     EvalConfig(n_samples=4)).result,
         }
         text = render_table3(results)
         assert "paper 88.54" in text
@@ -527,6 +519,7 @@ class TestReporting:
 
     def test_table4_renders(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
+        result = run_eval(sft, small_bundle.sva_eval_machine,
+                          EvalConfig(n_samples=4)).result
         text = render_table4({"AssertSolver": result})
         assert "Machine@1" in text and "(paper)" in text

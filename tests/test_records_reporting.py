@@ -8,9 +8,10 @@ from repro.datagen.records import (
     distribution_table,
 )
 from repro.eval.benchmark import SvaEvalBenchmark, build_benchmark
+from repro.eval.config import EvalConfig
 from repro.eval.histogram import render_histogram
 from repro.eval.reporting import PAPER_TABLE3, PAPER_TABLE4, render_fig4, render_fig5
-from repro.eval.runner import evaluate_model
+from repro.eval.runner import run_eval
 
 
 class TestRecords:
@@ -80,11 +81,10 @@ class TestRenderers:
                                            trained_models):
         _, sft, solver = trained_models
         results = {
-            "SFT Model": evaluate_model(sft, small_bundle.sva_eval_machine,
-                                        n=6),
-            "AssertSolver": evaluate_model(solver,
-                                           small_bundle.sva_eval_machine,
-                                           n=6),
+            "SFT Model": run_eval(sft, small_bundle.sva_eval_machine,
+                                  EvalConfig(n_samples=6)).result,
+            "AssertSolver": run_eval(solver, small_bundle.sva_eval_machine,
+                                     EvalConfig(n_samples=6)).result,
         }
         text = render_histogram(results, n=6)
         assert "extremity mass" in text
@@ -92,9 +92,10 @@ class TestRenderers:
 
     def test_fig4_fig5_render(self, small_bundle, trained_models):
         _, sft, solver = trained_models
-        sft_result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
-        solver_result = evaluate_model(solver,
-                                       small_bundle.sva_eval_machine, n=4)
+        sft_result = run_eval(sft, small_bundle.sva_eval_machine,
+                              EvalConfig(n_samples=4)).result
+        solver_result = run_eval(solver, small_bundle.sva_eval_machine,
+                                 EvalConfig(n_samples=4)).result
         fig4 = render_fig4({"SFT Model": sft_result,
                             "AssertSolver": solver_result})
         assert "Fig 4(a)" in fig4 and "Fig 4(b)" in fig4

@@ -4,9 +4,9 @@ import pytest
 
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import Stimulus
-from repro.sva.bmc import BmcConfig, bounded_check, holds_within_bound
+from repro.sva.bmc import BmcConfig, bounded_check
 from repro.sva.insert import SvaInsertionError, compile_with_sva, insert_sva_text
-from repro.sva.monitor import check_assertions
+from repro.sva.monitor import IncrementalChecker
 from repro.verilog.compile import compile_source
 
 
@@ -14,8 +14,11 @@ def check(source, vectors, reset_cycles=2):
     result = compile_source(source)
     assert result.ok, result.failure_summary()
     sim = Simulator(result.design)
-    trace = sim.run(Stimulus(vectors, reset_cycles))
-    return check_assertions(result.design, trace, reset_cycles)
+    checker = IncrementalChecker(result.design, reset_cycles + 1,
+                                 exhaustive=True)
+    checker.start(sim.run(Stimulus(vectors, reset_cycles)))
+    checker.finalize()
+    return checker.failures
 
 
 BASE = """
@@ -156,8 +159,8 @@ endmodule
 class TestBmc:
     def test_golden_accu_passes_bound(self, accu_source):
         result = compile_source(accu_source)
-        assert holds_within_bound(result.design,
-                                  BmcConfig(depth=10, random_trials=24))
+        assert bounded_check(result.design,
+                             BmcConfig(depth=10, random_trials=24)).passed_bound
 
     def test_buggy_accu_fails(self, accu_buggy_source):
         result = compile_source(accu_buggy_source)
@@ -200,6 +203,66 @@ endmodule
         first = bounded_check(result.design, config)
         second = bounded_check(result.design, config)
         assert first.log_text() == second.log_text()
+
+    VOIDED = """
+module m (input clk, input rst_n, input a, output reg b);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) b <= 1'b0;
+    else b <= a;
+  end
+  property unknown_check;
+    @(posedge clk) disable iff (!rst_n) a |-> $isunknown(b);
+  endproperty
+  unknown_assertion: assert property (unknown_check);
+  property follows;
+    @(posedge clk) disable iff (!rst_n) a |-> ##1 b;
+  endproperty
+  follows_assertion: assert property (follows);
+endmodule
+"""
+
+    @pytest.mark.parametrize("sim_mode", ["compiled", "interp"])
+    def test_property_error_voids_the_stimulus(self, sim_mode):
+        # The first assertion cannot be evaluated once `a` rises; the
+        # second holds.  The error voids the check, and the scan stops at
+        # the raising assertion: the second one's counters never see the
+        # voiding stimulus.
+        design = compile_source(self.VOIDED).design
+        outcome = bounded_check(design, BmcConfig(depth=6, random_trials=8,
+                                                  sim_mode=sim_mode,
+                                                  coverage=True))
+        assert "$isunknown" in outcome.sim_error
+        assert not outcome.failed
+        assert outcome.coverage["assertions"]["follows_assertion"][
+            "activations"] == 0
+
+    TWO_FAILING = """
+module m (input clk, input rst_n, input a, output reg b);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) b <= 1'b0;
+    else b <= !a;
+  end
+  property mirrors;
+    @(posedge clk) disable iff (!rst_n) b == $past(a);
+  endproperty
+  track_assertion: assert property (mirrors) else $error("b must mirror a");
+  property low_follows;
+    @(posedge clk) disable iff (!rst_n) !a |-> ##1 !b;
+  endproperty
+  low_assertion: assert property (low_follows) else $error("b must track a");
+endmodule
+"""
+
+    def test_failures_ordered_by_declaration_then_cycle(self):
+        design = compile_source(self.TWO_FAILING).design
+        outcome = bounded_check(design, BmcConfig(depth=6, random_trials=8))
+        assert outcome.failed
+        keys = [(f.label, f.start_cycle) for f in outcome.failures]
+        declared = {"track_assertion": 0, "low_assertion": 1}
+        assert {label for label, _ in keys} == set(declared)
+        assert keys == sorted(keys, key=lambda k: (declared[k[0]], k[1]))
+        assert outcome.log_text(max_lines=len(keys)).splitlines() == [
+            f.log_line() for f in outcome.failures]
 
 
 class TestInsertion:
