@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine import metrics
 from repro.sim.eval import EvalError, Evaluator
+from repro.sim.runloop import RunLoop
 from repro.sim.simulator import (
     _MAX_SETTLE_ITERATIONS,
     SimulationError,
@@ -47,8 +48,7 @@ from repro.sim.simulator import (
     _base_name,
     _target_name_list,
 )
-from repro.sim.stimulus import Stimulus, reset_values
-from repro.sim.trace import Trace
+from repro.sim.stimulus import reset_values
 from repro.sim.values import FourState
 from repro.verilog import ast
 from repro.verilog.elaborator import Design, _walk_stmts
@@ -944,7 +944,7 @@ class CompiledProgram:
         self.drive_cache: Dict[Tuple[int, int], FourState] = {}
 
 
-class CompiledSimulator:
+class CompiledSimulator(RunLoop):
     """Drop-in ``run``/``run_iter`` replacement backed by a compiled program.
 
     Mirrors :class:`repro.sim.simulator.Simulator` byte for byte: same
@@ -956,6 +956,7 @@ class CompiledSimulator:
         self.program = program
         self.design = program.design
         self.values: List[FourState] = list(program.initial_values)
+        self.trace_names = program.trace_names
         #: Optional :class:`repro.cov.CoverageSink` — same protocol as the
         #: interpreter's, fed from the slot list instead of a dict.
         self.cov = None
@@ -1014,52 +1015,27 @@ class CompiledSimulator:
             values[slot] = value
         self.settle()
 
-    def _snapshot(self) -> Dict[str, FourState]:
-        return dict(zip(self.program.names, self.values))
+    # -- run-loop primitives (see repro.sim.runloop) ----------------------
 
-    def run_iter(self, stimulus: Stimulus,
-                 trace_signals: Optional[List[str]] = None):
-        """Generator twin of :meth:`Simulator.run_iter` (same protocol)."""
+    def _start(self) -> None:
+        self.values = list(self.program.initial_values)
+
+    def _cycle(self, vector: Optional[Dict[str, int]]):
+        """Drive one cycle's inputs (``None``: a reset cycle) and settle."""
         program = self.program
-        self.values = list(program.initial_values)
-        trace = Trace(trace_signals or program.trace_names)
-        # Append through the lists directly: every snapshot/inputs dict
-        # below is freshly built, so Trace.append's defensive copy would
-        # only duplicate it (the single hottest allocation of a run).
-        snapshots = trace.snapshots
-        inputs_applied = trace.inputs_applied
-        cov = self.cov
-        if cov is not None:
-            # Lazy hand-off: the sink walks the grown snapshot list at
-            # the next begin_run()/report() — nothing per cycle here.
-            cov.begin_run(snapshots)
-        yield trace
-
-        for _ in range(stimulus.reset_cycles):
+        if vector is None:
             self._drive_pairs(program.zero_drive)
             self._drive_pairs(program.reset_active_drive)
-            self.settle()
-            snapshots.append(self._snapshot())
-            inputs_applied.append(dict(program.reset_inputs))
-            yield trace
-            self.tick()
-
-        inactive = program.reset_inactive_drive
-        for vector in stimulus.vectors:
+            inputs = dict(program.reset_inputs)
+        else:
             self._drive(vector)
-            self._drive_pairs(inactive)
-            self.settle()
-            snapshots.append(self._snapshot())
-            inputs_applied.append({**vector, **program.inactive_ints})
-            yield trace
-            self.tick()
+            self._drive_pairs(program.reset_inactive_drive)
+            inputs = {**vector, **program.inactive_ints}
+        self.settle()
+        return dict(zip(program.names, self.values)), inputs
 
-    def run(self, stimulus: Stimulus,
-            trace_signals: Optional[List[str]] = None) -> Trace:
-        trace = None
-        for trace in self.run_iter(stimulus, trace_signals):
-            pass
-        return trace
+    def _load(self, snapshot: Dict[str, FourState]) -> None:
+        self.values = [snapshot[name] for name in self.program.names]
 
 
 # -- program cache / factory --------------------------------------------------

@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.sim.eval import EvalError, Evaluator
-from repro.sim.stimulus import Stimulus, reset_values
-from repro.sim.trace import Trace
+from repro.sim.runloop import RunLoop
+from repro.sim.stimulus import reset_values
 from repro.sim.values import FourState
 from repro.verilog import ast
 from repro.verilog.elaborator import Design
@@ -34,12 +34,16 @@ class SimulationError(Exception):
     """Raised for runtime problems (combinational loops, missing drivers)."""
 
 
-class Simulator:
+class Simulator(RunLoop):
     """Executes one elaborated design against a stimulus."""
 
     def __init__(self, design: Design):
         self.design = design
         self.env: Dict[str, FourState] = {}
+        self.trace_names = sorted(design.symbols)
+        self._reset_active = reset_values(design, active=True)
+        self._reset_inactive = reset_values(design, active=False)
+        self._zeros = {s.name: 0 for s in design.free_inputs()}
         #: Optional :class:`repro.cov.CoverageSink`; when attached, every
         #: appended snapshot is also observed for coverage.  Off-path
         #: cost: one None check per cycle.
@@ -290,58 +294,26 @@ class Simulator:
         self.env.update(nba_updates)
         self.settle()
 
-    def run_iter(self, stimulus: Stimulus,
-                 trace_signals: Optional[List[str]] = None):
-        """Generator form of :meth:`run`.
+    # -- run-loop primitives (see repro.sim.runloop) ----------------------
 
-        Yields the (shared, growing) :class:`Trace` once before any cycle
-        — so callers can hold the trace object — and then once after each
-        appended snapshot.  Abandoning the generator mid-run is safe; the
-        BMC batch driver uses this to stop simulating a stimulus the
-        moment every assertion already has a verdict.
-        """
+    def _start(self) -> None:
         self._reset_env()
-        names = trace_signals or sorted(self.design.symbols)
-        trace = Trace(names)
-        cov = self.cov
-        if cov is not None:
-            # Lazy hand-off: the sink walks the grown snapshot list at
-            # the next begin_run()/report() — nothing per cycle here.
-            cov.begin_run(trace.snapshots)
-        yield trace
-        active = reset_values(self.design, active=True)
-        inactive = reset_values(self.design, active=False)
-        zeros = {s.name: 0 for s in self.design.free_inputs()}
 
-        # Each iteration: drive inputs, settle combinational logic, snapshot
-        # (this is the SVA preponed view: exactly what the registers read at
-        # the coming edge), then clock the edge.
-        for _ in range(stimulus.reset_cycles):
-            self._drive(zeros)
-            self._drive(active)
-            self.settle()
-            trace.append(self.env, {**zeros, **active})
-            yield trace
-            self.tick()
-
-        for vector in stimulus.vectors:
+    def _cycle(self, vector: Optional[Dict[str, int]]):
+        """Drive one cycle's inputs (``None``: a reset cycle) and settle."""
+        if vector is None:
+            self._drive(self._zeros)
+            self._drive(self._reset_active)
+            inputs = {**self._zeros, **self._reset_active}
+        else:
             self._drive(vector)
-            self._drive(inactive)
-            self.settle()
-            trace.append(self.env, {**vector, **inactive})
-            yield trace
-            self.tick()
+            self._drive(self._reset_inactive)
+            inputs = {**vector, **self._reset_inactive}
+        self.settle()
+        return dict(self.env), inputs
 
-    def run(self, stimulus: Stimulus, trace_signals: Optional[List[str]] = None) -> Trace:
-        """Run the full stimulus and return the trace.
-
-        The trace includes ``reset_cycles`` cycles with the reset active
-        followed by one snapshot per stimulus vector.
-        """
-        trace = None
-        for trace in self.run_iter(stimulus, trace_signals):
-            pass
-        return trace
+    def _load(self, snapshot: Dict[str, FourState]) -> None:
+        self.env = dict(snapshot)
 
 
 def _base_name(target: ast.Expr) -> str:

@@ -8,7 +8,7 @@ engine mixes with random search.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from repro.verilog.elaborator import Design
 
@@ -104,11 +104,15 @@ def walking_ones_sequence(design: Design, depth: int,
 
 
 def enumerate_exhaustive(design: Design, depth: int,
-                         reset_cycles: int = 2) -> Sequence[Stimulus]:
+                         reset_cycles: int = 2) -> Iterator[Stimulus]:
     """All input sequences of length ``depth`` (caller bounds the size).
 
     Yields ``2 ** (total_bits * depth)`` stimuli; the BMC engine only calls
-    this when that count is below its exhaustive threshold.
+    this when that count is below its exhaustive threshold.  The order is
+    load-bearing: cycle 0's inputs change fastest (the stimulus index's
+    low bits), and since :func:`repro.sva.bmc.bounded_check` stops at the
+    first failing stimulus, this order decides which counterexample it
+    reports.
     """
     inputs = design.free_inputs()
     total_bits = sum(s.width for s in inputs)

@@ -9,7 +9,8 @@ The datagen pipeline asks two questions of the checker:
    the failure logs that become model input.)
 
 Strategy: exhaustive stimulus enumeration when the input space is small
-enough (``total_input_bits * depth <= exhaustive_bits``), otherwise a
+enough (``total_input_bits * depth <= exhaustive_bits``), simulating each
+distinct input prefix once (:class:`repro.sim.runloop.PrefixTrie`), else a
 deterministic portfolio of directed patterns (constants, toggling, walking
 ones) plus seeded random search.  Bounded, like any BMC: ``proven`` is
 never claimed, only "no counterexample within the bound" — which is also
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import random
 from time import perf_counter
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.cov import CoverageSink, accumulate_totals
 from repro.engine import metrics
 from repro.sim.compiled import SIM_MODES, make_simulator
 from repro.sim.eval import EvalError
+from repro.sim.runloop import PrefixTrie
 from repro.sim.simulator import SimulationError
 from repro.sim.stimulus import (
     Stimulus,
@@ -58,6 +60,12 @@ class BmcConfig:
         if sim_mode not in SIM_MODES:
             raise ValueError(
                 f"sim_mode must be one of {SIM_MODES}, got {sim_mode!r}")
+        for name, value, floor in (("depth", depth, 1),
+                                   ("random_trials", random_trials, 0),
+                                   ("exhaustive_bits", exhaustive_bits, 0),
+                                   ("reset_cycles", reset_cycles, 0)):
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value!r}")
         self.depth = depth
         self.random_trials = random_trials
         self.exhaustive_bits = exhaustive_bits
@@ -149,17 +157,22 @@ def _stimulus_portfolio(design: Design, config: BmcConfig) -> Iterable[Stimulus]
         yield reset_sequence(design, config.depth, rng, config.reset_cycles)
 
 
-def _candidate_stimuli(design: Design, config: BmcConfig) -> Iterable[Stimulus]:
+def _candidate_stimuli(design: Design, config: BmcConfig
+                       ) -> Tuple[Iterable[Stimulus], Optional[PrefixTrie]]:
     """The candidate selection of the bounded-check driver.
 
     The exhaustive-bits decision lives only here, so both driver modes
-    draw the exact same stimuli.
+    draw the exact same stimuli.  An exhaustive set comes with a fresh
+    :class:`PrefixTrie`: its stimuli share long input prefixes, so each
+    distinct prefix is simulated once.  The directed + random portfolio
+    gets none — its prefixes do not repeat, and keeping their paths
+    alive would only feed the garbage collector.
     """
     total_bits = sum(s.width for s in design.free_inputs())
     if total_bits * config.depth <= config.exhaustive_bits:
-        return enumerate_exhaustive(design, config.depth,
-                                    config.reset_cycles)
-    return _stimulus_portfolio(design, config)
+        return (enumerate_exhaustive(design, config.depth,
+                                     config.reset_cycles), PrefixTrie())
+    return _stimulus_portfolio(design, config), None
 
 
 def _drive(design: Design, config: BmcConfig,
@@ -168,9 +181,12 @@ def _drive(design: Design, config: BmcConfig,
     """The one bounded-check driver: fills ``result`` in place.
 
     One simulator and one :class:`IncrementalChecker` serve every
-    candidate stimulus; the driver owns the ``simulate``/``monitor``/
-    ``bmc`` timers and the coverage sink.  An RTL-level simulation error
-    voids every assertion alike (``sim_error`` / ``design_error``).
+    candidate stimulus, and the trie :func:`_candidate_stimuli` hands
+    over with an exhaustive set (freed when the check returns) makes
+    every distinct input prefix simulate once.  The driver owns the
+    ``simulate``/``monitor``/``bmc`` timers and the coverage sink.  An
+    RTL-level simulation error voids every assertion alike
+    (``sim_error`` / ``design_error``).
 
     ``first_failure=False`` (a :class:`BmcBatchResult`) scores every
     label independently: the checker advances after each simulated
@@ -188,7 +204,7 @@ def _drive(design: Design, config: BmcConfig,
     sink = CoverageSink.for_design(design) if config.coverage else None
     quality: Optional[dict] = {} if config.coverage else None
     try:
-        candidates = _candidate_stimuli(design, config)
+        candidates, trie = _candidate_stimuli(design, config)
         simulator = make_simulator(design, config.sim_mode)
         if sink is not None:
             simulator.cov = sink
@@ -200,7 +216,7 @@ def _drive(design: Design, config: BmcConfig,
         resolved: set = set()
         for stimulus in candidates:
             result.stimuli_tried += 1
-            cycles = simulator.run_iter(stimulus)
+            cycles = simulator.run_iter(stimulus, trie=trie)
             t0 = perf_counter()
             try:
                 trace = next(cycles)

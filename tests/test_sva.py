@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.sim.simulator import Simulator
-from repro.sim.stimulus import Stimulus
-from repro.sva.bmc import BmcConfig, bounded_check
+from repro.sim.compiled import SIM_MODES, CompiledSimulator, make_simulator
+from repro.sim.eval import EvalError
+from repro.sim.simulator import SimulationError, Simulator
+from repro.sim.stimulus import Stimulus, enumerate_exhaustive
+from repro.sva.bmc import BmcConfig, bounded_check, bounded_check_batch
 from repro.sva.insert import SvaInsertionError, compile_with_sva, insert_sva_text
 from repro.sva.monitor import IncrementalChecker
 from repro.verilog.compile import compile_source
@@ -263,6 +265,124 @@ endmodule
         assert keys == sorted(keys, key=lambda k: (declared[k[0]], k[1]))
         assert outcome.log_text(max_lines=len(keys)).splitlines() == [
             f.log_line() for f in outcome.failures]
+
+
+# Combinational logic that fails to settle: ``a`` oscillates while
+# ``trap`` holds.  In PREFIX_TRAP, trap needs the input history 1, 1, 0
+# at drive time and never holds after an edge (there h1 == x).  In
+# TICK_TRAP, trap needs the third post-reset edge, which only a depth-3
+# stimulus's trailing tick reaches, with x high.
+PREFIX_TRAP = """
+module prefix_trap (input clk, input rst_n, input x, output wire a);
+  reg h1;
+  reg h2;
+  wire trap;
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin
+      h1 <= 1'b0;
+      h2 <= 1'b0;
+    end else begin
+      h1 <= x;
+      h2 <= h1;
+    end
+  end
+  assign trap = h2 & h1 & ~x;
+  assign a = trap ? ~a : 1'b0;
+  property p;
+    @(posedge clk) disable iff (!rst_n) 1'b1;
+  endproperty
+  p_assertion: assert property (p);
+endmodule
+"""
+
+TICK_TRAP = """
+module tick_trap (input clk, input rst_n, input x, output wire a);
+  reg [2:0] cnt;
+  wire trap;
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) cnt <= 3'd0;
+    else cnt <= cnt + 3'd1;
+  end
+  assign trap = (cnt == 3'd3) & x;
+  assign a = trap ? ~a : 1'b0;
+  property p;
+    @(posedge clk) disable iff (!rst_n) 1'b1;
+  endproperty
+  p_assertion: assert property (p);
+endmodule
+"""
+
+TRAP_DEPTH = 3
+
+
+def _fresh_error(design, sim_mode):
+    """(error, stimuli_tried) of a loop over fresh simulators."""
+    tried = 0
+    for stimulus in enumerate_exhaustive(design, TRAP_DEPTH, 2):
+        tried += 1
+        try:
+            make_simulator(design, sim_mode).run(stimulus)
+        except (SimulationError, EvalError) as exc:
+            return str(exc), tried
+    return None, tried
+
+
+@pytest.mark.parametrize("sim_mode", SIM_MODES)
+@pytest.mark.parametrize("source, first_bad", [(PREFIX_TRAP, 4),
+                                               (TICK_TRAP, 5)],
+                         ids=["prefix", "trailing_tick"])
+class TestErrorSurfacing:
+    def _design(self, source, sim_mode):
+        design = compile_source(source).design
+        if sim_mode == "compiled":
+            assert isinstance(make_simulator(design, sim_mode),
+                              CompiledSimulator)
+        return design
+
+    def test_reference_fails_where_expected(self, source, first_bad,
+                                            sim_mode):
+        error, tried = _fresh_error(self._design(source, sim_mode), sim_mode)
+        assert "failed to settle" in error
+        assert tried == first_bad
+
+    def test_bounded_check_matches_fresh_error(self, source, first_bad,
+                                             sim_mode):
+        design = self._design(source, sim_mode)
+        result = bounded_check(design, BmcConfig(depth=TRAP_DEPTH,
+                                                 sim_mode=sim_mode))
+        assert (result.sim_error, result.stimuli_tried) == \
+            _fresh_error(design, sim_mode)
+
+    def test_bounded_check_batch_matches_fresh_error(self, source, first_bad,
+                                                   sim_mode):
+        design = self._design(source, sim_mode)
+        result = bounded_check_batch(design, BmcConfig(depth=TRAP_DEPTH,
+                                                       sim_mode=sim_mode))
+        assert (result.design_error, result.stimuli_tried) == \
+            _fresh_error(design, sim_mode)
+
+
+class TestBmcConfigValidation:
+    def test_depth_at_least_one(self):
+        BmcConfig(depth=1)
+        for depth in (0, -2):
+            with pytest.raises(ValueError, match="depth"):
+                BmcConfig(depth=depth)
+
+    def test_random_trials_non_negative(self):
+        BmcConfig(random_trials=0)
+        with pytest.raises(ValueError, match="random_trials"):
+            BmcConfig(random_trials=-1)
+
+    def test_exhaustive_bits_non_negative(self):
+        BmcConfig(exhaustive_bits=0)
+        with pytest.raises(ValueError, match="exhaustive_bits"):
+            BmcConfig(exhaustive_bits=-1)
+
+    def test_reset_cycles_non_negative(self):
+        BmcConfig(reset_cycles=0)
+        with pytest.raises(ValueError, match="reset_cycles"):
+            BmcConfig(reset_cycles=-1)
 
 
 class TestInsertion:
