@@ -113,7 +113,12 @@ class BugInjector:
                design_name: str = "") -> Optional[BugRecord]:
         """One random single-line bug, or None when no candidate applies."""
         module = parse_module(golden_source)
-        canonical = write_module(module)
+        return self._inject(module, write_module(module), design_name)
+
+    def _inject(self, module: ast.Module, canonical: str,
+                design_name: str) -> Optional[BugRecord]:
+        """:meth:`inject` on a parsed golden module and its canonical text;
+        ``module`` is only read (each attempt mutates a deep copy)."""
         for _ in range(self.max_attempts):
             clone, candidate = mutated_copy(module, self._pick)
             if clone is None or candidate is None:
@@ -129,12 +134,14 @@ class BugInjector:
     def inject_many(self, golden_source: str, count: int,
                     design_name: str = "") -> List[BugRecord]:
         """Up to ``count`` *distinct* buggy variants of one design."""
+        module = parse_module(golden_source)
+        canonical = write_module(module)
         records: List[BugRecord] = []
         seen = set()
         attempts = 0
         while len(records) < count and attempts < count * self.max_attempts:
             attempts += 1
-            record = self.inject(golden_source, design_name)
+            record = self._inject(module, canonical, design_name)
             if record is None:
                 break
             key = (record.line, record.buggy_line)

@@ -577,7 +577,7 @@ def _make_case(design: HumanDesign, bug: HumanBug, case_index: int,
     )
     labels = sorted({f.label for f in buggy_check.failures})
     source_with_sva = write_module(buggy_with_sva.module)
-    signals = _failing_assertion_signals(source_with_sva, labels)
+    signals = _failing_assertion_signals(buggy_with_sva.module, labels)
     relation = classify_relation(buggy_module, line, signals)
 
     spec = write_spec(golden_canonical, None, design.name)

@@ -38,8 +38,8 @@ from repro.oracles.sva import SvaOracle, SvaProposal
 from repro.store import unit_memo_key
 from repro.sva.bmc import BmcConfig, bounded_check, bounded_check_batch
 from repro.sva.insert import compile_with_sva
+from repro.verilog import ast
 from repro.verilog.compile import compile_source
-from repro.verilog.parser import parse_module
 from repro.verilog.writer import write_module
 
 STAGE_NAME = "stage2"
@@ -226,9 +226,9 @@ def process_design(seed: DesignSeed, sva_oracle: SvaOracle,
                 result.sim_error_count += 1
                 continue
             labels = sorted({f.label for f in check.failures})
-            signals = _failing_assertion_signals(buggy_with_sva, labels)
-            relation = classify_relation(parse_module(record.buggy_source),
-                                         record.line, signals)
+            signals = _failing_assertion_signals(module, labels)
+            relation = classify_relation(buggy_check.module, record.line,
+                                         signals)
             result.sva_bug_entries.append(SvaBugEntry(
                 record=record, spec=spec,
                 buggy_source_with_sva=buggy_with_sva,
@@ -249,11 +249,10 @@ def stage2_unit(task: Stage2Task) -> Stage2Result:
                           sva_validation=task.sva_validation)
 
 
-def _failing_assertion_signals(source_with_sva: str,
+def _failing_assertion_signals(module: ast.Module,
                                labels: List[str]) -> List[str]:
     """Union of identifiers in the failing assertions' property bodies."""
     from repro.bugs.classify import assertion_expr_signals
-    module = parse_module(source_with_sva)
     signals: List[str] = []
     for label in labels:
         for name in assertion_expr_signals(module, label):

@@ -110,24 +110,26 @@ class AssertSolver:
 
     def _example_for_entry(self, entry: SvaBugEntry,
                            weight: float = 1.0) -> Optional[TrainExample]:
-        space = enumerate_repairs(entry.buggy_source_with_sva)
+        context = CaseContext(entry.buggy_source_with_sva, entry.spec,
+                              entry.logs, self.lm)
+        space = enumerate_repairs(entry.buggy_source_with_sva,
+                                  module=context.module)
         gold = space.golden_index(entry.record.line, entry.record.fixed_line)
         if gold is None:
             return None
-        context = CaseContext(entry.buggy_source_with_sva, entry.spec,
-                              entry.logs, self.lm)
         return TrainExample(context.matrix(space.candidates), gold,
                             weight=weight, tag=entry.record.design_name)
 
     def _example_for_verilog_bug(self, entry: VerilogBugEntry,
                                  weight: float = 0.3
                                  ) -> Optional[TrainExample]:
-        space = enumerate_repairs(entry.record.buggy_source)
+        context = CaseContext(entry.record.buggy_source, entry.spec, logs="",
+                              lm=self.lm)
+        space = enumerate_repairs(entry.record.buggy_source,
+                                  module=context.module)
         gold = space.golden_index(entry.record.line, entry.record.fixed_line)
         if gold is None:
             return None
-        context = CaseContext(entry.record.buggy_source, entry.spec, logs="",
-                              lm=self.lm)
         return TrainExample(context.matrix(space.candidates), gold,
                             weight=weight, tag=entry.record.design_name)
 
@@ -188,9 +190,11 @@ class AssertSolver:
 
     def _score(self, problem: Problem
                ) -> "tuple[CandidateSpace, CaseContext, np.ndarray]":
-        space = enumerate_repairs(problem.source)
+        # enumerate_repairs mutates and reverts the module in place, so it
+        # gets the context's fresh parse, never a shared CompileCache AST.
         context = CaseContext(problem.source, problem.spec, problem.logs,
                               self.lm)
+        space = enumerate_repairs(problem.source, module=context.module)
         matrix = context.matrix(space.candidates)
         if self.weights is None:
             logits = np.zeros(len(space))

@@ -1,13 +1,39 @@
 """Tokenizer for the Verilog/SVA subset.
 
-Produces a flat list of :class:`Token`.  Comments are skipped but their line
-accounting is preserved so diagnostics and bug-location bookkeeping (which
-the paper's evaluation relies on: answers are judged by buggy *line*) stay
-accurate.
+:func:`tokenize` walks one compiled master pattern, ``_MASTER``, across the
+source.  The pattern is an alternation of named groups, one per lexeme
+class: ``skip`` (whitespace, ``//`` and ``/* */`` comments, and compiler
+directives from a backtick to the end of the line), ``num``, ``id``
+(identifiers and keywords), ``sys`` (system tasks), ``str``, ``op`` and,
+last, ``bad``, which takes any one character.  Each match is one token or
+one run of skipped text, and each starts where the previous one ended:
+``bad`` keeps the scan anchored, so a position no token group takes costs
+one failed attempt there, never a search of the rest of the source.  The line count
+advances by the newlines in skipped text and in string literals (an escaped
+newline), so diagnostics and the bug-location bookkeeping (the paper's
+answers are judged by buggy *line*) stay exact.
+
+Group order matters where two groups can start on the same character:
+
+- ``skip`` comes before ``op``, so ``//`` and ``/*`` open comments rather
+  than lexing as ``/``; ``op`` refuses a ``/`` that opens an unterminated
+  ``/*``.
+- ``sys`` comes before ``op``: a ``$`` always matches ``sys``, and a lone
+  ``$`` is reported as stray, never lexed as the ``$`` of ``SINGLE_OPS``.
+- Inside ``op`` the multi-character operators come first, longest first,
+  then the single characters, so the alternation is maximal munch.
+
+Verilog source is ASCII.  Every character class outside comments and
+strings is spelled in ASCII, so any other character there matches no group
+and raises "unexpected character" (``str.isdigit`` would take ``²`` for a
+digit).  When ``bad`` matches, :func:`_lex_error` builds the diagnostic for
+that position: a malformed number, string or block comment, or an
+unexpected character, at the line where the scan stopped.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from repro.verilog.errors import VerilogLexError
@@ -61,165 +87,85 @@ class Token:
         return self.kind == "kw" and self.text in texts
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+_NUM_DIGITS = "[0-9a-fA-FxXzZ?_]+"
+# A string literal up to, not including, its closing quote.
+_STR_OPEN = r'"(?:[^"\\\n]|\\[\s\S])*'
 
+_MASTER = re.compile("|".join([
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/|`[^\n]*)+)",
+    # A plain decimal may not stop in front of a quote: "4'x" is a bad
+    # sized number, not "4" then "'x".
+    r"(?P<num>[0-9][0-9_]*(?:'[sS]?[bdohBDOH]" + _NUM_DIGITS + r"|(?![0-9_']))"
+    r"|'[bdohBDOH]" + _NUM_DIGITS + ")",
+    r"(?P<id>[A-Za-z_][A-Za-z0-9_$]*)",
+    r"(?P<sys>\$[A-Za-z0-9_$]*)",
+    "(?P<str>" + _STR_OPEN + '")',
+    "(?P<op>" + "|".join(re.escape(op) for op in MULTI_OPS)
+    + r"|/(?!\*)|[" + re.escape("".join(sorted(SINGLE_OPS - {"/"}))) + "])",
+    # Any other character.  Every match then starts where the last one
+    # ended, so the scan stops at the first character no token group takes.
+    r"(?P<bad>[\s\S])",
+]))
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
-class Lexer:
-    """Single-pass scanner over a source string."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.tokens: List[Token] = []
-
-    def error(self, message: str) -> VerilogLexError:
-        return VerilogLexError(message, self.line)
-
-    def peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        if idx < len(self.source):
-            return self.source[idx]
-        return ""
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                self.pos += 1
-
-    def tokenize(self) -> List[Token]:
-        while self.pos < len(self.source):
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "/" and self.peek(1) == "/":
-                self._skip_line_comment()
-            elif ch == "/" and self.peek(1) == "*":
-                self._skip_block_comment()
-            elif ch.isdigit() or (ch == "'" and self.peek(1) in "bdohBDOH"):
-                self._lex_number()
-            elif _is_ident_start(ch):
-                self._lex_identifier()
-            elif ch == "$":
-                self._lex_system_task()
-            elif ch == '"':
-                self._lex_string()
-            elif ch == "`":
-                # Ignore compiler directives (`timescale etc.) to end of line.
-                self._skip_line_comment()
-            else:
-                self._lex_operator()
-        self.tokens.append(Token("eof", "", self.line))
-        return self.tokens
-
-    def _skip_line_comment(self) -> None:
-        while self.pos < len(self.source) and self.peek() != "\n":
-            self.advance()
-
-    def _skip_block_comment(self) -> None:
-        self.advance(2)
-        while self.pos < len(self.source):
-            if self.peek() == "*" and self.peek(1) == "/":
-                self.advance(2)
-                return
-            self.advance()
-        raise self.error("unterminated block comment")
-
-    def _lex_number(self) -> None:
-        start_line = self.line
-        text = []
-        # Optional decimal size prefix.
-        while self.peek().isdigit() or self.peek() == "_":
-            text.append(self.peek())
-            self.advance()
-        if self.peek() == "'":
-            text.append("'")
-            self.advance()
-            if self.peek() in "sS":
-                text.append(self.peek())
-                self.advance()
-            base = self.peek().lower()
-            if base not in "bdoh":
-                raise self.error(f"bad base character {self.peek()!r} in number")
-            text.append(self.peek())
-            self.advance()
-            digits = "0123456789abcdefABCDEFxXzZ?_"
-            if not (self.peek() and self.peek() in digits):
-                raise self.error("missing digits after base specifier")
-            while self.peek() and self.peek() in digits:
-                text.append(self.peek())
-                self.advance()
-        self.tokens.append(Token("num", "".join(text), start_line))
-
-    def _lex_identifier(self) -> None:
-        start_line = self.line
-        text = []
-        while self.peek() and _is_ident_char(self.peek()):
-            text.append(self.peek())
-            self.advance()
-        word = "".join(text)
-        kind = "kw" if word in KEYWORDS else "id"
-        self.tokens.append(Token(kind, word, start_line))
-
-    def _lex_system_task(self) -> None:
-        start_line = self.line
-        text = ["$"]
-        self.advance()
-        while self.peek() and _is_ident_char(self.peek()):
-            text.append(self.peek())
-            self.advance()
-        word = "".join(text)
-        if word == "$":
-            raise self.error("stray '$'")
-        self.tokens.append(Token("sys", word, start_line))
-
-    def _lex_string(self) -> None:
-        start_line = self.line
-        self.advance()
-        text = []
-        while True:
-            ch = self.peek()
-            if not ch:
-                raise self.error("unterminated string literal")
-            if ch == '"':
-                self.advance()
-                break
-            if ch == "\\":
-                self.advance()
-                text.append(self.peek())
-                self.advance()
-                continue
-            if ch == "\n":
-                raise self.error("newline in string literal")
-            text.append(ch)
-            self.advance()
-        self.tokens.append(Token("str", "".join(text), start_line))
-
-    def _lex_operator(self) -> None:
-        start_line = self.line
-        for op in MULTI_OPS:
-            if self.source.startswith(op, self.pos):
-                self.advance(len(op))
-                self.tokens.append(Token("op", op, start_line))
-                return
-        ch = self.peek()
-        if ch in SINGLE_OPS:
-            self.advance()
-            self.tokens.append(Token("op", ch, start_line))
-            return
-        raise self.error(f"unexpected character {ch!r}")
+# Prefixes the error path re-reads: a number up to its base character and
+# a string up to where it stopped.
+_NUM_HEAD = re.compile(r"[0-9_]*'[sS]?")
+_STR_HEAD = re.compile(_STR_OPEN)
+_ESCAPE = re.compile(r"\\([\s\S])")
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` and return the token list (ending with eof)."""
-    return Lexer(source).tokenize()
+    tokens: List[Token] = []
+    append = tokens.append
+    line = 1
+    for match in _MASTER.finditer(source):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise _lex_error(source, match.start(), line)
+        text = match.group()
+        if kind == "skip":
+            line += text.count("\n")
+            continue
+        if kind == "id":
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind == "str":
+            newlines = text.count("\n")
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(r"\1", text)
+            append(Token(kind, text, line))
+            line += newlines
+            continue
+        elif kind == "sys" and text == "$":
+            raise VerilogLexError("stray '$'", line)
+        append(Token(kind, text, line))
+    append(Token("eof", "", line))
+    return tokens
+
+
+def _lex_error(source: str, pos: int, line: int) -> VerilogLexError:
+    """The diagnostic for ``source[pos]``, where no token group matched."""
+    ch = source[pos]
+    if ch in "0123456789" or (ch == "'" and source[pos + 1:pos + 2] in "bdohBDOH"):
+        # At end of input the slice is "", and "" is in every string: a
+        # trailing quote, size or base reports missing digits.
+        stop = _NUM_HEAD.match(source, pos).end()
+        base = source[stop:stop + 1]
+        if base.lower() not in "bdoh":
+            return VerilogLexError(f"bad base character {base!r} in number", line)
+        return VerilogLexError("missing digits after base specifier", line)
+    if ch == '"':
+        stop = _STR_HEAD.match(source, pos).end()
+        line += source.count("\n", pos, stop)
+        if source.startswith("\n", stop):
+            return VerilogLexError("newline in string literal", line)
+        return VerilogLexError("unterminated string literal", line)
+    if source.startswith("/*", pos):
+        return VerilogLexError("unterminated block comment",
+                               line + source.count("\n", pos))
+    return VerilogLexError(f"unexpected character {ch!r}", line)
 
 
 def parse_number_literal(text: str) -> "tuple[Optional[int], int, int]":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.verilog import ast
-from repro.verilog.errors import VerilogParseError
+from repro.verilog.errors import VerilogLexError, VerilogParseError
 from repro.verilog.lexer import Token, parse_number_literal, tokenize
 
 # Binary operator precedence (higher binds tighter).  Mirrors IEEE 1800.
@@ -473,7 +473,17 @@ class Parser:
         token = self.peek()
         if token.kind == "num":
             self.advance()
-            width, value, xmask = parse_number_literal(token.text)
+            try:
+                width, value, xmask = parse_number_literal(token.text)
+            except (ArithmeticError, MemoryError, ValueError):
+                # The lexer admits literals it cannot decode: "4'd_" has no
+                # digits and "4'b2" a digit out of base.  A size too long
+                # for int() fails too, and so does one whose 1 << width
+                # overflows (OverflowError) or cannot be allocated
+                # (MemoryError, raised before any memory is taken).
+                raise VerilogLexError(
+                    f"cannot decode number literal {token.text!r}",
+                    token.line) from None
             return ast.Number(value, width, xmask, token.text, line=token.line)
         if token.kind == "id":
             self.advance()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.verilog import ast
-from repro.verilog.errors import VerilogParseError
+from repro.verilog.compile import compile_source
+from repro.verilog.errors import VerilogLexError, VerilogParseError
 from repro.verilog.parser import parse_module, parse_source
 from repro.verilog.writer import write_expr
 
@@ -233,3 +234,31 @@ endmodule
             "property p;\n@(posedge clk) not (a);\nendproperty\n"
             "c: assert property (p);\nendmodule")
         assert isinstance(module.properties()[0].body, ast.PropNot)
+
+
+#: Literals the lexer admits but cannot decode: sizes whose ``1 << width``
+#: overflows or cannot be allocated, and a non-ASCII digit; one batch must
+#: not fail on them.
+HOSTILE_LITERALS = ("99999999999999999999999999999999999999999999999999'h1",
+                    "999999999999999999'h1", "\u00b2")
+
+
+def with_literal(literal: str) -> str:
+    return ("module m (input a, output y);\n"
+            f"  assign y = a & {literal};\n"
+            "endmodule\n")
+
+
+class TestUndecodableLiterals:
+    @pytest.mark.parametrize("literal", HOSTILE_LITERALS)
+    def test_compile_reports_instead_of_raising(self, literal):
+        result = compile_source(with_literal(literal), use_cache=False)
+        assert not result.ok
+        assert [d.line for d in result.errors()] == [2]
+
+    @pytest.mark.parametrize("literal", ["4'd_", "4'b2", "4'dA"])
+    def test_bad_digits_are_lex_errors_at_their_line(self, literal):
+        with pytest.raises(VerilogLexError) as info:
+            parse_module(with_literal(literal))
+        assert info.value.line == 2
+        assert literal in info.value.message

@@ -49,6 +49,11 @@ module mini (
 endmodule
 """
 
+#: Literals that used to escape ``compile_source`` as OverflowError,
+#: MemoryError and ValueError, failing every future of their batch.
+HOSTILE_LITERALS = ("99999999999999999999999999999999999999999999999999'h1",
+                    "999999999999999999'h1", "\u00b2")
+
 #: Cheap service settings shared by most tests: tiny BMC budget, serial
 #: engine, wide-open queue.
 FAST = dict(bmc_depth=6, bmc_random_trials=8)
@@ -219,6 +224,21 @@ class TestMalformedInput:
             responses = [f.result(timeout=120) for f in futures]
         assert [r.status for r in responses] == [
             "ok", "compile_error", "ok", "compile_error"]
+
+
+    def test_hostile_literals_fail_only_their_own_request(self):
+        hostile = [MINI_SOURCE.replace("a & b", f"a & {literal}")
+                   for literal in HOSTILE_LITERALS]
+        config = ServeConfig(batch_window_ms=200)
+        with AssertService(config) as service:
+            futures = [service.submit(fast_request(source))
+                       for source in [MINI_SOURCE] + hostile]
+            responses = [f.result(timeout=120) for f in futures]
+            stats = service.stats()
+        assert stats.batches == 1
+        assert [r.status for r in responses] == (
+            ["ok"] + ["compile_error"] * len(hostile))
+        assert stats.errors == 0
 
 
 class TestHintsAndMining:
