@@ -9,7 +9,9 @@ until :meth:`report`, where it walks every accumulated run in one
 column-wise pass per signal (with C-speed column extraction and an
 identity-set fast path for unchanged columns).  The hot simulation loop
 therefore pays nothing per cycle, and early-exited (abandoned) runs are
-observed exactly up to the last appended snapshot.
+observed exactly up to the last appended snapshot.  Snapshots a run
+replayed from a prefix trie are not walked again: their counts come
+from the trie (see :meth:`CoverageSink.begin_run`).
 
 - **toggle coverage** — per-signal bitmasks of observed 0->1 (rise) and
   1->0 (fall) transitions between consecutive snapshots, counted only on
@@ -21,9 +23,9 @@ observed exactly up to the last appended snapshot.
   settle, so they can never be the cross-tier currency — observable state
   changes can);
 - **assertion quality** — activations, vacuous passes, real passes and
-  fails per assertion label, recorded by the SVA monitor
-  (:mod:`repro.sva.monitor`) into the ``quality`` dict the BMC driver
-  threads through.
+  fails per assertion label, counted by the SVA monitor
+  (:mod:`repro.sva.monitor`) and handed to :meth:`CoverageSink.report`
+  by the BMC driver.
 
 Everything is keyed by stable IDs: signal name, ``assign[i]`` /
 ``comb[i]`` / ``seq[i]`` in design order, assertion label.  Both tiers
@@ -51,6 +53,11 @@ from repro.verilog.elaborator import Design, _walk_stmts
 
 #: Quality-counter keys, in report order.
 QUALITY_KEYS = ("activations", "vacuous", "real_passes", "fails")
+
+#: Field width of the packed toggle and block counts a trie node records
+#: (see CoverageSink.begin_run): toggle events, then one per block.
+_COUNT_BITS = 64
+_COUNT_MASK = (1 << _COUNT_BITS) - 1
 
 try:
     _popcount = int.bit_count  # Python >= 3.10
@@ -132,11 +139,20 @@ class CoverageSink:
 
     # -- simulator protocol ----------------------------------------------
 
-    def begin_run(self, snapshots: List[Dict]) -> None:
+    def begin_run(self, snapshots: List[Dict], trace=None) -> None:
         """Start a new stimulus run observing ``snapshots`` (the run's
         trace snapshot list, typically still empty and grown in place by
-        the simulator).  Runs stack; processing is deferred to report."""
-        self._pending.append([snapshots, 0])
+        the simulator).  Runs stack; processing is deferred to report.
+
+        ``trace`` is the run's :class:`repro.sim.trace.Trace` when it
+        walks a :class:`repro.sim.runloop.PrefixTrie`: its replayed
+        snapshots (``trace.shared``) are not walked again.  The run that
+        made a node records on it (``memo[self]``) the toggle and block
+        counts of every snapshot pair on the path up to it, packed one
+        counter per field, and a run replaying the node adds those.
+        Replayed pairs add no new rise/fall bits: they were OR-ed in
+        when walked."""
+        self._pending.append([snapshots, 0, trace])
         self.runs += 1
 
     def _flush(self) -> None:
@@ -152,26 +168,35 @@ class CoverageSink:
             return
         window: List[Dict] = []
         starts = set()
+        #: (nodes, done, first walked index, end, its window position)
+        #: of every trie run, in run order: a run replays nodes only
+        #: earlier runs made.
+        trie_runs = []
         for entry in pending:
-            snaps, done = entry
+            snaps, done, trace = entry
             n = len(snaps)
             if n <= done:
                 continue
             self.cycles += n - done
             entry[1] = n
+            first = done
+            if trace is not None and trace.nodes:
+                first = max(done, min(trace.shared, n))
+                trie_runs.append((trace.nodes, done, first, n, len(window)))
+            if first >= n:
+                continue
             starts.add(len(window))
-            if done:
-                # Resumed run: its last processed snapshot is the
+            if first:
+                # Resumed or replayed prefix: its last snapshot is the
                 # predecessor for the fresh tail.
-                window.append(snaps[done - 1])
-                window.extend(snaps[done:])
-            else:
-                window.extend(snaps)
+                window.append(snaps[first - 1])
+            window.extend(snaps[first:])
         # Keep only the newest run: it may still be growing in place.
         del pending[:-1]
         total = len(window)
-        if total < 2:
-            return
+        #: Packed per-position counts, kept only when trie runs need
+        #: their nodes' path counts.
+        at = [0] * total if trie_runs else None
         toggles = self.toggle_events
         rise_acc = self._rise
         fall_acc = self._fall
@@ -182,7 +207,7 @@ class CoverageSink:
         span = range(1, total)
         for i, name in enumerate(self._names):
             col = list(map(itemgetter(name), window))
-            if len(set(map(id, col))) == 1:
+            if len(set(map(id, col))) <= 1:
                 continue
             mask = self._masks[i]
             prev = col[0]
@@ -210,17 +235,15 @@ class CoverageSink:
                 if known:
                     up = ~ov & nv & known
                     down = ov & ~nv & known
-                    if up:
-                        rise |= up
-                        toggles += _popcount(up)
-                    if down:
-                        fall |= down
-                        toggles += _popcount(down)
+                    events = _popcount(up) + _popcount(down)
+                    toggles += events
+                    if at is not None:
+                        at[k] += events
+                    rise |= up
+                    fall |= down
             rise_acc[i] = rise
             fall_acc[i] = fall
         self.toggle_events = toggles
-        if not changed:
-            return
         # A block "fired" on every cycle where any of its target signals
         # changed value: the union of its targets' changed-cycle sets.
         fires = self.block_fires
@@ -228,10 +251,34 @@ class CoverageSink:
             sets = [changed[i] for i in targets if i in changed]
             if not sets:
                 continue
-            if len(sets) == 1:
-                fires[j] += len(sets[0])
-            else:
-                fires[j] += len(set.union(*sets))
+            fired = sets[0] if len(sets) == 1 else set.union(*sets)
+            fires[j] += len(fired)
+            if at is not None:
+                bit = 1 << (_COUNT_BITS * (j + 1))
+                for k in fired:
+                    at[k] += bit
+        replayed = 0  # packed counts of replayed snapshot pairs
+        for nodes, done, first, end, position in trie_runs:
+            counts = self._path_counts(nodes, first - 1)
+            replayed += counts - self._path_counts(nodes, done - 1)
+            if first:
+                position += 1  # past the predecessor
+            for k in range(first, end):
+                counts += at[position]
+                position += 1
+                memo = nodes[k].memo
+                if memo is None:
+                    memo = nodes[k].memo = {}
+                memo[self] = counts
+        if replayed:
+            self.toggle_events += replayed & _COUNT_MASK
+            for j in range(len(fires)):
+                replayed >>= _COUNT_BITS
+                fires[j] += replayed & _COUNT_MASK
+
+    def _path_counts(self, nodes, index: int) -> int:
+        """Packed counts of the snapshot pairs up to ``nodes[index]``."""
+        return nodes[index].memo[self] if index > 0 else 0
 
     # -- reporting -------------------------------------------------------
 

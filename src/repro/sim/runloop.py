@@ -11,10 +11,12 @@ An optional, caller-owned :class:`PrefixTrie` lets a family of stimuli
 share simulation work: each node stands for one distinct input prefix
 and holds that cycle's settled snapshot and applied inputs.  A run
 replays its longest already-simulated prefix from the trie and simulates
-only the new suffix.  Replay is exact: a node exists only once its
-settle succeeded and gains children only once its tick succeeded, so an
-error surfaces on the same stimulus and cycle as in a fresh run, and
-after every run the simulator holds the same post-tick state.
+only the new suffix; its trace records how many leading snapshots were
+replayed (``shared``) and the node of every snapshot (``nodes``).
+Replay is exact: a node exists only once its settle succeeded and gains
+children only once its tick succeeded, so an error surfaces on the same
+stimulus and cycle as in a fresh run, and after every run the simulator
+holds the same post-tick state.
 """
 
 from __future__ import annotations
@@ -33,15 +35,20 @@ class PrefixTrie:
     else the vector's items) to the next node.  Snapshots and input
     dicts are shared by every trace that replays the node, so consumers
     must treat them as read-only.  One trie serves one simulator.
+    ``memo`` belongs to the trie's consumers, which record there counts
+    over the node's path for later runs that replay it: the SVA monitor
+    its quality counts (keyed by plan index), a coverage sink its toggle
+    and block counts (keyed by the sink).
     """
 
-    __slots__ = ("snapshot", "inputs", "children")
+    __slots__ = ("snapshot", "inputs", "children", "memo")
 
     def __init__(self, snapshot: Optional[dict] = None,
                  inputs: Optional[Dict[str, int]] = None):
         self.snapshot = snapshot
         self.inputs = inputs
         self.children: Dict[object, "PrefixTrie"] = {}
+        self.memo: Optional[dict] = None
 
 
 class RunLoop:
@@ -70,8 +77,11 @@ class RunLoop:
         With a ``trie`` the run replays the longest prefix an earlier
         run of the same trie already simulated — appending its shared
         snapshots without re-simulating them — and extends the trie with
-        the new suffix.  Traces, errors and the post-run state are those
-        of a run without one.
+        the new suffix.  Snapshots, errors and the post-run state are
+        those of a run without one; the trace also counts the replayed
+        snapshots in ``shared`` (up to date at every yield: only leading
+        snapshots replay, since a new node has no children) and lists
+        each snapshot's node in ``nodes``.
         """
         trace = Trace(trace_signals or self.trace_names)
         # Append through the lists directly: ``_cycle`` builds fresh
@@ -83,7 +93,7 @@ class RunLoop:
         if cov is not None:
             # Lazy hand-off: the sink walks the grown snapshot list at
             # the next begin_run()/report() — nothing per cycle here.
-            cov.begin_run(snapshots)
+            cov.begin_run(snapshots, trace)
         self._start()
         yield trace
         steps = chain(repeat(None, stimulus.reset_cycles), stimulus.vectors)
@@ -98,6 +108,7 @@ class RunLoop:
         # ``held`` is the node whose settled state the simulator holds
         # (the root: the reset-time state); replayed nodes are not loaded.
         node = held = trie
+        nodes = trace.nodes
         for vector in steps:
             key = None if vector is None else tuple(vector.items())
             child = node.children.get(key)
@@ -109,6 +120,9 @@ class RunLoop:
                 snapshot, inputs = self._cycle(vector)
                 child = node.children[key] = PrefixTrie(snapshot, inputs)
                 held = child
+            else:
+                trace.shared += 1
+            nodes.append(child)
             snapshots.append(child.snapshot)
             inputs_applied.append(child.inputs)
             yield trace

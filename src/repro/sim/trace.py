@@ -21,6 +21,11 @@ class Trace:
         self.signal_names = list(signal_names or [])
         self.snapshots: List[Snapshot] = []
         self.inputs_applied: List[Dict[str, int]] = []
+        #: Leading snapshots replayed from a
+        #: :class:`repro.sim.runloop.PrefixTrie`, and the trie node of
+        #: every snapshot (0 and empty for a run without a trie).
+        self.shared = 0
+        self.nodes: list = []
 
     def append(self, snapshot: Snapshot, inputs: Optional[Dict[str, int]] = None) -> None:
         self.snapshots.append(dict(snapshot))

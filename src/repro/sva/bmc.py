@@ -195,6 +195,16 @@ def _drive(design: Design, config: BmcConfig,
     simulates each stimulus to completion, scans it once in full, and
     stops at the first stimulus with a failure or a property
     ``EvalError``.
+
+    The monitor relies on these stop rules to skip the windows a trace
+    replayed from the trie (see :class:`IncrementalChecker`): a label
+    is dropped only at its first failure or ``EvalError``, and a
+    stimulus is abandoned only once every label it monitors has
+    resolved.  So every trie node was created by a stimulus that
+    evaluated, for every label still pending, each window ending at
+    that node — and, the check having gone on, none of them failed or
+    raised.  Every stimulus of a check has the same length, so a tail
+    window means the same thing on every trace.
     """
     if not design.assertions:
         return
@@ -202,7 +212,7 @@ def _drive(design: Design, config: BmcConfig,
     sim_seconds = 0.0
     monitor_seconds = 0.0
     sink = CoverageSink.for_design(design) if config.coverage else None
-    quality: Optional[dict] = {} if config.coverage else None
+    checker = None
     try:
         candidates, trie = _candidate_stimuli(design, config)
         simulator = make_simulator(design, config.sim_mode)
@@ -210,7 +220,7 @@ def _drive(design: Design, config: BmcConfig,
             simulator.cov = sink
         checker = IncrementalChecker(design, config.reset_cycles + 1,
                                      compiled=config.sim_mode == "compiled",
-                                     quality=quality,
+                                     quality=config.coverage,
                                      exhaustive=first_failure)
         labels = {assertion.label for assertion in design.assertions}
         resolved: set = set()
@@ -261,7 +271,8 @@ def _drive(design: Design, config: BmcConfig,
                 break  # every assertion resolved; no verdict can change
     finally:
         if sink is not None:
-            result.coverage = sink.report(quality)
+            result.coverage = sink.report(
+                checker.quality_report() if checker is not None else None)
             accumulate_totals(result.coverage)
         metrics.add_time("simulate", sim_seconds)
         metrics.add_time("monitor", monitor_seconds)

@@ -17,7 +17,7 @@ import threading
 import weakref
 from typing import List, Optional
 
-from repro.cov.collector import new_quality
+from repro.cov.collector import QUALITY_KEYS
 from repro.sim.compiled import _FALSE, _TRUE, _X1, UnsupportedDesign, _Lowerer
 from repro.sim.eval import EvalError, Evaluator
 from repro.sim.trace import Trace
@@ -471,15 +471,24 @@ def property_lookahead(prop: ast.PropExpr) -> int:
     return 0
 
 
+# Quality counts packed one counter per 64-bit field, in QUALITY_KEYS
+# order, so that counts add as one int: per label over a check, and per
+# plan along a trie path (see IncrementalChecker).
+_FIELD_BITS = 64
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_ACTIVATION, _VACUOUS, _REAL, _FAILS = (
+    1 << (_FIELD_BITS * i) for i in range(len(QUALITY_KEYS)))
+_PASS = _ACTIVATION | _REAL
+_FAIL = _ACTIVATION | _FAILS
 
 
 class IncrementalChecker:
     """The SVA monitor scan behind every bounded check.
 
-    Built once per check: each assertion's closures, lookahead (see
-    :func:`property_lookahead`) and quality counters are resolved here,
-    not once per stimulus.  :meth:`start` binds each new stimulus's
-    trace, which may still be growing.
+    Built once per check: each assertion's closures and lookahead (see
+    :func:`property_lookahead`) are resolved here, not once per
+    stimulus.  :meth:`start` binds each new stimulus's trace, which may
+    still be growing.
 
     By default every label is scored independently (the batch driver's
     mode).  After each simulated cycle :meth:`advance` evaluates every
@@ -496,15 +505,29 @@ class IncrementalChecker:
     every failure into ``failures``; a property ``EvalError`` propagates
     and leaves the later assertions unscanned and uncounted.
 
-    With a ``quality`` dict (label -> counters) every evaluated start
-    cycle is counted once: a TRUE implication whose antecedent was FALSE
-    is a *vacuous* pass, any other TRUE a *real* pass, a FALSE a fail
-    (always with an activation, since only a TRUE antecedent can fail);
-    UNDET counts nothing.  Compiled and interpreted tiers count alike.
+    With ``quality=True`` every scanned start cycle is counted once, per
+    label, into :meth:`quality_report`: a TRUE implication whose
+    antecedent was FALSE is a *vacuous* pass, any other TRUE a *real*
+    pass, a FALSE a fail (always with an activation, since only a TRUE
+    antecedent can fail); UNDET counts nothing.  Compiled and
+    interpreted tiers count alike.
+
+    A trace whose first ``trace.shared`` snapshots were replayed from a
+    :class:`repro.sim.runloop.PrefixTrie` skips every window that ends
+    below ``shared``: the window end of start cycle ``c`` is ``c +
+    lookahead``, or the last cycle for a tail window.  The driver's stop
+    rules (see :func:`repro.sva.bmc._drive`) guarantee that an earlier
+    stimulus of the same check, through the same trie prefix, already
+    evaluated that window over identical snapshots while its label was
+    pending, and that it neither failed nor raised.  Each evaluated
+    window records on the trie node where it ends (``memo``, keyed by
+    plan) the plan's quality counts over every window of the path that
+    ends there, so a scan that skips adds them with one lookup, and
+    counts are those of a scan of every window.
     """
 
     def __init__(self, design: Design, skip_cycles: int,
-                 compiled: bool = True, quality: Optional[dict] = None,
+                 compiled: bool = True, quality: bool = False,
                  exhaustive: bool = False):
         self.design = design
         self.skip_cycles = skip_cycles
@@ -516,30 +539,28 @@ class IncrementalChecker:
         self.errors: dict = {}
         self.failures: List[AssertionFailure] = []
         self._pending: list = []
-        # (assertion, lookahead, body_fn, disable_fn, counters,
-        #  antecedent, ant_fn, fast) per assertion.  ``fast`` is
+        #: label -> packed quality counts, once a plan of it is scanned.
+        self._counts: dict = {}
+        # (assertion, lookahead, body_fn, disable_fn, quality,
+        #  antecedent, ant_fn, fast, index) per assertion.  ``fast`` is
         # ``(ant_expr_fn, cons_fn, overlapped)`` for implication bodies
         # whose antecedent is a plain boolean: there ``match_end ==
         # cycle``, so the scan can evaluate the antecedent expression
         # once and then only the consequent — instead of the whole
         # implication plus a second antecedent pass for vacuity
-        # classification.
+        # classification.  ``index`` keys the plan's counts in
+        # trie-node memos.
         program = _prop_program(design) if compiled else None
-        counters_by_label: dict = {}
         self._plans = []
-        for assertion in design.assertions:
+        for index, assertion in enumerate(design.assertions):
             body = assertion.prop.body
             disable = assertion.prop.disable
             body_fn = program.prop_fn(body) if program is not None else None
             disable_fn = (program.expr_fn(disable)
                           if program is not None and disable is not None
                           else None)
-            counters = (counters_by_label.setdefault(assertion.label,
-                                                     new_quality())
-                        if quality is not None else None)
             antecedent = ant_fn = fast = None
-            if counters is not None and isinstance(body,
-                                                   ast.PropImplication):
+            if quality and isinstance(body, ast.PropImplication):
                 antecedent = body.antecedent
                 if program is not None:
                     ant_fn = program.prop_fn(antecedent)
@@ -551,7 +572,7 @@ class IncrementalChecker:
                             fast = (ant_expr_fn, cons_fn, body.overlapped)
             self._plans.append(
                 (assertion, property_lookahead(body), body_fn, disable_fn,
-                 counters, antecedent, ant_fn, fast))
+                 quality, antecedent, ant_fn, fast, index))
 
     def start(self, trace: Trace, resolved=()) -> None:
         """Monitor a new stimulus's ``trace`` from its first cycle.
@@ -568,7 +589,9 @@ class IncrementalChecker:
         self.failed = set()
         self.errors = {}
         self.failures = []
-        self._pending = [[plan, self.skip_cycles] for plan in self._plans]
+        # [plan, next start cycle, packed counts of the windows before
+        # it on this trace]
+        self._pending = [[plan, self.skip_cycles, 0] for plan in self._plans]
         if not self.exhaustive:
             self._register(self._plans)
 
@@ -577,9 +600,9 @@ class IncrementalChecker:
 
     def advance(self) -> None:
         """Evaluate every start cycle with a complete lookahead window."""
-        if not self._pending:
-            return
         length = len(self.trace)
+        if not self._pending or length <= self.trace.shared:
+            return  # nothing pending, or every window so far replayed
         self._pending = [
             entry for entry in self._pending
             if not self._scan(entry, length - 1 - entry[0][1])]
@@ -597,32 +620,53 @@ class IncrementalChecker:
                          if not self._scan(entry, limit)]
 
     def _register(self, plans) -> None:
-        """Enter the plans' counters into the quality report."""
-        if self.quality is not None:
+        """Enter the plans' labels into the quality report."""
+        if self.quality:
             for plan in plans:
-                self.quality.setdefault(plan[0].label, plan[4])
+                self._counts.setdefault(plan[0].label, 0)
+
+    def quality_report(self) -> dict:
+        """Label -> quality counters of every start cycle scanned."""
+        report = {}
+        for label, packed in self._counts.items():
+            counters = report[label] = {}
+            for key in QUALITY_KEYS:
+                counters[key] = packed & _FIELD_MASK
+                packed >>= _FIELD_BITS
+        return report
 
     def _scan(self, entry, limit: int) -> bool:
         """Evaluate start cycles up to ``limit``; True when resolved."""
-        plan, cycle = entry
-        (assertion, _, body_fn, disable_fn,
-         counters, antecedent, ant_fn, fast) = plan
+        plan, cycle, counted_before = entry
+        (assertion, lookahead, body_fn, disable_fn,
+         quality, antecedent, ant_fn, fast, index) = plan
         prop = assertion.prop
         checker = self._checker
         disable = prop.disable
         trace = self.trace
+        nodes = trace.nodes
+        last = len(trace) - 1
+        shared = trace.shared
+        counted = counted_before
+        if shared:
+            # Windows ending below ``shared`` were settled by an earlier
+            # stimulus: skip them, taking their counts from the memo of
+            # the last one's end node.
+            stop = (limit + 1 if shared > last
+                    else min(shared - lookahead, limit + 1))
+            if cycle < stop:
+                if quality:
+                    counted = nodes[min(stop - 1 + lookahead, last)].memo[index]
+                cycle = stop
         if fast is not None:
             ant_expr_fn, cons_fn, overlapped = fast
         try:
             while cycle <= limit:
-                if disable is not None:
-                    active = (disable_fn((trace, cycle))
-                              if disable_fn is not None
-                              else checker._eval_bool(disable, cycle))
-                    if not active.is_false():
-                        cycle += 1
-                        continue
-                if fast is not None:
+                if disable is not None and not (
+                        disable_fn((trace, cycle)) if disable_fn is not None
+                        else checker._eval_bool(disable, cycle)).is_false():
+                    verdict = UNDET
+                elif fast is not None:
                     # Mirrors prop_implication with a prop_bool
                     # antecedent at match_end == cycle; the bounds check
                     # is moot because cycle <= limit < len(trace).
@@ -631,39 +675,38 @@ class IncrementalChecker:
                         verdict, at = cons_fn(
                             trace, cycle if overlapped else cycle + 1)
                         if verdict == TRUE:
-                            counters["activations"] += 1
-                            counters["real_passes"] += 1
+                            counted += _PASS
                         elif verdict == FALSE:
-                            counters["activations"] += 1
-                            counters["fails"] += 1
+                            counted += _FAIL
                     elif value.xmask == 0:
                         verdict = TRUE
-                        counters["vacuous"] += 1
+                        counted += _VACUOUS
                     else:
                         verdict = UNDET
                 else:
                     verdict, at = (body_fn(trace, cycle)
                                    if body_fn is not None
                                    else checker.eval_prop(prop.body, cycle))
-                    if counters is not None and verdict != UNDET:
+                    if quality and verdict != UNDET:
                         if antecedent is None:
-                            counters["activations"] += 1
-                            counters["real_passes" if verdict == TRUE
-                                     else "fails"] += 1
+                            counted += _PASS if verdict == TRUE else _FAIL
                         else:
                             ant, _ = (ant_fn(trace, cycle)
                                       if ant_fn is not None
                                       else checker.eval_prop(antecedent,
                                                              cycle))
                             if ant == TRUE:
-                                counters["activations"] += 1
+                                counted += _ACTIVATION
                             if verdict == TRUE:
-                                if ant == FALSE:
-                                    counters["vacuous"] += 1
-                                else:
-                                    counters["real_passes"] += 1
+                                counted += _VACUOUS if ant == FALSE else _REAL
                             else:
-                                counters["fails"] += 1
+                                counted += _FAILS
+                if quality and nodes:
+                    end = cycle + lookahead  # the window's last cycle
+                    node = nodes[end if end < last else last]
+                    if node.memo is None:
+                        node.memo = {}
+                    node.memo[index] = counted
                 if verdict == FALSE:
                     self.failed.add(assertion.label)
                     self.failures.append(AssertionFailure(
@@ -677,5 +720,9 @@ class IncrementalChecker:
                 raise
             self.errors[assertion.label] = str(exc)
             return True
+        finally:
+            if counted != counted_before:
+                self._counts[assertion.label] += counted - counted_before
         entry[1] = cycle
+        entry[2] = counted
         return False

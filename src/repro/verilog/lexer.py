@@ -168,18 +168,28 @@ def _lex_error(source: str, pos: int, line: int) -> VerilogLexError:
     return VerilogLexError(f"unexpected character {ch!r}", line)
 
 
+#: The largest literal size decoded: the smallest limit the SystemVerilog
+#: LRM lets a tool impose.  A larger size raises before ``1 << width``
+#: would allocate it.
+MAX_LITERAL_WIDTH = 1 << 16
+
+
 def parse_number_literal(text: str) -> "tuple[Optional[int], int, int]":
     """Decode a Verilog number literal.
 
     Returns ``(width_or_None, value, xmask)`` where ``xmask`` has bits set
     at x/z digit positions.  Plain decimal integers return width ``None``
-    (context-determined, treated as 32 by the elaborator).
+    (context-determined, treated as 32 by the elaborator).  Raises
+    ``ValueError`` for a literal it cannot decode, including one sized
+    above :data:`MAX_LITERAL_WIDTH` bits.
     """
     text = text.replace("_", "")
     if "'" not in text:
         return None, int(text), 0
     size_part, rest = text.split("'", 1)
     width = int(size_part) if size_part else None
+    if width is not None and width > MAX_LITERAL_WIDTH:
+        raise ValueError(f"literal size {width} exceeds {MAX_LITERAL_WIDTH}")
     if rest and rest[0] in "sS":
         rest = rest[1:]
     base_char = rest[0].lower()

@@ -475,12 +475,10 @@ class Parser:
             self.advance()
             try:
                 width, value, xmask = parse_number_literal(token.text)
-            except (ArithmeticError, MemoryError, ValueError):
+            except ValueError:
                 # The lexer admits literals it cannot decode: "4'd_" has no
-                # digits and "4'b2" a digit out of base.  A size too long
-                # for int() fails too, and so does one whose 1 << width
-                # overflows (OverflowError) or cannot be allocated
-                # (MemoryError, raised before any memory is taken).
+                # digits, "4'b2" a digit out of base, and a size may be
+                # too long for int() or above MAX_LITERAL_WIDTH.
                 raise VerilogLexError(
                     f"cannot decode number literal {token.text!r}",
                     token.line) from None

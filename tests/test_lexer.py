@@ -25,6 +25,7 @@ from repro.sva.insert import compile_with_sva
 from repro.verilog.errors import VerilogLexError
 from repro.verilog.lexer import (
     KEYWORDS,
+    MAX_LITERAL_WIDTH,
     MULTI_OPS,
     SINGLE_OPS,
     Token,
@@ -119,6 +120,14 @@ class TestNumbers:
 
     def test_signed_marker_accepted(self):
         assert parse_number_literal("8'sd5") == (8, 5, 0)
+
+    def test_size_bound_is_the_lrm_minimum(self):
+        assert MAX_LITERAL_WIDTH == 65536
+        assert parse_number_literal("65536'h1") == (65536, 1, 0)
+        with pytest.raises(ValueError, match="65537"):
+            parse_number_literal("65537'h1")
+        with pytest.raises(ValueError, match="1000000000"):
+            parse_number_literal("1000000000'h1")
 
     def test_bad_base_raises(self):
         with pytest.raises(VerilogLexError):

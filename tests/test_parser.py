@@ -240,7 +240,7 @@ endmodule
 #: overflows or cannot be allocated, and a non-ASCII digit; one batch must
 #: not fail on them.
 HOSTILE_LITERALS = ("99999999999999999999999999999999999999999999999999'h1",
-                    "999999999999999999'h1", "\u00b2")
+                    "999999999999999999'h1", "1000000000'h1", "\u00b2")
 
 
 def with_literal(literal: str) -> str:

@@ -63,6 +63,7 @@ class TestTrieEquivalence:
             stimuli, _ = _candidate_stimuli(design, BmcConfig(depth=3))
             simulator = make_simulator(design, sim_mode)
             trie = PrefixTrie()
+            seen = set()  # every input prefix an earlier stimulus ran
             for index, stimulus in enumerate(stimuli):
                 for trace in simulator.run_iter(stimulus, trie=trie):
                     pass
@@ -71,6 +72,12 @@ class TestTrieEquivalence:
                 assert trace.snapshots == expected.snapshots, where
                 assert trace.inputs_applied == expected.inputs_applied, where
                 assert _post_state(simulator) == post, where
+                keys = ([None] * stimulus.reset_cycles
+                        + [tuple(v.items()) for v in stimulus.vectors])
+                prefixes = [tuple(keys[:n]) for n in range(1, len(keys) + 1)]
+                assert trace.shared == sum(p in seen for p in prefixes), where
+                assert [n.snapshot for n in trace.nodes] == trace.snapshots
+                seen.update(prefixes)
 
     @pytest.mark.parametrize("sim_mode", SIM_MODES)
     def test_abandoned_run_then_shared_prefix(self, family_designs,

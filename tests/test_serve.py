@@ -52,7 +52,7 @@ endmodule
 #: Literals that used to escape ``compile_source`` as OverflowError,
 #: MemoryError and ValueError, failing every future of their batch.
 HOSTILE_LITERALS = ("99999999999999999999999999999999999999999999999999'h1",
-                    "999999999999999999'h1", "\u00b2")
+                    "999999999999999999'h1", "1000000000'h1", "\u00b2")
 
 #: Cheap service settings shared by most tests: tiny BMC budget, serial
 #: engine, wide-open queue.

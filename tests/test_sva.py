@@ -1,11 +1,17 @@
 """SVA monitor + BMC tests: verdicts, temporal functions, counterexamples."""
 
+import random
+
 import pytest
 
+from repro.bugs.injector import BugInjector
+from repro.corpus.generator import CorpusGenerator
+from repro.corpus.registry import TEMPLATE_FAMILIES
 from repro.sim.compiled import SIM_MODES, CompiledSimulator, make_simulator
 from repro.sim.eval import EvalError
 from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.stimulus import Stimulus, enumerate_exhaustive
+from repro.sva import bmc
 from repro.sva.bmc import BmcConfig, bounded_check, bounded_check_batch
 from repro.sva.insert import SvaInsertionError, compile_with_sva, insert_sva_text
 from repro.sva.monitor import IncrementalChecker
@@ -360,6 +366,235 @@ class TestErrorSurfacing:
                                                        sim_mode=sim_mode))
         assert (result.design_error, result.stimuli_tried) == \
             _fresh_error(design, sim_mode)
+
+
+def _check_key(result):
+    return (result.failed,
+            [(f.label, f.start_cycle, f.fail_cycle, f.log_line())
+             for f in result.failures],
+            result.stimuli_tried, result.sim_error,
+            result.trace.snapshots if result.trace is not None else None,
+            result.coverage)
+
+
+def _batch_key(result):
+    return (result.failed_labels, result.error_labels, result.stimuli_tried,
+            result.design_error, result.coverage)
+
+
+def _both_keys(design, config):
+    return (_check_key(bounded_check(design, config)),
+            _batch_key(bounded_check_batch(design, config)))
+
+
+def _keys_with_and_without_trie(design, config):
+    """Both entry points' results as run, and as run without a trie —
+    the oracle of the replayed-window skip: every window of every
+    stimulus is evaluated."""
+    candidates = bmc._candidate_stimuli
+
+    def without_trie(design, config):
+        stimuli, _ = candidates(design, config)
+        return stimuli, None
+    shared = _both_keys(design, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bmc, "_candidate_stimuli", without_trie)
+        full = _both_keys(design, config)
+    return shared, full
+
+
+@pytest.fixture(scope="module")
+def corpus_checks():
+    """(design, depth) for every family's golden design and every
+    compiling ``inject_many`` mutant, carrying the family's SVA hints.
+
+    Designs with at most 3 free input bits get an exhaustive check (a
+    1-bit design 32 stimuli deep 5, a 2-bit one 64 deep 3); wider ones
+    a short portfolio.
+    """
+    checks = []
+    for family in sorted(TEMPLATE_FAMILIES):
+        seed = CorpusGenerator(seed=77).generate_one(family=family)
+        blocks = [block for hint in seed.meta.sva_hints
+                  for block in (hint.property_source(),
+                                hint.assertion_source())]
+        golden = compile_with_sva(seed.source, blocks)
+        assert golden.ok, (family, golden.failure_summary())
+        bits = sum(s.width for s in golden.design.free_inputs())
+        depth = min(5, 6 // bits) if 0 < bits <= 3 else 3
+        checks.append((golden.design, depth))
+        records = BugInjector(random.Random(5)).inject_many(seed.source, 8,
+                                                             seed.name)
+        for record in records:
+            buggy = compile_with_sva(record.buggy_source, blocks)
+            if buggy.ok:
+                checks.append((buggy.design, depth))
+    return checks
+
+
+# Hand-written edge cases of the skip, one free input bit each.
+#   late_error: the unsupported $isunknown hides behind a ``disable iff``
+#     on the free input until cycle 8, so only the 65th stimulus (after
+#     an 8-snapshot replayed prefix) raises.
+#   late_failure: the window of start cycle 9 is the first one that can
+#     fail, on the 129th stimulus, right after a 9-snapshot replayed
+#     prefix: skipping it too (an off-by-one cutoff) hides the failure.
+#   windows: lookahead-3 ranges and $past(x, 2); the window of start
+#     cycle 4 spans 4..7 and first fails on the 33rd stimulus, whose
+#     first 7 snapshots are replayed (the cutoff must count lookahead).
+#   shared_label: two assertions under one label, one failing late.
+LATE_ERROR = """
+module late_error (input clk, input rst_n, input a, output reg b,
+                   output reg [3:0] cnt);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin
+      b <= 1'b0;
+      cnt <= 4'd0;
+    end else begin
+      b <= a;
+      cnt <= cnt + 4'd1;
+    end
+  end
+  property follows;
+    @(posedge clk) disable iff (!rst_n) a |-> ##1 b;
+  endproperty
+  follows_assertion: assert property (follows);
+  property guarded;
+    @(posedge clk) disable iff (!rst_n || !(a && cnt == 4'd6)) $isunknown(b);
+  endproperty
+  guarded_assertion: assert property (guarded);
+endmodule
+"""
+
+LATE_FAILURE = """
+module late_failure (input clk, input rst_n, input a, output reg [3:0] cnt);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) cnt <= 4'd0;
+    else cnt <= cnt + 4'd1;
+  end
+  property late;
+    @(posedge clk) disable iff (!rst_n) !(a && cnt == 4'd7);
+  endproperty
+  late_assertion: assert property (late);
+endmodule
+"""
+
+WINDOWS = """
+module windows (input clk, input rst_n, input a, output reg b, output reg c,
+                output reg [3:0] cnt);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin
+      b <= 1'b0;
+      c <= 1'b0;
+      cnt <= 4'd0;
+    end else begin
+      b <= a;
+      c <= b;
+      cnt <= cnt + 4'd1;
+    end
+  end
+  property ahead;
+    @(posedge clk) disable iff (!rst_n) cnt == 4'd2 |-> ##3 !a;
+  endproperty
+  ahead_assertion: assert property (ahead);
+  property ranged;
+    @(posedge clk) disable iff (!rst_n) a |-> ##[1:3] c;
+  endproperty
+  ranged_assertion: assert property (ranged);
+  property pulse;
+    @(posedge clk) disable iff (!rst_n) a ##1 !a |-> ##[1:3] (b && c);
+  endproperty
+  pulse_assertion: assert property (pulse);
+  property mirrors;
+    @(posedge clk) disable iff (!rst_n) c == $past(a, 2);
+  endproperty
+  mirrors_assertion: assert property (mirrors);
+  property past_high;
+    @(posedge clk) disable iff (!rst_n) $past(a, 2) |-> b;
+  endproperty
+  past_assertion: assert property (past_high);
+endmodule
+"""
+
+SHARED_LABEL = """
+module shared_label (input clk, input rst_n, input a, output reg b,
+                     output reg [3:0] cnt);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin
+      b <= 1'b0;
+      cnt <= 4'd0;
+    end else begin
+      b <= a;
+      cnt <= cnt + 4'd1;
+    end
+  end
+  property follows;
+    @(posedge clk) disable iff (!rst_n) a |-> ##1 b;
+  endproperty
+  property late;
+    @(posedge clk) disable iff (!rst_n) !(a && cnt == 4'd5);
+  endproperty
+  twin_assertion: assert property (follows);
+  twin_assertion: assert property (late);
+endmodule
+"""
+
+
+@pytest.mark.parametrize("coverage", [False, True], ids=["cov_off", "cov_on"])
+@pytest.mark.parametrize("sim_mode", SIM_MODES)
+class TestReplayedWindowSkip:
+    """A trace replayed from the trie skips the windows an earlier
+    stimulus settled; results must equal a scan of every window."""
+
+    def test_corpus_checks_match_full_scan(self, corpus_checks, sim_mode,
+                                           coverage):
+        exhaustive = failing = 0
+        for design, depth in corpus_checks:
+            config = BmcConfig(depth=depth, exhaustive_bits=6, random_trials=2,
+                               sim_mode=sim_mode, coverage=coverage)
+            shared, full = _keys_with_and_without_trie(design, config)
+            assert shared == full, design.name
+            if bmc._candidate_stimuli(design, config)[1] is not None:
+                exhaustive += 1
+                failing += shared[0][0]
+        assert exhaustive >= 150
+        assert failing >= 50
+
+    @pytest.mark.parametrize("source", [LATE_ERROR, LATE_FAILURE, WINDOWS,
+                                        SHARED_LABEL],
+                             ids=["late_error", "late_failure", "windows",
+                                  "shared_label"])
+    def test_edge_cases_match_full_scan(self, source, sim_mode, coverage):
+        design = compile_source(source).design
+        config = BmcConfig(depth=8, exhaustive_bits=8, sim_mode=sim_mode,
+                           coverage=coverage)
+        assert bmc._candidate_stimuli(design, config)[1] is not None
+        shared, full = _keys_with_and_without_trie(design, config)
+        assert shared == full
+
+    def test_late_error_surfaces(self, sim_mode, coverage):
+        design = compile_source(LATE_ERROR).design
+        config = BmcConfig(depth=8, exhaustive_bits=8, sim_mode=sim_mode,
+                           coverage=coverage)
+        check = bounded_check(design, config)
+        assert "$isunknown" in check.sim_error
+        assert check.stimuli_tried == 65
+        batch = bounded_check_batch(design, config)
+        assert set(batch.error_labels) == {"guarded_assertion"}
+        assert batch.stimuli_tried == 256
+
+    def test_failure_right_after_replayed_prefix(self, sim_mode, coverage):
+        design = compile_source(LATE_FAILURE).design
+        config = BmcConfig(depth=10, exhaustive_bits=10, sim_mode=sim_mode,
+                           coverage=coverage)
+        check = bounded_check(design, config)
+        assert check.stimuli_tried == 129
+        assert [(f.start_cycle, f.fail_cycle) for f in check.failures] == \
+            [(9, 9)]
+        assert check.trace.shared == 9
+        batch = bounded_check_batch(design, config)
+        assert (batch.failed_labels, batch.stimuli_tried) == \
+            ({"late_assertion"}, 129)
 
 
 class TestBmcConfigValidation:
