@@ -47,7 +47,9 @@ def main() -> None:
         n_workers=4,          # engine worker pool ("auto" clamps to CPUs)
         max_queue=64,         # beyond this, submit() raises ServiceOverloaded
         max_batch=16,         # flush when a window gathers this many
-        batch_window_ms=10,   # ...or when the oldest waits this long
+        batch_window_ms=10,   # ...or when the oldest waits this long;
+                              # only misses wait: a cache hit resolves
+                              # inside submit()
         result_cache=True)    # content-hash LRU over finished responses
 
     with AssertService(config) as service:

@@ -8,10 +8,11 @@ concurrent traffic:
   queue with backpressure, content-addressed deterministic solves,
   structured errors for malformed input;
 - :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesces
-  in-flight requests into one engine map per batch window (flush on
+  queued cache misses into one engine map per batch window (flush on
   size or timeout), deduplicating identical designs;
 - :mod:`repro.serve.cache` — :class:`ResultCache`: content-hash LRU of
-  finished responses, so repeat designs skip compute entirely;
+  finished responses, so repeat designs skip compute entirely — a hit
+  resolves at submit, without waiting for a batch window;
 - :mod:`repro.serve.loadgen` — deterministic corpus-sampled request
   streams and a latency/throughput harness (p50/p95/p99, req/s)
   feeding ``benchmarks/bench_serve.py`` and ``benchmarks/bench_http.py``;
@@ -26,7 +27,9 @@ concurrent traffic:
   envelope all three surfaces (server, client, router) share;
 - :mod:`repro.serve.client` — :class:`AssertClient` /
   :class:`SolveHandle`: the wire twin of the in-process API, with
-  client-initiated cancellation and ``eval()`` for pass@k runs;
+  client-initiated cancellation and ``eval()`` for pass@k runs, over
+  reused keep-alive connections (``ConnectionPool``, shared with the
+  router's forwards);
 - :mod:`repro.serve.router` — :class:`FleetRouter`: consistent-hash
   routing over N :class:`AssertHttpServer` backends on the same wire
   protocol (cache-affine key routing, health ejection/re-admission,

@@ -42,6 +42,12 @@ class ResultCache:
     counts the refills — ``hits + store_hits + misses == lookups``) and
     every ``put`` writes through, so entries evicted from memory refill
     from the store instead of being lost.
+
+    The service looks a solve up in two steps, :meth:`probe` at submit
+    and :meth:`recheck` at flush for a probe that missed, and each
+    request still counts once.  A request cancelled, expired or failed
+    by ``close()`` before its flush never settles its miss and counts in
+    none of the three.
     """
 
     def __init__(self, max_entries: int = 1024, store=None,
@@ -70,6 +76,17 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[object]:
         """The cached response for ``key``, counting a hit or a miss."""
+        cached = self.probe(key)
+        if cached is None:
+            with self._lock:
+                self.misses += 1
+        return cached
+
+    def probe(self, key: str) -> Optional[object]:
+        """Memory, then the store: counts a hit or a store hit, but leaves
+        a miss uncounted — the caller settles it later with
+        :meth:`recheck`, so each lookup still counts exactly once and the
+        store is read once."""
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -83,9 +100,20 @@ class ResultCache:
                     self.store_hits += 1
                     self._insert_locked(key, stored)
                 return stored
+        return None
+
+    def recheck(self, key: str, lookups: int = 1) -> Optional[object]:
+        """Memory only, for ``lookups`` requests whose :meth:`probe`
+        missed: counts them all as hits (an earlier put filled the key
+        meanwhile) or all as misses."""
         with self._lock:
-            self.misses += 1
-            return None
+            cached = self._entries.get(key)
+            if cached is None:
+                self.misses += lookups
+            else:
+                self.hits += lookups
+                self._entries.move_to_end(key)
+            return cached
 
     def put(self, key: str, value: object) -> None:
         with self._lock:

@@ -8,6 +8,10 @@ surface over the wire — ``solve`` blocks, ``submit`` returns a
 swap transports without changing shape.  Responses parse back into real
 :class:`SolveResponse` objects whose ``to_json()`` reproduces the wire
 body byte for byte.
+
+:class:`ConnectionPool` is the one connection discipline of the HTTP
+edge: the client and the fleet router's forwards both reuse persistent
+HTTP/1.1 connections, one per concurrent caller.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import http.client
 import json
 import threading
 import uuid
+from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
 from typing import Dict, Optional, Tuple, Union
@@ -36,7 +41,93 @@ from repro.serve.service import (
     SolveResponse,
 )
 
-__all__ = ["AssertClient", "ClientError", "EvalFailed", "SolveHandle"]
+__all__ = ["AssertClient", "ClientError", "ConnectionPool", "EvalFailed",
+           "SolveHandle"]
+
+#: What a reused connection raises when the server closed it while it sat
+#: idle in the pool (``http.client.RemoteDisconnected`` is a
+#: ``ConnectionResetError``).  A timeout is not among them: a slow server
+#: is not a stale connection.
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError,
+                 ConnectionAbortedError)
+
+Exchange = Tuple[int, Dict[str, str], bytes]
+
+
+class ConnectionPool:
+    """Persistent HTTP/1.1 connections, reused across calls and threads.
+
+    A call takes the most recently returned idle connection to its
+    address (or opens one) and puts it back once the response is read.
+    So a thread making calls one after another keeps one connection, N
+    concurrent callers hold at most N, and a short-lived thread (a
+    :class:`SolveHandle`'s, a load generator's pool) leaves its
+    connection to the next caller instead of dropping it.  The idle
+    lists are deques, whose appends and pops are thread-safe, so the
+    request path takes no lock.
+
+    A *reused* connection the server closed while it sat idle fails with
+    a connection reset; :meth:`request` then retries once on a fresh
+    connection.  The retry is sound because responses are pure functions
+    of request content.  Errors on a fresh connection, and timeouts on
+    any, propagate.
+    """
+
+    def __init__(self):
+        self._idle: Dict[Tuple[str, int],
+                         "deque[http.client.HTTPConnection]"] = {}
+
+    def request(self, host: str, port: int, method: str, path: str,
+                body: Optional[bytes] = None,
+                headers: Optional[Dict[str, str]] = None,
+                timeout: float = 300.0) -> Exchange:
+        """One round trip: ``(status, lower-cased headers, body)``."""
+        idle = self._idle.setdefault((host, port), deque())
+        try:
+            conn = idle.pop()
+        except IndexError:
+            pass
+        else:
+            try:
+                return self._exchange(idle, conn, method, path, body,
+                                      headers, timeout)
+            except _STALE_ERRORS:
+                pass  # closed while idle: retry once, on a fresh one
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        return self._exchange(idle, conn, method, path, body, headers,
+                              timeout)
+
+    @staticmethod
+    def _exchange(idle: "deque[http.client.HTTPConnection]",
+                  conn: http.client.HTTPConnection, method: str, path: str,
+                  body: Optional[bytes], headers: Optional[Dict[str, str]],
+                  timeout: float) -> Exchange:
+        try:
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            conn.request(method, path, body=body, headers=headers or {})
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        # A "Connection: close" answer already closed it (sock is None).
+        if conn.sock is not None:
+            idle.append(conn)
+        lowered = {name.lower(): value
+                   for name, value in response.getheaders()}
+        return response.status, lowered, data
+
+    def close(self) -> None:
+        """Close the idle connections.  Call it once no request is in
+        flight; a later call opens a fresh connection."""
+        for idle in list(self._idle.values()):
+            while idle:
+                try:
+                    idle.pop().close()
+                except IndexError:
+                    break
 
 
 def _query_suffix(**params: Optional[int]) -> str:
@@ -116,9 +207,12 @@ class SolveHandle:
 class AssertClient:
     """Talks to one :class:`repro.serve.http.AssertHttpServer`.
 
-    Connections are opened per call — every method is safe to use from
-    many threads at once (the load generator drives one client with N
-    worker threads).
+    Calls reuse persistent HTTP/1.1 connections (see
+    :class:`ConnectionPool`): sequential calls from a thread share one
+    instead of paying a TCP handshake each, N threads calling at once
+    hold N, and every method is safe to use from many threads at once
+    (the load generator drives one client with N worker threads).
+    :meth:`close` closes the idle ones.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8080,
@@ -126,6 +220,7 @@ class AssertClient:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
+        self._pool = ConnectionPool()
 
     @classmethod
     def for_server(cls, server, timeout_s: float = 300.0) -> "AssertClient":
@@ -133,24 +228,18 @@ class AssertClient:
         host, port = server.address
         return cls(host=host, port=port, timeout_s=timeout_s)
 
+    def close(self) -> None:
+        """Close the idle pooled connections."""
+        self._pool.close()
+
     # -- plumbing ------------------------------------------------------------
 
     def _request(self, method: str, path: str,
                  body: Optional[bytes] = None,
-                 timeout: Optional[float] = None
-                 ) -> Tuple[int, Dict[str, str], bytes]:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout or self.timeout_s)
-        try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-            lowered = {name.lower(): value
-                       for name, value in response.getheaders()}
-            return response.status, lowered, data
-        finally:
-            conn.close()
+                 timeout: Optional[float] = None) -> Exchange:
+        headers = {"Content-Type": "application/json"} if body else None
+        return self._pool.request(self.host, self.port, method, path, body,
+                                  headers, timeout or self.timeout_s)
 
     @staticmethod
     def _coerce(request: Union[SolveRequest, str]) -> SolveRequest:

@@ -53,15 +53,22 @@ reproduction runs as an actual service without growing a dependency:
 - ``DELETE /v1/solve/{request_id}`` (alias ``/v1/eval/{request_id}``) —
   client-initiated cancellation (:meth:`AssertService.cancel`): queued
   requests are dropped, in-batch ones abandoned.
+- Connections are persistent HTTP/1.1: a client's next request reuses
+  its connection, and each response leaves in one write (status line,
+  headers and body together), so a keep-alive exchange never stalls on
+  Nagle's algorithm against the peer's delayed ACK.
+  ``repro_http_connections_total`` on ``/metricsz`` counts accepted
+  connections, so operators can see the reuse.
 - Graceful drain: :meth:`AssertHttpServer.close` stops accepting,
-  resolves every accepted request via the service's own drain, then
-  joins the handler threads — in-flight clients get real responses,
-  not resets.
+  resolves every accepted request via the service's own drain, closes
+  the connections idle between requests, then joins the handler threads
+  — in-flight clients get real responses, not resets.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -109,6 +116,10 @@ __all__ = [
 
 #: Prometheus content type for ``GET /metricsz``.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: How often the accept loop checks for shutdown, which bounds how long
+#: ``close()`` waits for it (the stdlib default is 0.5 s).
+ACCEPT_POLL_S = 0.05
 
 
 def _handler_label(command: str, path: str) -> str:
@@ -198,7 +209,12 @@ class _DrainAbandoned(Exception):
 
 class _ThreadedHTTPServer(ThreadingMixIn, HTTPServer):
     """One thread per connection; non-daemon so ``server_close`` joins
-    them — that join is what makes the drain graceful."""
+    them — that join is what makes the drain graceful.
+
+    It also knows which connections sit idle between requests, waiting
+    for a keep-alive client's next request line: :meth:`close_idle`
+    shuts their read side, so the join does not wait out the handler's
+    idle timeout, while a connection mid-request finishes its answer."""
 
     daemon_threads = False
     block_on_close = True
@@ -210,6 +226,38 @@ class _ThreadedHTTPServer(ThreadingMixIn, HTTPServer):
 
     # Filled in by AssertHttpServer.start().
     ctx: "AssertHttpServer"
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._conn_lock = threading.Lock()
+        self._idle: Dict[socket.socket, bool] = {}
+        self._closing_idle = False
+
+    def track(self, conn: socket.socket, idle: bool) -> bool:
+        """Record whether ``conn`` waits for a request line; ``False``
+        means the drain has begun and an idle connection should close
+        instead of waiting."""
+        with self._conn_lock:
+            if idle and self._closing_idle:
+                return False
+            self._idle[conn] = idle
+            return True
+
+    def untrack(self, conn: socket.socket) -> None:
+        with self._conn_lock:
+            self._idle.pop(conn, None)
+
+    def close_idle(self) -> None:
+        """Shut the read side of every idle connection (its handler reads
+        EOF and exits) and refuse to go idle from now on."""
+        with self._conn_lock:
+            self._closing_idle = True
+            for conn, idle in self._idle.items():
+                if idle:
+                    try:
+                        conn.shutdown(socket.SHUT_RD)
+                    except OSError:
+                        pass  # already gone
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -228,24 +276,54 @@ class _Handler(BaseHTTPRequestHandler):
     def ctx(self) -> "AssertHttpServer":
         return self.server.ctx
 
+    def setup(self) -> None:
+        super().setup()
+        # The first request line is on its way: not idle yet.
+        self.server.track(self.connection, idle=False)
+        self.ctx.observe_connection()
+
+    def handle(self) -> None:
+        # The stdlib loop, except that waiting for the next request on a
+        # kept-alive connection is registered as idle, and ends once the
+        # server drains.
+        self.close_connection = True
+        self.handle_one_request()
+        while not self.close_connection \
+                and self.server.track(self.connection, idle=True):
+            self.handle_one_request()
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.untrack(self.connection)
+
     def parse_request(self) -> bool:
         # Request-clock start: after the request line arrived, so idle
         # keep-alive wait never counts as handling time.
         self._obs_started = time.perf_counter()
+        self.server.track(self.connection, idle=False)
         return super().parse_request()
 
     def _send_body(self, code: int, body: bytes,
                    headers: Optional[Dict[str, str]] = None,
                    content_type: str = "application/json") -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
+        # Status line, headers and body leave in one write: a separate
+        # body write on a keep-alive connection waits for the client's
+        # delayed ACK of the header segment (Nagle's algorithm).
+        self.log_request(code)
+        lines = [f"{self.protocol_version} {code} "
+                 f"{self.responses.get(code, ('',))[0]}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {self.date_time_string()}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(body)}"]
+        lines.extend(f"{name}: {value}"
+                     for name, value in (headers or {}).items())
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            lines.append("Connection: close")
+        lines.append("\r\n")
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + body)
         self.ctx.observe_http(
             _handler_label(self.command, self.path), code,
             getattr(self, "_obs_started", None))
@@ -486,8 +564,15 @@ class AssertHttpServer:
         self._http_seconds = self.metrics.histogram(
             "repro_http_request_seconds",
             "Request handling time, request line to body written.")
+        self._http_connections = self.metrics.counter_family(
+            "repro_http_connections_total", "HTTP connections accepted.",
+            ("edge",)).labels(edge="server")
 
     # -- observability ----------------------------------------------------
+
+    def observe_connection(self) -> None:
+        """Called by the handler once per accepted connection."""
+        self._http_connections.inc()
 
     def observe_http(self, handler: str, code: int,
                      started: Optional[float]) -> None:
@@ -539,8 +624,8 @@ class AssertHttpServer:
             (self.config.host, self.config.port), _Handler)
         self._httpd.ctx = self
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="serve-http-accept",
-            daemon=True)
+            target=self._httpd.serve_forever, args=(ACCEPT_POLL_S,),
+            name="serve-http-accept", daemon=True)
         self._thread.start()
         return self
 
@@ -565,7 +650,8 @@ class AssertHttpServer:
 
         Order matters — stop the accept loop first (no new work), then
         close the service (its own drain resolves every accepted future,
-        so blocked handlers wake with real responses), and only then
+        so blocked handlers wake with real responses), then close the
+        keep-alive connections idle between requests, and only then
         join the handler threads and release the socket."""
         if self._closed:
             return
@@ -579,6 +665,7 @@ class AssertHttpServer:
         if self.manage_service:
             self.service.close()
         if self._httpd is not None:
+            self._httpd.close_idle()
             self._httpd.server_close()
 
     def drain_elapsed(self) -> Optional[float]:

@@ -54,8 +54,10 @@ from urllib.parse import unquote, urlsplit
 from repro import cov
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.serve.client import ConnectionPool, Exchange
 from repro.serve.codecs import eval_request_from_json, request_from_json
 from repro.serve.http import (
+    ACCEPT_POLL_S,
     PROMETHEUS_CONTENT_TYPE,
     AssertHttpServer,
     _Handler,
@@ -451,6 +453,8 @@ class FleetRouter:
         self._health_thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._closed = False
+        #: Keep-alive backend connections shared by every router thread.
+        self._pool = ConnectionPool()
         self.metrics = obs_metrics.MetricsRegistry()
         self._http_requests = self.metrics.counter_family(
             "repro_http_requests_total", "HTTP responses sent.",
@@ -458,6 +462,9 @@ class FleetRouter:
         self._http_seconds = self.metrics.histogram(
             "repro_http_request_seconds",
             "Request handling time, request line to body written.")
+        self._http_connections = self.metrics.counter_family(
+            "repro_http_connections_total", "HTTP connections accepted.",
+            ("edge",)).labels(edge="router")
         self._forward_seconds = self.metrics.histogram(
             "repro_router_forward_seconds",
             "Solve-forward round trip to a backend (success or failure).")
@@ -508,8 +515,8 @@ class FleetRouter:
             (self.config.host, self.config.port), _RouterHandler)
         self._httpd.ctx = self  # type: ignore[assignment]
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="fleet-router-accept",
-            daemon=True)
+            target=self._httpd.serve_forever, args=(ACCEPT_POLL_S,),
+            name="fleet-router-accept", daemon=True)
         self._thread.start()
         self._health_thread = threading.Thread(
             target=self._health_loop, name="fleet-router-health", daemon=True)
@@ -537,11 +544,12 @@ class FleetRouter:
         return list(self._backends)
 
     def close(self) -> None:
-        """Graceful drain, propagated: stop accepting, let in-flight
-        forwards finish against still-live backends (``server_close``
-        joins the non-daemon handler threads), then drain the backends
-        themselves — so a client mid-solve gets its real response from
-        the backend, through the router, before anything shuts down."""
+        """Graceful drain, propagated: stop accepting, close client
+        connections idle between requests, let in-flight forwards finish
+        against still-live backends (``server_close`` joins the
+        non-daemon handler threads), then drain the backends themselves
+        — so a client mid-solve gets its real response from the backend,
+        through the router, before anything shuts down."""
         if self._closed:
             return
         self._closed = True
@@ -551,9 +559,11 @@ class FleetRouter:
             self._httpd.shutdown()
             if self._thread is not None:
                 self._thread.join(timeout=30)
+            self._httpd.close_idle()
             self._httpd.server_close()  # joins in-flight handler threads
         if self._health_thread is not None:
             self._health_thread.join(timeout=10)
+        self._pool.close()
         if self.manage_backends:
             for spec in self._backends:
                 if isinstance(spec, AssertHttpServer):
@@ -630,31 +640,25 @@ class FleetRouter:
         return list(self._ring.candidates(key))
 
     def _forward(self, slot: _BackendSlot, method: str, path: str,
-                 body: Optional[bytes], timeout: float
-                 ) -> Tuple[int, Dict[str, str], bytes]:
-        conn = http.client.HTTPConnection(slot.host, slot.port,
-                                          timeout=timeout)
-        try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            # Trace continuation: when this forward happens inside a
-            # request span (fleet.route / fleet.forward), tell the
-            # backend the trace it belongs to.  Health and stats probes
-            # run outside any span and stay headerless.
-            trace_ctx = obs_trace.current()
-            if trace_ctx is not None:
-                headers[obs_trace.TRACE_HEADER] = \
-                    obs_trace.format_trace_header(trace_ctx)
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-            lowered = {name.lower(): value
-                       for name, value in response.getheaders()}
-            return response.status, lowered, data
-        finally:
-            conn.close()
+                 body: Optional[bytes], timeout: float) -> Exchange:
+        """One round trip to ``slot`` over a pooled keep-alive
+        connection.  A pooled connection that went stale is retried on a
+        fresh one inside the pool, so only a backend that refuses or
+        drops a fresh connection raises here — and gets ejected."""
+        headers = {"Content-Type": "application/json"} if body else {}
+        # Trace continuation: when this forward happens inside a
+        # request span (fleet.route / fleet.forward), tell the
+        # backend the trace it belongs to.  Health and stats probes
+        # run outside any span and stay headerless.
+        trace_ctx = obs_trace.current()
+        if trace_ctx is not None:
+            headers[obs_trace.TRACE_HEADER] = \
+                obs_trace.format_trace_header(trace_ctx)
+        return self._pool.request(slot.host, slot.port, method, path, body,
+                                  headers, timeout)
 
-    def route_post(self, path: str, key: str, body: bytes
-                   ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
+    def route_post(self, path: str, key: str,
+                   body: bytes) -> Optional[Exchange]:
         """Forward one POST body along ``key``'s ring order.
 
         Works for both wire kinds (``/v1/solve`` and ``/v1/eval``) —
@@ -667,7 +671,7 @@ class FleetRouter:
         backend answer, the last 429 if every backend is saturated, or
         ``None`` when no healthy backend answered at all (mapped to
         503)."""
-        last_overloaded: Optional[Tuple[int, Dict[str, str], bytes]] = None
+        last_overloaded: Optional[Exchange] = None
         for node in self.candidates_for(key):
             slot = self._by_node[node]
             if not slot.healthy:
@@ -733,6 +737,10 @@ class FleetRouter:
         self._http_requests.labels(handler=handler, code=str(code)).inc()
         if started is not None:
             self._http_seconds.observe(time.perf_counter() - started)
+
+    def observe_connection(self) -> None:
+        """Called by the handler once per accepted client connection."""
+        self._http_connections.inc()
 
     def metricsz(self) -> str:
         """The fleet-wide ``GET /metricsz`` exposition.

@@ -10,14 +10,17 @@ request/response layer the ROADMAP's serving goal needs:
   consumes derives from the request's SHA-256 key, so identical requests
   produce byte-identical responses no matter when, where, or in which
   batch they run.
-- :meth:`AssertService.submit` enqueues onto a *bounded* queue and
-  returns a ``Future``; a full queue raises :class:`ServiceOverloaded`
-  immediately (backpressure — the caller sheds load or retries) instead
-  of letting latency grow without bound.
+- :meth:`AssertService.submit` first probes the
+  :class:`repro.serve.cache.ResultCache` (store tier included): a hit
+  resolves the returned ``Future`` at once, with no queue slot and no
+  batch window.  A miss enqueues onto a *bounded* queue; a full queue
+  raises :class:`ServiceOverloaded` immediately (backpressure — the
+  caller sheds load or retries) instead of letting latency grow without
+  bound.
 - A :class:`repro.serve.batcher.MicroBatcher` consumer coalesces
-  in-flight requests; each flush dedups them by content key, serves
-  repeats from the :class:`repro.serve.cache.ResultCache`, and fans the
-  remaining unique work units out over one
+  the queued misses; each flush dedups them by content key, re-checks
+  the cache's memory tier for keys an earlier batch filled meanwhile,
+  and fans the remaining unique work units out over one
   :meth:`repro.engine.ExecutionEngine.map` call — workers share the
   process-wide compile cache, and each unit scores all of a design's
   proposals with one ``bounded_check_batch``-backed validation pass.
@@ -726,8 +729,9 @@ class AssertService:
             future = service.submit(SolveRequest(source))
             response = future.result()
 
-    ``submit`` may be called before :meth:`start`; requests queue up (and
-    exert backpressure) until the consumer starts draining.
+    ``submit`` may be called before :meth:`start`; cache misses queue up
+    (and exert backpressure) until the consumer starts draining, while
+    cache hits resolve at submit either way.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None):
@@ -769,7 +773,8 @@ class AssertService:
             "Accepted-request latency, submit to resolution (any outcome).")
         self._queue_wait_seconds = self.metrics.histogram(
             "repro_service_queue_wait_seconds",
-            "Time an accepted request waited before batch pickup.")
+            "Time an accepted request waited before batch pickup "
+            "(0 for a cache hit, resolved at submit).")
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -911,10 +916,12 @@ class AssertService:
             return sorted(self._models)
 
     def submit(self, request: Union[SolveRequest, str]) -> "Future":
-        """Enqueue one solve; the future resolves to a SolveResponse.
+        """Accept one solve; the future resolves to a SolveResponse.
 
-        Raises :class:`ServiceOverloaded` when the bounded queue is full
-        and :class:`ServiceClosed` after :meth:`close`.
+        A result-cache hit comes back already resolved; a miss is
+        enqueued.  Raises :class:`ServiceOverloaded` when a miss finds
+        the bounded queue full and :class:`ServiceClosed` after
+        :meth:`close`.
         """
         request = self._coerce(request)
         return self._submit_pending(request, request.options.deadline_ms)
@@ -935,11 +942,21 @@ class AssertService:
     def _submit_pending(self, request: Union[SolveRequest, EvalRequest],
                         deadline: Optional[float]) -> "Future":
         """The shared accept path: solve and eval requests ride the same
-        queue, timer, and cancellation registry."""
+        queue, timer, and cancellation registry — except a solve whose
+        response is already cached, which resolves here and never
+        touches any of them."""
+        if self._closed:
+            raise ServiceClosed("service is closed")
         future: "Future" = Future()
         expiry = (time.monotonic() + deadline / 1000.0
                   if deadline is not None else None)
         pending = _Pending(request, future, expiry)
+        # Responses are pure functions of content, so a cached one is the
+        # answer even before start().  A miss is settled (counted) by the
+        # flush's memory-only re-check, so the store is read once.
+        hit = (self._cache.probe(pending.key)
+               if self._cache is not None
+               and isinstance(request, SolveRequest) else None)
         # Open the trace before any resolution path can see the request:
         # the inflight span roots the trace for in-process callers and
         # joins the HTTP server span's trace (the ambient context) when
@@ -949,8 +966,10 @@ class AssertService:
             trace_id = (parent.trace_id if parent is not None
                         else obs_trace.trace_id_for(pending.key,
                                                     request.request_id))
-            attrs = ({"request_id": request.request_id}
-                     if request.request_id else None)
+            attrs = {"request_id": request.request_id} \
+                if request.request_id else {}
+            if hit is not None:
+                attrs["cache"] = "hit"
             pending.span = obs_trace.begin(
                 "request.inflight", parent=parent, trace_id=trace_id,
                 root=parent is None, attrs=attrs)
@@ -963,18 +982,28 @@ class AssertService:
             if self._closed:
                 self._end_spans(pending, "closed")
                 raise ServiceClosed("service is closed")
-            try:
-                self._queue.put_nowait(pending)
-            except queue.Full:
-                self._rejected += 1
-                self._end_spans(pending, "rejected")
-                raise ServiceOverloaded(
-                    f"request queue full ({self.config.max_queue} pending)"
-                ) from None
+            if hit is None:
+                try:
+                    self._queue.put_nowait(pending)
+                except queue.Full:
+                    self._rejected += 1
+                    self._end_spans(pending, "rejected")
+                    raise ServiceOverloaded(
+                        f"request queue full ({self.config.max_queue} "
+                        f"pending)") from None
+                if request.request_id:
+                    self._by_id.setdefault(request.request_id,
+                                           []).append(pending)
             self._submitted += 1
-            if request.request_id:
-                self._by_id.setdefault(request.request_id, []).append(pending)
-        if expiry is not None:
+        if hit is not None:
+            # No queue, no timer entry: the wait is exactly zero, and the
+            # histogram still counts every accepted request.
+            pending.expiry = None
+            self._queue_wait_seconds.observe(0.0)
+            if pending.queue_span is not None:
+                pending.queue_span.duration = 0.0
+            self._finish(pending, hit)
+        elif expiry is not None:
             self._timer.add(pending)
         return future
 
@@ -1133,7 +1162,15 @@ class AssertService:
                        - len(groups) - len(eval_groups))
         misses: List[str] = []
         for key, waiters in groups.items():
-            cached = self._cache.get(key) if self._cache is not None else None
+            # Every waiter missed at submit; an earlier batch may have
+            # filled the key since.  Memory only: submit read the store.
+            cached = (self._cache.recheck(key, len(waiters))
+                      if self._cache is not None else None)
+            if self._cache is not None:
+                outcome = "miss" if cached is None else "hit"
+                for pending in waiters:
+                    if pending.span is not None:
+                        pending.span.attrs["cache"] = outcome
             if cached is not None:
                 # Resolve hits now: a microsecond lookup must not wait
                 # behind the batch's slowest cache-miss solve.

@@ -11,16 +11,22 @@ Covers the transport contract:
 - ``DELETE /v1/solve/{request_id}`` cancels queued work, and a client
   handle's ``cancel()`` round-trips it;
 - graceful drain: a server closed mid-request still answers the
-  in-flight client before releasing its sockets.
+  in-flight client before releasing its sockets, and closes keep-alive
+  connections idle between requests instead of waiting them out;
+- keep-alive: sequential calls reuse one connection, concurrent callers
+  hold one each, every response leaves in one write, and a pooled
+  connection the server closed is retried transparently.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.serve import (
     AssertClient,
     AssertHttpServer,
@@ -34,6 +40,7 @@ from repro.serve import (
     request_to_json,
     response_from_json,
 )
+from repro.serve.http import _Handler
 
 MINI_SOURCE = """
 module mini (
@@ -66,6 +73,13 @@ def http_server(http_config: HttpConfig = None, **serve_overrides):
         yield server, AssertClient.for_server(server)
     finally:
         server.close()
+
+
+def connections_accepted(server: AssertHttpServer) -> float:
+    """The server's accepted-connection counter, read in process (a
+    request over the wire would open or reuse one itself)."""
+    parsed = obs_metrics.parse_prometheus_text(server.metricsz())
+    return parsed.value("repro_http_connections_total", edge="server")
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +320,33 @@ class TestLifecycle:
             handle.result(timeout=5)
         service.close()
 
+    def test_close_with_an_idle_keepalive_client_is_prompt(self):
+        server = AssertHttpServer(AssertService(ServeConfig())).start()
+        client = AssertClient.for_server(server)
+        assert client.solve(fast_request(MINI_SOURCE)).ok  # now idle
+        started = time.monotonic()
+        server.close()
+        # Not the handler's 15 s idle timeout.
+        assert time.monotonic() - started < 1.0
+
+    def test_drain_answers_inflight_next_to_an_idle_connection(self):
+        service = AssertService(ServeConfig(batch_window_ms=300))
+        server = AssertHttpServer(service, HttpConfig()).start()
+        idle = AssertClient.for_server(server)
+        assert idle.healthz()["status"] == "ok"  # kept alive, then idle
+        handle = AssertClient.for_server(server).submit(
+            fast_request(MINI_SOURCE))
+        deadline = time.monotonic() + 5
+        while service.stats().inflight < 1 and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert service.stats().inflight == 1  # waiting in the window
+        started = time.monotonic()
+        server.close()
+        elapsed = time.monotonic() - started
+        response = handle.result(timeout=10)
+        assert response.ok  # the real 200, not a reset or a 503
+        assert elapsed < 5.0
+
     def test_close_is_idempotent(self):
         service = AssertService(ServeConfig())
         server = AssertHttpServer(service, HttpConfig()).start()
@@ -325,6 +366,103 @@ class TestLifecycle:
             assert AssertClient.for_server(server).healthz()["status"] == "ok"
         finally:
             server.close()
+
+
+class TestKeepAlive:
+    def test_sequential_solves_share_one_connection(self):
+        with http_server() as (server, client):
+            assert connections_accepted(server) == 0
+            responses = [client.solve(fast_request(MINI_SOURCE))
+                         for _ in range(20)]
+            assert all(r.ok for r in responses)
+            assert connections_accepted(server) == 1
+            # ...and the counter is on the wire too, over that connection.
+            parsed = obs_metrics.parse_prometheus_text(client.metricsz())
+            assert parsed.value("repro_http_connections_total",
+                                edge="server") == 1
+
+    def test_each_response_is_one_write(self, monkeypatch):
+        writes = []
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self._raw = raw
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        real_setup = _Handler.setup
+
+        def setup(handler):
+            real_setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        with http_server() as (_, client):
+            exchanges = [
+                client._request("POST", "/v1/solve", request_to_json(
+                    fast_request(MINI_SOURCE)).encode()),
+                client._request("POST", "/v1/solve", request_to_json(
+                    fast_request("module broken (")).encode()),
+                client._request("POST", "/v1/solve", b"{not json"),
+                client._request("GET", "/healthz"),
+                client._request("GET", "/metricsz"),
+                client._request("GET", "/tracez"),
+                client._request("GET", "/nowhere"),
+                client._request("DELETE", "/v1/solve/unknown"),
+            ]
+        assert [status for status, _, _ in exchanges] == [
+            200, 422, 400, 200, 200, 200, 404, 404]
+        assert len(writes) == len(exchanges)
+        for write, (status, _, body) in zip(writes, exchanges):
+            head, _, sent = write.partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert f"Content-Length: {len(body)}".encode() in head
+            assert sent == body
+
+    def test_client_retries_a_connection_the_server_closed(
+            self, monkeypatch):
+        # The server drops a connection idle for 0.2 s: the client's
+        # pooled one goes stale between the two solves.
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        with http_server() as (server, client):
+            first = client.solve(fast_request(MINI_SOURCE))
+            time.sleep(0.6)
+            second = client.solve(fast_request(MINI_SOURCE))
+            assert connections_accepted(server) == 2
+        assert first.ok and second.to_json() == first.to_json()
+
+    def test_fresh_connection_errors_are_not_retried(self):
+        with http_server() as (server, client):
+            assert client.healthz()["status"] == "ok"
+        # The server is gone: the stale pooled connection is retried
+        # once, and the refused fresh connection surfaces.
+        with pytest.raises(ConnectionRefusedError):
+            client.healthz()
+
+    def test_concurrent_callers_hold_distinct_connections(self):
+        # Three threads inside a request at once need three connections;
+        # afterwards a short-lived thread takes one of them over.
+        with http_server(max_batch=3, batch_window_ms=5000) \
+                as (server, client):
+            requests = [fast_request(f"// {i}\n{MINI_SOURCE}")
+                        for i in range(3)]
+            threads = [threading.Thread(target=client.solve, args=(r,))
+                       for r in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert server.service.stats().solved == 3
+            assert connections_accepted(server) == 3
+            handle = client.submit(requests[0])
+            assert handle.result(timeout=60).ok
+            assert connections_accepted(server) == 3
+            client.close()
 
 
 class TestWireCodecs:

@@ -413,6 +413,45 @@ class TestServiceTracing:
         # The engine's phase timers surfaced as solve.* child spans.
         assert any(name.startswith("solve.") for name in names)
 
+    def test_cache_hit_trace_explains_itself(self, clean_tracing):
+        # A hit resolves at submit: its trace is the inflight span with
+        # a zero-length queue.wait, no batch.wait, no solve, and says
+        # why — cache="hit".  The miss before it says cache="miss".
+        with AssertService(ServeConfig(batch_window_ms=5.0)) as service:
+            assert service.solve(fast_request(request_id="cold"),
+                                 timeout=60).ok
+            assert service.solve(fast_request(request_id="hot"),
+                                 timeout=60).ok
+            snapshot = obs_trace.buffer().snapshot()
+        key = fast_request().cache_key()
+        cold = trace_by_id(snapshot, obs_trace.trace_id_for(key, "cold"))
+        hot = trace_by_id(snapshot, obs_trace.trace_id_for(key, "hot"))
+        assert cold["spans"][0]["attrs"]["cache"] == "miss"
+        assert "batch.wait" in span_names(cold)
+        assert span_names(hot) == ["request.inflight", "queue.wait"]
+        inflight, queue_wait = hot["spans"]
+        assert inflight["attrs"] == {"request_id": "hot", "cache": "hit",
+                                     "status": "ok"}
+        assert queue_wait["duration_ms"] == 0.0
+        assert queue_wait["parent_id"] == inflight["span_id"]
+
+    def test_cache_hit_records_a_zero_queue_wait(self, clean_tracing):
+        with AssertService(ServeConfig(batch_window_ms=5.0)) as service:
+            for _ in range(3):
+                assert service.solve(fast_request(), timeout=60).ok
+            parsed = obs_metrics.parse_prometheus_text(
+                service.metrics.render())
+        # Every accepted request is one queue-wait sample; the two hits
+        # land in the lowest bucket with their 0 s wait.
+        assert parsed.value("repro_service_queue_wait_seconds_count") == 3.0
+        assert parsed.value("repro_service_cache_hits_total") == 2.0
+        assert parsed.value("repro_service_cache_misses_total") == 1.0
+        buckets = sorted(
+            (float(dict(labels)["le"]), value)
+            for (name, labels), value in parsed.samples.items()
+            if name == "repro_service_queue_wait_seconds_bucket")
+        assert buckets[0][1] >= 2.0
+
     def test_service_metricsz_counts_the_request(self, clean_tracing):
         with AssertService(ServeConfig(batch_window_ms=5.0)) as service:
             assert service.solve(fast_request(), timeout=60).ok

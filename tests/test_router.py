@@ -13,7 +13,10 @@ Covers the fleet-serving contract:
 - fleet ``/statsz`` sums numeric fields across backends and exposes
   per-backend snapshots plus router counters;
 - responses through the router are byte-identical to single-instance
-  bodies, and a drain still answers in-flight clients end to end.
+  bodies, and a drain still answers in-flight clients end to end while
+  closing idle keep-alive connections at once;
+- a pooled backend connection that went stale is retried on a fresh
+  one, never taken for a dead backend.
 
 Stub backends (scripted healthz/solve/statsz) pin down router logic
 deterministically; a real ``make_fleet`` fleet covers the wire contract
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import socket
 import threading
 import time
 from contextlib import ExitStack, contextmanager
@@ -32,6 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.core.api import FleetConfig, PipelineConfig, make_fleet
+from repro.obs import metrics as obs_metrics
 from repro.serve import (
     AssertClient,
     AssertService,
@@ -43,6 +48,9 @@ from repro.serve import (
     SolveRequest,
     request_to_json,
 )
+from repro.serve.client import ConnectionPool
+from repro.serve.http import AssertHttpServer, _Handler
+from repro.serve.router import _RouterHandler
 
 MINI_SOURCE = """
 module mini (
@@ -80,6 +88,10 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
+
+    def setup(self):
+        super().setup()
+        self.server.stub.connections.append(self.connection)
 
     def _reply(self, code, payload, headers=None):
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -131,6 +143,7 @@ class Stub:
         self.statsz_payload = {"service": {}, "store": None,
                                "solve_profile": {}}
         self.log = []  # (global_seq, method) — cross-stub arrival order
+        self.connections = []  # every accepted socket, for close()
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self.httpd.daemon_threads = True
         self.httpd.stub = self
@@ -147,11 +160,18 @@ class Stub:
         return [entry for entry in self.log if entry[1] == "POST"]
 
     def close(self):
+        """Die like a backend process would: the listener and every
+        established (kept-alive) connection go away."""
         if self._closed:
             return
         self._closed = True
         self.httpd.shutdown()
         self.httpd.server_close()
+        for conn in self.connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed
 
 
 @contextmanager
@@ -521,6 +541,86 @@ class TestRealFleet:
 
         with pytest.raises(ServiceClosed):
             router.start()
+
+
+class TestKeepAliveEdge:
+    def test_stale_backend_connection_is_not_an_ejection(self, monkeypatch):
+        # Backends drop connections idle for 0.2 s while the client's
+        # connection to the router stays up, so the router's pooled
+        # forward connection is stale by the second solve.
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        monkeypatch.setattr(_RouterHandler, "timeout", 15)
+        stale = []
+        real_exchange = ConnectionPool._exchange
+
+        def spying_exchange(*args, **kwargs):
+            try:
+                return real_exchange(*args, **kwargs)
+            except ConnectionError as exc:
+                stale.append(exc)
+                raise
+
+        monkeypatch.setattr(ConnectionPool, "_exchange",
+                            staticmethod(spying_exchange))
+        router = make_fleet(FleetConfig(n_backends=1, health_interval_s=60),
+                            ServeConfig(batch_window_ms=5.0))
+        router.start()  # its probe opens the first backend connection
+        try:
+            client = AssertClient.for_server(router)
+            backend = router.backends[0]
+            assert client.solve(variant(0)).ok
+            time.sleep(0.6)
+            assert client.solve(variant(1)).ok
+            stats = router.stats()
+            assert (stats["ejections"], stats["failovers"]) == (0, 0)
+            assert router.health() == (1, 1)
+            # At least the second forward found its connection stale;
+            # each stale one was replaced by exactly one fresh connection
+            # (on top of the one router.start() probed with).
+            assert len(stale) >= 1
+            parsed = obs_metrics.parse_prometheus_text(backend.metricsz())
+            assert parsed.value("repro_http_connections_total",
+                                edge="server") == 1 + len(stale)
+        finally:
+            router.close()
+
+    def test_router_counts_client_connections(self):
+        with real_fleet(n_backends=2) as (router, client):
+            for i in range(5):
+                assert client.solve(variant(i)).ok
+            parsed = obs_metrics.parse_prometheus_text(client.metricsz())
+        assert parsed.value("repro_http_connections_total",
+                            edge="router") == 1
+
+    def test_close_with_an_idle_keepalive_client_is_prompt(self):
+        backend = AssertHttpServer(AssertService(ServeConfig())).start()
+        router = FleetRouter([backend]).start()
+        try:
+            client = AssertClient.for_server(router)
+            assert client.solve(fast_request(MINI_SOURCE)).ok  # now idle
+            started = time.monotonic()
+            router.close()
+            assert time.monotonic() - started < 1.0
+        finally:
+            backend.close()
+
+    def test_drain_answers_inflight_next_to_an_idle_connection(self):
+        with real_fleet(n_backends=1, batch_window_ms=300) \
+                as (router, client):
+            assert client.healthz()["status"] == "ok"  # kept alive, idle
+            backend = router.backends[0]
+            handle = AssertClient.for_server(router).submit(
+                fast_request(MINI_SOURCE))
+            deadline = time.monotonic() + 5
+            while backend.service.stats().inflight < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert backend.service.stats().inflight == 1
+            started = time.monotonic()
+            router.close()
+            elapsed = time.monotonic() - started
+            assert handle.result(timeout=10).ok
+            assert elapsed < 5.0
 
 
 class TestLauncherGlue:

@@ -155,6 +155,96 @@ class TestDeterminismAndCache:
         assert solve_task(task).to_json() == solve_task(task).to_json()
 
 
+class TestCacheHitsAtSubmit:
+    """A cached response resolves inside submit(): no queue slot, no
+    timer entry, no batch window, and each request counts once."""
+
+    def test_repeats_count_one_hit_each(self):
+        with AssertService(ServeConfig(batch_window_ms=50)) as service:
+            first = service.solve(fast_request(MINI_SOURCE), timeout=60)
+            before = service.stats()
+            repeats = [service.solve(fast_request(MINI_SOURCE), timeout=60)
+                       for _ in range(5)]
+            after = service.stats()
+        assert before.cache_misses == 1 and before.cache_hits == 0
+        assert after.cache_hits == 5
+        assert after.cache_misses == 1
+        assert after.batches == before.batches  # no batcher hop
+        assert after.submitted == after.completed == 6
+        assert all(r.to_json() == first.to_json() for r in repeats)
+
+    def test_hit_resolves_at_submit_without_queue_or_timer(self):
+        # max_batch=1: the warm-up miss flushes at once; the window only
+        # proves that nothing below waits for it.
+        service = AssertService(ServeConfig(max_batch=1,
+                                            batch_window_ms=5000))
+        try:
+            assert service.solve(fast_request(MINI_SOURCE), timeout=60).ok
+            batches = service.stats().batches
+            seen = []
+            future = service.submit(fast_request(MINI_SOURCE,
+                                                 deadline_ms=60_000.0))
+            future.add_done_callback(lambda _: seen.append(service.stats()))
+            assert future.done()
+            stats = service.stats()
+            assert stats.batches == batches
+            assert stats.queue_depth == 0 and stats.inflight == 0
+            assert service._timer._heap == []  # no deadline entry
+            # The callback ran at once and saw its request counted.
+            assert seen and seen[0].completed == seen[0].submitted == 2
+        finally:
+            service.close()
+
+    def test_hit_resolves_before_start(self, tmp_path):
+        from repro.store import StoreConfig
+
+        config = ServeConfig(store=StoreConfig(path=tmp_path))
+        with AssertService(config) as first:
+            original = first.solve(fast_request(MINI_SOURCE), timeout=60)
+        service = AssertService(config)  # never started
+        try:
+            future = service.submit(fast_request(MINI_SOURCE))
+            assert future.done()
+            assert future.result().to_json() == original.to_json()
+            stats = service.stats()
+            assert stats.cache_store_hits == 1 and stats.cache_misses == 0
+            assert stats.queue_depth == 0
+        finally:
+            service.close()
+
+    def test_flush_recheck_counts_a_key_filled_meanwhile(self):
+        # Both submits miss (nothing is cached yet); max_batch=1 puts
+        # them in separate batches, and the second batch's re-check finds
+        # the response the first one cached.
+        service = AssertService(ServeConfig(max_batch=1, batch_window_ms=0))
+        futures = [service.submit(fast_request(MINI_SOURCE))
+                   for _ in range(2)]
+        service.start()
+        try:
+            responses = [f.result(timeout=60) for f in futures]
+            stats = service.stats()
+        finally:
+            service.close()
+        assert responses[0].to_json() == responses[1].to_json()
+        assert stats.solved == 1
+        assert stats.cache_hits == 1 and stats.cache_misses == 1
+
+    def test_deduped_misses_each_count_once(self):
+        config = ServeConfig(max_batch=4, batch_window_ms=5000)
+        service = AssertService(config)
+        futures = [service.submit(fast_request(MINI_SOURCE))
+                   for _ in range(4)]
+        service.start()
+        try:
+            for future in futures:
+                assert future.result(timeout=60).ok
+            stats = service.stats()
+        finally:
+            service.close()
+        assert stats.solved == 1 and stats.deduped == 3
+        assert stats.cache_misses == 4 and stats.cache_hits == 0
+
+
 class TestBatcherFlush:
     def test_flush_on_batch_size(self, tiny_workload):
         config = ServeConfig(max_batch=4, batch_window_ms=5000,

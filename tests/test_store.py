@@ -596,6 +596,33 @@ class TestServiceResponsePooling:
         assert pooled.to_json() == original.to_json(), \
             "pooled response must be byte-identical"
 
+    def test_cold_request_reads_the_store_once(self, tmp_path):
+        """The submit probe reads the store; the flush re-check of a
+        miss stays in memory, so a cold request costs one store read."""
+        config = ServeConfig(n_workers=1, backend="serial", seed=5,
+                             batch_window_ms=1.0,
+                             store=StoreConfig(path=tmp_path,
+                                               memory_entries=0))
+        service = AssertService(config)
+        assert isinstance(service._store, DiskStore)
+        reads = []
+        real_get = service._store.get
+
+        def counting_get(namespace, key):
+            reads.append(namespace)
+            return real_get(namespace, key)
+
+        service._store.get = counting_get
+        with service:
+            cold = service.solve(SolveRequest(self.SOURCE, self.OPTIONS))
+            assert reads.count(NS_SERVE) == 1
+            warm = service.solve(SolveRequest(self.SOURCE, self.OPTIONS))
+            stats = service.stats()
+        assert reads.count(NS_SERVE) == 1  # the repeat hit memory
+        assert warm.to_json() == cold.to_json()
+        assert (stats.cache_hits, stats.cache_store_hits,
+                stats.cache_misses) == (1, 0, 1)
+
     def test_store_survives_pickle_of_responses(self, tmp_path):
         with AssertService(self._config(tmp_path)) as service:
             response = service.solve(SolveRequest(self.SOURCE, self.OPTIONS))
