@@ -28,7 +28,10 @@ collection cost.  The gates:
   must produce coverage blocks byte-identical to the compiled tier's —
   the telemetry, like the traces it derives from, is tier-invariant;
 - sanity: with coverage on, ``/covz`` retains reports and ``/metricsz``
-  exposes nonzero ``repro_coverage_*`` totals.
+  exposes a nonzero ``repro_engine_coverage_toggles_total``: the
+  engine-aggregated counter, which sums worker processes' coverage
+  (the server process's own ``repro_coverage_*`` counters stay 0 under a
+  process pool, and equal the engine's under the serial backend).
 
 Results land in ``BENCH_cov.json``.
 
@@ -135,7 +138,8 @@ def run_bench(args) -> dict:
             parsed = obs_metrics.parse_prometheus_text(metricsz)
             coverage_toggles = max(
                 coverage_toggles,
-                parsed.value("repro_coverage_toggles_total") or 0.0)
+                parsed.value("repro_engine_coverage_toggles_total")
+                or 0.0)
         except ValueError:
             pass
 
@@ -229,7 +233,7 @@ def main() -> None:
     if (not report["tiers_match"] or not report["covz_populated"]
             or not report["metricsz_coverage_ok"]):
         print("  FATAL: tier coverage mismatch, /covz empty, or "
-              "repro_coverage_* missing from /metricsz")
+              "repro_engine_coverage_toggles_total is 0 on /metricsz")
         sys.exit(4)
 
 

@@ -1,16 +1,17 @@
 """Bug injection: golden design -> buggy variant + golden solution record.
 
-The injector applies one random mutation, re-emits canonical source and
-derives the golden solution by diffing the two texts.  Candidates whose
-edit does not change exactly one line are discarded (the paper's answers
+The injector enumerates a golden's mutation sites once
+(:class:`~repro.bugs.mutators.SiteTable`); each attempt applies one random
+candidate in place, re-emits the touched item, diffs it against the
+golden's canonical lines and reverts.  Candidates whose edit does not
+change exactly one line are discarded (the paper's answers
 are judged per buggy line, so multi-line edits would have no well-defined
 golden record).
 
 Mutations are *not* compile-filtered here — the datagen Stage 2 does that
 with the compiler, as in the paper ("we employed the compiler again to
 identify and eliminate syntax errors introduced during the random bug
-generation process").  ``BugInjector.inject`` optionally emits a share of
-deliberately ill-formed mutations to keep that filter exercised.
+generation process").
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import random
 from typing import List, Optional
 
 from repro.bugs.classify import classify_conditionality
-from repro.bugs.mutators import MutationCandidate, mutated_copy
+from repro.bugs.mutators import MutationCandidate, SiteTable
 from repro.bugs.taxonomy import BugKind, Conditionality
-from repro.verilog import ast
 from repro.verilog.parser import parse_module
-from repro.verilog.writer import write_module
 
 
 class BugRecord:
@@ -78,12 +77,6 @@ def single_line_diff(golden: str, buggy: str) -> Optional[int]:
     return diffs[0] + 1
 
 
-# Mutation-family weights.  Chosen so the *kind* marginals of the injected
-# population track the paper's Table II (Value ~65%, Op ~29%, Var ~7% of
-# SVA-Bug entries): the family is drawn first, then a candidate within it.
-_KIND_WEIGHTS = {BugKind.VALUE: 0.64, BugKind.OP: 0.29, BugKind.VAR: 0.07}
-
-
 class BugInjector:
     """Seeded generator of buggy variants."""
 
@@ -92,56 +85,60 @@ class BugInjector:
         self.rng = rng or random.Random(0)
         self.max_attempts = max_attempts
 
-    def _pick(self, candidates: List[MutationCandidate]
-              ) -> Optional[MutationCandidate]:
-        by_kind = {}
-        for candidate in candidates:
-            if candidate.repair_only:
-                # Repair-only operators widen the fix space, not the fault
-                # space: injecting them would create bugs with no in-space
-                # golden fix.
-                continue
-            by_kind.setdefault(candidate.kind, []).append(candidate)
-        if not by_kind:
+    def _pick(self, table: SiteTable) -> Optional[MutationCandidate]:
+        """Draw a kind by weight, then a fault candidate of that kind."""
+        if not table.fault_kinds:
             return None
-        kinds = list(by_kind)
-        weights = [_KIND_WEIGHTS[k] for k in kinds]
-        kind = self.rng.choices(kinds, weights=weights)[0]
-        return self.rng.choice(by_kind[kind])
+        kind = self.rng.choices(table.fault_kinds,
+                                weights=table.fault_weights)[0]
+        return self.rng.choice(table.faults_by_kind[kind])
 
     def inject(self, golden_source: str,
                design_name: str = "") -> Optional[BugRecord]:
         """One random single-line bug, or None when no candidate applies."""
-        module = parse_module(golden_source)
-        return self._inject(module, write_module(module), design_name)
+        return self._inject(SiteTable(parse_module(golden_source)),
+                            design_name)
 
-    def _inject(self, module: ast.Module, canonical: str,
+    def _inject(self, table: SiteTable,
                 design_name: str) -> Optional[BugRecord]:
-        """:meth:`inject` on a parsed golden module and its canonical text;
-        ``module`` is only read (each attempt mutates a deep copy)."""
+        """:meth:`inject` over a golden's site table; each attempt applies,
+        emits and reverts in place, so the table's module is unchanged."""
         for _ in range(self.max_attempts):
-            clone, candidate = mutated_copy(module, self._pick)
-            if clone is None or candidate is None:
+            candidate = self._pick(table)
+            if candidate is None:
                 return None
-            buggy = write_module(clone)
-            line = single_line_diff(canonical, buggy)
-            if line is None:
+            edit = table.edit(candidate, probe=classify_conditionality)
+            if edit is None:
                 continue
-            return self._record(design_name or module.name, canonical, buggy,
-                                line, candidate, clone)
+            buggy_lines = table.lines[:]
+            buggy_lines[edit.line - 1] = edit.edited_line
+            # The mutated AST node's line refers to the parsed golden's
+            # numbering; the diff line in the canonical emission is
+            # authoritative for the record.
+            return BugRecord(
+                design_name=design_name or table.module.name,
+                buggy_source="\n".join(buggy_lines) + "\n",
+                golden_source=table.canonical,
+                line=edit.line,
+                buggy_line=edit.edited_line.strip(),
+                fixed_line=edit.golden_line.strip(),
+                op_name=candidate.op_name,
+                kind=candidate.kind,
+                conditionality=edit.probed,
+                description=candidate.description,
+            )
         return None
 
     def inject_many(self, golden_source: str, count: int,
                     design_name: str = "") -> List[BugRecord]:
         """Up to ``count`` *distinct* buggy variants of one design."""
-        module = parse_module(golden_source)
-        canonical = write_module(module)
+        table = SiteTable(parse_module(golden_source))
         records: List[BugRecord] = []
         seen = set()
         attempts = 0
         while len(records) < count and attempts < count * self.max_attempts:
             attempts += 1
-            record = self._inject(module, canonical, design_name)
+            record = self._inject(table, design_name)
             if record is None:
                 break
             key = (record.line, record.buggy_line)
@@ -150,25 +147,3 @@ class BugInjector:
             seen.add(key)
             records.append(record)
         return records
-
-    def _record(self, design_name: str, canonical: str, buggy: str, line: int,
-                candidate: MutationCandidate,
-                buggy_module: ast.Module) -> BugRecord:
-        buggy_lines = buggy.splitlines()
-        golden_lines = canonical.splitlines()
-        conditionality = classify_conditionality(buggy_module, candidate.line)
-        # The mutated AST node's line refers to the original module's
-        # numbering; the diff line in the canonical emission is
-        # authoritative for the record.
-        return BugRecord(
-            design_name=design_name,
-            buggy_source=buggy,
-            golden_source=canonical,
-            line=line,
-            buggy_line=buggy_lines[line - 1].strip(),
-            fixed_line=golden_lines[line - 1].strip(),
-            op_name=candidate.op_name,
-            kind=candidate.kind,
-            conditionality=conditionality,
-            description=candidate.description,
-        )

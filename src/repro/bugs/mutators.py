@@ -18,12 +18,11 @@ Operators and their Table-I kinds:
 
 from __future__ import annotations
 
-import copy
-import random
-from typing import Callable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set
 
 from repro.bugs.taxonomy import BugKind
 from repro.verilog import ast
+from repro.verilog.writer import write_header_lines, write_item_lines
 
 # Operator swap groups.  Within a group every member maps to every other,
 # so the relation is symmetric (inverse swaps are enumerated too).
@@ -44,14 +43,15 @@ for _group in _OP_GROUPS:
 class MutationCandidate:
     """One applicable single-node edit.
 
-    ``apply`` performs the edit in place on the (copied) module the
-    candidate was enumerated from; ``revert`` undoes it, which lets the
-    repair-candidate enumerator reuse one module copy for the whole
-    candidate set instead of deep-copying per candidate.
+    ``apply`` performs the edit in place on the module the candidate was
+    enumerated from; ``revert`` undoes it, which lets a :class:`SiteTable`
+    apply, emit and revert every candidate on one parse instead of
+    deep-copying per edit.  ``item`` is the index of the module item the
+    edit is confined to (set by the site table).
     """
 
     __slots__ = ("op_name", "kind", "line", "description", "_apply",
-                 "_revert", "repair_only")
+                 "_revert", "repair_only", "item")
 
     def __init__(self, op_name: str, kind: BugKind, line: int,
                  description: str, apply_fn: Callable[[], None],
@@ -67,6 +67,7 @@ class MutationCandidate:
         # injector must never pick them (else a machine bug would have no
         # in-space golden fix).
         self.repair_only = repair_only
+        self.item: Optional[int] = None
 
     def apply(self) -> None:
         self._apply()
@@ -202,15 +203,12 @@ def _concat_swap_candidates(node: ast.Concat) -> Iterator[MutationCandidate]:
         swap_fn, swap_fn)
 
 
-def _const_set_candidates(node: ast.Number,
-                          width_literals: "dict[int, Set[int]]"
-                          ) -> Iterator[MutationCandidate]:
+def _const_set_candidates(node: ast.Number) -> Iterator[MutationCandidate]:
     """Replace a sized literal with a peer value.
 
     Peers: every value of the same width for narrow literals (<= 4 bits),
-    else 0 / 1 / all-ones plus same-width literals appearing elsewhere in
-    the module.  Self-inverse as a family: the original value is always a
-    peer of any replacement.
+    else 0 / 1 / all-ones.  Self-inverse as a family: the original value
+    is always a peer of any replacement.
     """
     if node.xmask or node.width is None:
         return
@@ -388,7 +386,6 @@ def _signal_names(module: ast.Module) -> Set[str]:
 
 def _iter_expr_sites(expr: ast.Expr, setter: Callable[[ast.Expr], None],
                      peers: Set[str], boolean_pos: bool,
-                     width_literals: "dict[int, Set[int]]",
                      widths: "dict[str, int]"
                      ) -> Iterator[MutationCandidate]:
     """Enumerate candidates in one expression tree.
@@ -425,7 +422,7 @@ def _iter_expr_sites(expr: ast.Expr, setter: Callable[[ast.Expr], None],
             stack.extend([node.cond, node.then, node.other])
         elif isinstance(node, ast.Number):
             yield from _const_candidates(node)
-            yield from _const_set_candidates(node, width_literals)
+            yield from _const_set_candidates(node)
         elif isinstance(node, ast.Ident):
             yield from _ident_candidates(node, peers)
         elif isinstance(node, (ast.BitSelect,)):
@@ -451,12 +448,11 @@ def _target_base_width(target: ast.Expr,
 
 
 def _iter_stmt_sites(stmt: ast.Stmt, peers: Set[str],
-                     width_literals: "dict[int, Set[int]]",
                      widths: "dict[str, int]"
                      ) -> Iterator[MutationCandidate]:
     if isinstance(stmt, ast.Block):
         for child in stmt.stmts:
-            yield from _iter_stmt_sites(child, peers, width_literals, widths)
+            yield from _iter_stmt_sites(child, peers, widths)
     elif isinstance(stmt, ast.Assignment):
         def set_value(e, s=stmt):
             s.value = e
@@ -466,28 +462,23 @@ def _iter_stmt_sites(stmt: ast.Stmt, peers: Set[str],
         # like 'done <= !byte_end;' are symmetric negations there.
         yield from _iter_expr_sites(stmt.value, set_value, peers,
                                     boolean_pos=(target_width == 1),
-                                    width_literals=width_literals,
                                     widths=widths)
     elif isinstance(stmt, ast.If):
         def set_cond(e, s=stmt):
             s.cond = e
         yield from _iter_expr_sites(stmt.cond, set_cond, peers,
-                                    boolean_pos=True,
-                                    width_literals=width_literals,
-                                    widths=widths)
-        yield from _iter_stmt_sites(stmt.then, peers, width_literals, widths)
+                                    boolean_pos=True, widths=widths)
+        yield from _iter_stmt_sites(stmt.then, peers, widths)
         if stmt.other is not None:
-            yield from _iter_stmt_sites(stmt.other, peers, width_literals,
-                                        widths)
+            yield from _iter_stmt_sites(stmt.other, peers, widths)
     elif isinstance(stmt, ast.Case):
         yield from _case_label_restore_candidates(stmt)
         for item in stmt.items:
             for label in item.labels:
                 if isinstance(label, ast.Number):
                     yield from _const_candidates(label)
-                    yield from _const_set_candidates(label, width_literals)
-            yield from _iter_stmt_sites(item.body, peers, width_literals,
-                                        widths)
+                    yield from _const_set_candidates(label)
+            yield from _iter_stmt_sites(item.body, peers, widths)
 
 
 def _case_label_restore_candidates(stmt: ast.Case
@@ -537,22 +528,11 @@ def _case_label_restore_candidates(stmt: ast.Case
                 apply_fn, revert_fn, repair_only=True)
 
 
-def _collect_width_literals(module: ast.Module) -> "dict[int, Set[int]]":
-    """Same-width literal values appearing anywhere in the module, used as
-    replacement peers for wide constants."""
-    literals: "dict[int, Set[int]]" = {}
-    for node in ast.walk(module):
-        if isinstance(node, ast.Number) and node.width and not node.xmask:
-            literals.setdefault(node.width, set()).add(node.value)
-    return literals
-
-
 class ModuleMutationContext:
     """Shared lookup tables for enumerating one module's mutations."""
 
     def __init__(self, module: ast.Module):
         self.peers = _signal_names(module)
-        self.width_literals = _collect_width_literals(module)
         self.widths = _signal_widths(module)
 
 
@@ -566,11 +546,9 @@ def enumerate_item_mutations(item: ast.Item, context: ModuleMutationContext
         target_width = _target_base_width(item.target, context.widths)
         candidates.extend(_iter_expr_sites(
             item.value, set_value, context.peers,
-            boolean_pos=(target_width == 1),
-            width_literals=context.width_literals, widths=context.widths))
+            boolean_pos=(target_width == 1), widths=context.widths))
     elif isinstance(item, ast.AlwaysBlock):
         candidates.extend(_iter_stmt_sites(item.body, context.peers,
-                                           context.width_literals,
                                            context.widths))
     return candidates
 
@@ -597,23 +575,87 @@ def _signal_widths(module: ast.Module) -> "dict[str, int]":
     return widths
 
 
-def mutated_copy(module: ast.Module, picker: Callable[[List[MutationCandidate]],
-                                                      Optional[MutationCandidate]]
-                 ) -> "tuple[Optional[ast.Module], Optional[MutationCandidate]]":
-    """Deep-copy ``module``, enumerate candidates on the copy, apply the one
-    chosen by ``picker``.  Returns (mutated_module, applied_candidate)."""
-    clone = copy.deepcopy(module)
-    candidates = enumerate_mutations(clone)
-    if not candidates:
-        return None, None
-    choice = picker(candidates)
-    if choice is None:
-        return None, None
-    choice.apply()
-    return clone, choice
+# Mutation-family weights.  Chosen so the *kind* marginals of the injected
+# population track the paper's Table II (Value ~65%, Op ~29%, Var ~7% of
+# SVA-Bug entries): the family is drawn first, then a candidate within it.
+_KIND_WEIGHTS = {BugKind.VALUE: 0.64, BugKind.OP: 0.29, BugKind.VAR: 0.07}
 
 
-def random_mutation(module: ast.Module, rng: random.Random
-                    ) -> "tuple[Optional[ast.Module], Optional[MutationCandidate]]":
-    """Uniform random single mutation."""
-    return mutated_copy(module, lambda cands: rng.choice(cands))
+class SingleLineEdit(NamedTuple):
+    """A candidate's edit as it shows in the canonical emission."""
+
+    line: int            # 1-based line number in the canonical text
+    golden_line: str     # that line before the edit (unstripped)
+    edited_line: str     # that line with the edit applied
+    probed: object       # ``probe(module, candidate.line)`` while applied
+
+
+class SiteTable:
+    """Every mutation site of one module, enumerated once.
+
+    Holds the canonical lines (each item's with its offset), every
+    candidate tagged with the item it edits, and the fault space: the
+    non-repair-only candidates grouped by kind in enumeration order, with
+    the kind weights the injector draws from.
+
+    :meth:`edit` is the one apply / emit / revert engine behind bug
+    injection and repair enumeration.  A mutation is confined to one item
+    and ``write_module`` is exactly header + item lines + ``endmodule``,
+    so only the touched item is re-emitted.  The module is mutated only
+    inside :meth:`edit`, and always restored.
+    """
+
+    def __init__(self, module: ast.Module):
+        self.module = module
+        self.lines: List[str] = write_header_lines(module)
+        self.items: List[tuple] = []  # (item, item lines, line offset)
+        self.candidates: List[MutationCandidate] = []
+        context = ModuleMutationContext(module)
+        for index, item in enumerate(module.items):
+            item_lines = write_item_lines(item)
+            self.items.append((item, item_lines, len(self.lines)))
+            self.lines.extend(item_lines)
+            for candidate in enumerate_item_mutations(item, context):
+                candidate.item = index
+                self.candidates.append(candidate)
+        self.lines.append("endmodule")
+        self.canonical = "\n".join(self.lines) + "\n"  # write_module bytes
+        self.faults_by_kind: Dict[BugKind, List[MutationCandidate]] = {}
+        for candidate in self.candidates:
+            if not candidate.repair_only:
+                # Repair-only operators widen the fix space, not the fault
+                # space: injecting them would create bugs with no in-space
+                # golden fix.
+                self.faults_by_kind.setdefault(candidate.kind,
+                                               []).append(candidate)
+        self.fault_kinds = list(self.faults_by_kind)
+        self.fault_weights = [_KIND_WEIGHTS[k] for k in self.fault_kinds]
+
+    def edit(self, candidate: MutationCandidate,
+             probe: Optional[Callable[[ast.Module, int], object]] = None
+             ) -> Optional[SingleLineEdit]:
+        """Apply ``candidate``, re-emit its item, then revert.
+
+        Returns the edit when it changes exactly one canonical line, else
+        None.  ``probe(module, candidate.line)`` runs on the edited module
+        (only for single-line edits) and its result rides along.
+        """
+        item, golden, offset = self.items[candidate.item]
+        candidate.apply()
+        try:
+            emitted = write_item_lines(item)
+            if len(emitted) != len(golden):
+                return None
+            for changed, (before, after) in enumerate(zip(golden, emitted)):
+                if before != after:
+                    break
+            else:
+                return None
+            if emitted[changed + 1:] != golden[changed + 1:]:
+                return None
+            probed = (probe(self.module, candidate.line)
+                      if probe is not None else None)
+        finally:
+            candidate.revert()
+        return SingleLineEdit(offset + changed + 1, golden[changed],
+                              emitted[changed], probed)

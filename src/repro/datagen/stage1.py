@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.corpus.generator import CorpusGenerator
 from repro.corpus.meta import DesignSeed
 from repro.corpus.syntax_breaker import break_syntax
 from repro.datagen.records import VerilogPTEntry
@@ -229,18 +228,3 @@ def run_stage1(seeds: List[DesignSeed], rng: Optional[random.Random] = None,
                 task.ctx.stage_name, task.ctx.unit_id, engine.memo_context,
                 task.ctx.global_seed))
     return merge_stage1(unit_results, filtered, duplicates)
-
-
-def generate_stage1(count: int, seed: int = 0, break_rate: float = 0.25,
-                    families=None, weights=None,
-                    engine: Optional[ExecutionEngine] = None) -> Stage1Result:
-    """Convenience wrapper: generate ``count`` designs and run Stage 1.
-
-    ``families``/``weights`` select and weight corpus template families;
-    ``engine`` fans both the corpus generation and the per-design Stage-1
-    work out over its worker pool.
-    """
-    generator = CorpusGenerator(seed=seed, families=families, weights=weights)
-    seeds = generator.generate(count, engine=engine)
-    return run_stage1(seeds, global_seed=seed + 1, break_rate=break_rate,
-                      engine=engine)

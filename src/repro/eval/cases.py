@@ -12,7 +12,7 @@ content does.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.bugs.injector import BugRecord
 from repro.bugs.taxonomy import BugKind, Conditionality, Relation
@@ -170,8 +170,3 @@ def case_digest(case: SvaEvalCase) -> str:
     """Content digest of one case — half of the per-case memo key."""
     return content_key("eval-case",
                        json.dumps(case_to_dict(case), sort_keys=True))
-
-
-def cases_digest(cases: Sequence[SvaEvalCase]) -> str:
-    """Digest over a whole case list (order-sensitive, like the report)."""
-    return content_key("eval-cases", cases_to_json(cases))

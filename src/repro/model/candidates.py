@@ -6,7 +6,7 @@ contains the golden fix (the inverse of whatever was injected).  A model's
 "answer" is a choice of candidate: ``(line, repaired line text)``.
 
 Enumeration applies each mutation to a single parsed copy, re-emits the
-canonical text, diffs, and reverts — no per-candidate deep copies.
+touched item, diffs, and reverts — no per-candidate deep copies.
 Candidates that change zero or multiple lines are skipped; duplicates (two
 operators producing the same edit, e.g. ``+1`` and ``^bit0`` on an even
 constant) are merged, keeping both operator tags.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.bugs.mutators import SiteTable
 from repro.verilog import ast
 from repro.verilog.parser import parse_module
 
@@ -77,61 +78,28 @@ def enumerate_repairs(buggy_source: str,
     """Build the candidate space for ``buggy_source``.
 
     ``module`` may be supplied to skip re-parsing (it will be mutated and
-    restored in place).
-
-    A mutation is confined to one module item, so only that item is
-    re-emitted per candidate — the canonical emission is exactly
-    ``header + item lines + 'endmodule'`` (see
-    :func:`repro.verilog.writer.write_item_lines`), which keeps wide
-    modules (32-entry register files, 32-lane muxes) tractable.
+    restored in place).  Every candidate goes through the site table's
+    apply / emit / revert engine, the same one bug injection uses.
     """
-    from repro.bugs.mutators import (
-        ModuleMutationContext,
-        enumerate_item_mutations,
-    )
-    from repro.verilog.writer import write_header_lines, write_item_lines
-
-    own_module = module if module is not None else parse_module(buggy_source)
-    header_lines = write_header_lines(own_module)
-    context = ModuleMutationContext(own_module)
-
+    table = SiteTable(module if module is not None
+                      else parse_module(buggy_source))
     merged: Dict[tuple, RepairCandidate] = {}
-    all_lines: List[str] = list(header_lines)
-    offset = len(header_lines)
-    per_item: List[tuple] = []
-    for item in own_module.items:
-        item_lines = write_item_lines(item)
-        per_item.append((item, item_lines, offset))
-        all_lines.extend(item_lines)
-        offset += len(item_lines)
-    all_lines.append("endmodule")
-    baseline = "\n".join(all_lines) + "\n"
-
-    for item, item_lines, item_offset in per_item:
-        for mutation in enumerate_item_mutations(item, context):
-            mutation.apply()
-            emitted = write_item_lines(item)
-            mutation.revert()
-            if emitted == item_lines or len(emitted) != len(item_lines):
-                continue
-            diffs = [i for i, (a, b) in enumerate(zip(item_lines, emitted))
-                     if a != b]
-            if len(diffs) != 1:
-                continue
-            index = diffs[0]
-            line_no = item_offset + index + 1
-            old_line = " ".join(item_lines[index].split())
-            new_line = " ".join(emitted[index].split())
-            key = (line_no, new_line)
-            existing = merged.get(key)
-            if existing is not None:
-                if mutation.op_name not in existing.op_names:
-                    existing.op_names.append(mutation.op_name)
-                    existing.kinds.append(mutation.kind.value)
-                    existing.descriptions.append(mutation.description)
-            else:
-                merged[key] = RepairCandidate(
-                    line_no, old_line, new_line, [mutation.op_name],
-                    [mutation.kind.value], [mutation.description])
+    for mutation in table.candidates:
+        edit = table.edit(mutation)
+        if edit is None:
+            continue
+        new_line = " ".join(edit.edited_line.split())
+        key = (edit.line, new_line)
+        existing = merged.get(key)
+        if existing is not None:
+            if mutation.op_name not in existing.op_names:
+                existing.op_names.append(mutation.op_name)
+                existing.kinds.append(mutation.kind.value)
+                existing.descriptions.append(mutation.description)
+        else:
+            merged[key] = RepairCandidate(
+                edit.line, " ".join(edit.golden_line.split()), new_line,
+                [mutation.op_name], [mutation.kind.value],
+                [mutation.description])
     ordered = sorted(merged.values(), key=lambda c: (c.line, c.new_line))
-    return CandidateSpace(baseline, ordered)
+    return CandidateSpace(table.canonical, ordered)

@@ -232,7 +232,3 @@ def write_module(module: ast.Module) -> str:
         lines = lines + write_item_lines(item)
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def write_source(source: ast.Source) -> str:
-    return "\n".join(write_module(m) for m in source.modules)

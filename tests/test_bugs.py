@@ -1,6 +1,16 @@
-"""Bug taxonomy, mutators, injector and classification."""
+"""Bug taxonomy, mutators, injector and classification.
 
+The injector and the repair enumerator share one site table that applies,
+emits and reverts edits in place.  :class:`TestSiteTableOracle` checks it
+against the path it replaced, kept here as the reference: every attempt
+deep-copies the golden AST, enumerates every candidate on the copy,
+regroups the fault space by kind and re-emits the whole module.
+"""
+
+import copy
 import random
+
+import pytest
 
 from repro.bugs.classify import (
     assertion_expr_signals,
@@ -9,7 +19,7 @@ from repro.bugs.classify import (
     targets_of_line,
 )
 from repro.bugs.injector import BugInjector, single_line_diff
-from repro.bugs.mutators import enumerate_mutations
+from repro.bugs.mutators import _KIND_WEIGHTS, SiteTable, enumerate_mutations
 from repro.bugs.taxonomy import (
     BUG_TYPE_ORDER,
     TABLE1_ROWS,
@@ -19,6 +29,9 @@ from repro.bugs.taxonomy import (
     length_bin_label,
     length_bin_of,
 )
+from repro.corpus.generator import CorpusGenerator
+from repro.corpus.registry import TEMPLATE_FAMILIES
+from repro.model.candidates import enumerate_repairs
 from repro.verilog.compile import compile_source
 from repro.verilog.parser import parse_module
 from repro.verilog.writer import write_module
@@ -142,6 +155,132 @@ class TestInjector:
                     found += 1
         assert total > 0
         assert found == total
+
+
+# -- reference oracle: deepcopy + full enumeration per attempt ----------------
+
+
+def _reference_pick(rng, candidates):
+    by_kind = {}
+    for candidate in candidates:
+        if not candidate.repair_only:
+            by_kind.setdefault(candidate.kind, []).append(candidate)
+    if not by_kind:
+        return None
+    kinds = list(by_kind)
+    kind = rng.choices(kinds, weights=[_KIND_WEIGHTS[k] for k in kinds])[0]
+    return rng.choice(by_kind[kind])
+
+
+def _reference_inject(rng, module, canonical, design_name,
+                      max_attempts=25):
+    for _ in range(max_attempts):
+        clone = copy.deepcopy(module)
+        candidates = enumerate_mutations(clone)
+        if not candidates:
+            return None
+        candidate = _reference_pick(rng, candidates)
+        if candidate is None:
+            return None
+        candidate.apply()
+        buggy = write_module(clone)
+        line = single_line_diff(canonical, buggy)
+        if line is None:
+            continue
+        return dict(
+            buggy_source=buggy,
+            line=line,
+            buggy_line=buggy.splitlines()[line - 1].strip(),
+            fixed_line=canonical.splitlines()[line - 1].strip(),
+            op_name=candidate.op_name,
+            kind=candidate.kind,
+            conditionality=classify_conditionality(clone, candidate.line),
+            description=candidate.description,
+            design_name=design_name or module.name,
+            golden_source=canonical)
+    return None
+
+
+def _reference_inject_many(rng, source, count, design_name="",
+                           max_attempts=25):
+    module = parse_module(source)
+    canonical = write_module(module)
+    records, seen, attempts = [], set(), 0
+    while len(records) < count and attempts < count * max_attempts:
+        attempts += 1
+        record = _reference_inject(rng, module, canonical, design_name)
+        if record is None:
+            break
+        key = (record["line"], record["buggy_line"])
+        if key in seen:
+            continue
+        seen.add(key)
+        records.append(record)
+    return records
+
+
+def _fields(record):
+    if record is None:
+        return None
+    return {name: getattr(record, name) for name in (
+        "buggy_source", "line", "buggy_line", "fixed_line", "op_name",
+        "kind", "conditionality", "description", "design_name",
+        "golden_source")}
+
+
+ORACLE_SEEDS = (0, 5, 17)
+
+
+@pytest.fixture(scope="module", params=sorted(TEMPLATE_FAMILIES))
+def family_seed(request):
+    return CorpusGenerator(seed=41).generate_one(family=request.param)
+
+
+class TestSiteTableOracle:
+    def test_inject_matches_reference(self, family_seed):
+        module = parse_module(family_seed.source)
+        canonical = write_module(module)
+        for seed in ORACLE_SEEDS:
+            got = BugInjector(random.Random(seed)).inject(
+                family_seed.source, family_seed.name)
+            want = _reference_inject(random.Random(seed), module, canonical,
+                                     family_seed.name)
+            assert _fields(got) == want, (family_seed.name, seed)
+
+    def test_inject_many_matches_reference(self, family_seed):
+        for seed in ORACLE_SEEDS:
+            got = BugInjector(random.Random(seed)).inject_many(
+                family_seed.source, 6, family_seed.name)
+            want = _reference_inject_many(random.Random(seed),
+                                          family_seed.source, 6,
+                                          family_seed.name)
+            assert [_fields(r) for r in got] == want, \
+                (family_seed.name, seed)
+            assert got, family_seed.name
+
+    def test_table_leaves_golden_unchanged(self, family_seed):
+        module = parse_module(family_seed.source)
+        before = write_module(module)
+        table = SiteTable(module)
+        assert table.canonical == before
+        for candidate in table.candidates:
+            table.edit(candidate)
+        assert write_module(module) == before
+        injector = BugInjector(random.Random(3))
+        for _ in range(20):
+            injector._inject(table, family_seed.name)
+        assert write_module(module) == before
+
+    def test_enumerate_repairs_restores_module(self, family_seed):
+        module = parse_module(family_seed.source)
+        before = write_module(module)
+        space = enumerate_repairs(before, module=module)
+        assert write_module(module) == before
+        assert space.source == before
+        assert [(c.line, c.old_line, c.new_line, c.op_names)
+                for c in space] == \
+            [(c.line, c.old_line, c.new_line, c.op_names)
+             for c in enumerate_repairs(before)]
 
 
 class TestClassification:

@@ -45,21 +45,23 @@ def _bmc(sim_mode: str) -> BmcConfig:
 
 @pytest.fixture(scope="module", params=FAMILIES)
 def family_design(request):
-    """One asserted design per corpus family: golden source + oracle SVAs."""
+    """One asserted design per corpus family: the golden source, the
+    oracle's SVA blocks that compile into it (the proposals
+    ``validate_svas`` would keep) and the combined design."""
     seed = CorpusGenerator(seed=77).generate_one(family=request.param)
     oracle = SvaOracle(derive_rng(77, "test_compiled", request.param))
-    proposals = oracle.propose(seed)
-    blocks = [block for p in proposals for block in p.blocks()]
+    blocks = [block for proposal in oracle.propose(seed)
+              if compile_with_sva(seed.source, proposal.blocks()).ok
+              for block in proposal.blocks()]
     result = compile_with_sva(seed.source, blocks)
-    if not result.ok:  # pragma: no cover - depends on oracle output
-        result = compile_source(seed.source)
-        assert result.ok, result.failure_summary()
-    return request.param, seed, result.design
+    assert result.ok, result.failure_summary()
+    assert result.design.assertions, request.param
+    return request.param, seed, result.design, blocks
 
 
 class TestTraceEquivalence:
     def test_traces_identical(self, family_design):
-        family, seed, design = family_design
+        family, seed, design, _ = family_design
         sim_c = make_simulator(design, "compiled")
         sim_i = make_simulator(design, "interp")
         assert isinstance(sim_i, Simulator)
@@ -85,27 +87,24 @@ def _batch_key(result):
 
 class TestVerdictEquivalence:
     def test_bounded_check_identical(self, family_design):
-        family, seed, design = family_design
+        family, seed, design, _ = family_design
         assert _check_key(bounded_check(design, _bmc("compiled"))) == \
             _check_key(bounded_check(design, _bmc("interp"))), family
 
     def test_bounded_check_batch_identical(self, family_design):
-        family, seed, design = family_design
+        family, seed, design, _ = family_design
         assert _batch_key(bounded_check_batch(design, _bmc("compiled"))) == \
             _batch_key(bounded_check_batch(design, _bmc("interp"))), family
 
     def test_mutated_design_verdicts_identical(self, family_design):
         """Injected bugs produce counterexamples: FAIL verdicts must agree
         (including the failing cycle embedded in every log line)."""
-        family, seed, design = family_design
+        family, seed, design, blocks = family_design
         record = BugInjector(random.Random(5)).inject(seed.source, seed.name)
-        if record is None:  # pragma: no cover - family with no mutation site
-            pytest.skip(f"no mutation applies to {family}")
-        oracle = SvaOracle(derive_rng(77, "test_compiled", family))
-        blocks = [block for p in oracle.propose(seed) for block in p.blocks()]
+        assert record is not None, f"no mutation applies to {family}"
         buggy = compile_with_sva(record.buggy_source, blocks)
-        if not buggy.ok:  # pragma: no cover - mutation broke compilation
-            pytest.skip(f"buggy {family} variant does not compile")
+        assert buggy.ok, (family, buggy.failure_summary())
+        assert buggy.design.assertions, family
         assert _check_key(bounded_check(buggy.design, _bmc("compiled"))) == \
             _check_key(bounded_check(buggy.design, _bmc("interp"))), family
         assert _batch_key(

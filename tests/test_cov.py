@@ -62,16 +62,18 @@ def _dump(report) -> str:
 
 @pytest.fixture(scope="module", params=FAMILIES)
 def family_design(request):
-    """One asserted design per corpus family: golden source + oracle SVAs."""
+    """One asserted design per corpus family: the golden source, the
+    oracle's SVA blocks that compile into it (the proposals
+    ``validate_svas`` would keep) and the combined design."""
     seed = CorpusGenerator(seed=77).generate_one(family=request.param)
     oracle = SvaOracle(derive_rng(77, "test_cov", request.param))
-    proposals = oracle.propose(seed)
-    blocks = [block for p in proposals for block in p.blocks()]
+    blocks = [block for proposal in oracle.propose(seed)
+              if compile_with_sva(seed.source, proposal.blocks()).ok
+              for block in proposal.blocks()]
     result = compile_with_sva(seed.source, blocks)
-    if not result.ok:  # pragma: no cover - depends on oracle output
-        result = compile_source(seed.source)
-        assert result.ok, result.failure_summary()
-    return request.param, seed, result.design
+    assert result.ok, result.failure_summary()
+    assert result.design.assertions, request.param
+    return request.param, seed, result.design, blocks
 
 
 # -- tier identity -------------------------------------------------------------
@@ -79,14 +81,14 @@ def family_design(request):
 
 class TestTierIdentity:
     def test_bounded_check_coverage_byte_identical(self, family_design):
-        family, seed, design = family_design
+        family, seed, design, _ = family_design
         compiled = bounded_check(design, _bmc("compiled"))
         interp = bounded_check(design, _bmc("interp"))
         assert compiled.coverage is not None or not design.assertions
         assert _dump(compiled.coverage) == _dump(interp.coverage), family
 
     def test_bounded_check_batch_coverage_byte_identical(self, family_design):
-        family, seed, design = family_design
+        family, seed, design, _ = family_design
         compiled = bounded_check_batch(design, _bmc("compiled"))
         interp = bounded_check_batch(design, _bmc("interp"))
         assert _dump(compiled.coverage) == _dump(interp.coverage), family
@@ -94,15 +96,12 @@ class TestTierIdentity:
     def test_mutated_design_coverage_identical(self, family_design):
         """Bug-injected designs (FAIL verdicts, early exits) must agree
         too — early termination points are tier-identical by contract."""
-        family, seed, design = family_design
+        family, seed, design, blocks = family_design
         record = BugInjector(random.Random(5)).inject(seed.source, seed.name)
-        if record is None:  # pragma: no cover - family with no mutation site
-            pytest.skip(f"no mutation applies to {family}")
-        oracle = SvaOracle(derive_rng(77, "test_cov", family))
-        blocks = [block for p in oracle.propose(seed) for block in p.blocks()]
+        assert record is not None, f"no mutation applies to {family}"
         buggy = compile_with_sva(record.buggy_source, blocks)
-        if not buggy.ok:  # pragma: no cover - mutation broke compilation
-            pytest.skip(f"buggy {family} variant does not compile")
+        assert buggy.ok, (family, buggy.failure_summary())
+        assert buggy.design.assertions, family
         assert _dump(bounded_check(buggy.design, _bmc("compiled")).coverage) \
             == _dump(bounded_check(buggy.design, _bmc("interp")).coverage), \
             family
@@ -113,7 +112,7 @@ class TestTierIdentity:
             family
 
     def test_coverage_never_changes_verdicts(self, family_design):
-        family, seed, design = family_design
+        family, seed, design, _ = family_design
         plain = bounded_check(design, _bmc("compiled", coverage=False))
         covered = bounded_check(design, _bmc("compiled", coverage=True))
         assert plain.coverage is None
@@ -197,10 +196,9 @@ class TestSinkSemantics:
         assert report["block_pct"] == 1.0
 
     def test_report_keys_are_sorted_for_byte_identity(self, family_design):
-        family, seed, design = family_design
+        family, seed, design, _ = family_design
         report = bounded_check(design, _bmc("compiled")).coverage
-        if report is None:  # pragma: no cover - assertion-free oracle output
-            pytest.skip(f"{family} produced no assertions")
+        assert report is not None, f"{family} produced no assertions"
         assert json.dumps(report) == json.dumps(report, sort_keys=True)
 
 
