@@ -4,7 +4,8 @@ Kind comes from the mutation operator itself; conditionality and relation
 are derived structurally from the buggy module:
 
 - **Cond** when the mutated text participates in a conditional construct
-  (an ``if`` condition, a ``case`` subject/label, or a ternary select);
+  (an ``if`` condition or a ``case`` subject/label; a ternary select is
+  not one, see :func:`classify_conditionality`);
 - **Direct** when a signal *driven* by the mutated line (the assignment
   target, or any target gated by the mutated condition) appears in the
   failing assertion's expression.
@@ -46,7 +47,13 @@ def _expr_lines(expr: ast.Expr) -> Set[int]:
 
 
 def classify_conditionality(module: ast.Module, line: int) -> Conditionality:
-    """Cond iff the buggy line's mutation sits in a condition context."""
+    """Cond iff the buggy line is part of an ``if`` condition or a
+    ``case`` subject or label.
+
+    A ternary select is not a condition context here: a mutation inside
+    ``a = c ? x : y`` classifies as Non_cond.  Reclassifying it would
+    change the generated datasets (and their fingerprints), so it stays
+    as the datasets were built."""
     for node in _stmts_with_lines(module):
         if isinstance(node, ast.If) and line in _expr_lines(node.cond):
             return Conditionality.COND
@@ -57,13 +64,6 @@ def classify_conditionality(module: ast.Module, line: int) -> Conditionality:
                 for label in item.labels:
                     if line in _expr_lines(label):
                         return Conditionality.COND
-        if isinstance(node, ast.Assignment) and node.line == line:
-            if isinstance(node.value, ast.Ternary) \
-                    and line in _expr_lines(node.value.cond):
-                # Mutation inside a ternary select counts as conditional
-                # only when the select itself was the mutated site; the
-                # caller resolves that via the op name when needed.
-                pass
     return Conditionality.NON_COND
 
 

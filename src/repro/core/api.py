@@ -16,14 +16,14 @@ the benchmark suite share one trained pipeline across benches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import knobs
 from repro.baselines.engine import BaselineModel
 from repro.baselines.profiles import BASELINE_PROFILES
 from repro.corpus.generator import resolve_families
 from repro.datagen.pipeline import DatagenConfig, DatasetBundle, run_pipeline
-from repro.engine import ExecutionEngine
+from repro.engine import BACKENDS, ExecutionEngine
 from repro.eval.benchmark import SvaEvalBenchmark, build_benchmark
 from repro.eval.histogram import render_histogram
 from repro.eval.reporting import (
@@ -37,46 +37,25 @@ from repro.eval.reporting import (
 from repro.eval.config import EvalConfig
 from repro.eval.report import EvalReport
 from repro.eval.runner import EvalResult, run_eval
+from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.model.assertsolver import AssertSolver
 from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
 
 
-@dataclass
+@configclass
 class FleetConfig:
     """Launcher knobs for a same-host fleet: N identical backends plus
     one :class:`repro.serve.FleetRouter` in front (see
     :func:`make_fleet`).  Per-backend service knobs come from the
     accompanying ``ServeConfig``; these are only the fleet shape."""
 
-    n_backends: int = 3
-    host: str = "127.0.0.1"
-    port: int = 0  # router port; backends always bind ephemeral ports
-    health_interval_s: float = 1.0
-    ring_replicas: int = 64
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if not isinstance(self.n_backends, int) \
-                or isinstance(self.n_backends, bool) or self.n_backends < 1:
-            raise ValueError(f"n_backends must be an integer >= 1, "
-                             f"got {self.n_backends!r}")
-        if not isinstance(self.port, int) or isinstance(self.port, bool) \
-                or not 0 <= self.port <= 65535:
-            raise ValueError(f"port must be an integer in [0, 65535], "
-                             f"got {self.port!r}")
-        if not isinstance(self.health_interval_s, (int, float)) \
-                or isinstance(self.health_interval_s, bool) \
-                or self.health_interval_s <= 0:
-            raise ValueError(f"health_interval_s must be a number > 0, "
-                             f"got {self.health_interval_s!r}")
-        if not isinstance(self.ring_replicas, int) \
-                or isinstance(self.ring_replicas, bool) \
-                or self.ring_replicas < 1:
-            raise ValueError(f"ring_replicas must be an integer >= 1, "
-                             f"got {self.ring_replicas!r}")
+    n_backends: int = knob(3, kind=int, ge=1, role=EXECUTION)
+    host: str = knob("127.0.0.1", kind=str, role=EXECUTION)
+    # router port; backends always bind ephemeral ports
+    port: int = knob(0, kind=int, ge=0, le=65535, role=EXECUTION)
+    health_interval_s: float = knob(1.0, kind=float, gt=0, role=EXECUTION)
+    ring_replicas: int = knob(64, kind=int, ge=1, role=EXECUTION)
 
 
 def make_fleet(fleet: Optional[FleetConfig] = None,
@@ -117,7 +96,7 @@ def make_fleet(fleet: Optional[FleetConfig] = None,
         node_names=[f"backend-{i}" for i in range(fleet.n_backends)])
 
 
-@dataclass
+@configclass
 class PipelineConfig:
     """Scale and execution knobs for a full reproduction run.
 
@@ -131,37 +110,36 @@ class PipelineConfig:
     :func:`repro.corpus.resolve_families` for validation rules.
     """
 
-    n_designs: int = 80
-    bugs_per_design: int = 4
-    seed: int = 2025
-    n_samples: int = 20
-    include_human: bool = True
-    include_baselines: bool = True
-    n_workers: int = 1
-    backend: str = "auto"
-    compile_cache: bool = True
+    n_designs: int = knob(80, kind=int, ge=1, role=SEMANTIC)
+    bugs_per_design: int = knob(4, kind=int, ge=1, role=SEMANTIC)
+    seed: int = knob(2025, kind=int, role=SEMANTIC)
+    n_samples: int = knob(20, kind=int, ge=1, role=SEMANTIC)
+    include_human: bool = knob(True, kind=bool, role=SEMANTIC)
+    include_baselines: bool = knob(True, kind=bool, role=SEMANTIC)
+    n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
+    backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
+    compile_cache: bool = knob(True, kind=bool, role=EXECUTION)
     #: Simulation execution tier ("compiled" closure programs or the
     #: "interp" AST walker — see :mod:`repro.sim.compiled`).  Pure
     #: execution knob: both tiers produce byte-identical results, so it
     #: stays out of :meth:`cache_key`.
-    sim_mode: str = "compiled"
-    template_families: Optional[Tuple[str, ...]] = None
-    family_weights: Optional[Dict[str, float]] = None
+    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
+                         role=EXECUTION)
+    template_families: Optional[Tuple[str, ...]] = knob(
+        None, kind=(tuple, list), items=str, optional=True, role=SEMANTIC)
+    family_weights: Optional[Dict[str, float]] = knob(
+        None, kind=dict, optional=True, role=SEMANTIC)
     #: Persistent artifact store (see :class:`repro.store.StoreConfig`):
     #: an execution knob like ``n_workers`` — it makes re-runs
     #: incremental (datagen) and lets service fleets pool responses
     #: (serve), but never changes results.
-    store: Optional[StoreConfig] = None
+    store: Optional[StoreConfig] = knob(None, kind=StoreConfig,
+                                       optional=True, role=EXECUTION)
 
-    def __post_init__(self):
+    def _check(self) -> None:
         # Fail fast on unknown/empty family selections instead of minutes
         # later when run_datagen() first builds a DatagenConfig.
         resolve_families(self.template_families, self.family_weights)
-        if self.sim_mode not in SIM_MODES:
-            raise ValueError(
-                f"sim_mode must be one of {SIM_MODES}, got {self.sim_mode!r}")
-        if self.store is not None:
-            self.store.validate()
 
     def datagen(self) -> DatagenConfig:
         return DatagenConfig(n_designs=self.n_designs,
@@ -233,17 +211,10 @@ class PipelineConfig:
             self.serve(**overrides))
 
     def cache_key(self) -> tuple:
-        # Semantic fields only: the execution knobs (n_workers, backend,
-        # compile_cache) never change results, so they must not fork the
-        # shared-pipeline cache into redundant multi-minute train runs.
-        # The family selection IS semantic — it changes the corpus.
-        families = (tuple(self.template_families)
-                    if self.template_families else None)
-        weights = (tuple(sorted(self.family_weights.items()))
-                   if self.family_weights else None)
-        return (self.n_designs, self.bugs_per_design, self.seed,
-                self.n_samples, self.include_human, self.include_baselines,
-                families, weights)
+        """The ``semantic`` knobs, for the shared-pipeline cache: the
+        execution knobs never change results, so they must not fork it
+        into redundant multi-minute train runs."""
+        return tuple(knobs.payload(self).values())
 
 
 class AssertSolverPipeline:

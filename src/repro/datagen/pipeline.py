@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import cov
+from repro import cov, knobs
 from repro.corpus.generator import CorpusGenerator, resolve_families
 from repro.datagen.records import (
     SvaBugEntry,
@@ -38,6 +38,7 @@ from repro.datagen.stage2 import SVA_VALIDATION_MODES, run_stage2
 from repro.datagen.stage3 import run_stage3
 from repro.engine import BACKENDS, ExecutionEngine, StageGraph, derive_rng
 from repro.engine import metrics
+from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
@@ -53,7 +54,7 @@ VOLATILE_STAT_KEYS = ("engine", "compile_cache", "store", "solve_profile",
                       "coverage")
 
 
-@dataclass
+@configclass
 class DatagenConfig:
     """Scale, rate and execution knobs.
 
@@ -80,97 +81,45 @@ class DatagenConfig:
     instead of silently contributing zero designs.
     """
 
-    n_designs: int = 60
-    bugs_per_design: int = 4
-    seed: int = 2025
-    break_rate: float = 0.25
-    hallucination_rate: float = 0.15
-    train_fraction: float = 0.9
-    bmc_depth: int = 10
-    bmc_random_trials: int = 24
-    n_workers: int = 1
-    backend: str = "auto"
-    compile_cache: bool = True
-    compile_cache_size: int = 4096
-    sim_mode: str = "compiled"
-    coverage: bool = False
-    sva_validation: str = "batched"
-    template_families: Optional[Tuple[str, ...]] = None
-    family_weights: Optional[Dict[str, float]] = None
-    store: Optional[StoreConfig] = None
+    n_designs: int = knob(60, kind=int, ge=1, role=SEMANTIC)
+    bugs_per_design: int = knob(4, kind=int, ge=1, role=SEMANTIC)
+    seed: int = knob(2025, kind=int, role=SEMANTIC)
+    break_rate: float = knob(0.25, kind=float, ge=0, le=1, role=SEMANTIC)
+    hallucination_rate: float = knob(0.15, kind=float, ge=0, le=1,
+                                     role=SEMANTIC)
+    train_fraction: float = knob(0.9, kind=float, ge=0, le=1, role=SEMANTIC)
+    bmc_depth: int = knob(10, kind=int, ge=1, role=SEMANTIC)
+    bmc_random_trials: int = knob(24, kind=int, ge=0, role=SEMANTIC)
+    n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
+    backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
+    compile_cache: bool = knob(True, kind=bool, role=EXECUTION)
+    compile_cache_size: int = knob(4096, kind=int, ge=1, role=EXECUTION)
+    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
+                         role=EXECUTION)
+    coverage: bool = knob(False, kind=bool, role=EXECUTION)
+    sva_validation: str = knob("batched", kind=str,
+                               choices=SVA_VALIDATION_MODES, role=SEMANTIC)
+    template_families: Optional[Tuple[str, ...]] = knob(
+        None, kind=(tuple, list), items=str, optional=True, role=SEMANTIC)
+    family_weights: Optional[Dict[str, float]] = knob(
+        None, kind=dict, optional=True, role=SEMANTIC)
+    store: Optional[StoreConfig] = knob(None, kind=StoreConfig,
+                                       optional=True, role=EXECUTION)
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` naming the first offending field."""
-        for name, minimum in (("n_designs", 1), ("bugs_per_design", 1),
-                              ("bmc_depth", 1), ("bmc_random_trials", 0),
-                              ("n_workers", 1), ("compile_cache_size", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < minimum:
-                raise ValueError(
-                    f"{name} must be an integer >= {minimum}, got {value!r}")
-        for name in ("break_rate", "hallucination_rate", "train_fraction"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) or not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"{name} must be a number in [0, 1], got {value!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.sim_mode not in SIM_MODES:
-            raise ValueError(
-                f"sim_mode must be one of {SIM_MODES}, got {self.sim_mode!r}")
-        if not isinstance(self.coverage, bool):
-            raise ValueError(
-                f"coverage must be a bool, got {self.coverage!r}")
-        if self.sva_validation not in SVA_VALIDATION_MODES:
-            raise ValueError(
-                f"sva_validation must be one of {SVA_VALIDATION_MODES}, "
-                f"got {self.sva_validation!r}")
-        if self.store is not None:
-            if not isinstance(self.store, StoreConfig):
-                raise ValueError(
-                    f"store must be a StoreConfig or None, got {self.store!r}")
-            self.store.validate()
+    def _check(self) -> None:
         # Raises ValueError on unknown family names / bad weights.
         resolve_families(self.template_families, self.family_weights)
 
     def semantic_digest(self) -> str:
-        """SHA-256 over every knob that changes the produced datasets.
+        """SHA-256 over every ``semantic`` knob and the package version.
 
         This is the ``config_digest`` part of the stage-memoization key
         (see :func:`repro.store.unit_memo_key`): stored unit results are
         reused only when the run is semantically identical, while pure
         execution knobs (workers, backend, caches, the store itself) stay
         out so a parallel warm run hits what a serial cold run stored.
-
-        The package version is part of the digest: stage implementations
-        evolve across releases, and a long-lived shared store must never
-        serve a unit result the current code would not produce.
         """
-        import repro
-
-        weights = (None if self.family_weights is None
-                   else sorted(self.family_weights.items()))
-        payload = json.dumps({
-            "repro_version": repro.__version__,
-            "n_designs": self.n_designs,
-            "bugs_per_design": self.bugs_per_design,
-            "seed": self.seed,
-            "break_rate": self.break_rate,
-            "hallucination_rate": self.hallucination_rate,
-            "train_fraction": self.train_fraction,
-            "bmc_depth": self.bmc_depth,
-            "bmc_random_trials": self.bmc_random_trials,
-            "sva_validation": self.sva_validation,
-            "template_families": self.template_families,
-            "family_weights": weights,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return knobs.digest(self)
 
     def make_corpus_generator(self) -> CorpusGenerator:
         return CorpusGenerator(seed=self.seed,

@@ -48,15 +48,23 @@ class ResultCache:
     request still counts once.  A request cancelled, expired or failed
     by ``close()`` before its flush never settles its miss and counts in
     none of the three.
+
+    ``scope`` names what else, besides the request, a response depends
+    on: the service passes its config's semantic digest (the ``seed``
+    every solve's RNG streams derive from).  The memory tier belongs to
+    one service, so its keys are request keys; the store may be shared
+    by services with different seeds, so its keys are
+    ``content_key(scope, key)`` and two scopes never serve each other.
     """
 
     def __init__(self, max_entries: int = 1024, store=None,
-                 namespace: str = NS_SERVE):
+                 namespace: str = NS_SERVE, scope: str = ""):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.store = store
         self.namespace = namespace
+        self.scope = scope
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -73,6 +81,9 @@ class ResultCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
+
+    def _store_key(self, key: str) -> str:
+        return content_key(self.scope, key) if self.scope else key
 
     def get(self, key: str) -> Optional[object]:
         """The cached response for ``key``, counting a hit or a miss."""
@@ -94,7 +105,7 @@ class ResultCache:
                 self._entries.move_to_end(key)
                 return cached
         if self.store is not None:
-            stored = self.store.get(self.namespace, key)
+            stored = self.store.get(self.namespace, self._store_key(key))
             if stored is not None:
                 with self._lock:
                     self.store_hits += 1
@@ -119,7 +130,7 @@ class ResultCache:
         with self._lock:
             self._insert_locked(key, value)
         if self.store is not None:
-            self.store.put(self.namespace, key, value)
+            self.store.put(self.namespace, self._store_key(key), value)
 
     def clear(self) -> None:
         """Drop the in-memory tier (the backing store keeps its entries)."""

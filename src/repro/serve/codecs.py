@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Tuple
 
+from repro import knobs
 from repro.eval.cases import cases_from_json, cases_to_json
 from repro.eval.config import EvalConfig
 from repro.eval.report import EvalReport
@@ -71,15 +72,6 @@ EVAL_STATUS_HTTP_CODES = {
     "cancelled": 409,
 }
 
-#: SolveOptions fields a request body may set (anything else is a 400).
-_OPTION_KEYS = ("hints", "mine_hints", "max_proposals", "hallucination_rate",
-                "bmc_depth", "bmc_random_trials", "deadline_ms")
-
-#: EvalConfig fields an eval request body may set.
-_EVAL_CONFIG_KEYS = ("n_samples", "seed", "k_values", "semantic_check",
-                     "deadline_ms")
-
-
 # -- the shared error envelope -------------------------------------------------
 
 
@@ -111,19 +103,10 @@ def error_detail(data) -> Tuple[str, str]:
 
 def request_to_json(request: SolveRequest) -> str:
     """The ``POST /v1/solve`` body for ``request`` (all options explicit)."""
-    options = request.options
     return json.dumps({
         "design_source": request.design_source,
         "request_id": request.request_id,
-        "options": {
-            "hints": [list(h) for h in options.hints],
-            "mine_hints": options.mine_hints,
-            "max_proposals": options.max_proposals,
-            "hallucination_rate": options.hallucination_rate,
-            "bmc_depth": options.bmc_depth,
-            "bmc_random_trials": options.bmc_random_trials,
-            "deadline_ms": options.deadline_ms,
-        },
+        "options": knobs.wire(request.options),
     }, sort_keys=True)
 
 
@@ -133,7 +116,7 @@ def request_from_json(body: bytes) -> SolveRequest:
     Raises :class:`ValueError` (mapped to 400 by the handler) on
     anything malformed: bad JSON, a non-object payload, a missing or
     non-string ``design_source``, unknown option keys, or option values
-    :meth:`SolveOptions.validate` rejects."""
+    their knobs reject (wrong type or out of range)."""
     payload = _json_object(body)
     unknown = set(payload) - {"design_source", "request_id", "options"}
     if unknown:
@@ -144,23 +127,9 @@ def request_from_json(body: bytes) -> SolveRequest:
     request_id = payload.get("request_id", "")
     if not isinstance(request_id, str):
         raise ValueError(f"request_id must be a string, got {request_id!r}")
-
-    raw_options = payload.get("options", {})
-    if not isinstance(raw_options, dict):
-        raise ValueError(
-            f"options must be a JSON object, got {type(raw_options).__name__}")
-    unknown = set(raw_options) - set(_OPTION_KEYS)
-    if unknown:
-        raise ValueError(f"unknown option fields: {sorted(unknown)}")
-    fields = dict(raw_options)
-    if "hints" in fields:
-        hints = fields["hints"]
-        if not isinstance(hints, list):
-            raise ValueError("options.hints must be a list of 5-item lists")
-        fields["hints"] = tuple(
-            tuple(h) if isinstance(h, (list, tuple)) else h for h in hints)
-    options = SolveOptions(**fields)
-    options.validate()  # structured 400 here, never a stuck future later
+    # from_wire validates: a structured 400 here, never a stuck future.
+    options = knobs.from_wire(SolveOptions, payload.get("options", {}),
+                              "options")
     return SolveRequest(source, options, request_id=request_id)
 
 
@@ -186,17 +155,10 @@ def response_from_json(text: str) -> SolveResponse:
 
 def eval_request_to_json(request: EvalRequest) -> str:
     """The ``POST /v1/eval`` body for ``request`` (all knobs explicit)."""
-    config = request.config
     return json.dumps({
         "model": request.model,
         "request_id": request.request_id,
-        "config": {
-            "n_samples": config.n_samples,
-            "seed": config.seed,
-            "k_values": list(config.k_values),
-            "semantic_check": config.semantic_check,
-            "deadline_ms": config.deadline_ms,
-        },
+        "config": knobs.wire(request.config),
         "cases": json.loads(cases_to_json(request.cases)),
     }, sort_keys=True)
 
@@ -213,20 +175,7 @@ def eval_request_from_json(body: bytes) -> EvalRequest:
     request_id = payload.get("request_id", "")
     if not isinstance(request_id, str):
         raise ValueError(f"request_id must be a string, got {request_id!r}")
-
-    raw_config = payload.get("config", {})
-    if not isinstance(raw_config, dict):
-        raise ValueError(
-            f"config must be a JSON object, got {type(raw_config).__name__}")
-    unknown = set(raw_config) - set(_EVAL_CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    fields = {name: value for name, value in raw_config.items()
-              if value is not None or name != "deadline_ms"}
-    try:
-        config = EvalConfig(**fields)
-    except TypeError as exc:
-        raise ValueError(f"malformed config: {exc}") from None
+    config = knobs.from_wire(EvalConfig, payload.get("config", {}), "config")
     cases = cases_from_json(payload.get("cases"))
     return EvalRequest(model, cases, config, request_id=request_id)
 

@@ -72,12 +72,12 @@ import socket
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from repro.knobs import EXECUTION, configclass, knob
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve.codecs import (
@@ -163,44 +163,27 @@ def _query_int_params(query: str) -> Dict[str, int]:
 # (the wire codecs live in repro.serve.codecs, shared with client + router)
 
 
-@dataclass
+@configclass
 class HttpConfig:
     """Transport knobs (the service's own knobs live in ``ServeConfig``)."""
 
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral: read the bound port off the server
+    host: str = knob("127.0.0.1", kind=str, role=EXECUTION)
+    # 0 = ephemeral: read the bound port off the server
+    port: int = knob(0, kind=int, ge=0, le=65535, role=EXECUTION)
     #: Bodies above this are refused with 413 before being read.
-    max_body_bytes: int = 1 << 20
+    max_body_bytes: int = knob(1 << 20, kind=int, ge=1, role=EXECUTION)
     #: Server-side cap on how long one handler waits for a response when
     #: the request carries no ``deadline_ms`` of its own.
-    default_timeout_s: float = 300.0
+    default_timeout_s: float = knob(300.0, kind=float, gt=0, role=EXECUTION)
     #: Backpressure hint sent in the 429 ``Retry-After`` header.
-    retry_after_s: float = 1.0
+    retry_after_s: float = knob(1.0, kind=float, gt=0, role=EXECUTION)
     #: How long a drain waits for in-flight responses before answering
     #: the stragglers 503.  With ``manage_service=True`` the service's
     #: own (synchronous) drain resolves every future well inside this;
     #: the bound exists so a server fronting an externally-owned service
     #: that never resolves them cannot hang ``close()`` for
     #: ``default_timeout_s`` per handler.
-    drain_grace_s: float = 30.0
-
-    def validate(self) -> None:
-        if not isinstance(self.port, int) or isinstance(self.port, bool) \
-                or not 0 <= self.port <= 65535:
-            raise ValueError(f"port must be an integer in [0, 65535], "
-                             f"got {self.port!r}")
-        for name in ("max_body_bytes",):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("default_timeout_s", "retry_after_s", "drain_grace_s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) or value <= 0:
-                raise ValueError(
-                    f"{name} must be a number > 0, got {value!r}")
+    drain_grace_s: float = knob(30.0, kind=float, gt=0, role=EXECUTION)
 
 
 class _DrainAbandoned(Exception):

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.corpus.generator import CorpusGenerator
 from repro.engine.rng import derive_rng, derive_seed
+from repro.knobs import SEMANTIC, configclass, knob
 from repro.serve.service import (
     ServiceOverloaded,
     SolveOptions,
@@ -37,25 +38,20 @@ from repro.serve.service import (
 )
 
 
-@dataclass(frozen=True)
+@configclass(frozen=True)
 class WorkloadSpec:
-    """Shape of a deterministic request stream."""
+    """Shape of a deterministic request stream (every knob picks which
+    requests the stream holds, so every knob is ``semantic``)."""
 
-    n_requests: int = 64
-    unique_designs: int = 8
-    seed: int = 2025
-    families: Optional[Tuple[str, ...]] = None
-    hallucination_rate: float = 0.0
-    bmc_depth: int = 10
-    bmc_random_trials: int = 24
-
-    def validate(self) -> None:
-        for name in ("n_requests", "unique_designs"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+    n_requests: int = knob(64, kind=int, ge=1, role=SEMANTIC)
+    unique_designs: int = knob(8, kind=int, ge=1, role=SEMANTIC)
+    seed: int = knob(2025, kind=int, role=SEMANTIC)
+    families: Optional[Tuple[str, ...]] = knob(
+        None, kind=(tuple, list), items=str, optional=True, role=SEMANTIC)
+    hallucination_rate: float = knob(0.0, kind=float, ge=0, le=1,
+                                     role=SEMANTIC)
+    bmc_depth: int = knob(10, kind=int, ge=1, role=SEMANTIC)
+    bmc_random_trials: int = knob(24, kind=int, ge=0, role=SEMANTIC)
 
 
 def build_workload(spec: WorkloadSpec) -> List[SolveRequest]:
@@ -65,7 +61,6 @@ def build_workload(spec: WorkloadSpec) -> List[SolveRequest]:
     for upstream LLM proposals) so the service exercises its full
     validate-and-score path.
     """
-    spec.validate()
     generator = CorpusGenerator(
         seed=derive_seed(spec.seed, "loadgen", "corpus") % (2 ** 32),
         families=spec.families)

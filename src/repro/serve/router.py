@@ -46,12 +46,12 @@ import json
 import threading
 import time
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from hashlib import sha256
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from urllib.parse import unquote, urlsplit
 
 from repro import cov
+from repro.knobs import EXECUTION, configclass, knob
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve.client import ConnectionPool, Exchange
@@ -146,44 +146,26 @@ class HashRing:
 # -- config --------------------------------------------------------------------
 
 
-@dataclass
+@configclass
 class RouterConfig:
     """Router knobs (per-backend knobs live in ``ServeConfig``/``HttpConfig``)."""
 
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral: read the bound port off the router
+    host: str = knob("127.0.0.1", kind=str, role=EXECUTION)
+    # 0 = ephemeral: read the bound port off the router
+    port: int = knob(0, kind=int, ge=0, le=65535, role=EXECUTION)
     #: Bodies above this are refused with 413 before being read (same
     #: default as ``HttpConfig`` so router and backend agree).
-    max_body_bytes: int = 1 << 20
+    max_body_bytes: int = knob(1 << 20, kind=int, ge=1, role=EXECUTION)
     #: How long one forwarded solve may take before the router gives up
     #: on that backend and fails over to the next ring candidate.
-    forward_timeout_s: float = 300.0
+    forward_timeout_s: float = knob(300.0, kind=float, gt=0, role=EXECUTION)
     #: Socket budget for ``/healthz`` and ``/statsz`` probes.
-    probe_timeout_s: float = 2.0
+    probe_timeout_s: float = knob(2.0, kind=float, gt=0, role=EXECUTION)
     #: Background health-probe period.  Probes are also how ejected
     #: backends get re-admitted, so this bounds the re-admission lag.
-    health_interval_s: float = 1.0
+    health_interval_s: float = knob(1.0, kind=float, gt=0, role=EXECUTION)
     #: Virtual points per backend on the hash ring.
-    ring_replicas: int = 64
-
-    def validate(self) -> None:
-        if not isinstance(self.port, int) or isinstance(self.port, bool) \
-                or not 0 <= self.port <= 65535:
-            raise ValueError(f"port must be an integer in [0, 65535], "
-                             f"got {self.port!r}")
-        for name in ("max_body_bytes", "ring_replicas"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("forward_timeout_s", "probe_timeout_s",
-                     "health_interval_s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) or value <= 0:
-                raise ValueError(
-                    f"{name} must be a number > 0, got {value!r}")
+    ring_replicas: int = knob(64, kind=int, ge=1, role=EXECUTION)
 
 
 # -- backend slots -------------------------------------------------------------
@@ -742,6 +724,37 @@ class FleetRouter:
         """Called by the handler once per accepted client connection."""
         self._http_connections.inc()
 
+    def _gather(self, path: str,
+                text: bool = False) -> List[Tuple[_BackendSlot, object]]:
+        """The one diagnostic fan-out: ``GET path`` on every backend.
+
+        Returns ``(slot, payload)`` per backend, in slot order.  The
+        payload is the decoded body (``text`` gives the UTF-8 string,
+        otherwise a JSON object), or ``None``.  One error policy for
+        every endpoint: a transport error ejects the backend, and a
+        non-200 or undecodable body is skipped (``None``)."""
+        gathered: List[Tuple[_BackendSlot, object]] = []
+        for slot in self._slots:
+            payload = None
+            try:
+                status, _, data = self._forward(
+                    slot, "GET", path, None, self.config.probe_timeout_s)
+            except (OSError, http.client.HTTPException) as exc:
+                endpoint = path.split("?", 1)[0].lstrip("/")
+                self._eject(slot, f"{endpoint} probe failed: "
+                                  f"{type(exc).__name__}")
+            else:
+                if status == 200:
+                    try:
+                        payload = (data.decode("utf-8") if text
+                                   else json.loads(data))
+                    except ValueError:  # bad UTF-8 or bad JSON
+                        pass
+                    if not (text or isinstance(payload, dict)):
+                        payload = None
+            gathered.append((slot, payload))
+        return gathered
+
     def metricsz(self) -> str:
         """The fleet-wide ``GET /metricsz`` exposition.
 
@@ -753,17 +766,8 @@ class FleetRouter:
         the single-process ``make_fleet()`` shape those are one shared
         set of counters (so, as with the summed ``/statsz`` profile,
         N co-located backends count shared state N times)."""
-        texts: List[str] = []
-        for slot in self._slots:
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", "/metricsz", None,
-                    self.config.probe_timeout_s)
-                if status == 200:
-                    texts.append(data.decode("utf-8"))
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"metricsz probe failed: "
-                                  f"{type(exc).__name__}")
+        texts = [text for _, text in self._gather("/metricsz", text=True)
+                 if text is not None]
         texts.append(obs_metrics.render_prometheus(
             [self.metrics], include_providers=False))
         return obs_metrics.merge_expositions(texts)
@@ -781,23 +785,10 @@ class FleetRouter:
         local = obs_trace.buffer().snapshot()
         recent = list(local["recent"])
         slow_records = list(local["slowest"])
-        reached = 0
-        query = _diag_query(limit=limit, slowest=slowest)
-        for slot in self._slots:
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", f"/tracez{query}", None,
-                    self.config.probe_timeout_s)
-                payload = json.loads(data) if status == 200 else None
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"tracez probe failed: "
-                                  f"{type(exc).__name__}")
-                continue
-            except ValueError:
-                continue
-            if not isinstance(payload, dict):
-                continue
-            reached += 1
+        payloads = [payload for _, payload in self._gather(
+            f"/tracez{_diag_query(limit=limit, slowest=slowest)}")
+            if payload is not None]
+        for payload in payloads:
             recent.extend(payload.get("recent") or ())
             slow_records.extend(payload.get("slowest") or ())
         merged_recent = obs_trace.merge_trace_records(recent)
@@ -809,7 +800,7 @@ class FleetRouter:
             merged_slowest = merged_slowest[:slowest]
         return {
             "enabled": local["enabled"],
-            "backends_reached": reached,
+            "backends_reached": len(payloads),
             "recent": merged_recent,
             "slowest": merged_slowest,
         }
@@ -822,27 +813,11 @@ class FleetRouter:
         max), so fleet-wide toggle/block/vacuity counters sum exactly
         once per backend.  ``limit`` caps the merged design list and is
         forwarded on the fan-out."""
-        payloads: List[Dict[str, object]] = [cov.buffer().snapshot()]
-        reached = 0
-        query = _diag_query(limit=limit)
-        for slot in self._slots:
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", f"/covz{query}", None,
-                    self.config.probe_timeout_s)
-                payload = json.loads(data) if status == 200 else None
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"covz probe failed: "
-                                  f"{type(exc).__name__}")
-                continue
-            except ValueError:
-                continue
-            if not isinstance(payload, dict):
-                continue
-            reached += 1
-            payloads.append(payload)
-        merged = cov.merge_covz_payloads(payloads, limit=limit)
-        merged["backends_reached"] = reached
+        payloads = [payload for _, payload in self._gather(
+            f"/covz{_diag_query(limit=limit)}") if payload is not None]
+        merged = cov.merge_covz_payloads(
+            [cov.buffer().snapshot(), *payloads], limit=limit)
+        merged["backends_reached"] = len(payloads)
         return merged
 
     def stats(self) -> Dict[str, object]:
@@ -875,18 +850,8 @@ class FleetRouter:
         profile_total: Dict[str, float] = {}
         store_seen = False
         backends_payload: List[Dict[str, object]] = []
-        for slot in self._slots:
-            snapshot = None
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", "/statsz", None,
-                    self.config.probe_timeout_s)
-                if status == 200:
-                    snapshot = json.loads(data)
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"statsz probe failed: "
-                                  f"{type(exc).__name__}")
-            if isinstance(snapshot, dict):
+        for slot, snapshot in self._gather("/statsz"):
+            if snapshot is not None:
                 _merge_numeric(service_total,
                                snapshot.get("service") or {})
                 store = snapshot.get("store")

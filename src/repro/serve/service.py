@@ -45,7 +45,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import cov
+from repro import cov, knobs
 from repro.corpus.meta import DesignSeed, SvaHint, TemplateMeta
 from repro.engine import BACKENDS, ExecutionEngine, derive_rng
 from repro.engine import metrics
@@ -53,6 +53,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.eval.cases import cases_to_json
 from repro.eval.config import EvalConfig
+from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.serve.batcher import MicroBatcher
 from repro.sim.compiled import SIM_MODES
 from repro.serve.cache import ResultCache, content_key
@@ -86,9 +87,11 @@ def hint_from_tuple(data: Sequence) -> SvaHint:
                    message=message)
 
 
-@dataclass(frozen=True)
+@configclass(frozen=True, eager=False)
 class SolveOptions:
-    """Per-request knobs; part of the request's content key.
+    """Per-request knobs; the ``semantic`` ones form the content key.
+    Validated where a request is accepted (``submit``, the wire parser),
+    not at construction, so a client's bad options get the server's 400.
 
     ``hints`` feeds the oracle known-plausible properties (the loadgen
     fills it from corpus template metadata, standing in for an upstream
@@ -98,19 +101,22 @@ class SolveOptions:
     is served.
     """
 
-    hints: Tuple[HintTuple, ...] = ()
-    mine_hints: bool = True
-    max_proposals: int = 8
-    hallucination_rate: float = 0.0
-    bmc_depth: int = 10
-    bmc_random_trials: int = 24
+    hints: Tuple[HintTuple, ...] = knob((), kind=(tuple, list),
+                                        role=SEMANTIC)
+    mine_hints: bool = knob(True, kind=bool, role=SEMANTIC)
+    max_proposals: int = knob(8, kind=int, ge=1, role=SEMANTIC)
+    hallucination_rate: float = knob(0.0, kind=float, ge=0, le=1,
+                                     role=SEMANTIC)
+    bmc_depth: int = knob(10, kind=int, ge=1, role=SEMANTIC)
+    bmc_random_trials: int = knob(24, kind=int, ge=0, role=SEMANTIC)
     #: Wall-clock budget from ``submit()``; a request still unserved when
     #: it expires — waiting in the queue or sitting in a batch — resolves
     #: to a structured ``timeout`` response instead of blocking
     #: ``result()`` forever.  A QoS knob like ``request_id``, NOT part of
     #: the content key: differently-deadlined repeats still share cache
     #: entries and batch dedup, and timeout responses are never cached.
-    deadline_ms: Optional[float] = None
+    deadline_ms: Optional[float] = knob(None, kind=float, gt=0,
+                                        optional=True, role=EXECUTION)
 
     @classmethod
     def for_design(cls, design: DesignSeed, **overrides) -> "SolveOptions":
@@ -118,7 +124,7 @@ class SolveOptions:
         hints = tuple(hint_to_tuple(h) for h in design.meta.sva_hints)
         return cls(hints=hints, **overrides)
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         for hint in self.hints:
             try:
                 parts = tuple(hint)
@@ -134,40 +140,12 @@ class SolveOptions:
                     and isinstance(delay, int)
                     and not isinstance(delay, bool)):
                 raise ValueError(f"malformed hint tuple: {hint!r}")
-        if not isinstance(self.max_proposals, int) \
-                or isinstance(self.max_proposals, bool) \
-                or self.max_proposals < 1:
-            raise ValueError(f"max_proposals must be an integer >= 1, "
-                             f"got {self.max_proposals!r}")
-        if not 0.0 <= self.hallucination_rate <= 1.0:
-            raise ValueError(f"hallucination_rate must be in [0, 1], "
-                             f"got {self.hallucination_rate!r}")
-        for name, minimum in (("bmc_depth", 1), ("bmc_random_trials", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < minimum:
-                raise ValueError(
-                    f"{name} must be an integer >= {minimum}, got {value!r}")
-        if self.deadline_ms is not None \
-                and (not isinstance(self.deadline_ms, (int, float))
-                     or isinstance(self.deadline_ms, bool)
-                     or self.deadline_ms <= 0):
-            raise ValueError(f"deadline_ms must be a number > 0 or None, "
-                             f"got {self.deadline_ms!r}")
 
     def canonical(self) -> str:
-        """Stable text rendering, hashed into the request key.
-
-        Deliberately excludes ``deadline_ms``: the deadline changes when
-        a response is worth delivering, never what the response is."""
-        return json.dumps({
-            "hints": [list(h) for h in self.hints],
-            "mine_hints": self.mine_hints,
-            "max_proposals": self.max_proposals,
-            "hallucination_rate": self.hallucination_rate,
-            "bmc_depth": self.bmc_depth,
-            "bmc_random_trials": self.bmc_random_trials,
-        }, sort_keys=True)
+        """Stable text rendering of the semantic knobs, hashed into the
+        request key (``deadline_ms`` changes when a response is worth
+        delivering, never what the response is)."""
+        return knobs.canonical(self)
 
     def hint_objects(self) -> List[SvaHint]:
         return [hint_from_tuple(h) for h in self.hints]
@@ -470,71 +448,42 @@ def _solve_task_inner(task: SolveTask) -> SolveResponse:
 # -- configuration -------------------------------------------------------------
 
 
-@dataclass
+@configclass
 class ServeConfig:
     """Capacity and execution knobs for one :class:`AssertService`.
 
-    Mirrors :class:`repro.datagen.pipeline.DatagenConfig`'s style: a
-    validated dataclass whose execution knobs (workers, backend, caches,
-    batching) never change responses — only how fast they arrive.
+    Its execution knobs (workers, backend, caches, batching) never
+    change responses — only how fast they arrive.  The one ``semantic``
+    knob, ``seed``, roots every solve's RNG streams, so its digest
+    scopes the result cache's store keys.
     """
 
-    n_workers: int = 1
-    backend: str = "auto"
-    max_queue: int = 256
-    max_batch: int = 16
-    batch_window_ms: float = 10.0
-    result_cache: bool = True
-    cache_entries: int = 1024
-    compile_cache: bool = True
-    compile_cache_size: int = 4096
-    sim_mode: str = "compiled"
+    n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
+    backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
+    max_queue: int = knob(256, kind=int, ge=1, role=EXECUTION)
+    max_batch: int = knob(16, kind=int, ge=1, role=EXECUTION)
+    batch_window_ms: float = knob(10.0, kind=float, ge=0, role=EXECUTION)
+    result_cache: bool = knob(True, kind=bool, role=EXECUTION)
+    cache_entries: int = knob(1024, kind=int, ge=1, role=EXECUTION)
+    compile_cache: bool = knob(True, kind=bool, role=EXECUTION)
+    compile_cache_size: int = knob(4096, kind=int, ge=1, role=EXECUTION)
+    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
+                         role=EXECUTION)
     #: Collect toggle/block coverage and assertion-quality counters from
     #: every solve's validating checks.  A pure execution knob like
     #: ``sim_mode``: it never changes which proposals are served, only
     #: whether responses additionally carry a ``coverage`` block (and
     #: the ``/covz`` buffer fills).  Off by default so the serving hot
     #: path pays nothing for it.
-    coverage: bool = False
-    seed: int = 2025
+    coverage: bool = knob(False, kind=bool, role=EXECUTION)
+    seed: int = knob(2025, kind=int, role=SEMANTIC)
     #: Persistent tier under the result cache (and, via the worker
     #: initializer, under every worker's compile cache).  Responses are
-    #: byte-deterministic functions of request content, so a fleet of
-    #: service instances pointed at one store directory safely pool
-    #: responses: cached == recomputed.
-    store: Optional[StoreConfig] = None
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        for name, minimum in (("n_workers", 1), ("max_queue", 1),
-                              ("max_batch", 1), ("cache_entries", 1),
-                              ("compile_cache_size", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < minimum:
-                raise ValueError(
-                    f"{name} must be an integer >= {minimum}, got {value!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.sim_mode not in SIM_MODES:
-            raise ValueError(
-                f"sim_mode must be one of {SIM_MODES}, got {self.sim_mode!r}")
-        if not isinstance(self.coverage, bool):
-            raise ValueError(
-                f"coverage must be a bool, got {self.coverage!r}")
-        if not isinstance(self.batch_window_ms, (int, float)) \
-                or isinstance(self.batch_window_ms, bool) \
-                or self.batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be a number >= 0, "
-                             f"got {self.batch_window_ms!r}")
-        if self.store is not None:
-            if not isinstance(self.store, StoreConfig):
-                raise ValueError(
-                    f"store must be a StoreConfig or None, got {self.store!r}")
-            self.store.validate()
+    #: byte-deterministic functions of request content and ``seed``, so
+    #: a fleet of service instances pointed at one store directory
+    #: safely pool responses: cached == recomputed.
+    store: Optional[StoreConfig] = knob(None, kind=StoreConfig,
+                                       optional=True, role=EXECUTION)
 
     def compile_cache_settings(self) -> tuple:
         """The ``configure_compile_cache`` arguments this config implies —
@@ -741,7 +690,8 @@ class AssertService:
         self._store = (self.config.store.make_store()
                        if self.config.store is not None else None)
         self._cache = (ResultCache(self.config.cache_entries,
-                                   store=self._store)
+                                   store=self._store,
+                                   scope=knobs.digest(self.config))
                        if self.config.result_cache else None)
         self._engine: Optional[ExecutionEngine] = None
         self._batcher: Optional[MicroBatcher] = None
@@ -936,7 +886,6 @@ class AssertService:
             raise ValueError(
                 f"submit_eval takes an EvalRequest, "
                 f"got {type(request).__name__}")
-        request.config.validate()
         return self._submit_pending(request, request.config.deadline_ms)
 
     def _submit_pending(self, request: Union[SolveRequest, EvalRequest],

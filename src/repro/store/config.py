@@ -16,40 +16,26 @@ results — only whether artifacts survive the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.knobs import EXECUTION, configclass, knob
 from repro.store.disk import DEFAULT_MAX_BYTES, DiskStore
 from repro.store.memory import MemoryStore
 from repro.store.tiered import TieredStore
 
 
-@dataclass
+@configclass
 class StoreConfig:
     """Where (and whether) artifacts persist, and how big they may grow."""
 
-    path: Optional[Union[str, Path]] = None
-    max_bytes: int = DEFAULT_MAX_BYTES
-    memory_entries: int = 2048
-    enabled: bool = True
+    path: Optional[Union[str, Path]] = knob(
+        None, kind=(str, Path), optional=True, role=EXECUTION)
+    max_bytes: int = knob(DEFAULT_MAX_BYTES, kind=int, ge=1, role=EXECUTION)
+    memory_entries: int = knob(2048, kind=int, ge=0, role=EXECUTION)
+    enabled: bool = knob(True, kind=bool, role=EXECUTION)
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if not isinstance(self.max_bytes, int) \
-                or isinstance(self.max_bytes, bool) or self.max_bytes < 1:
-            raise ValueError(
-                f"max_bytes must be an integer >= 1, got {self.max_bytes!r}")
-        if not isinstance(self.memory_entries, int) \
-                or isinstance(self.memory_entries, bool) \
-                or self.memory_entries < 0:
-            raise ValueError(f"memory_entries must be an integer >= 0, "
-                             f"got {self.memory_entries!r}")
-        if self.path is not None and not isinstance(self.path, (str, Path)):
-            raise ValueError(
-                f"path must be a filesystem path or None, got {self.path!r}")
+    def _check(self) -> None:
         if self.path is None and self.memory_entries == 0 and self.enabled:
             raise ValueError("memory_entries=0 with no disk path leaves "
                              "nothing to store into; set a path or disable")

@@ -25,6 +25,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.cov import CoverageSink, accumulate_totals
 from repro.engine import metrics
+from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.sim.compiled import SIM_MODES, make_simulator
 from repro.sim.eval import EvalError
 from repro.sim.runloop import PrefixTrie
@@ -42,6 +43,7 @@ from repro.sva.monitor import AssertionFailure, IncrementalChecker
 from repro.verilog.elaborator import Design
 
 
+@configclass
 class BmcConfig:
     """Search budget for :func:`bounded_check`.
 
@@ -53,26 +55,14 @@ class BmcConfig:
     result just additionally carries a coverage report.
     """
 
-    def __init__(self, depth: int = 12, random_trials: int = 64,
-                 exhaustive_bits: int = 12, reset_cycles: int = 2,
-                 seed: int = 2025, sim_mode: str = "compiled",
-                 coverage: bool = False):
-        if sim_mode not in SIM_MODES:
-            raise ValueError(
-                f"sim_mode must be one of {SIM_MODES}, got {sim_mode!r}")
-        for name, value, floor in (("depth", depth, 1),
-                                   ("random_trials", random_trials, 0),
-                                   ("exhaustive_bits", exhaustive_bits, 0),
-                                   ("reset_cycles", reset_cycles, 0)):
-            if value < floor:
-                raise ValueError(f"{name} must be >= {floor}, got {value!r}")
-        self.depth = depth
-        self.random_trials = random_trials
-        self.exhaustive_bits = exhaustive_bits
-        self.reset_cycles = reset_cycles
-        self.seed = seed
-        self.sim_mode = sim_mode
-        self.coverage = bool(coverage)
+    depth: int = knob(12, kind=int, ge=1, role=SEMANTIC)
+    random_trials: int = knob(64, kind=int, ge=0, role=SEMANTIC)
+    exhaustive_bits: int = knob(12, kind=int, ge=0, role=SEMANTIC)
+    reset_cycles: int = knob(2, kind=int, ge=0, role=SEMANTIC)
+    seed: int = knob(2025, kind=int, role=SEMANTIC)
+    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
+                         role=EXECUTION)
+    coverage: bool = knob(False, kind=bool, role=EXECUTION)
 
 
 class BmcResult:

@@ -333,6 +333,25 @@ endmodule
         assert classify_conditionality(module, cond_line) == Conditionality.COND
         assert classify_conditionality(module, assign_line) == Conditionality.NON_COND
 
+    def test_ternary_select_is_non_cond(self):
+        # Pinned: a ternary select is not a condition context, in a
+        # procedural or a continuous assignment, whichever part of it
+        # the mutation touched.  Reclassifying would move fingerprints.
+        source = write_module(parse_module("""
+module tern (input clk, input s, input [3:0] a, input [3:0] b,
+             output reg [3:0] q, output wire [3:0] w);
+  assign w = s ? a : b;
+  always @(posedge clk) begin
+    q <= (s & a[0]) ? a : b;
+  end
+endmodule
+"""))
+        module = parse_module(source)
+        for needle in ("assign w", "q <="):
+            line = self._line_of(source, needle)
+            assert classify_conditionality(module, line) == \
+                Conditionality.NON_COND
+
     def test_relation_direct_vs_indirect(self):
         module, source = self._canonical_module()
         q_line = self._line_of(source, "q <= d;")

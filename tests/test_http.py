@@ -20,6 +20,7 @@ Covers the transport contract:
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -153,6 +154,29 @@ class TestMalformedRequests:
         status, _, data = client._request("POST", "/v1/solve", body)
         assert status == 400
         assert b"error" in data
+
+    @pytest.mark.parametrize("options,field", [
+        ('{"hallucination_rate": "x"}', "hallucination_rate"),
+        ('{"hallucination_rate": true}', "hallucination_rate"),
+        ('{"mine_hints": "no"}', "mine_hints"),
+        ('{"bmc_depth": 6.0}', "bmc_depth"),
+        ('{"deadline_ms": false}', "deadline_ms"),
+    ])
+    def test_hostile_option_types_get_400_envelope(self, shared, options,
+                                                   field):
+        # A wrongly-typed option is a structured 400 naming the knob: not
+        # a dropped connection (a TypeError in validation) and not an
+        # accepted request whose content key forks on a bool or a string.
+        _, client = shared
+        body = ('{"design_source": "module m; endmodule", "options": '
+                + options + "}").encode()
+        status, _, data = client._request("POST", "/v1/solve", body)
+        assert status == 400
+        envelope = json.loads(data)
+        assert envelope["code"] == 400 and envelope["status"] == "error"
+        assert field in envelope["detail"]
+        # The same connection keeps serving.
+        assert client.solve(fast_request(MINI_SOURCE)).ok
 
     def test_client_raises_value_error_on_400(self, shared):
         _, client = shared

@@ -105,7 +105,13 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         stub = self.server.stub
-        if self.path == "/healthz":
+        if self.path in stub.raw:
+            code, body = stub.raw[self.path]
+            self.send_response(code)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        elif self.path == "/healthz":
             ok = stub.health_code == 200
             self._reply(stub.health_code,
                         {"status": "ok" if ok else "unhealthy"})
@@ -142,6 +148,7 @@ class Stub:
         self.cancelled = 0
         self.statsz_payload = {"service": {}, "store": None,
                                "solve_profile": {}}
+        self.raw = {}  # GET path -> (code, raw body bytes), checked first
         self.log = []  # (global_seq, method) — cross-stub arrival order
         self.connections = []  # every accepted socket, for close()
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
@@ -438,6 +445,79 @@ class TestStatszAggregation:
     def test_store_stays_none_when_no_backend_has_one(self):
         with stub_fleet(n=2) as (router, _):
             assert router.statsz()["store"] is None
+
+
+class TestDiagnosticFanOut:
+    """``/statsz``, ``/metricsz``, ``/tracez`` and ``/covz`` share one
+    fan-out: a transport error ejects the backend, a non-200 or
+    undecodable body is skipped, and neither escapes the handler."""
+
+    GOOD = {
+        "/metricsz": (200, b"repro_stub_total 2\n"),
+        "/tracez": (200, b'{"recent": [], "slowest": []}'),
+        "/covz": (200, b'{"designs": [], "dropped": 0, "recorded": 3, '
+                       b'"retained": 0}'),
+    }
+
+    def test_bad_bodies_are_skipped_and_dead_backends_ejected(self):
+        with stub_fleet(n=4) as (router, stubs):
+            good, garbled, failing, dead = stubs.values()
+            good.raw.update(self.GOOD)
+            good.statsz_payload = {"service": {"submitted": 7},
+                                   "store": None, "solve_profile": {}}
+            # A 200 whose body does not decode: bad JSON, bad UTF-8,
+            # JSON that is not an object.
+            garbled.raw.update({
+                "/statsz": (200, b"{not json"),
+                "/metricsz": (200, b"\xff\xfe not utf-8"),
+                "/tracez": (200, b"[1, 2]"),
+                "/covz": (200, b'"a string"'),
+            })
+            failing.raw.update({path: (500, b'{"recent": []}')
+                                for path in ("/statsz", "/metricsz",
+                                             "/tracez", "/covz")})
+            dead.close()
+
+            client = AssertClient.for_server(router)
+            statsz = client.statsz()
+            by_node = {entry["node"]: entry for entry in statsz["backends"]}
+            assert set(by_node) == set(stubs)  # every backend listed
+            assert by_node[good.node]["statsz"]["service"]["submitted"] == 7
+            for stub in (garbled, failing, dead):
+                assert by_node[stub.node]["statsz"] is None
+            assert statsz["service"] == {"submitted": 7}
+            # Only the transport error ejects.
+            assert [by_node[s.node]["healthy"] for s in stubs.values()] == \
+                [True, True, True, False]
+            assert by_node[dead.node]["last_error"].startswith(
+                "statsz probe failed")
+
+            assert "repro_stub_total 2" in client.metricsz()
+            tracez = client.tracez()
+            assert tracez["backends_reached"] == 1
+            assert {"enabled", "recent", "slowest"} <= set(tracez)
+            covz = client.covz()
+            assert covz["backends_reached"] == 1
+            assert covz["recorded"] >= 3
+
+
+class TestHostileOptions:
+    @pytest.mark.parametrize("options", [
+        '{"hallucination_rate": "x"}',
+        '{"hallucination_rate": true}',
+        '{"mine_hints": "no"}',
+    ])
+    def test_router_answers_400_without_forwarding(self, options):
+        with stub_fleet() as (router, stubs):
+            client = AssertClient.for_server(router)
+            body = ('{"design_source": "module m; endmodule", "options": '
+                    + options + "}").encode()
+            status, _, data = client._request("POST", "/v1/solve", body)
+            assert status == 400
+            envelope = json.loads(data)
+            assert envelope["code"] == 400
+            assert envelope["status"] == "error"
+            assert not any(stub.posts() for stub in stubs.values())
 
 
 class TestCancelBroadcast:

@@ -16,6 +16,7 @@ The store's contract is deliberately strict, so the tests are too:
 
 from __future__ import annotations
 
+import json
 import pickle
 import threading
 import time
@@ -23,7 +24,15 @@ import time
 import pytest
 
 from repro.datagen.pipeline import DatagenConfig, run_pipeline
-from repro.serve import AssertService, ResultCache, ServeConfig, SolveOptions, SolveRequest
+from repro.serve import (
+    AssertService,
+    ResultCache,
+    ServeConfig,
+    SolveOptions,
+    SolveRequest,
+    WorkloadSpec,
+    build_workload,
+)
 from repro.store import (
     NS_COMPILE,
     NS_SERVE,
@@ -509,6 +518,42 @@ class TestResultCacheSpillRefill:
         assert cache.get(content_key("nothing")) is None
         assert cache.counters() == {"hits": 0, "misses": 1, "evictions": 0,
                                     "store_hits": 0}
+
+
+class TestResultCacheSeedScope:
+    """``ServeConfig.seed`` roots every solve's RNG streams, so services
+    with different seeds sharing one store must never serve each other's
+    responses, while one seed keeps hitting across restarts."""
+
+    @staticmethod
+    def _solve_all(requests, store_path=None, seed=1):
+        store = StoreConfig(path=store_path) if store_path else None
+        with AssertService(ServeConfig(seed=seed, store=store)) as service:
+            bodies = [service.solve(r, timeout=120).to_json()
+                      for r in requests]
+            return bodies, service.stats()
+
+    def test_seeds_sharing_a_store_never_cross_serve(self, tmp_path):
+        requests = build_workload(WorkloadSpec(
+            n_requests=4, unique_designs=4, seed=3, bmc_depth=6,
+            bmc_random_trials=8, hallucination_rate=0.3))
+        seed1, _ = self._solve_all(requests, tmp_path, seed=1)
+        fresh2, _ = self._solve_all(requests, seed=2)
+        assert seed1 != fresh2  # the seed does change responses here
+
+        shared2, stats = self._solve_all(requests, tmp_path, seed=2)
+        assert shared2 == fresh2
+        assert stats.cache_store_hits == 0
+        # The request keys in the bodies are untouched by the scope.
+        assert [json.loads(b)["request_key"] for b in shared2] == \
+            [r.cache_key() for r in requests]
+
+        # A restarted seed-1 service hits every response it stored.
+        again1, stats = self._solve_all(requests, tmp_path, seed=1)
+        assert again1 == seed1
+        assert stats.solved == 0
+        assert stats.cache_store_hits == len({r.cache_key()
+                                              for r in requests})
 
 
 class TestIncrementalPipeline:
