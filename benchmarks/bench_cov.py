@@ -28,10 +28,9 @@ collection cost.  The gates:
   must produce coverage blocks byte-identical to the compiled tier's —
   the telemetry, like the traces it derives from, is tier-invariant;
 - sanity: with coverage on, ``/covz`` retains reports and ``/metricsz``
-  exposes a nonzero ``repro_engine_coverage_toggles_total``: the
-  engine-aggregated counter, which sums worker processes' coverage
-  (the server process's own ``repro_coverage_*`` counters stay 0 under a
-  process pool, and equal the engine's under the serial backend).
+  exposes a nonzero ``repro_coverage_toggles_total``: the engine's
+  total, which adds worker processes' coverage under a process pool and
+  is the server process's own counter under the serial backend.
 
 Results land in ``BENCH_cov.json``.
 
@@ -138,7 +137,7 @@ def run_bench(args) -> dict:
             parsed = obs_metrics.parse_prometheus_text(metricsz)
             coverage_toggles = max(
                 coverage_toggles,
-                parsed.value("repro_engine_coverage_toggles_total")
+                parsed.value("repro_coverage_toggles_total")
                 or 0.0)
         except ValueError:
             pass
@@ -233,7 +232,7 @@ def main() -> None:
     if (not report["tiers_match"] or not report["covz_populated"]
             or not report["metricsz_coverage_ok"]):
         print("  FATAL: tier coverage mismatch, /covz empty, or "
-              "repro_engine_coverage_toggles_total is 0 on /metricsz")
+              "repro_coverage_toggles_total is 0 on /metricsz")
         sys.exit(4)
 
 

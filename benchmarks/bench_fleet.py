@@ -49,6 +49,7 @@ from pathlib import Path
 
 from repro.core.api import FleetConfig, make_fleet
 from repro.engine import available_cpus
+from repro.obs.metrics import parse_prometheus_text
 from repro.serve import (
     AssertClient,
     AssertHttpServer,
@@ -72,6 +73,14 @@ def _serve_config(args) -> ServeConfig:
         result_cache=True,
         cache_entries=args.cache_entries,
         seed=args.seed)
+
+
+def _metricsz(client: AssertClient):
+    return parse_prometheus_text(client.metricsz())
+
+
+def _count(parsed, name: str, **labels) -> int:
+    return int(parsed.value(name, **labels) or 0)
 
 
 def _print(label: str, report, solved, cache_hits) -> None:
@@ -121,31 +130,37 @@ def run_bench(args) -> dict:
         fleet_cold = run_load(client, requests,
                               concurrency=args.concurrency,
                               label="fleet_cold")
-        fleet_cold_solved = int(
-            router.statsz()["service"].get("solved", 0))
+        fleet_cold_solved = _count(_metricsz(client),
+                                   "repro_service_solved_total")
         fleet = run_load(client, requests, concurrency=args.concurrency,
                          label="fleet")
-        agg = router.statsz()
-        # Where each unique design's key lands on the ring.
-        shares: dict = {}
+        # Fleet totals from the router's merged exposition; per-backend
+        # numbers from each backend's own, found by /healthz's address.
+        merged = _metricsz(client)
+        router_stats = router.stats()
+        shares: dict = {}  # where each unique design's key lands
         for request in requests[:args.unique]:
             owner = router.candidates_for(request.cache_key())[0]
             shares[owner] = shares.get(owner, 0) + 1
+        per_backend = []
+        for node, status in client.healthz()["nodes"].items():
+            host, _, port = status["address"].rpartition(":")
+            own = _metricsz(AssertClient(host=host, port=int(port)))
+            per_backend.append({
+                "node": node,
+                "forwarded": _count(merged,
+                                    "repro_router_backend_forwarded_total",
+                                    node=node),
+                "owned_keys": shares.get(node, 0),
+                "solved": _count(own, "repro_service_solved_total"),
+                "cache_hits": _count(own, "repro_service_cache_hits_total")})
     finally:
         router.close()
-    fleet_service = agg["service"]
-    fleet_solved_total = int(fleet_service.get("solved", 0))
+    fleet_solved_total = _count(merged, "repro_service_solved_total")
+    fleet_cache_hits = _count(merged, "repro_service_cache_hits_total")
     _print("fleet/c", fleet_cold, fleet_cold_solved, 0)
     _print("fleet", fleet, fleet_solved_total - fleet_cold_solved,
-           int(fleet_service.get("cache_hits", 0)))
-    per_backend = [
-        {"node": entry["node"],
-         "forwarded": entry["forwarded"],
-         "owned_keys": shares.get(entry["node"], 0),
-         "solved": (entry["statsz"] or {}).get("service", {}).get("solved"),
-         "cache_hits": (entry["statsz"] or {})
-         .get("service", {}).get("cache_hits")}
-        for entry in agg["backends"]]
+           fleet_cache_hits)
     for entry in per_backend:
         print(f"    backend {entry['node']}: {entry['owned_keys']} keys, "
               f"{entry['forwarded']} requests, solved {entry['solved']}, "
@@ -188,9 +203,9 @@ def run_bench(args) -> dict:
         "single_cache_hits": single_stats.cache_hits,
         "fleet_solved": fleet_solved_total,
         "fleet_steady_solved": fleet_steady_solved,
-        "fleet_cache_hits": int(fleet_service.get("cache_hits", 0)),
+        "fleet_cache_hits": fleet_cache_hits,
         "per_backend": per_backend,
-        "router": agg["router"],
+        "router": router_stats,
         "fleet_speedup": speedup,
         "min_speedup": args.min_speedup,
         "speedup_ok": speedup >= args.min_speedup,

@@ -11,13 +11,19 @@ The router speaks the exact single-instance wire protocol, so the same
 client — or ``curl`` — talks to a fleet without knowing it is one::
 
     curl -s localhost:<port>/v1/solve -d '{"design_source": "..."}'
-    curl -s localhost:<port>/statsz        # fleet-wide aggregate
+    curl -s localhost:<port>/metricsz      # fleet-wide, Prometheus text
 
 Run:  PYTHONPATH=src python examples/quickstart_fleet.py
 """
 
 from repro import PipelineConfig
+from repro.obs.metrics import parse_prometheus_text
 from repro.serve import AssertClient, WorkloadSpec, build_workload
+
+
+def metricsz(client: AssertClient):
+    """A server's or the router's ``/metricsz`` exposition, parsed."""
+    return parse_prometheus_text(client.metricsz())
 
 
 def main() -> None:
@@ -44,31 +50,41 @@ def main() -> None:
         #    share of the 6 unique designs; repeats of those keys come
         #    home to it and are served without recomputing — from its
         #    result cache, or deduped onto a solve already in flight.
-        agg = client.statsz()
+        #    The router's /healthz names each backend's address, and
+        #    each backend's own /metricsz has its numbers.
+        fleet = metricsz(client)
         print("\nper-backend view:")
-        for entry in agg["backends"]:
-            service = (entry["statsz"] or {}).get("service", {})
-            solved = service.get("solved", 0)
-            reused = service.get("cache_hits", 0) + service.get("deduped", 0)
+        for node, status in client.healthz()["nodes"].items():
+            host, _, port = status["address"].rpartition(":")
+            own = metricsz(AssertClient(host=host, port=int(port)))
+            solved = int(own.value("repro_service_solved_total"))
+            reused = int(own.value("repro_service_cache_hits_total")
+                         + own.value("repro_service_deduped_total"))
             total = solved + reused
             rate = reused / total if total else 0.0
-            print(f"  {entry['node']} ({entry['address']}): "
-                  f"{entry['forwarded']} requests, {solved} solved, "
+            forwarded = int(fleet.value(
+                "repro_router_backend_forwarded_total", node=node))
+            print(f"  {node} ({status['address']}): "
+                  f"{forwarded} requests, {solved} solved, "
                   f"{reused} served without recompute "
                   f"({rate:.0%} reuse rate)")
 
-        # 4. The fleet-wide aggregate sums the numeric fields: ~6 solves
-        #    for 24 requests is the aggregate-cache win — one instance
-        #    with the same per-instance cache would recompute evictions.
-        service = agg["service"]
-        print(f"\nfleet /statsz: {service['submitted']} submitted, "
-              f"{service['solved']} solved fleet-wide, "
-              f"{service['cache_hits']} cache hits, "
-              f"{service['deduped']} deduped in flight")
-        print(f"router counters: {agg['router']['routed']} routed, "
-              f"{agg['router']['spillovers']} spillovers, "
-              f"{agg['router']['backends_healthy']}/"
-              f"{agg['router']['backends_total']} healthy")
+        # 4. The router's /metricsz merges every backend's series (same
+        #    name and labels sum): ~6 solves for 24 requests is the
+        #    aggregate-cache win — one instance with the same
+        #    per-instance cache would recompute evictions.
+        def total(name: str) -> int:
+            return int(fleet.value(name))
+
+        print(f"\nfleet /metricsz: "
+              f"{total('repro_service_submitted_total')} submitted, "
+              f"{total('repro_service_solved_total')} solved fleet-wide, "
+              f"{total('repro_service_cache_hits_total')} cache hits, "
+              f"{total('repro_service_deduped_total')} deduped in flight")
+        print(f"router counters: {total('repro_router_routed_total')} "
+              f"routed, {total('repro_router_spillovers_total')} "
+              f"spillovers, {total('repro_router_backends_healthy')}/"
+              f"{total('repro_router_backends_total')} healthy")
     # 5. close() drained in order: the router stopped accepting,
     #    finished in-flight forwards, then drained each backend.
     print("\nfleet drained and closed ✓")

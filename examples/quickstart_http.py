@@ -5,17 +5,18 @@
 this walkthrough puts the network edge in front of it — start a real
 localhost server, round-trip a design through ``POST /v1/solve`` with
 the stdlib client, cancel a request mid-flight, and read the operator
-endpoints (``/healthz``, ``/statsz``) — then shut down gracefully.
+endpoints (``/healthz``, ``/metricsz``) — then shut down gracefully.
 
 Everything is standard library: the same requests work from ``curl``::
 
     curl -s localhost:<port>/v1/solve -d '{"design_source": "..."}'
-    curl -s localhost:<port>/statsz
+    curl -s localhost:<port>/metricsz      # Prometheus text
 
 Run:  PYTHONPATH=src python examples/quickstart_http.py
 """
 
 from repro import PipelineConfig
+from repro.obs.metrics import parse_prometheus_text
 from repro.serve import (
     AssertClient,
     SolveOptions,
@@ -37,6 +38,11 @@ module byte_gate (
   assign any_bit = |gated;
 endmodule
 """
+
+
+def metricsz(client: AssertClient):
+    """The server's ``/metricsz`` exposition, parsed."""
+    return parse_prometheus_text(client.metricsz())
 
 
 def main() -> None:
@@ -69,7 +75,7 @@ def main() -> None:
         doomed = client.submit(SolveRequest(
             RAW_DESIGN.replace("byte_gate", "byte_gate_v2"),
             SolveOptions()))
-        while client.statsz()["service"]["submitted"] < 14:
+        while metricsz(client).value("repro_service_submitted_total") < 14:
             pass  # wait for the straggler's POST to land server-side
         cancelled = doomed.cancel()
 
@@ -86,13 +92,18 @@ def main() -> None:
 
         # 6. The operator's view: saturation gauges (queue depth,
         #    inflight) next to the batching/cache/cancellation counters.
-        stats = client.statsz()["service"]
-        print(f"\n/statsz: {stats['submitted']} submitted, "
-              f"{stats['solved']} solved, {stats['deduped']} deduped, "
-              f"{stats['cache_hits']} cache hits, "
-              f"{stats['cancelled']} cancelled, "
-              f"inflight {stats['inflight']}, "
-              f"queue {stats['queue_depth']}/{stats['queue_capacity']}")
+        parsed = metricsz(client)
+
+        def value(name: str) -> int:
+            return int(parsed.value(f"repro_service_{name}"))
+
+        print(f"\n/metricsz: {value('submitted_total')} submitted, "
+              f"{value('solved_total')} solved, "
+              f"{value('deduped_total')} deduped, "
+              f"{value('cache_hits_total')} cache hits, "
+              f"{value('cancelled_total')} cancelled, "
+              f"inflight {value('inflight')}, "
+              f"queue {value('queue_depth')}/{value('queue_capacity')}")
     # 7. close() drained gracefully: accepted requests were answered
     #    before the socket was released.
     print("\nserver drained and closed ✓")

@@ -88,6 +88,11 @@ class CoverageBuffer:
             self.recorded = 0
 
 
+def _count(value: object) -> int:
+    return value if isinstance(value, int) and not isinstance(value, bool) \
+        else 0
+
+
 def merge_covz_payloads(payloads: List[Dict[str, object]],
                         limit: Optional[int] = None) -> Dict[str, object]:
     """Fold several ``/covz`` payloads (router + backends) into one.
@@ -102,17 +107,22 @@ def merge_covz_payloads(payloads: List[Dict[str, object]],
     for payload in payloads:
         if not isinstance(payload, dict):
             continue
-        recorded += int(payload.get("recorded", 0) or 0)
-        dropped += int(payload.get("dropped", 0) or 0)
-        for report in payload.get("designs") or []:
-            design = report.get("design")
+        recorded += _count(payload.get("recorded"))
+        dropped += _count(payload.get("dropped"))
+        designs = payload.get("designs")
+        for report in designs if isinstance(designs, list) else ():
+            # Entries come off other hosts' JSON: skip what is not a
+            # design's report object.
+            design = report.get("design") if isinstance(report, dict) \
+                else None
             if not isinstance(design, str):
                 continue
             existing = by_design.get(design)
-            if existing is None:
-                by_design[design] = merge_reports([report])
-            else:
-                by_design[design] = merge_reports([existing, report])
+            try:
+                by_design[design] = merge_reports(
+                    [report] if existing is None else [existing, report])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # a report missing its fields: skipped too
     designs = list(by_design.values())
     if limit is not None and limit >= 0:
         designs = designs[:limit]

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import cov, knobs
+from repro import knobs
 from repro.corpus.generator import CorpusGenerator, resolve_families
 from repro.datagen.records import (
     SvaBugEntry,
@@ -37,15 +37,11 @@ from repro.datagen.stage1 import run_stage1
 from repro.datagen.stage2 import SVA_VALIDATION_MODES, run_stage2
 from repro.datagen.stage3 import run_stage3
 from repro.engine import BACKENDS, ExecutionEngine, StageGraph, derive_rng
-from repro.engine import metrics
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
-from repro.verilog.compile import (
-    configure_compile_cache,
-    default_compile_cache,
-)
+from repro.verilog.compile import configure_compile_cache
 
 #: ``DatasetBundle.stats`` keys that legitimately differ between backends
 #: and between cold/warm runs (wall times, worker counts, cache and store
@@ -275,15 +271,12 @@ def run_pipeline(config: DatagenConfig) -> DatasetBundle:
         enabled=config.compile_cache, max_entries=config.compile_cache_size,
         store_path=store_path,
         store_max_bytes=config.store.max_bytes if store_path else 0)
-    cache_before = default_compile_cache().counters()
-    profile_before = metrics.profile_counters()
-    coverage_before = cov.coverage_counters()
     try:
         with config.make_engine(store=store) as engine:
+            before = engine.counter_totals()
             outputs = build_stage_graph(config).run(engine)
             bundle = _assemble(config, outputs)
-            _attach_execution_stats(bundle, engine, cache_before, store,
-                                    profile_before, coverage_before)
+            _attach_execution_stats(bundle, engine, before, store)
     finally:
         configure_compile_cache(*previous_cache)
     return bundle
@@ -328,13 +321,11 @@ def _assemble(config: DatagenConfig, outputs: Dict[str, object]
 
 
 def _attach_execution_stats(bundle: DatasetBundle, engine: ExecutionEngine,
-                            cache_before: Dict[str, int],
-                            store=None,
-                            profile_before: Optional[Dict[str, int]] = None,
-                            coverage_before: Optional[Dict[str, int]] = None
-                            ) -> None:
+                            before: Dict[str, Dict[str, int]],
+                            store=None) -> None:
     """Add the volatile ``engine`` / ``compile_cache`` / ``store`` /
-    ``solve_profile`` / ``coverage`` keys."""
+    ``solve_profile`` / ``coverage`` keys; the counters are
+    :meth:`ExecutionEngine.counter_totals` now minus ``before``."""
     if store is None:
         bundle.stats["store"] = {"enabled": False}
     else:
@@ -346,41 +337,18 @@ def _attach_execution_stats(bundle: DatasetBundle, engine: ExecutionEngine,
             "stage_memo_misses": sum(s.get("memo_misses", 0)
                                      for s in stages),
         }
-    cache_after = default_compile_cache().counters()
-    totals = {key: cache_after.get(key, 0) - cache_before.get(key, 0)
-              for key in cache_after}
-    if engine.backend == "process":
-        # Worker-side counters never reach this process's cache; the
-        # engine aggregated their per-unit deltas instead.
-        for key, value in engine.metric_totals().get(
-                "compile_cache", {}).items():
-            totals[key] = totals.get(key, 0) + value
-    served = totals.get("hits", 0) + totals.get("store_hits", 0)
-    lookups = served + totals.get("misses", 0)
-    totals["hit_rate"] = (served / lookups) if lookups else 0.0
-    bundle.stats["compile_cache"] = totals
-    # Per-phase solve wall times (microseconds) from the run: local delta
-    # plus, under a process pool, the per-unit deltas the engine shipped
-    # back from its workers.
-    profile_before = profile_before or {}
-    profile_after = metrics.profile_counters()
-    profile = {key: profile_after.get(key, 0) - profile_before.get(key, 0)
-               for key in profile_after}
-    if engine.backend == "process":
-        for key, value in engine.metric_totals().get(
-                "solve_profile", {}).items():
-            profile[key] = profile.get(key, 0) + value
-    bundle.stats["solve_profile"] = profile
-    # Coverage-collection totals from the run, same local-delta plus
-    # worker-delta merge as the solve profile.  All zeros unless the
-    # config's ``coverage`` knob was on.
-    coverage_before = coverage_before or {}
-    coverage_after = cov.coverage_counters()
-    coverage = {key: coverage_after.get(key, 0) - coverage_before.get(key, 0)
-                for key in coverage_after}
-    if engine.backend == "process":
-        for key, value in engine.metric_totals().get(
-                "coverage", {}).items():
-            coverage[key] = coverage.get(key, 0) + value
-    bundle.stats["coverage"] = coverage
+    after = engine.counter_totals()
+
+    def run_counts(provider: str) -> Dict[str, float]:
+        base = before.get(provider, {})
+        return {key: value - base.get(key, 0)
+                for key, value in after.get(provider, {}).items()}
+
+    cache = run_counts("compile_cache")
+    served = cache.get("hits", 0) + cache.get("store_hits", 0)
+    lookups = served + cache.get("misses", 0)
+    cache["hit_rate"] = (served / lookups) if lookups else 0.0
+    bundle.stats["compile_cache"] = cache
+    bundle.stats["solve_profile"] = run_counts("solve_profile")
+    bundle.stats["coverage"] = run_counts("coverage")
     bundle.stats["engine"] = engine.stats()

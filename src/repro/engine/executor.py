@@ -15,8 +15,8 @@ work units and returns results **in input order**, whatever the backend:
 Because stage units draw only from RNG streams derived per unit (see
 :mod:`repro.engine.rng`), scheduling order cannot leak into results.
 Every unit call is wrapped with a metrics snapshot so process-local
-counters (compile-cache hits, …) surface in the parent; see
-:mod:`repro.engine.metrics`.
+counters (compile-cache hits, …) surface in the parent, totalled by
+:meth:`ExecutionEngine.counter_totals`; see :mod:`repro.engine.metrics`.
 """
 
 from __future__ import annotations
@@ -235,10 +235,19 @@ class ExecutionEngine:
 
     # -- reporting -----------------------------------------------------------
 
-    def metric_totals(self) -> Dict[str, Dict[str, int]]:
-        """Summed worker-side counter deltas across all maps so far."""
-        return {name: dict(counters)
-                for name, counters in self._metric_totals.items()}
+    def counter_totals(self) -> Dict[str, Dict[str, int]]:
+        """Every provider's counters as this engine's work sees them.
+
+        This process's live snapshot; under the process backend, plus
+        the per-unit deltas the workers shipped back — the one place
+        that rule lives.  Serial and thread units run in this process,
+        so their increments are already in the snapshot.  Diff two calls
+        for the counts of the work in between (``bundle.stats``), or
+        render one (``/metricsz``)."""
+        totals = metrics.snapshot()
+        if self.backend == "process":
+            metrics.accumulate(totals, self._metric_totals)
+        return totals
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -5,7 +5,9 @@ register a provider here at import time.  The engine snapshots all
 providers before and after each unit, ships the per-unit delta back from
 the worker with the unit's result, and accumulates the deltas in the
 parent process — the only way to surface worker-side counters when units
-run in a process pool.
+run in a process pool.  :meth:`repro.engine.ExecutionEngine.counter_totals`
+adds them to this process's snapshot; ``bundle.stats`` diffs two of its
+results and ``/metricsz`` renders one.
 
 Deltas are exact under the serial and process backends (units run
 sequentially within a process).  Under the thread backend interleaved

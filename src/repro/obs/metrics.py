@@ -5,18 +5,18 @@ families — each :class:`AssertService`, :class:`AssertHttpServer`, and
 :class:`FleetRouter` owns one, so three backends sharing a process (the
 ``make_fleet`` demo shape) never pollute each other's numbers.  The
 ``GET /metricsz`` endpoint renders one or more registries with
-:func:`render_prometheus`, appending the process-global
-:mod:`repro.engine.metrics` provider counters (compile cache, stores,
-``solve_profile``) so everything the engine already counts is exposed
-without per-call-site glue.
+:func:`render_prometheus`, appending the engine's provider counters
+(compile cache, stores, ``solve_profile``, coverage) as
+:meth:`repro.engine.ExecutionEngine.counter_totals` totals them, so
+everything the engine counts is exposed without per-call-site glue.
 
 Three metric shapes, all stdlib, all thread-safe:
 
 - **Counters** — monotonic; direct (``inc()``), labelled families
-  (``labels(code="200").inc()``), or callback-backed (read an existing
-  counter attribute at render time — no double bookkeeping).
+  (``labels(code="200").inc()``), or callback-backed, labelled or not
+  (read existing bookkeeping at render time — no double bookkeeping).
 - **Gauges** — point-in-time; direct (``set()``) or callback-backed
-  (queue depth, inflight).
+  (queue depth, inflight, per-backend health).
 - **Histograms** — fixed log-spaced buckets (powers of two from 0.5 ms
   to ~65 s) rendered as cumulative Prometheus ``_bucket``/``_sum``/
   ``_count`` series, from which p50/p95/p99 are derivable by any
@@ -43,6 +43,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 __all__ = [
     "CallbackCounter",
+    "CallbackFamily",
     "CallbackGauge",
     "Counter",
     "CounterFamily",
@@ -87,6 +88,15 @@ def _format_value(value: float) -> str:
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"') \
         .replace("\n", "\\n")
+
+
+def _check_label_names(label_names: Sequence[str]) -> Tuple[str, ...]:
+    if not label_names:
+        raise ValueError("a labelled family needs at least one label name")
+    for label in label_names:
+        if not _LABEL_NAME_RE.match(label):
+            raise ValueError(f"invalid label name: {label!r}")
+    return tuple(label_names)
 
 
 def _render_labels(labels: Tuple[Tuple[str, str], ...]) -> str:
@@ -155,12 +165,7 @@ class CounterFamily(_Family):
 
     def __init__(self, name: str, help_: str, label_names: Sequence[str]):
         super().__init__(name, help_)
-        if not label_names:
-            raise ValueError("CounterFamily needs at least one label name")
-        for label in label_names:
-            if not _LABEL_NAME_RE.match(label):
-                raise ValueError(f"invalid label name: {label!r}")
-        self.label_names = tuple(label_names)
+        self.label_names = _check_label_names(label_names)
         self._children: "OrderedDict[Tuple[str, ...], Counter]" = \
             OrderedDict()
         self._lock = threading.Lock()
@@ -200,6 +205,26 @@ class CallbackCounter(_Family):
 
     def samples(self) -> List[Tuple[str, Sample]]:
         return [(self.name, ((), float(self._callback())))]
+
+
+class CallbackFamily(_Family):
+    """Labelled counters (or gauges) read at render time: ``callback()``
+    maps each label-value tuple, in ``label_names`` order, to its value
+    (a router's backend slots, a batcher's flush reasons)."""
+
+    def __init__(self, name: str, help_: str, label_names: Sequence[str],
+                 callback: Callable[[], Mapping[Tuple[str, ...], float]],
+                 kind: str = "counter"):
+        super().__init__(name, help_)
+        self.kind = kind
+        self.label_names = _check_label_names(label_names)
+        self._callback = callback
+
+    def samples(self) -> List[Tuple[str, Sample]]:
+        return [(self.name,
+                 (tuple(sorted(zip(self.label_names, map(str, key)))),
+                  float(value)))
+                for key, value in self._callback().items()]
 
 
 class Gauge(_Family):
@@ -391,6 +416,12 @@ class MetricsRegistry:
                          callback: Callable[[], float]) -> CallbackCounter:
         return self._register(CallbackCounter(name, help_, callback))
 
+    def callback_family(self, name: str, help_: str,
+                        label_names: Sequence[str], callback: Callable,
+                        kind: str = "counter") -> CallbackFamily:
+        return self._register(
+            CallbackFamily(name, help_, label_names, callback, kind))
+
     def gauge(self, name: str, help_: str) -> Gauge:
         return self._register(Gauge(name, help_))
 
@@ -419,39 +450,36 @@ class MetricsRegistry:
         return "\n".join(out) + "\n" if out else ""
 
 
-# -- process-global provider section -------------------------------------------
+# -- engine provider section --------------------------------------------------
 
 
-def provider_exposition() -> str:
-    """The :mod:`repro.engine.metrics` provider snapshot as counters.
+def provider_exposition(totals: Mapping[str, Mapping[str, float]]) -> str:
+    """Per-provider counters (:mod:`repro.engine.metrics`) as counters.
 
-    Each provider key renders as ``repro_<provider>_<key>``; the values
-    are this process's live counters (compile cache, stores,
-    ``solve_profile``).  Imported lazily so :mod:`repro.obs` stays
-    importable on its own.
+    Each provider key renders as ``repro_<provider>_<key>``.  ``totals``
+    is what :meth:`repro.engine.ExecutionEngine.counter_totals` returns:
+    this process's counters plus, under a process pool, the workers'.
     """
-    from repro.engine import metrics as engine_metrics
-
     out: List[str] = []
-    snapshot = engine_metrics.snapshot()
-    for provider in sorted(snapshot):
-        for key in sorted(snapshot[provider]):
+    for provider in sorted(totals):
+        for key in sorted(totals[provider]):
             name = f"repro_{provider}_{key}"
             if not _NAME_RE.match(name):
                 continue
             out.append(f"# HELP {name} Engine metrics provider counter.")
             out.append(f"# TYPE {name} counter")
-            out.append(f"{name} {_format_value(float(snapshot[provider][key]))}")
+            out.append(f"{name} {_format_value(float(totals[provider][key]))}")
     return "\n".join(out) + "\n" if out else ""
 
 
 def render_prometheus(registries: Iterable[MetricsRegistry],
-                      include_providers: bool = True) -> str:
-    """Render registries (plus, by default, the engine provider section)
-    into one Prometheus text 0.0.4 exposition."""
+                      providers: Optional[Mapping[str, Mapping[str, float]]]
+                      = None) -> str:
+    """Render registries (plus, when given, the engine ``providers``
+    section) into one Prometheus text 0.0.4 exposition."""
     parts = [registry.render() for registry in registries]
-    if include_providers:
-        parts.append(provider_exposition())
+    if providers is not None:
+        parts.append(provider_exposition(providers))
     return "".join(part for part in parts if part)
 
 

@@ -521,10 +521,16 @@ def merge_trace_records(records: Sequence[Dict[str, object]]
     merged: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
     seen: Dict[str, set] = {}
     for record in records:
+        # Fragments come off other hosts' JSON: a record that is not an
+        # object, or spans that are not objects, are skipped.
+        if not isinstance(record, dict):
+            continue
         trace_id = record.get("trace_id")
         if not isinstance(trace_id, str):
             continue
-        spans = record.get("spans") or []
+        spans = record.get("spans")
+        spans = [entry for entry in spans if isinstance(entry, dict)] \
+            if isinstance(spans, list) else []
         target = merged.get(trace_id)
         if target is None:
             target = merged[trace_id] = dict(record)

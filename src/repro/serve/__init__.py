@@ -18,7 +18,7 @@ concurrent traffic:
   feeding ``benchmarks/bench_serve.py`` and ``benchmarks/bench_http.py``;
 - :mod:`repro.serve.http` — :class:`AssertHttpServer`: the stdlib
   JSON-over-HTTP transport (``POST /v1/solve``, ``POST /v1/eval``,
-  ``GET /healthz`` / ``/statsz`` / ``/metricsz`` / ``/tracez``,
+  ``GET /healthz`` / ``/metricsz`` / ``/tracez`` / ``/covz``,
   ``DELETE /v1/solve/{request_id}``, graceful drain), carrying
   request traces across the wire via ``X-Repro-Trace-Id`` (see
   :mod:`repro.obs`);
@@ -33,7 +33,11 @@ concurrent traffic:
 - :mod:`repro.serve.router` — :class:`FleetRouter`: consistent-hash
   routing over N :class:`AssertHttpServer` backends on the same wire
   protocol (cache-affine key routing, health ejection/re-admission,
-  429 spillover, fleet ``/statsz``, propagated drain).
+  429 spillover, fleet ``/metricsz``, propagated drain).
+
+``GET /metricsz`` is the one counter surface for operators, on a lone
+server and on the router alike; :meth:`AssertService.stats` is the same
+counters as a typed in-process snapshot.
 """
 
 from repro.serve.batcher import BatcherStats, MicroBatcher

@@ -49,13 +49,6 @@ class BatcherStats:
     def mean_batch(self) -> float:
         return self.items / self.batches if self.batches else 0.0
 
-    def snapshot(self) -> dict:
-        return {"batches": self.batches, "items": self.items,
-                "max_batch": self.max_batch,
-                "mean_batch": round(self.mean_batch, 3),
-                "flush_errors": self.flush_errors,
-                "flush_reasons": dict(self.flush_reasons)}
-
 
 class MicroBatcher:
     """Queue consumer that flushes coalesced batches via a callback."""

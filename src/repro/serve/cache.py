@@ -36,8 +36,8 @@ class ResultCache:
     """Thread-safe content-hash LRU of solve responses.
 
     Counters are monotonic (like :class:`CompileCache`'s) so deltas
-    between snapshots are meaningful; they surface in
-    :class:`repro.serve.service.ServiceStats`.  With a backing ``store``,
+    between snapshots are meaningful; they surface on ``/metricsz`` and
+    in :class:`repro.serve.service.ServiceStats`.  With a backing ``store``,
     a memory miss consults it before reporting a miss (``store_hits``
     counts the refills — ``hits + store_hits + misses == lookups``) and
     every ``put`` writes through, so entries evicted from memory refill
@@ -51,10 +51,12 @@ class ResultCache:
 
     ``scope`` names what else, besides the request, a response depends
     on: the service passes its config's semantic digest (the ``seed``
-    every solve's RNG streams derive from).  The memory tier belongs to
-    one service, so its keys are request keys; the store may be shared
-    by services with different seeds, so its keys are
-    ``content_key(scope, key)`` and two scopes never serve each other.
+    every solve's RNG streams derive from), with its ``coverage`` flag
+    folded in when on (responses then carry a coverage block).  The
+    memory tier belongs to one service, so its keys are request keys;
+    the store may be shared by services with different configs, so its
+    keys are ``content_key(scope, key)`` and two scopes never serve each
+    other.
     """
 
     def __init__(self, max_entries: int = 1024, store=None,

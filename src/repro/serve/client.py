@@ -322,12 +322,6 @@ class AssertClient:
         payload["http_status"] = status
         return payload
 
-    def statsz(self) -> Dict[str, object]:
-        status, _, data = self._request("GET", "/statsz")
-        if status != 200:
-            raise ClientError(status, data.decode("utf-8", "replace"))
-        return json.loads(data)
-
     def metricsz(self) -> str:
         """The server's Prometheus text exposition (``GET /metricsz``)."""
         status, _, data = self._request("GET", "/metricsz")

@@ -37,13 +37,14 @@ reproduction runs as an actual service without growing a dependency:
   envelope: ``{"code": ..., "detail": ..., "status": ...}`` (see
   :mod:`repro.serve.codecs`).
 - ``GET /healthz`` — liveness (``503`` + ``draining`` once shutdown
-  starts); ``GET /statsz`` — :meth:`AssertService.statsz` (the full
-  :class:`ServiceStats` snapshot incl. queue-depth/inflight gauges,
-  plus backing-store counters).
-- ``GET /metricsz`` — Prometheus text (HTTP edge + service registries
-  plus engine provider counters); ``GET /tracez`` — JSON, the recent
-  and slowest request traces (see :mod:`repro.obs`; ``?limit=N`` /
-  ``?slowest=N`` cap the lists); ``GET /covz`` — JSON, the retained
+  starts).
+- ``GET /metricsz`` — Prometheus text, the one counter surface: the
+  HTTP edge and service registries (request outcomes, queue-depth and
+  inflight gauges, batch and flush counters, result-cache and store
+  counters) plus the engine provider counters, worker processes'
+  included (:meth:`AssertService.counter_totals`).  ``GET /tracez`` —
+  JSON, the recent and slowest request traces (see :mod:`repro.obs`;
+  ``?limit=N`` / ``?slowest=N`` cap the lists); ``GET /covz`` — JSON, the retained
   per-design coverage reports (``?limit=N``; populated when the
   service runs with ``ServeConfig.coverage`` on).  Solve requests
   carry an optional ``X-Repro-Trace-Id`` header (``trace_id`` or
@@ -132,7 +133,7 @@ def _handler_label(command: str, path: str) -> str:
     if command == "DELETE" and (path.startswith("/v1/solve/")
                                 or path.startswith("/v1/eval/")):
         return "cancel"
-    if path in ("/healthz", "/statsz", "/metricsz", "/tracez", "/covz"):
+    if path in ("/healthz", "/metricsz", "/tracez", "/covz"):
         return path[1:]
     return "other"
 
@@ -251,7 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = 15
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # no stderr spam; /statsz is the observability surface
+        pass  # no stderr spam; /metricsz is the observability surface
 
     # -- helpers -------------------------------------------------------------
 
@@ -481,8 +482,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(503, {"status": "draining"})
             else:
                 self._send_json(200, {"status": "ok"})
-        elif route == "/statsz":
-            self._send_json(200, ctx.statsz())
         elif route == "/metricsz":
             self._send_body(200, ctx.metricsz().encode("utf-8"),
                             content_type=PROMETHEUS_CONTENT_TYPE)
@@ -564,16 +563,14 @@ class AssertHttpServer:
         if started is not None:
             self._http_seconds.observe(time.perf_counter() - started)
 
-    def statsz(self) -> Dict[str, object]:
-        """The ``GET /statsz`` payload (the service's, unchanged)."""
-        return self.service.statsz()
-
     def metricsz(self) -> str:
         """The ``GET /metricsz`` exposition: this edge's HTTP metrics,
-        the fronted service's registry, and the process-global engine
-        provider counters (compile cache, stores, solve profile)."""
+        the fronted service's registry, and the engine provider counters
+        (compile cache, stores, solve profile, coverage) as the service's
+        engine totals them."""
         return obs_metrics.render_prometheus(
-            [self.metrics, self.service.metrics])
+            [self.metrics, self.service.metrics],
+            providers=self.service.counter_totals())
 
     def tracez(self, limit: Optional[int] = None,
                slowest: Optional[int] = None) -> Dict[str, object]:

@@ -23,10 +23,10 @@ like one bigger instance without forking the protocol or the bytes:
   and connection-error failover are sound because responses are pure
   functions of the content key — re-executing a request elsewhere
   yields byte-identical bytes.
-- **Fleet-wide ``/statsz``.**  Numeric fields of every backend's
-  snapshot are summed into one fleet view (``service`` / ``store`` /
-  ``solve_profile``), with per-backend snapshots and router counters
-  alongside — ratios only make sense per backend, so read them there.
+- **Fleet-wide ``/metricsz``.**  Every backend's series summed, plus
+  the router's counters (per-backend ones as ``{node=}`` series); read
+  ratios off a backend's own ``/metricsz``, found by the address its
+  ``/healthz`` entry names next to its last error.
 - **Graceful drain that propagates.**  ``close()`` stops accepting,
   lets in-flight forwards finish against still-live backends (handler
   threads are joined), and only then drains the backends themselves
@@ -159,7 +159,7 @@ class RouterConfig:
     #: How long one forwarded solve may take before the router gives up
     #: on that backend and fails over to the next ring candidate.
     forward_timeout_s: float = knob(300.0, kind=float, gt=0, role=EXECUTION)
-    #: Socket budget for ``/healthz`` and ``/statsz`` probes.
+    #: Socket budget for ``/healthz`` probes and diagnostic fan-outs.
     probe_timeout_s: float = knob(2.0, kind=float, gt=0, role=EXECUTION)
     #: Background health-probe period.  Probes are also how ejected
     #: backends get re-admitted, so this bounds the re-admission lag.
@@ -315,18 +315,15 @@ class _RouterHandler(_Handler):
         route = parsed.path
         if route == "/healthz":
             healthy, total = ctx.health()
-            fleet = {"healthy": healthy, "total": total}
+            body = {"backends": {"healthy": healthy, "total": total},
+                    "nodes": ctx.node_status()}
             if ctx.draining:
                 self.close_connection = True
-                self._send_json(503, {"status": "draining",
-                                      "backends": fleet})
+                self._send_json(503, {"status": "draining", **body})
             elif healthy == 0:
-                self._send_json(503, {"status": "unavailable",
-                                      "backends": fleet})
+                self._send_json(503, {"status": "unavailable", **body})
             else:
-                self._send_json(200, {"status": "ok", "backends": fleet})
-        elif route == "/statsz":
-            self._send_json(200, ctx.statsz())
+                self._send_json(200, {"status": "ok", **body})
         elif route == "/metricsz":
             self._send_body(200, ctx.metricsz().encode("utf-8"),
                             content_type=PROMETHEUS_CONTENT_TYPE)
@@ -355,14 +352,6 @@ class _RouterHandler(_Handler):
 
 
 # -- router --------------------------------------------------------------------
-
-
-def _merge_numeric(total: Dict[str, float], payload: Dict[str, object]) -> None:
-    """Sum ``payload``'s numeric fields into ``total`` (bools/strings skipped)."""
-    for key, value in payload.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        total[key] = total.get(key, 0) + value
 
 
 def _diag_query(**params: Optional[int]) -> str:
@@ -469,6 +458,15 @@ class FleetRouter:
         self.metrics.gauge_callback(
             "repro_router_backends_total", "Backends on the ring.",
             lambda: self.health()[1])
+        self.metrics.callback_family(
+            "repro_router_backend_healthy",
+            "1 while the router routes to this backend, else 0.",
+            ("node",), lambda: self._per_node("healthy"), kind="gauge")
+        for name in ("forwarded", "ejections", "readmissions"):
+            self.metrics.callback_family(
+                f"repro_router_backend_{name}_total",
+                f"Per-backend {name} count.", ("node",),
+                (lambda attr: lambda: self._per_node(attr))(name))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -597,6 +595,18 @@ class FleetRouter:
     def _slot_total(self, attr: str) -> int:
         with self._lock:
             return sum(getattr(slot, attr) for slot in self._slots)
+
+    def _per_node(self, attr: str) -> Dict[Tuple[str], int]:
+        with self._lock:
+            return {(slot.node,): int(getattr(slot, attr))
+                    for slot in self._slots}
+
+    def node_status(self) -> Dict[str, Dict[str, str]]:
+        """``/healthz``'s per-node ``address`` and ``last_error``."""
+        with self._lock:
+            return {slot.node: {"address": slot.address,
+                                "last_error": slot.last_error}
+                    for slot in self._slots}
 
     def _eject(self, slot: _BackendSlot, reason: str) -> None:
         with self._lock:
@@ -761,15 +771,13 @@ class FleetRouter:
         Every backend's own exposition is fetched and merged — samples
         with identical ``name{labels}`` sum, so counters and histogram
         buckets aggregate fleet-wide — then the router's registry is
-        appended.  The router's copy of the process-global provider
-        section is left out: backends already expose their own, and in
-        the single-process ``make_fleet()`` shape those are one shared
-        set of counters (so, as with the summed ``/statsz`` profile,
+        appended.  The router renders no provider section of its own:
+        backends already expose theirs, and in the single-process
+        ``make_fleet()`` shape those are one shared set of counters (so
         N co-located backends count shared state N times)."""
         texts = [text for _, text in self._gather("/metricsz", text=True)
                  if text is not None]
-        texts.append(obs_metrics.render_prometheus(
-            [self.metrics], include_providers=False))
+        texts.append(obs_metrics.render_prometheus([self.metrics]))
         return obs_metrics.merge_expositions(texts)
 
     def tracez(self, limit: Optional[int] = None,
@@ -789,8 +797,9 @@ class FleetRouter:
             f"/tracez{_diag_query(limit=limit, slowest=slowest)}")
             if payload is not None]
         for payload in payloads:
-            recent.extend(payload.get("recent") or ())
-            slow_records.extend(payload.get("slowest") or ())
+            for key, into in (("recent", recent), ("slowest", slow_records)):
+                if isinstance(payload.get(key), list):  # else misshapen
+                    into.extend(payload[key])
         merged_recent = obs_trace.merge_trace_records(recent)
         merged_slowest = obs_trace.merge_trace_records(slow_records)
         merged_slowest.sort(key=lambda r: -float(r.get("duration_ms") or 0.0))
@@ -836,45 +845,3 @@ class FleetRouter:
                     slot.readmissions for slot in self._slots),
                 "cancel_broadcasts": self._cancel_broadcasts,
             }
-
-    def statsz(self) -> Dict[str, object]:
-        """The fleet-wide ``/statsz`` payload.
-
-        Shape mirrors a single backend's ``statsz()`` — ``service`` /
-        ``store`` / ``solve_profile`` with numeric fields summed across
-        backends — plus ``router`` (routing counters) and ``backends``
-        (per-backend health + unsummed snapshots, where ratio fields
-        like ``cache_hit_rate`` remain meaningful)."""
-        service_total: Dict[str, float] = {}
-        store_total: Dict[str, float] = {}
-        profile_total: Dict[str, float] = {}
-        store_seen = False
-        backends_payload: List[Dict[str, object]] = []
-        for slot, snapshot in self._gather("/statsz"):
-            if snapshot is not None:
-                _merge_numeric(service_total,
-                               snapshot.get("service") or {})
-                store = snapshot.get("store")
-                if isinstance(store, dict):
-                    store_seen = True
-                    _merge_numeric(store_total, store)
-                _merge_numeric(profile_total,
-                               snapshot.get("solve_profile") or {})
-            with self._lock:
-                backends_payload.append({
-                    "node": slot.node,
-                    "address": slot.address,
-                    "healthy": slot.healthy,
-                    "forwarded": slot.forwarded,
-                    "ejections": slot.ejections,
-                    "readmissions": slot.readmissions,
-                    "last_error": slot.last_error,
-                    "statsz": snapshot,
-                })
-        return {
-            "router": self.stats(),
-            "service": service_total,
-            "store": store_total if store_seen else None,
-            "solve_profile": profile_total,
-            "backends": backends_payload,
-        }

@@ -24,8 +24,11 @@ request/response layer the ROADMAP's serving goal needs:
   :meth:`repro.engine.ExecutionEngine.map` call — workers share the
   process-wide compile cache, and each unit scores all of a design's
   proposals with one ``bounded_check_batch``-backed validation pass.
-- :class:`ServiceStats` surfaces every counter an operator needs:
-  queue/backpressure, batch shapes, cache hits, dedup wins, errors.
+- The service's registry (``/metricsz`` through
+  :class:`repro.serve.AssertHttpServer`) surfaces every counter an
+  operator needs: queue/backpressure, batch shapes and flush reasons,
+  cache and store hits, dedup wins, errors; :class:`ServiceStats` is the
+  same counters as one typed in-process snapshot.
 
 Malformed Verilog never crashes a worker: a request that does not
 compile resolves to a structured ``compile_error`` response carrying the
@@ -42,7 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import cov, knobs
@@ -54,7 +57,7 @@ from repro.obs import trace as obs_trace
 from repro.eval.cases import cases_to_json
 from repro.eval.config import EvalConfig
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
-from repro.serve.batcher import MicroBatcher
+from repro.serve.batcher import BatcherStats, MicroBatcher
 from repro.sim.compiled import SIM_MODES
 from repro.serve.cache import ResultCache, content_key
 from repro.store import StoreConfig
@@ -453,9 +456,10 @@ class ServeConfig:
     """Capacity and execution knobs for one :class:`AssertService`.
 
     Its execution knobs (workers, backend, caches, batching) never
-    change responses — only how fast they arrive.  The one ``semantic``
-    knob, ``seed``, roots every solve's RNG streams, so its digest
-    scopes the result cache's store keys.
+    change responses — only how fast they arrive — except ``coverage``,
+    which adds a block to them.  The one ``semantic`` knob, ``seed``,
+    roots every solve's RNG streams; its digest, and ``coverage`` when
+    on, scope the result cache's store keys.
     """
 
     n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
@@ -473,7 +477,8 @@ class ServeConfig:
     #: every solve's validating checks.  A pure execution knob like
     #: ``sim_mode``: it never changes which proposals are served, only
     #: whether responses additionally carry a ``coverage`` block (and
-    #: the ``/covz`` buffer fills).  Off by default so the serving hot
+    #: the ``/covz`` buffer fills) — which is why, when on, it scopes the
+    #: result cache's store keys.  Off by default so the serving hot
     #: path pays nothing for it.
     coverage: bool = knob(False, kind=bool, role=EXECUTION)
     seed: int = knob(2025, kind=int, role=SEMANTIC)
@@ -504,6 +509,13 @@ class ServeConfig:
             initargs=self.compile_cache_settings())
 
 
+def _counter(help_: str):
+    """A :class:`ServiceStats` field the service keeps itself: an
+    ``AssertService._<name>`` attribute and a ``repro_service_<name>_total``
+    series with this help text."""
+    return field(default=0, metadata={"help": help_})
+
+
 @dataclass
 class ServiceStats:
     """One consistent snapshot of every service counter.
@@ -515,18 +527,19 @@ class ServiceStats:
     returning 429s.
     """
 
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    errors: int = 0
-    solved: int = 0
-    deduped: int = 0
-    compile_errors: int = 0
-    timeouts: int = 0
-    cancelled: int = 0
-    evals: int = 0
-    eval_cases: int = 0
-    eval_memo_hits: int = 0
+    submitted: int = _counter("Cumulative submitted requests.")
+    completed: int = _counter("Cumulative completed requests.")
+    rejected: int = _counter("Cumulative rejected requests.")
+    errors: int = _counter("Cumulative errors requests.")
+    solved: int = _counter("Cumulative solved requests.")
+    deduped: int = _counter("Cumulative deduped requests.")
+    compile_errors: int = _counter("Cumulative compile_errors requests.")
+    timeouts: int = _counter("Cumulative timeouts requests.")
+    cancelled: int = _counter("Cumulative cancelled requests.")
+    evals: int = _counter("Cumulative evals requests.")
+    eval_cases: int = _counter("Cumulative eval cases scored.")
+    eval_memo_hits: int = _counter("Cumulative eval cases served from the "
+                                   "store memo.")
     cache_hits: int = 0
     cache_misses: int = 0
     cache_store_hits: int = 0
@@ -548,6 +561,13 @@ class ServiceStats:
 
     def to_dict(self) -> Dict[str, object]:
         return dict(self.__dict__)
+
+
+#: ``{name: help}`` of the ``_counter`` fields: what ``stats()`` and the
+#: metrics registry both walk.
+SERVICE_COUNTERS: Dict[str, str] = {
+    f.name: f.metadata["help"] for f in fields(ServiceStats)
+    if "help" in f.metadata}
 
 
 class _Pending:
@@ -691,7 +711,7 @@ class AssertService:
                        if self.config.store is not None else None)
         self._cache = (ResultCache(self.config.cache_entries,
                                    store=self._store,
-                                   scope=knobs.digest(self.config))
+                                   scope=self._cache_scope())
                        if self.config.result_cache else None)
         self._engine: Optional[ExecutionEngine] = None
         self._batcher: Optional[MicroBatcher] = None
@@ -703,18 +723,8 @@ class AssertService:
         self._closed = False
         self._lock = threading.Lock()
         self._by_id: Dict[str, List[_Pending]] = {}
-        self._submitted = 0
-        self._completed = 0
-        self._rejected = 0
-        self._errors = 0
-        self._solved = 0
-        self._deduped = 0
-        self._compile_errors = 0
-        self._timeouts = 0
-        self._cancelled = 0
-        self._evals = 0
-        self._eval_cases = 0
-        self._eval_memo_hits = 0
+        for name in SERVICE_COUNTERS:
+            setattr(self, f"_{name}", 0)
         self._models: Dict[str, Tuple[object, str]] = {}
         self._previous_compile_cache: Optional[tuple] = None
         self.metrics = obs_metrics.MetricsRegistry()
@@ -727,6 +737,16 @@ class AssertService:
             "(0 for a cache hit, resolved at submit).")
         self._register_metrics()
 
+    def _cache_scope(self) -> str:
+        """What a response depends on besides its request: the semantic
+        ``seed`` and, when on, ``coverage`` — an execution knob that
+        still adds the response's ``coverage`` block.  Folded in only
+        when on, so coverage-off keys (and existing stores) keep their
+        bytes."""
+        scope = knobs.digest(self.config)
+        return content_key(scope, "coverage") if self.config.coverage \
+            else scope
+
     def _register_metrics(self) -> None:
         """Expose the existing counters through the metrics registry.
 
@@ -737,12 +757,9 @@ class AssertService:
         def reader(attr: str):
             return lambda: getattr(self, attr)
 
-        for name in ("submitted", "completed", "rejected", "errors",
-                     "solved", "deduped", "compile_errors", "timeouts",
-                     "cancelled", "evals"):
+        for name, help_ in SERVICE_COUNTERS.items():
             self.metrics.counter_callback(
-                f"repro_service_{name}_total",
-                f"Cumulative {name} requests.", reader(f"_{name}"))
+                f"repro_service_{name}_total", help_, reader(f"_{name}"))
         self.metrics.gauge_callback(
             "repro_service_queue_depth", "Requests waiting in the queue.",
             lambda: self._queue.qsize())
@@ -753,6 +770,10 @@ class AssertService:
             "repro_service_inflight",
             "Accepted requests not yet resolved.",
             lambda: max(0, self._submitted - self._completed - self._errors))
+        self.metrics.gauge_callback(
+            "repro_service_workers", "Engine workers (1 = serial).",
+            lambda: self._engine.n_workers if self._engine is not None
+            else 1)
         if self._cache is not None:
             self.metrics.counter_callback(
                 "repro_service_cache_hits_total", "Result-cache hits.",
@@ -760,23 +781,43 @@ class AssertService:
             self.metrics.counter_callback(
                 "repro_service_cache_misses_total", "Result-cache misses.",
                 lambda: self._cache.misses)
+            self.metrics.counter_callback(
+                "repro_service_cache_store_hits_total",
+                "Result-cache misses refilled from the store.",
+                lambda: self._cache.store_hits)
             self.metrics.gauge_callback(
                 "repro_service_cache_entries", "Live result-cache entries.",
                 lambda: len(self._cache))
-        self.metrics.provider(
-            "repro_engine",
-            "Worker-side counter deltas accumulated by the engine.",
-            self._engine_worker_totals)
+        if self._store is not None:
+            self.metrics.provider(
+                "repro_service_store",
+                "The service's own artifact-store counter.",
+                lambda: {key: value for key, value
+                         in self._store.counters().items()
+                         if type(value) is int})  # not TieredStore's dicts
+            self.metrics.gauge_callback(
+                "repro_service_store_entries", "Entries in the store.",
+                lambda: len(self._store))
 
-    def _engine_worker_totals(self) -> Dict[str, int]:
-        engine = self._engine
-        if engine is None:
-            return {}
-        flat: Dict[str, int] = {}
-        for provider, counters in engine.metric_totals().items():
-            for key, value in counters.items():
-                flat[f"{provider}_{key}"] = value
-        return flat
+        self.metrics.counter_callback(
+            "repro_service_batches_total", "Batches flushed.",
+            lambda: self._batcher_stats().batches)
+        self.metrics.counter_callback(
+            "repro_service_batched_requests_total",
+            "Requests carried by flushed batches.",
+            lambda: self._batcher_stats().items)
+        self.metrics.gauge_callback(
+            "repro_service_batch_max", "Largest batch flushed so far.",
+            lambda: self._batcher_stats().max_batch)
+        self.metrics.callback_family(
+            "repro_service_batch_flushes_total",
+            "Batches flushed, by what closed them.", ("reason",),
+            lambda: {(reason,): count for reason, count
+                     in self._batcher_stats().flush_reasons.items()})
+
+    def _batcher_stats(self) -> BatcherStats:
+        batcher = self._batcher  # None until start()
+        return batcher.stats if batcher is not None else BatcherStats()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1231,18 +1272,8 @@ class AssertService:
         in-flight request by one update."""
         stats = ServiceStats()
         with self._lock:
-            stats.submitted = self._submitted
-            stats.completed = self._completed
-            stats.rejected = self._rejected
-            stats.errors = self._errors
-            stats.solved = self._solved
-            stats.deduped = self._deduped
-            stats.compile_errors = self._compile_errors
-            stats.timeouts = self._timeouts
-            stats.cancelled = self._cancelled
-            stats.evals = self._evals
-            stats.eval_cases = self._eval_cases
-            stats.eval_memo_hits = self._eval_memo_hits
+            for name in SERVICE_COUNTERS:
+                setattr(stats, name, getattr(self, f"_{name}"))
             stats.inflight = max(
                 0, self._submitted - self._completed - self._errors)
         if self._cache is not None:
@@ -1253,15 +1284,14 @@ class AssertService:
             stats.cache_hit_rate = round(self._cache.hit_rate, 4)
         if self._store is not None:
             stats.store_entries = len(self._store)
-        if self._batcher is not None:
-            snap = self._batcher.stats.snapshot()
-            stats.batches = snap["batches"]
-            stats.batched_requests = snap["items"]
-            stats.mean_batch = snap["mean_batch"]
-            stats.max_batch = snap["max_batch"]
-            stats.flush_size = snap["flush_reasons"]["size"]
-            stats.flush_timeout = snap["flush_reasons"]["timeout"]
-            stats.flush_drain = snap["flush_reasons"]["drain"]
+        batcher = self._batcher_stats()
+        stats.batches = batcher.batches
+        stats.batched_requests = batcher.items
+        stats.mean_batch = round(batcher.mean_batch, 3)
+        stats.max_batch = batcher.max_batch
+        stats.flush_size, stats.flush_timeout, stats.flush_drain = (
+            batcher.flush_reasons[reason]
+            for reason in ("size", "timeout", "drain"))
         stats.queue_depth = self._queue.qsize()
         stats.queue_capacity = self.config.max_queue
         if self._engine is not None:
@@ -1269,33 +1299,11 @@ class AssertService:
             stats.n_workers = self._engine.n_workers
         return stats
 
-    def statsz(self) -> Dict[str, object]:
-        """The operator payload behind ``GET /statsz``: the full
-        :class:`ServiceStats` snapshot, the backing store's own counters
-        (hit/miss/write/evict/corrupt) when one is attached, and the
-        cumulative per-phase solve profile (``*_us`` wall-time counters
-        for program compilation, simulation, monitoring and BMC) summed
-        across worker processes when the engine pools."""
-        payload: Dict[str, object] = {"service": self.stats().to_dict()}
-        if self._store is not None:
-            store_info = dict(self._store.counters())
-            store_info["entries"] = len(self._store)
-            payload["store"] = store_info
-        else:
-            payload["store"] = None
-        profile = dict(metrics.profile_counters())
-        if self._engine is not None and self._engine.backend == "process":
-            for key, value in self._engine.metric_totals().get(
-                    "solve_profile", {}).items():
-                profile[key] = profile.get(key, 0) + value
-        payload["solve_profile"] = profile
-        coverage = dict(cov.coverage_counters())
-        if self._engine is not None and self._engine.backend == "process":
-            for key, value in self._engine.metric_totals().get(
-                    "coverage", {}).items():
-                coverage[key] = coverage.get(key, 0) + value
-        payload["coverage"] = coverage
-        return payload
+    def counter_totals(self) -> Dict[str, Dict[str, int]]:
+        """The engine's :meth:`ExecutionEngine.counter_totals` (this
+        process's snapshot before :meth:`start`), for ``/metricsz``."""
+        engine = self._engine
+        return engine.counter_totals() if engine else metrics.snapshot()
 
     def covz(self, limit: Optional[int] = None) -> Dict[str, object]:
         """The payload behind ``GET /covz``: this service's retained

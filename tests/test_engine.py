@@ -256,6 +256,29 @@ class TestParallelDeterminism:
         assert cached.fingerprint() == uncached.fingerprint()
         assert uncached.stats["compile_cache"]["hits"] == 0
 
+    def test_serial_and_process_runs_count_the_same_work(self):
+        serial = run_pipeline(DatagenConfig(coverage=True, **self.CONFIG))
+        pooled = run_pipeline(DatagenConfig(coverage=True, n_workers=2,
+                                            backend="process",
+                                            **self.CONFIG))
+        assert serial.stats["coverage"]["reports_total"] > 0
+        assert pooled.stats["coverage"] == serial.stats["coverage"]
+
+        # Each worker keeps its own compile cache, so a source compiled
+        # in one worker is a miss in the next: the hit/miss split follows
+        # the schedule, the lookups do not.
+        def lookups(bundle):
+            cache = bundle.stats["compile_cache"]
+            return cache["hits"] + cache["store_hits"] + cache["misses"]
+
+        assert lookups(pooled) == lookups(serial) > 0
+
+        def phases(bundle):
+            return {key for key, value
+                    in bundle.stats["solve_profile"].items() if value > 0}
+
+        assert phases(pooled) == phases(serial) != set()
+
     def test_pipeline_reports_cache_hits(self):
         bundle = run_pipeline(DatagenConfig(**self.CONFIG))
         assert bundle.stats["compile_cache"]["hits"] > 0

@@ -292,16 +292,130 @@ class TestOperatorEndpoints:
         assert payload["http_status"] == 200
         assert payload["status"] == "ok"
 
-    def test_statsz_exposes_gauges_and_store(self, shared):
+    def test_metricsz_exposes_gauges_and_store(self, shared):
         _, client = shared
         client.solve(fast_request(MINI_SOURCE))
-        payload = client.statsz()
-        service_stats = payload["service"]
-        for gauge in ("inflight", "queue_depth", "queue_capacity",
-                      "cancelled", "timeouts", "submitted", "cache_hits"):
-            assert gauge in service_stats
-        assert service_stats["submitted"] >= 1
-        assert "store" in payload  # None without a configured store
+        parsed = obs_metrics.parse_prometheus_text(client.metricsz())
+        for name in ("repro_service_inflight", "repro_service_queue_depth",
+                     "repro_service_queue_capacity",
+                     "repro_service_cancelled_total",
+                     "repro_service_timeouts_total",
+                     "repro_service_cache_hits_total"):
+            assert parsed.value(name) is not None, name
+        assert parsed.value("repro_service_submitted_total") >= 1
+        # No configured store, so no store series.
+        assert parsed.value("repro_service_store_entries") is None
+
+    def test_statsz_is_gone(self, shared):
+        _, client = shared
+        status, _, body = client._request("GET", "/statsz")
+        assert status == 404
+        assert json.loads(body) == {
+            "code": 404, "detail": "no such endpoint: /statsz",
+            "status": "error"}
+
+
+#: Every numeric ``ServiceStats`` field ``/statsz`` used to carry, and
+#: the ``/metricsz`` series that carries it now (``None``: a ratio of
+#: rendered counters, derivable by any scraper, so off the wire).
+STATSZ_SERIES = {
+    **{name: (f"repro_service_{name}_total", {}) for name in (
+        "submitted", "completed", "rejected", "errors", "solved",
+        "deduped", "compile_errors", "timeouts", "cancelled", "evals",
+        "eval_cases", "eval_memo_hits", "cache_hits", "cache_misses",
+        "cache_store_hits", "batches", "batched_requests")},
+    "cache_entries": ("repro_service_cache_entries", {}),
+    "store_entries": ("repro_service_store_entries", {}),
+    "max_batch": ("repro_service_batch_max", {}),
+    "flush_size": ("repro_service_batch_flushes_total", {"reason": "size"}),
+    "flush_timeout": ("repro_service_batch_flushes_total",
+                      {"reason": "timeout"}),
+    "flush_drain": ("repro_service_batch_flushes_total",
+                    {"reason": "drain"}),
+    "queue_depth": ("repro_service_queue_depth", {}),
+    "queue_capacity": ("repro_service_queue_capacity", {}),
+    "inflight": ("repro_service_inflight", {}),
+    "n_workers": ("repro_service_workers", {}),
+    "mean_batch": None,
+    "cache_hit_rate": None,
+}
+
+
+def provider_counts(parsed) -> dict:
+    """``{series: value}`` of the engine provider section."""
+    return {name: value for (name, labels), value in parsed.samples.items()
+            if name.startswith(("repro_compile_cache_", "repro_coverage_",
+                                "repro_solve_profile_", "repro_engine_"))}
+
+
+class TestOneMetricsSurface:
+    """``/metricsz`` carries every number ``/statsz`` did, and counts
+    worker-side work by the engine's one rule."""
+
+    def test_every_old_statsz_field_has_a_series(self, tmp_path):
+        from dataclasses import fields
+
+        from repro.serve import ServiceStats
+        from repro.store import StoreConfig
+
+        numeric = {f.name for f in fields(ServiceStats) if f.type != "str"}
+        assert set(STATSZ_SERIES) == numeric
+        with http_server(store=StoreConfig(path=tmp_path),
+                         coverage=True) as (server, client):
+            for source in (MINI_SOURCE, MINI_SOURCE, "module broken("):
+                client.solve(fast_request(source))
+        # Read after the drain: store writes trail the responses.
+        parsed = obs_metrics.parse_prometheus_text(server.metricsz())
+        stats = server.service.stats()
+        store = server.service._store.counters()
+        totals = server.service.counter_totals()
+        for field, series in STATSZ_SERIES.items():
+            if series is not None:
+                name, labels = series
+                assert parsed.value(name, **labels) == \
+                    getattr(stats, field), field
+        assert stats.solved == 2 and stats.cache_hits == 1
+        for key in ("hits", "misses", "writes", "evictions", "corrupt"):
+            assert parsed.value(f"repro_service_store_{key}") == store[key]
+        for provider in ("solve_profile", "coverage"):
+            for key, value in totals[provider].items():
+                assert parsed.value(f"repro_{provider}_{key}") == value
+
+    def test_provider_counts_match_across_backends(self):
+        # One request stream through a serial and a 2-worker process
+        # service: the provider section counts the same work either way
+        # (worker deltas added under the pool, nothing counted twice).
+        # A compile-cache size of its own gives each service a fresh
+        # compile cache, so both start from the same cache state.
+        sources = [f"// design {i}\n{MINI_SOURCE}" for i in (0, 1, 2, 0, 1)]
+        counted = {}
+        for backend, workers in (("serial", 1), ("process", 2)):
+            with http_server(backend=backend, n_workers=workers,
+                             coverage=True,
+                             compile_cache_size=1001) as (server, client):
+                before = provider_counts(
+                    obs_metrics.parse_prometheus_text(client.metricsz()))
+                for source in sources:
+                    assert client.solve(fast_request(source)).ok
+                after = provider_counts(
+                    obs_metrics.parse_prometheus_text(client.metricsz()))
+                assert server.service.stats().solved == 3
+            assert not any(name.startswith("repro_engine_") for name in after)
+            counted[backend] = {name: value - before.get(name, 0)
+                                for name, value in after.items()}
+        serial, pooled = counted["serial"], counted["process"]
+        for prefix in ("repro_compile_cache_", "repro_coverage_"):
+            series = {k: v for k, v in serial.items() if k.startswith(prefix)}
+            assert series, prefix
+            assert series == {k: v for k, v in pooled.items()
+                              if k.startswith(prefix)}
+        assert serial["repro_compile_cache_misses"] > 0
+        assert serial["repro_coverage_reports_total"] == 3
+        profile = {k for k, v in serial.items()
+                   if k.startswith("repro_solve_profile_") and v > 0}
+        assert profile and profile == {
+            k for k, v in pooled.items()
+            if k.startswith("repro_solve_profile_") and v > 0}
 
 
 class TestLifecycle:

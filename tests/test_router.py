@@ -10,15 +10,16 @@ Covers the fleet-serving contract:
   affinity is intact after the blip;
 - 429 spillover walks the key's ring order, relaying the final 429
   (Retry-After included) only when every backend refuses;
-- fleet ``/statsz`` sums numeric fields across backends and exposes
-  per-backend snapshots plus router counters;
+- fleet ``/metricsz`` sums every backend's series and adds router
+  counters, per-backend ones as ``{node=}`` series, while ``/healthz``
+  names each backend's address and last error (``/statsz`` is gone);
 - responses through the router are byte-identical to single-instance
   bodies, and a drain still answers in-flight clients end to end while
   closing idle keep-alive connections at once;
 - a pooled backend connection that went stale is retried on a fresh
   one, never taken for a dead backend.
 
-Stub backends (scripted healthz/solve/statsz) pin down router logic
+Stub backends (scripted healthz/solve/diagnostics) pin down router logic
 deterministically; a real ``make_fleet`` fleet covers the wire contract
 end to end.
 """
@@ -115,8 +116,6 @@ class _StubHandler(BaseHTTPRequestHandler):
             ok = stub.health_code == 200
             self._reply(stub.health_code,
                         {"status": "ok" if ok else "unhealthy"})
-        elif self.path == "/statsz":
-            self._reply(200, stub.statsz_payload)
         else:
             self._reply(404, {"error": f"no such endpoint: {self.path}"})
 
@@ -146,8 +145,6 @@ class Stub:
         self.health_code = 200
         self.solve_code = 200
         self.cancelled = 0
-        self.statsz_payload = {"service": {}, "store": None,
-                               "solve_profile": {}}
         self.raw = {}  # GET path -> (code, raw body bytes), checked first
         self.log = []  # (global_seq, method) — cross-stub arrival order
         self.connections = []  # every accepted socket, for close()
@@ -291,7 +288,7 @@ class TestNodeNames:
             assert {key: router.candidates_for(key)[0]
                     for key in keys} == owners
 
-    def test_statsz_reports_name_and_address_separately(self):
+    def test_healthz_reports_name_and_address_separately(self):
         with ExitStack() as stack:
             stub = Stub("solo")
             stack.callback(stub.close)
@@ -301,9 +298,10 @@ class TestNodeNames:
                 node_names=["backend-0"])
             router.start()
             stack.callback(router.close)
-            (entry,) = router.statsz()["backends"]
-            assert entry["node"] == "backend-0"
-            assert entry["address"] == stub.node
+            health = AssertClient.for_server(router).healthz()
+            assert health["backends"] == {"healthy": 1, "total": 1}
+            assert health["nodes"] == {
+                "backend-0": {"address": stub.node, "last_error": ""}}
 
     def test_node_names_validation(self):
         backends = ["127.0.0.1:9", "127.0.0.1:10"]
@@ -418,39 +416,57 @@ class TestHealthEjection:
 
 
 class TestStatszAggregation:
+    """The sums fleet ``/statsz`` used to serve, read off the merged
+    ``/metricsz`` instead; ``/statsz`` itself is a 404."""
+
+    @staticmethod
+    def exposition(i: int, store: bool) -> bytes:
+        lines = [f"repro_service_submitted_total {10 + i}",
+                 f"repro_service_solved_total {5 + i}",
+                 f"repro_solve_profile_total_us {1000 * (i + 1)}"]
+        if store:
+            lines += [f"repro_service_store_hits {i}",
+                      f"repro_service_store_total_bytes {100 * i}"]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_numeric_fields_sum_across_backends(self):
         with stub_fleet() as (router, stubs):
             for i, stub in enumerate(stubs.values()):
-                stub.statsz_payload = {
-                    "service": {"submitted": 10 + i, "solved": 5 + i,
-                                "backend": "serial",  # strings skipped
-                                "draining": False},  # bools skipped
-                    "store": {"hits": i, "total_bytes": 100 * i},
-                    "solve_profile": {"total_us": 1000 * (i + 1)},
-                }
+                stub.raw["/metricsz"] = (200, self.exposition(i, store=True))
             client = AssertClient.for_server(router)
-            payload = client.statsz()
-            assert payload["service"]["submitted"] == 10 + 11 + 12
-            assert payload["service"]["solved"] == 5 + 6 + 7
-            assert "backend" not in payload["service"]
-            assert "draining" not in payload["service"]
-            assert payload["store"]["hits"] == 0 + 1 + 2
-            assert payload["store"]["total_bytes"] == 0 + 100 + 200
-            assert payload["solve_profile"]["total_us"] == 6000
-            assert payload["router"]["backends_total"] == 3
-            nodes = {entry["node"] for entry in payload["backends"]}
-            assert nodes == set(stubs)
-            assert all(entry["healthy"] for entry in payload["backends"])
+            parsed = obs_metrics.parse_prometheus_text(client.metricsz())
+            assert parsed.value("repro_service_submitted_total") == \
+                10 + 11 + 12
+            assert parsed.value("repro_service_solved_total") == 5 + 6 + 7
+            assert parsed.value("repro_service_store_hits") == 0 + 1 + 2
+            assert parsed.value("repro_service_store_total_bytes") == \
+                0 + 100 + 200
+            assert parsed.value("repro_solve_profile_total_us") == 6000
+            assert parsed.value("repro_router_backends_total") == 3
+            for node in stubs:
+                assert parsed.value("repro_router_backend_healthy",
+                                    node=node) == 1
+                assert parsed.value("repro_router_backend_forwarded_total",
+                                    node=node) == 0
+            status, _, body = client._request("GET", "/statsz")
+            assert status == 404
+            assert json.loads(body)["detail"] == "no such endpoint: /statsz"
 
     def test_store_stays_none_when_no_backend_has_one(self):
-        with stub_fleet(n=2) as (router, _):
-            assert router.statsz()["store"] is None
+        with stub_fleet(n=2) as (router, stubs):
+            for i, stub in enumerate(stubs.values()):
+                stub.raw["/metricsz"] = (200, self.exposition(i, store=False))
+            parsed = obs_metrics.parse_prometheus_text(router.metricsz())
+            assert parsed.value("repro_service_submitted_total") == 21
+            assert not any(name.startswith("repro_service_store_")
+                           for name, _ in parsed.samples)
 
 
 class TestDiagnosticFanOut:
-    """``/statsz``, ``/metricsz``, ``/tracez`` and ``/covz`` share one
-    fan-out: a transport error ejects the backend, a non-200 or
-    undecodable body is skipped, and neither escapes the handler."""
+    """``/metricsz``, ``/tracez`` and ``/covz`` share one fan-out: a
+    transport error ejects the backend, a non-200 or undecodable body is
+    skipped, and neither escapes the handler — nor does a body that
+    decodes but has the wrong shape."""
 
     GOOD = {
         "/metricsz": (200, b"repro_stub_total 2\n"),
@@ -460,44 +476,48 @@ class TestDiagnosticFanOut:
     }
 
     def test_bad_bodies_are_skipped_and_dead_backends_ejected(self):
-        with stub_fleet(n=4) as (router, stubs):
-            good, garbled, failing, dead = stubs.values()
+        with stub_fleet(n=5) as (router, stubs):
+            good, garbled, misshapen, failing, dead = stubs.values()
             good.raw.update(self.GOOD)
-            good.statsz_payload = {"service": {"submitted": 7},
-                                   "store": None, "solve_profile": {}}
-            # A 200 whose body does not decode: bad JSON, bad UTF-8,
-            # JSON that is not an object.
+            # A 200 whose body does not decode: bad UTF-8, JSON that is
+            # not an object.
             garbled.raw.update({
-                "/statsz": (200, b"{not json"),
                 "/metricsz": (200, b"\xff\xfe not utf-8"),
                 "/tracez": (200, b"[1, 2]"),
                 "/covz": (200, b'"a string"'),
             })
+            # Objects of the wrong shape: records, design entries and
+            # trace lists that are not objects or lists.
+            misshapen.raw.update({
+                "/metricsz": (200, b"repro_stub_total 1\n"),
+                "/tracez": (200, b'{"recent": ["a", 1, null], '
+                                 b'"slowest": {"not": "a list"}}'),
+                "/covz": (200, b'{"designs": [1, "x", {"design": "d"}], '
+                               b'"recorded": "many", "dropped": 0}'),
+            })
             failing.raw.update({path: (500, b'{"recent": []}')
-                                for path in ("/statsz", "/metricsz",
-                                             "/tracez", "/covz")})
+                                for path in ("/metricsz", "/tracez",
+                                             "/covz")})
             dead.close()
 
             client = AssertClient.for_server(router)
-            statsz = client.statsz()
-            by_node = {entry["node"]: entry for entry in statsz["backends"]}
-            assert set(by_node) == set(stubs)  # every backend listed
-            assert by_node[good.node]["statsz"]["service"]["submitted"] == 7
-            for stub in (garbled, failing, dead):
-                assert by_node[stub.node]["statsz"] is None
-            assert statsz["service"] == {"submitted": 7}
+            parsed = obs_metrics.parse_prometheus_text(client.metricsz())
+            assert parsed.value("repro_stub_total") == 2 + 1
             # Only the transport error ejects.
-            assert [by_node[s.node]["healthy"] for s in stubs.values()] == \
-                [True, True, True, False]
-            assert by_node[dead.node]["last_error"].startswith(
-                "statsz probe failed")
+            assert [parsed.value("repro_router_backend_healthy", node=node)
+                    for node in stubs] == [1, 1, 1, 1, 0]
+            nodes = client.healthz()["nodes"]
+            assert nodes[dead.node]["last_error"].startswith(
+                "metricsz probe failed")
+            assert nodes[dead.node]["address"] == dead.node
+            assert all(nodes[stub.node]["last_error"] == ""
+                       for stub in (good, garbled, misshapen, failing))
 
-            assert "repro_stub_total 2" in client.metricsz()
             tracez = client.tracez()
-            assert tracez["backends_reached"] == 1
+            assert tracez["backends_reached"] == 2
             assert {"enabled", "recent", "slowest"} <= set(tracez)
             covz = client.covz()
-            assert covz["backends_reached"] == 1
+            assert covz["backends_reached"] == 2
             assert covz["recorded"] >= 3
 
 
@@ -585,12 +605,15 @@ class TestRealFleet:
                 for request in requests:
                     assert client.solve(request).status in ("ok",
                                                             "compile_error")
-            agg = router.statsz()
+            agg = obs_metrics.parse_prometheus_text(client.metricsz())
             # Each unique design was solved exactly once fleet-wide:
             # repeats all hit the owning backend's cache.
-            assert agg["service"]["solved"] == 3
-            assert agg["service"]["cache_hits"] == 6
-            assert agg["router"]["routed"] == 9
+            assert agg.value("repro_service_solved_total") == 3
+            assert agg.value("repro_service_cache_hits_total") == 6
+            assert agg.value("repro_router_routed_total") == 9
+            assert sum(agg.value("repro_router_backend_forwarded_total",
+                                 node=node)
+                       for node in router.candidates_for("any")) == 9
 
     def test_drain_answers_inflight_clients(self):
         with real_fleet() as (router, client):

@@ -20,7 +20,9 @@ import time
 
 import pytest
 
+from repro import knobs
 from repro.corpus.generator import CorpusGenerator
+from repro.obs.metrics import parse_prometheus_text
 from repro.serve import (
     AssertService,
     ResultCache,
@@ -827,23 +829,66 @@ class TestSaturationGauges:
         finally:
             service.close()
 
-    def test_statsz_payload_without_store(self):
+    def test_metrics_without_store(self):
         with AssertService(ServeConfig()) as service:
             service.solve(fast_request(MINI_SOURCE), timeout=60)
-            payload = service.statsz()
-        assert payload["store"] is None
-        for gauge in ("inflight", "queue_depth", "queue_capacity",
-                      "cancelled", "timeouts", "submitted"):
-            assert gauge in payload["service"]
+            parsed = parse_prometheus_text(service.metrics.render())
+        for name in ("repro_service_inflight", "repro_service_queue_depth",
+                     "repro_service_queue_capacity",
+                     "repro_service_cancelled_total",
+                     "repro_service_timeouts_total",
+                     "repro_service_submitted_total"):
+            assert parsed.value(name) is not None, name
+        assert not any(name.startswith("repro_service_store_")
+                       for name, _ in parsed.samples)
 
-    def test_statsz_payload_with_store(self):
+    def test_metrics_with_store(self):
         from repro.store import StoreConfig
 
         config = ServeConfig(store=StoreConfig())
         with AssertService(config) as service:
             service.solve(fast_request(MINI_SOURCE), timeout=60)
-            payload = service.statsz()
-        store_info = payload["store"]
-        assert store_info is not None
-        for counter in ("hits", "misses", "writes", "entries"):
-            assert counter in store_info
+            parsed = parse_prometheus_text(service.metrics.render())
+            counters = service._store.counters()
+            entries = len(service._store)
+        for counter in ("hits", "misses", "writes"):
+            assert parsed.value(f"repro_service_store_{counter}") == \
+                counters[counter]
+        assert parsed.value("repro_service_store_entries") == entries >= 1
+
+
+class TestCoverageStoreScope:
+    """``coverage`` adds a block to every response, so coverage-on and
+    coverage-off services sharing one store must never serve each
+    other's responses; coverage-off keys stay what they were."""
+
+    @staticmethod
+    def _solve(store_path, coverage):
+        from repro.store import StoreConfig
+
+        config = ServeConfig(coverage=coverage,
+                             store=StoreConfig(path=store_path))
+        with AssertService(config) as service:
+            body = service.solve(fast_request(MINI_SOURCE),
+                                 timeout=60).to_json()
+            return body, service.stats()
+
+    def test_off_on_off_over_one_store(self, tmp_path):
+        from repro.store import StoreConfig
+
+        fresh_on, _ = self._solve(tmp_path / "fresh", coverage=True)
+        off, stats = self._solve(tmp_path / "shared", coverage=False)
+        assert stats.solved == 1
+        assert '"coverage"' not in off
+
+        on, stats = self._solve(tmp_path / "shared", coverage=True)
+        assert on == fresh_on  # solved afresh, coverage block included
+        assert (stats.solved, stats.cache_store_hits) == (1, 0)
+
+        again, stats = self._solve(tmp_path / "shared", coverage=False)
+        assert again == off
+        assert (stats.solved, stats.cache_store_hits) == (0, 1)
+        # Coverage-off store keys are the bare semantic scope.
+        with AssertService(ServeConfig(
+                store=StoreConfig(path=tmp_path))) as service:
+            assert service._cache.scope == knobs.digest(service.config)
