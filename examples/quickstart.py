@@ -81,7 +81,8 @@ def main():
     # solve hot path — while "interp" walks the AST per cycle.  Both are
     # byte-identical (traces, verdicts, fingerprints, responses), so the
     # knob exists on BmcConfig/PipelineConfig/ServeConfig purely for
-    # execution control and A/B timing (benchmarks/bench_solve.py).
+    # execution control and A/B timing (the solve contract of
+    # benchmarks/gates.py).
     check = bounded_check(result.design, BmcConfig(depth=10, random_trials=32))
     assert check.failed, "the bug should trigger the assertion"
     logs = check.log_text()

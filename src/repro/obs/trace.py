@@ -20,7 +20,7 @@ serving stack without touching what the stack computes:
 - **Volatility.**  Tracing is a pure execution concern: span ids and
   timings never enter content keys, digests, fingerprints, or response
   bytes.  Responses are byte-identical with tracing on or off
-  (gated by ``benchmarks/bench_obs.py``).
+  (gated by the ``obs`` contract of ``benchmarks/gates.py``).
 
 Spans normally record into the process-global :class:`TraceBuffer`
 (served by ``GET /tracez``), which retains the N most recent and the N
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import threading
 import time
@@ -56,6 +57,7 @@ __all__ = [
     "buffer",
     "configure",
     "current",
+    "duration_ms",
     "enabled",
     "export_spans",
     "format_trace_header",
@@ -508,6 +510,25 @@ class TraceBuffer:
             self.finished = 0
 
 
+def _number(value: object) -> Optional[float]:
+    """``value`` as a float, or None when it is not a finite number —
+    a remote record's non-numeric timing reads as absent."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value) if math.isfinite(value) else None
+
+
+def duration_ms(record: Dict[str, object]) -> Optional[float]:
+    """A rendered trace's ``duration_ms``, None when absent or not a
+    number."""
+    return _number(record.get("duration_ms"))
+
+
+def _shift(entry: Dict[str, object], delta_ms: float) -> None:
+    if "offset_ms" in entry:
+        entry["offset_ms"] = round(entry["offset_ms"] + delta_ms, 3)
+
+
 def merge_trace_records(records: Sequence[Dict[str, object]]
                         ) -> List[Dict[str, object]]:
     """Merge rendered trace dicts by trace id (order of first sighting).
@@ -522,37 +543,39 @@ def merge_trace_records(records: Sequence[Dict[str, object]]
     seen: Dict[str, set] = {}
     for record in records:
         # Fragments come off other hosts' JSON: a record that is not an
-        # object, or spans that are not objects, are skipped.
+        # object, or spans that are not objects with a string id, are
+        # skipped, and a timing that is not a number reads as absent.
         if not isinstance(record, dict):
             continue
         trace_id = record.get("trace_id")
         if not isinstance(trace_id, str):
             continue
         spans = record.get("spans")
-        spans = [entry for entry in spans if isinstance(entry, dict)] \
+        spans = [entry for entry in spans if isinstance(entry, dict)
+                 and isinstance(entry.get("span_id"), str)] \
             if isinstance(spans, list) else []
         target = merged.get(trace_id)
         if target is None:
             target = merged[trace_id] = dict(record)
             target["spans"] = []
             seen[trace_id] = set()
+            if "duration_ms" in target and duration_ms(target) is None:
+                del target["duration_ms"]
         else:
-            target["duration_ms"] = max(
-                float(target.get("duration_ms") or 0.0),
-                float(record.get("duration_ms") or 0.0))
+            target["duration_ms"] = max(duration_ms(target) or 0.0,
+                                        duration_ms(record) or 0.0)
         ids = seen[trace_id]
         # Re-base this fragment's offsets onto the merged trace's epoch
         # (perf_counter epochs compare only on one host; fragments
         # without one keep their own offsets).
-        target_epoch = target.get("epoch")
-        record_epoch = record.get("epoch")
+        target_epoch = _number(target.get("epoch"))
+        record_epoch = _number(record.get("epoch"))
         shift_ms = 0.0
-        if isinstance(target_epoch, (int, float)) \
-                and isinstance(record_epoch, (int, float)):
+        if target_epoch is not None and record_epoch is not None:
             if record_epoch < target_epoch:
                 delta = (target_epoch - record_epoch) * 1000.0
                 for entry in target["spans"]:
-                    entry["offset_ms"] = round(entry["offset_ms"] + delta, 3)
+                    _shift(entry, delta)
                 target["epoch"] = record_epoch
             else:
                 shift_ms = (record_epoch - target_epoch) * 1000.0
@@ -561,12 +584,15 @@ def merge_trace_records(records: Sequence[Dict[str, object]]
             if span_id in ids:
                 continue
             ids.add(span_id)
-            if shift_ms:
-                entry = dict(entry)
-                entry["offset_ms"] = round(entry["offset_ms"] + shift_ms, 3)
+            entry = dict(entry)
+            if _number(entry.get("offset_ms")) is None:
+                entry.pop("offset_ms", None)
+            elif shift_ms:
+                _shift(entry, shift_ms)
             target["spans"].append(entry)
     for record in merged.values():
-        record["spans"].sort(key=lambda e: (e["offset_ms"], e["span_id"]))
+        record["spans"].sort(key=lambda e: (e.get("offset_ms", 0.0),
+                                            e["span_id"]))
         record["n_spans"] = len(record["spans"])
     return list(merged.values())
 

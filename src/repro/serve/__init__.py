@@ -15,7 +15,7 @@ concurrent traffic:
   resolves at submit, without waiting for a batch window;
 - :mod:`repro.serve.loadgen` — deterministic corpus-sampled request
   streams and a latency/throughput harness (p50/p95/p99, req/s)
-  feeding ``benchmarks/bench_serve.py`` and ``benchmarks/bench_http.py``;
+  feeding the serving contracts of ``benchmarks/gates.py``;
 - :mod:`repro.serve.http` — :class:`AssertHttpServer`: the stdlib
   JSON-over-HTTP transport (``POST /v1/solve``, ``POST /v1/eval``,
   ``GET /healthz`` / ``/metricsz`` / ``/tracez`` / ``/covz``,

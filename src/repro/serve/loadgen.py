@@ -14,10 +14,11 @@ backpressure (an overloaded queue is retried with a short pause, and
 counted), and reports p50/p95/p99/max latency plus requests/sec in a
 :class:`LoadReport`.  The target is anything with the service surface —
 an in-process :class:`AssertService` *or* an HTTP
-:class:`repro.serve.client.AssertClient` — so ``benchmarks/bench_http.py``
-can compare the two paths on identical request streams.  In-process
-submits raise :class:`ServiceOverloaded` synchronously; over HTTP the
-same exception surfaces at ``result()`` — both are retried and counted.
+:class:`repro.serve.client.AssertClient` — so the ``http`` contract of
+``benchmarks/gates.py`` can compare the two paths on identical request
+streams.  In-process submits raise :class:`ServiceOverloaded`
+synchronously; over HTTP the same exception surfaces at ``result()`` —
+both are retried and counted.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ like one bigger instance without forking the protocol or the bytes:
   ``ResultCache`` already holds them.  The fleet's per-instance caches
   then compose into one aggregate cache ~N times the size, which is
   where the fleet's throughput win comes from even before multi-core
-  compute scaling (measured by ``benchmarks/bench_fleet.py``).
+  compute scaling (gated by the ``fleet`` contract of
+  ``benchmarks/gates.py``).
 - **Health ejection with probed re-admission.**  A background probe
   hits every backend's ``/healthz``; failures eject the backend from
   *routing* but never from the *ring*, so when it is re-admitted the
@@ -444,9 +445,9 @@ class FleetRouter:
             self.metrics.counter_callback(
                 f"repro_router_{name}_total", f"Router {name} count.",
                 (lambda attr: lambda: getattr(self, attr))(f"_{name}"))
-        # Health-churn counters live on the slots (stats() sums them the
-        # same way), so operators see ejections/readmissions next to
-        # spillovers/failovers on /metricsz.
+        # Health-churn counters live on the slots and are summed here, so
+        # operators see ejections/readmissions next to spillovers/
+        # failovers on /metricsz.
         for name in ("ejections", "readmissions"):
             self.metrics.counter_callback(
                 f"repro_router_{name}_total",
@@ -802,7 +803,8 @@ class FleetRouter:
                     into.extend(payload[key])
         merged_recent = obs_trace.merge_trace_records(recent)
         merged_slowest = obs_trace.merge_trace_records(slow_records)
-        merged_slowest.sort(key=lambda r: -float(r.get("duration_ms") or 0.0))
+        merged_slowest.sort(
+            key=lambda r: -(obs_trace.duration_ms(r) or 0.0))
         if limit is not None:
             merged_recent = merged_recent[:limit]
         if slowest is not None:
@@ -828,20 +830,3 @@ class FleetRouter:
             [cov.buffer().snapshot(), *payloads], limit=limit)
         merged["backends_reached"] = len(payloads)
         return merged
-
-    def stats(self) -> Dict[str, object]:
-        """Router-local counters (no network calls)."""
-        with self._lock:
-            return {
-                "backends_total": len(self._slots),
-                "backends_healthy": sum(
-                    1 for slot in self._slots if slot.healthy),
-                "routed": self._routed,
-                "spillovers": self._spillovers,
-                "failovers": self._failovers,
-                "no_backend": self._no_backend,
-                "ejections": sum(slot.ejections for slot in self._slots),
-                "readmissions": sum(
-                    slot.readmissions for slot in self._slots),
-                "cancel_broadcasts": self._cancel_broadcasts,
-            }

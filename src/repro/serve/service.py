@@ -1147,9 +1147,6 @@ class AssertService:
                       else groups)
             target.setdefault(pending.key, []).append(pending)
 
-        dedup_extra = (sum(len(waiters) for waiters in groups.values())
-                       + sum(len(waiters) for waiters in eval_groups.values())
-                       - len(groups) - len(eval_groups))
         misses: List[str] = []
         for key, waiters in groups.items():
             # Every waiter missed at submit; an earlier batch may have
@@ -1179,6 +1176,11 @@ class AssertService:
                                groups[key][0].span.context_tuple()
                                if groups[key][0].span is not None else None))
                  for key in misses]
+        # An extra waiter is deduped only when its key is computed (or
+        # evaluated) for it: waiters of a key the re-check found filled
+        # already counted as cache hits, one each.
+        dedup_extra = sum(len(groups[key]) - 1 for key in misses) + sum(
+            len(waiters) - 1 for waiters in eval_groups.values())
         with self._lock:
             self._deduped += dedup_extra
         try:

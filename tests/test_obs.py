@@ -274,6 +274,26 @@ class TestTraceBuffer:
         assert solve["offset_ms"] == pytest.approx(12.0)
         assert [e["span_id"] for e in merged["spans"]].count("s1") == 1
 
+    def test_merge_reads_non_numeric_timings_as_absent(self):
+        trace_id = "b" * 32
+        first = {"trace_id": trace_id, "duration_ms": "x", "epoch": "now",
+                 "spans": [{"span_id": "s2", "offset_ms": "late"},
+                           {"span_id": "s1", "offset_ms": 4.0},
+                           {"span_id": ["not", "a", "str"]}]}
+        second = {"trace_id": trace_id, "duration_ms": float("nan"),
+                  "epoch": 100.0,
+                  "spans": [{"span_id": "s3", "offset_ms": True}]}
+        (merged,) = obs_trace.merge_trace_records([first])
+        assert "duration_ms" not in merged
+        assert obs_trace.duration_ms(merged) is None
+        assert [e["span_id"] for e in merged["spans"]] == ["s2", "s1"]
+        assert "offset_ms" not in merged["spans"][0]
+        (merged,) = obs_trace.merge_trace_records([first, second])
+        assert merged["duration_ms"] == 0.0
+        assert [e["span_id"] for e in merged["spans"]] == ["s2", "s3", "s1"]
+        # The inputs are left as they came.
+        assert first["spans"][0]["offset_ms"] == "late"
+
 
 # -- metrics: histograms, registry, exposition ---------------------------------
 

@@ -193,6 +193,15 @@ def stub_fleet(n: int = 3):
         yield router, {stub.node: stub for stub in stubs}
 
 
+def router_counts(router) -> dict:
+    """The router's own ``repro_router_<name>_total`` counters, read
+    from its registry (no network calls)."""
+    parsed = obs_metrics.parse_prometheus_text(router.metrics.render())
+    return {name: parsed.value(f"repro_router_{name}_total")
+            for name in ("routed", "spillovers", "failovers", "no_backend",
+                         "ejections", "readmissions", "cancel_broadcasts")}
+
+
 def owner_stub(router, stubs, key: str) -> Stub:
     return stubs[router.candidates_for(key)[0]]
 
@@ -328,7 +337,7 @@ class TestRoutingAffinity:
             assert len(owner.posts()) == 5
             others = [s for s in stubs.values() if s is not owner]
             assert all(not s.posts() for s in others)
-            assert router.stats()["routed"] == 5
+            assert router_counts(router)["routed"] == 5
 
     def test_distinct_keys_spread_over_backends(self):
         with stub_fleet() as (router, stubs):
@@ -353,7 +362,7 @@ class TestSpillover:
             second_seq = stubs[order[1]].posts()[0][0]
             assert first_seq < second_seq
             assert not stubs[order[2]].posts()
-            assert router.stats()["spillovers"] == 1
+            assert router_counts(router)["spillovers"] == 1
 
     def test_all_backends_refusing_relays_the_final_429(self):
         with stub_fleet() as (router, stubs):
@@ -364,7 +373,7 @@ class TestSpillover:
             assert headers["retry-after"] == "7"  # backend's hint relayed
             assert json.loads(body)["error"] == "queue full"
             assert all(len(s.posts()) == 1 for s in stubs.values())
-            assert router.stats()["spillovers"] == 3
+            assert router_counts(router)["spillovers"] == 3
 
 
 class TestHealthEjection:
@@ -385,7 +394,7 @@ class TestHealthEjection:
             assert router.probe() == (3, 3)
             status, _, body = post_solve(router, request)
             assert json.loads(body)["served_by"] == owner.name
-            stats = router.stats()
+            stats = router_counts(router)
             assert stats["ejections"] == 1
             assert stats["readmissions"] == 1
 
@@ -397,7 +406,7 @@ class TestHealthEjection:
             status, _, body = post_solve(router, request)
             assert status == 200
             assert json.loads(body)["served_by"] == stubs[order[1]].name
-            assert router.stats()["failovers"] == 1
+            assert router_counts(router)["failovers"] == 1
             assert router.health() == (2, 3)  # ejected on the spot
 
     def test_no_healthy_backends_maps_to_503(self):
@@ -519,6 +528,28 @@ class TestDiagnosticFanOut:
             covz = client.covz()
             assert covz["backends_reached"] == 2
             assert covz["recorded"] >= 3
+
+    def test_non_numeric_trace_timings_read_as_absent(self):
+        trace_id = "c" * 32
+        with stub_fleet(n=2) as (router, stubs):
+            good, odd = stubs.values()
+            good.raw.update(self.GOOD)
+            odd.raw["/tracez"] = (200, json.dumps({
+                "recent": [{"trace_id": trace_id, "duration_ms": "x",
+                            "spans": [{"span_id": "s1",
+                                       "offset_ms": "soon"}]}],
+                "slowest": [{"trace_id": trace_id, "duration_ms": "x"},
+                            {"trace_id": "d" * 32, "duration_ms": 3.0}],
+            }).encode())
+            tracez = AssertClient.for_server(router).tracez()
+        assert tracez["backends_reached"] == 2
+        (recent,) = [r for r in tracez["recent"]
+                     if r["trace_id"] == trace_id]
+        assert "duration_ms" not in recent
+        assert recent["spans"] == [{"span_id": "s1"}]
+        assert [r["trace_id"] for r in tracez["slowest"]
+                if r["trace_id"] in (trace_id, "d" * 32)] == \
+            ["d" * 32, trace_id]
 
 
 class TestHostileOptions:
@@ -674,7 +705,7 @@ class TestKeepAliveEdge:
             assert client.solve(variant(0)).ok
             time.sleep(0.6)
             assert client.solve(variant(1)).ok
-            stats = router.stats()
+            stats = router_counts(router)
             assert (stats["ejections"], stats["failovers"]) == (0, 0)
             assert router.health() == (1, 1)
             # At least the second forward found its connection stale;

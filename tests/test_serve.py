@@ -231,6 +231,28 @@ class TestCacheHitsAtSubmit:
         assert stats.solved == 1
         assert stats.cache_hits == 1 and stats.cache_misses == 1
 
+    def test_rechecked_duplicates_count_once(self):
+        # max_batch=2 with a window too long to expire: the first batch
+        # computes both keys; the second holds two duplicate waiters of
+        # a key it re-checks filled, so they are two cache hits and no
+        # dedup.
+        service = AssertService(ServeConfig(max_batch=2,
+                                            batch_window_ms=5000))
+        other = fast_request(MINI_SOURCE, bmc_depth=5)
+        futures = [service.submit(r) for r in (
+            fast_request(MINI_SOURCE), other,
+            fast_request(MINI_SOURCE), fast_request(MINI_SOURCE))]
+        service.start()
+        try:
+            assert all(f.result(timeout=60).ok for f in futures)
+            stats = service.stats()
+        finally:
+            service.close()
+        assert stats.timeouts == stats.cancelled == 0
+        assert (stats.solved, stats.cache_hits, stats.deduped) == (2, 2, 0)
+        assert stats.solved + stats.cache_hits + stats.deduped \
+            == stats.submitted == 4
+
     def test_deduped_misses_each_count_once(self):
         config = ServeConfig(max_batch=4, batch_window_ms=5000)
         service = AssertService(config)
