@@ -46,10 +46,13 @@ def main() -> None:
     config = ServeConfig(
         n_workers=4,          # engine worker pool ("auto" clamps to CPUs)
         max_queue=64,         # beyond this, submit() raises ServiceOverloaded
-        max_batch=16,         # flush when a window gathers this many
-        batch_window_ms=10,   # ...or when the oldest waits this long;
-                              # only misses wait: a cache hit resolves
-                              # inside submit()
+        max_batch=16,         # flush when a batch gathers this many
+        batch_window_ms=10,   # upper bound on a miss's wait: a batch
+                              # stays open only while arrivals keep
+                              # coming closer together than this, and
+                              # flushes at once ("idle") when nothing
+                              # more is due; a cache hit never waits,
+                              # it resolves inside submit()
         result_cache=True)    # content-hash LRU over finished responses
 
     with AssertService(config) as service:
@@ -85,7 +88,8 @@ def main() -> None:
               f"({stats.cache_hit_rate:.0%} hit rate), "
               f"mean batch {stats.mean_batch:.1f} "
               f"(size flushes: {stats.flush_size}, "
-              f"timeout flushes: {stats.flush_timeout})")
+              f"timeout flushes: {stats.flush_timeout}, "
+              f"idle flushes: {stats.flush_idle})")
 
     # 6. Identical requests produce byte-identical responses — that is
     #    what makes the result cache sound.

@@ -8,8 +8,9 @@ concurrent traffic:
   queue with backpressure, content-addressed deterministic solves,
   structured errors for malformed input;
 - :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesces
-  queued cache misses into one engine map per batch window (flush on
-  size or timeout), deduplicating identical designs;
+  queued cache misses into one engine map per batch, deduplicating
+  identical designs; a batch stays open only while arrivals keep
+  batching (flush on size, timeout, or at once when idle);
 - :mod:`repro.serve.cache` — :class:`ResultCache`: content-hash LRU of
   finished responses, so repeat designs skip compute entirely — a hit
   resolves at submit, without waiting for a batch window;

@@ -57,7 +57,7 @@ from repro.obs import trace as obs_trace
 from repro.eval.cases import cases_to_json
 from repro.eval.config import EvalConfig
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
-from repro.serve.batcher import BatcherStats, MicroBatcher
+from repro.serve.batcher import FLUSH_REASONS, BatcherStats, MicroBatcher
 from repro.sim.compiled import SIM_MODES
 from repro.serve.cache import ResultCache, content_key
 from repro.store import StoreConfig
@@ -107,11 +107,16 @@ class SolveOptions:
     hints: Tuple[HintTuple, ...] = knob((), kind=(tuple, list),
                                         role=SEMANTIC)
     mine_hints: bool = knob(True, kind=bool, role=SEMANTIC)
-    max_proposals: int = knob(8, kind=int, ge=1, role=SEMANTIC)
+    #: The ``le=`` bounds on the solve budget are admission bounds: a
+    #: request asking for more work than any real use (8 proposals,
+    #: depth 12 and 48 trials at most in this repository) is refused
+    #: like a mistyped one, instead of pinning a worker.
+    max_proposals: int = knob(8, kind=int, ge=1, le=64, role=SEMANTIC)
     hallucination_rate: float = knob(0.0, kind=float, ge=0, le=1,
                                      role=SEMANTIC)
-    bmc_depth: int = knob(10, kind=int, ge=1, role=SEMANTIC)
-    bmc_random_trials: int = knob(24, kind=int, ge=0, role=SEMANTIC)
+    bmc_depth: int = knob(10, kind=int, ge=1, le=64, role=SEMANTIC)
+    bmc_random_trials: int = knob(24, kind=int, ge=0, le=512,
+                                  role=SEMANTIC)
     #: Wall-clock budget from ``submit()``; a request still unserved when
     #: it expires — waiting in the queue or sitting in a batch — resolves
     #: to a structured ``timeout`` response instead of blocking
@@ -466,6 +471,8 @@ class ServeConfig:
     backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
     max_queue: int = knob(256, kind=int, ge=1, role=EXECUTION)
     max_batch: int = knob(16, kind=int, ge=1, role=EXECUTION)
+    #: Upper bound on a miss's wait in the batcher, not a fixed cost:
+    #: a lone miss flushes at once (see :mod:`repro.serve.batcher`).
     batch_window_ms: float = knob(10.0, kind=float, ge=0, role=EXECUTION)
     result_cache: bool = knob(True, kind=bool, role=EXECUTION)
     cache_entries: int = knob(1024, kind=int, ge=1, role=EXECUTION)
@@ -550,9 +557,10 @@ class ServiceStats:
     batched_requests: int = 0
     mean_batch: float = 0.0
     max_batch: int = 0
-    flush_size: int = 0
+    flush_size: int = 0      # one flush_<reason> per FLUSH_REASONS entry
     flush_timeout: int = 0
     flush_drain: int = 0
+    flush_idle: int = 0
     queue_depth: int = 0
     queue_capacity: int = 0
     inflight: int = 0
@@ -1120,13 +1128,13 @@ class AssertService:
         a stranded future hangs its client forever, which is worse than
         any error it could carry."""
         try:
-            self._flush_inner(batch)
+            self._flush_inner(batch, reason)
         except BaseException as exc:  # noqa: BLE001
             for pending in batch:
                 self._fail(pending, exc)
             raise  # let the batcher count the flush error too
 
-    def _flush_inner(self, batch: List[_Pending]) -> None:
+    def _flush_inner(self, batch: List[_Pending], reason: str) -> None:
         # Requests the deadline timer or a cancellation already resolved
         # drop out here, and a key all of whose waiters are gone is
         # never computed at all — a queued cancel or expiry saves its
@@ -1141,8 +1149,9 @@ class AssertService:
             if pending.span is not None:
                 if pending.queue_span is not None:
                     pending.queue_span.end()
-                pending.batch_span = obs_trace.begin("batch.wait",
-                                                     parent=pending.span)
+                pending.batch_span = obs_trace.begin(
+                    "batch.wait", parent=pending.span,
+                    attrs={"flush": reason})
             target = (eval_groups if isinstance(pending.request, EvalRequest)
                       else groups)
             target.setdefault(pending.key, []).append(pending)
@@ -1291,9 +1300,8 @@ class AssertService:
         stats.batched_requests = batcher.items
         stats.mean_batch = round(batcher.mean_batch, 3)
         stats.max_batch = batcher.max_batch
-        stats.flush_size, stats.flush_timeout, stats.flush_drain = (
-            batcher.flush_reasons[reason]
-            for reason in ("size", "timeout", "drain"))
+        for reason in FLUSH_REASONS:
+            setattr(stats, f"flush_{reason}", batcher.flush_reasons[reason])
         stats.queue_depth = self._queue.qsize()
         stats.queue_capacity = self.config.max_queue
         if self._engine is not None:

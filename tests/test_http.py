@@ -178,6 +178,34 @@ class TestMalformedRequests:
         # The same connection keeps serving.
         assert client.solve(fast_request(MINI_SOURCE)).ok
 
+    @pytest.mark.parametrize("options,field", [
+        ('{"bmc_depth": 1000000}', "bmc_depth"),
+        ('{"bmc_random_trials": 1000000}', "bmc_random_trials"),
+        ('{"max_proposals": 1000000}', "max_proposals"),
+    ])
+    def test_over_bound_budget_gets_400_envelope(self, shared, options,
+                                                 field):
+        # A budget past its admission bound is refused exactly like a
+        # mistyped option: a structured 400 naming the knob, before any
+        # work is queued, and the connection keeps serving unchanged.
+        server, client = shared
+        request = fast_request(MINI_SOURCE)
+        before = client._request("POST", "/v1/solve",
+                                 request_to_json(request).encode())
+        submitted = server.service.stats().submitted
+        body = ('{"design_source": "module m; endmodule", "options": '
+                + options + "}").encode()
+        status, _, data = client._request("POST", "/v1/solve", body)
+        assert status == 400
+        envelope = json.loads(data)
+        assert envelope["code"] == 400 and envelope["status"] == "error"
+        assert field in envelope["detail"]
+        assert server.service.stats().submitted == submitted
+        after = client._request("POST", "/v1/solve",
+                                request_to_json(request).encode())
+        assert after[0] == before[0] == 200
+        assert after[2] == before[2]  # byte-identical
+
     def test_client_raises_value_error_on_400(self, shared):
         _, client = shared
         with pytest.raises(ValueError, match="400"):
@@ -225,7 +253,9 @@ class TestMalformedRequests:
 class TestDeadlineOverHttp:
     def test_expired_request_maps_to_504_before_any_flush(self):
         # Window so long only the deadline timer can resolve the
-        # request: the 504 proves timer-driven expiry works end to end.
+        # request (a batcher that has seen no arrival gap holds the
+        # whole window): the 504 proves timer-driven expiry works end to
+        # end.
         with http_server(max_batch=64, batch_window_ms=30_000) \
                 as (server, client):
             status, _, body = client._request(
@@ -332,6 +362,7 @@ STATSZ_SERIES = {
                       {"reason": "timeout"}),
     "flush_drain": ("repro_service_batch_flushes_total",
                     {"reason": "drain"}),
+    "flush_idle": ("repro_service_batch_flushes_total", {"reason": "idle"}),
     "queue_depth": ("repro_service_queue_depth", {}),
     "queue_capacity": ("repro_service_queue_capacity", {}),
     "inflight": ("repro_service_inflight", {}),
@@ -468,7 +499,17 @@ class TestLifecycle:
         assert time.monotonic() - started < 1.0
 
     def test_drain_answers_inflight_next_to_an_idle_connection(self):
-        service = AssertService(ServeConfig(batch_window_ms=300))
+        service = AssertService(ServeConfig())
+        # Hold the request in its batch's flush until 300 ms into the
+        # drain, so the drain starts with it still in flight.
+        release = threading.Event()
+        flush = service._flush
+
+        def gated_flush(batch, reason):
+            release.wait(10)
+            flush(batch, reason)
+
+        service._flush = gated_flush  # the batcher binds it at start()
         server = AssertHttpServer(service, HttpConfig()).start()
         idle = AssertClient.for_server(server)
         assert idle.healthz()["status"] == "ok"  # kept alive, then idle
@@ -477,8 +518,9 @@ class TestLifecycle:
         deadline = time.monotonic() + 5
         while service.stats().inflight < 1 and time.monotonic() < deadline:
             time.sleep(0.002)
-        assert service.stats().inflight == 1  # waiting in the window
+        assert service.stats().inflight == 1  # held in the gated flush
         started = time.monotonic()
+        threading.Timer(0.3, release.set).start()
         server.close()
         elapsed = time.monotonic() - started
         response = handle.result(timeout=10)

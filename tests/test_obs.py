@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import http.client
 import pickle
+import time
 
 import pytest
 
@@ -432,6 +433,26 @@ class TestServiceTracing:
         assert "solve" in names
         # The engine's phase timers surfaced as solve.* child spans.
         assert any(name.startswith("solve.") for name in names)
+
+    def test_batch_wait_says_why_its_batch_closed(self, clean_tracing):
+        # A fresh batcher has seen no arrival gap, so the first miss
+        # holds the whole window; a lone miss after an idle spell far
+        # longer than the window flushes at once.
+        requests = [fast_request(f"// {name}\n{MINI_SOURCE}", request_id=name)
+                    for name in ("first", "second")]
+        with AssertService(ServeConfig(batch_window_ms=5.0)) as service:
+            for request in requests:
+                assert service.solve(request, timeout=60).ok
+                time.sleep(0.05)
+            snapshot = obs_trace.buffer().snapshot()
+        flushes = []
+        for request in requests:
+            record = trace_by_id(snapshot, obs_trace.trace_id_for(
+                request.cache_key(), request.request_id))
+            (wait,) = [span for span in record["spans"]
+                       if span["name"] == "batch.wait"]
+            flushes.append(wait["attrs"]["flush"])
+        assert flushes == ["timeout", "idle"]
 
     def test_cache_hit_trace_explains_itself(self, clean_tracing):
         # A hit resolves at submit: its trace is the inflight span with

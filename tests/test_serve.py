@@ -5,7 +5,8 @@ Covers the edge cases the serving contract promises:
 - queue-full backpressure raises ``ServiceOverloaded`` instead of
   queueing unboundedly;
 - identical requests produce byte-identical responses, cached or not;
-- the batcher flushes on batch-size *and* on window timeout;
+- the batcher flushes on batch size, on window timeout, and at once
+  (``idle``) when arrivals do not predict a batchmate inside the window;
 - malformed Verilog yields a structured ``compile_error`` response, and
   the worker keeps serving afterwards;
 - micro-batching beats the sequential one-at-a-time baseline and a
@@ -269,16 +270,24 @@ class TestCacheHitsAtSubmit:
         assert stats.cache_misses == 4 and stats.cache_hits == 0
 
 
+def queued_then_started(config: ServeConfig, requests) -> tuple:
+    """Submit ``requests`` to a service that is not yet started, so they
+    all wait in the queue when the batcher opens its first batch; then
+    start it, and return the service and the futures."""
+    service = AssertService(config)
+    futures = [service.submit(request) for request in requests]
+    return service.start(), futures
+
+
 class TestBatcherFlush:
     def test_flush_on_batch_size(self, tiny_workload):
-        config = ServeConfig(max_batch=4, batch_window_ms=5000,
-                             result_cache=False)
-        with AssertService(config) as service:
-            futures = [service.submit(r) for r in tiny_workload[:8]]
+        config = ServeConfig(max_batch=4, result_cache=False)
+        service, futures = queued_then_started(config, tiny_workload[:8])
+        with service:
             for future in futures:
                 assert future.result(timeout=120).ok
             stats = service.stats()
-        # 8 requests, window far too long to expire: only size flushes.
+        # 8 requests queued before the batcher starts: only size flushes.
         assert stats.flush_size == 2
         assert stats.flush_timeout == 0
         assert stats.max_batch == 4
@@ -286,22 +295,24 @@ class TestBatcherFlush:
     def test_flush_on_timeout(self, tiny_workload):
         config = ServeConfig(max_batch=64, batch_window_ms=40,
                              result_cache=False)
-        with AssertService(config) as service:
-            futures = [service.submit(r) for r in tiny_workload[:3]]
+        service, futures = queued_then_started(config, tiny_workload[:3])
+        with service:
             for future in futures:
                 assert future.result(timeout=120).ok
             stats = service.stats()
-        # 3 requests can never reach max_batch=64: the window must flush.
+        # 3 requests queued before the batcher starts are taken without
+        # a wait, so it has seen no arrival gap and holds the whole
+        # window, and can never reach max_batch=64: the window must
+        # flush.
         assert stats.flush_timeout >= 1
         assert stats.flush_size == 0
         assert stats.batched_requests == 3
 
     def test_batch_dedups_identical_requests(self):
-        config = ServeConfig(max_batch=8, batch_window_ms=5000,
-                             result_cache=False)
-        with AssertService(config) as service:
-            request = fast_request(MINI_SOURCE)
-            futures = [service.submit(request) for _ in range(8)]
+        config = ServeConfig(max_batch=8, result_cache=False)
+        request = fast_request(MINI_SOURCE)
+        service, futures = queued_then_started(config, [request] * 8)
+        with service:
             responses = [f.result(timeout=120) for f in futures]
             stats = service.stats()
         assert stats.solved == 1          # one engine unit for the batch
@@ -343,10 +354,10 @@ class TestMalformedInput:
     def test_hostile_literals_fail_only_their_own_request(self):
         hostile = [MINI_SOURCE.replace("a & b", f"a & {literal}")
                    for literal in HOSTILE_LITERALS]
-        config = ServeConfig(batch_window_ms=200)
-        with AssertService(config) as service:
-            futures = [service.submit(fast_request(source))
-                       for source in [MINI_SOURCE] + hostile]
+        service, futures = queued_then_started(
+            ServeConfig(), [fast_request(source)
+                            for source in [MINI_SOURCE] + hostile])
+        with service:
             responses = [f.result(timeout=120) for f in futures]
             stats = service.stats()
         assert stats.batches == 1
@@ -610,6 +621,117 @@ class TestBatcherUnit:
         with pytest.raises(ValueError):
             MicroBatcher(queue_mod.Queue(), lambda b, r: None, window_s=-1)
 
+    @staticmethod
+    def timed_batcher(window_s: float, max_batch: int = 64):
+        """A batcher over a fresh queue whose items are their put times;
+        each flush records ``(reason, [seconds each item waited])``."""
+        import queue as queue_mod
+
+        from repro.serve.batcher import MicroBatcher
+
+        source: "queue_mod.Queue" = queue_mod.Queue()
+        flushed = []
+
+        def flush(batch, reason):
+            now = time.monotonic()
+            flushed.append((reason, [now - put for put in batch]))
+
+        return source, flushed, MicroBatcher(source, flush,
+                                             max_batch=max_batch,
+                                             window_s=window_s)
+
+    @staticmethod
+    def await_batches(batcher, count: int) -> None:
+        deadline = time.monotonic() + 5
+        while batcher.stats.batches < count and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert batcher.stats.batches == count
+
+    def test_lone_item_after_an_idle_gap_flushes_at_once(self):
+        from repro.serve.batcher import GAP_SMOOTHING
+
+        window = 0.1
+        source, flushed, batcher = self.timed_batcher(window)
+        batcher.start()
+        try:
+            # Two items 10 ms apart: the batcher waits for the second,
+            # so it has seen a gap far inside the window.
+            source.put(time.monotonic())
+            time.sleep(0.01)
+            source.put(time.monotonic())
+            self.await_batches(batcher, 1)
+            # An idle spell long enough that the EWMA puts the next
+            # arrival past the window, then a lone item.
+            time.sleep(2 * window / GAP_SMOOTHING)
+            source.put(time.monotonic())
+            self.await_batches(batcher, 2)
+        finally:
+            batcher.stop()
+        assert [len(waits) for _, waits in flushed] == [2, 1]
+        reason, (waited,) = flushed[1]
+        assert reason == "idle"
+        assert waited < window / 4
+        assert batcher.stats.flush_reasons["idle"] >= 1
+
+    def test_burst_within_the_window_coalesces_and_dedups(self):
+        config = ServeConfig(max_batch=8, batch_window_ms=300,
+                             result_cache=False)
+        service = AssertService(config)
+        # Hold the first batch in its flush until the burst is queued.
+        release = threading.Event()
+        flush = service._flush
+
+        def gated_flush(batch, reason):
+            release.wait(10)
+            flush(batch, reason)
+
+        service._flush = gated_flush  # the batcher binds it at start()
+        with service.start():
+            lone = service.submit(fast_request(MINI_SOURCE, bmc_depth=5))
+            deadline = time.monotonic() + 5
+            while not service.stats().batches and \
+                    time.monotonic() < deadline:
+                time.sleep(0.002)
+            request = fast_request(MINI_SOURCE)
+            futures = [service.submit(request) for _ in range(8)]
+            release.set()
+            assert lone.result(timeout=60).ok
+            responses = [f.result(timeout=120) for f in futures]
+            stats = service.stats()
+        assert stats.batches == 2 and stats.flush_size == 1
+        assert stats.solved == 2 and stats.deduped == 7
+        assert len({r.to_json() for r in responses}) == 1
+
+    def test_no_item_waits_longer_than_the_window(self):
+        window = 0.05
+        source, flushed, batcher = self.timed_batcher(window)
+        # Items queued before start() are taken without a wait, so the
+        # batcher has seen no arrival gap and holds the whole window.
+        for _ in range(3):
+            source.put(time.monotonic())
+        batcher.start()
+        try:
+            self.await_batches(batcher, 1)
+            # Then a steady stream 2 ms apart.
+            for _ in range(100):
+                source.put(time.monotonic())
+                time.sleep(0.002)
+        finally:
+            batcher.stop()
+        assert flushed[0][0] == "timeout"
+        waits = [wait for _, batch in flushed[1:] for wait in batch]
+        assert len(waits) == 100
+        assert max(waits) < window + 0.03  # scheduling slack only
+
+    def test_service_stats_count_every_flush_reason(self):
+        from dataclasses import fields
+
+        from repro.serve.batcher import FLUSH_REASONS
+        from repro.serve.service import ServiceStats
+
+        names = {f.name for f in fields(ServiceStats)}
+        assert {f"flush_{reason}" for reason in FLUSH_REASONS} <= names
+
 
 class TestMining:
     def test_mine_invariant_hints_shape(self):
@@ -703,7 +825,8 @@ class TestTimerDeadlines:
 
     def test_queued_expiry_fires_before_any_flush(self):
         # Batch window and size chosen so no flush can possibly happen
-        # before the deadline: only the timer can resolve this future.
+        # before the deadline (a batcher that has seen no arrival gap
+        # holds the whole window): only the timer can resolve this future.
         config = ServeConfig(max_batch=64, batch_window_ms=30_000)
         with AssertService(config) as service:
             future = service.submit(
