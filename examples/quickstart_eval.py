@@ -16,6 +16,7 @@ walkthrough shows its surface —
 Run:  PYTHONPATH=src python examples/quickstart_eval.py
 """
 
+import shutil
 import tempfile
 
 from repro.baselines.engine import make_baseline
@@ -85,6 +86,7 @@ def main() -> None:
               f"wire bytes == in-process bytes ✓")
     finally:
         server.close()
+        shutil.rmtree(store_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

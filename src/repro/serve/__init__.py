@@ -6,7 +6,8 @@ concurrent traffic:
 
 - :mod:`repro.serve.service` — :class:`AssertService`: bounded request
   queue with backpressure, content-addressed deterministic solves,
-  structured errors for malformed input;
+  structured errors for malformed input, one ``submit`` for both
+  request kinds (:class:`SolveRequest`, :class:`EvalRequest`);
 - :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesces
   queued cache misses into one engine map per batch, deduplicating
   identical designs; a batch stays open only while arrivals keep
@@ -17,15 +18,15 @@ concurrent traffic:
 - :mod:`repro.serve.loadgen` — deterministic corpus-sampled request
   streams and a latency/throughput harness (p50/p95/p99, req/s)
   feeding the serving contracts of ``benchmarks/gates.py``;
-- :mod:`repro.serve.http` — :class:`AssertHttpServer`: the stdlib
-  JSON-over-HTTP transport (``POST /v1/solve``, ``POST /v1/eval``,
-  ``GET /healthz`` / ``/metricsz`` / ``/tracez`` / ``/covz``,
-  ``DELETE /v1/solve/{request_id}``, graceful drain), carrying
-  request traces across the wire via ``X-Repro-Trace-Id`` (see
-  :mod:`repro.obs`);
 - :mod:`repro.serve.codecs` — the one module owning every wire body:
-  solve and eval request/response codecs plus the structured error
-  envelope all three surfaces (server, client, router) share;
+  the :data:`KINDS` table (one row per wire kind, ``solve`` and
+  ``eval``), their codecs, and the structured error envelope all three
+  surfaces (server, client, router) share;
+- :mod:`repro.serve.http` — :class:`AssertHttpServer`: the stdlib
+  JSON-over-HTTP transport (``POST`` and ``DELETE`` on every
+  :data:`KINDS` path, ``GET /healthz`` / ``/metricsz`` / ``/tracez`` /
+  ``/covz``, graceful drain), carrying request traces across the wire
+  via ``X-Repro-Trace-Id`` (see :mod:`repro.obs`);
 - :mod:`repro.serve.client` — :class:`AssertClient` /
   :class:`SolveHandle`: the wire twin of the in-process API, with
   client-initiated cancellation and ``eval()`` for pass@k runs, over
@@ -50,10 +51,10 @@ from repro.serve.client import (
     SolveHandle,
 )
 from repro.serve.codecs import (
+    KINDS,
     error_body,
     eval_request_from_json,
     eval_request_to_json,
-    eval_response_wire,
     request_from_json,
     request_to_json,
     response_from_json,
@@ -82,6 +83,7 @@ from repro.serve.service import (
 )
 
 __all__ = [
+    "KINDS",
     "AssertClient",
     "AssertHttpServer",
     "AssertService",
@@ -112,7 +114,6 @@ __all__ = [
     "error_body",
     "eval_request_from_json",
     "eval_request_to_json",
-    "eval_response_wire",
     "request_from_json",
     "request_to_json",
     "response_from_json",

@@ -26,13 +26,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import quote
 
-from repro.serve.codecs import (
-    error_detail,
-    eval_report_from_json,
-    eval_request_to_json,
-    request_to_json,
-    response_from_json,
-)
+from repro.serve.codecs import KINDS, EvalFailed, WireKind
 from repro.serve.service import (
     EvalRequest,
     ServiceClosed,
@@ -131,6 +125,8 @@ class ConnectionPool:
 
 
 def _query_suffix(**params: Optional[int]) -> str:
+    """The ``?limit=N&slowest=N`` suffix of a diagnostic ``GET`` (the
+    client's, and the router's fan-out to its backends)."""
     parts = [f"{name}={value}" for name, value in params.items()
              if value is not None]
     return f"?{'&'.join(parts)}" if parts else ""
@@ -143,20 +139,6 @@ class ClientError(RuntimeError):
         super().__init__(f"HTTP {status}: {body}")
         self.status = status
         self.body = body
-
-
-class EvalFailed(RuntimeError):
-    """A ``POST /v1/eval`` that resolved to a non-``ok`` service status.
-
-    ``status`` carries the service-level tag off the error envelope
-    (``unknown_model`` / ``timeout`` / ``cancelled``), ``code`` the HTTP
-    status, ``detail`` the human text."""
-
-    def __init__(self, code: int, detail: str, status: str):
-        super().__init__(f"eval {status} (HTTP {code}): {detail}")
-        self.code = code
-        self.detail = detail
-        self.status = status
 
 
 class SolveHandle:
@@ -245,6 +227,26 @@ class AssertClient:
     def _coerce(request: Union[SolveRequest, str]) -> SolveRequest:
         return SolveRequest(request) if isinstance(request, str) else request
 
+    def _post(self, kind: WireKind, request, timeout: Optional[float]):
+        """One ``POST`` of ``kind``: a service status decodes through the
+        kind's row, and a transport refusal raises its one exception
+        for every kind."""
+        status, headers, data = self._request(
+            "POST", kind.path, kind.encode(request).encode("utf-8"),
+            timeout=timeout)
+        if status in kind.http_codes.values():
+            return kind.decode(status, data)
+        text = data.decode("utf-8", "replace")
+        if status == 429:
+            exc = ServiceOverloaded(text)
+            exc.retry_after_s = float(headers.get("retry-after", 1.0))
+            raise exc
+        if status in (400, 413):
+            raise ValueError(f"request refused ({status}): {text}")
+        if status == 503:
+            raise ServiceClosed(text)
+        raise ClientError(status, text)
+
     # -- the service surface, over the wire ----------------------------------
 
     def solve(self, request: Union[SolveRequest, str],
@@ -255,22 +257,7 @@ class AssertClient:
         400/413, :class:`ServiceClosed` for 503).  Same signature as
         :meth:`AssertService.solve`, so synchronous callers (like the
         load generator) treat the two transports interchangeably."""
-        request = self._coerce(request)
-        status, headers, data = self._request(
-            "POST", "/v1/solve", request_to_json(request).encode("utf-8"),
-            timeout=timeout)
-        if status in (200, 422, 504, 409):
-            return response_from_json(data.decode("utf-8"))
-        if status == 429:
-            exc = ServiceOverloaded(data.decode("utf-8", "replace"))
-            exc.retry_after_s = float(headers.get("retry-after", 1.0))
-            raise exc
-        if status in (400, 413):
-            raise ValueError(f"request refused ({status}): "
-                             f"{data.decode('utf-8', 'replace')}")
-        if status == 503:
-            raise ServiceClosed(data.decode("utf-8", "replace"))
-        raise ClientError(status, data.decode("utf-8", "replace"))
+        return self._post(KINDS["solve"], self._coerce(request), timeout)
 
     def eval(self, request: EvalRequest,
              timeout: Optional[float] = None):
@@ -281,24 +268,7 @@ class AssertClient:
         failures (404 unknown model, 504 timeout, 409 cancelled) raise
         :class:`EvalFailed` with the envelope's status tag; transport
         refusals map exactly as :meth:`solve`'s do."""
-        status, headers, data = self._request(
-            "POST", "/v1/eval", eval_request_to_json(request).encode("utf-8"),
-            timeout=timeout)
-        if status == 200:
-            return eval_report_from_json(data)
-        if status in (404, 504, 409):
-            detail, service_status = error_detail(data)
-            raise EvalFailed(status, detail, service_status)
-        if status == 429:
-            exc = ServiceOverloaded(data.decode("utf-8", "replace"))
-            exc.retry_after_s = float(headers.get("retry-after", 1.0))
-            raise exc
-        if status in (400, 413):
-            raise ValueError(f"request refused ({status}): "
-                             f"{data.decode('utf-8', 'replace')}")
-        if status == 503:
-            raise ServiceClosed(data.decode("utf-8", "replace"))
-        raise ClientError(status, data.decode("utf-8", "replace"))
+        return self._post(KINDS["eval"], request, timeout)
 
     def submit(self, request: Union[SolveRequest, str]) -> SolveHandle:
         """Fire the solve on a background thread; the handle's
@@ -322,27 +292,24 @@ class AssertClient:
         payload["http_status"] = status
         return payload
 
-    def metricsz(self) -> str:
-        """The server's Prometheus text exposition (``GET /metricsz``)."""
-        status, _, data = self._request("GET", "/metricsz")
+    def _get(self, path: str) -> bytes:
+        """A diagnostic ``GET``: its 200 body, or :class:`ClientError`."""
+        status, _, data = self._request("GET", path)
         if status != 200:
             raise ClientError(status, data.decode("utf-8", "replace"))
-        return data.decode("utf-8")
+        return data
+
+    def metricsz(self) -> str:
+        """The server's Prometheus text exposition (``GET /metricsz``)."""
+        return self._get("/metricsz").decode("utf-8")
 
     def tracez(self, limit: Optional[int] = None,
                slowest: Optional[int] = None) -> Dict[str, object]:
         """The server's recent + slowest traces (``GET /tracez``);
         ``limit`` / ``slowest`` become the endpoint's query params."""
-        status, _, data = self._request(
-            "GET", "/tracez" + _query_suffix(limit=limit, slowest=slowest))
-        if status != 200:
-            raise ClientError(status, data.decode("utf-8", "replace"))
-        return json.loads(data)
+        return json.loads(self._get(
+            "/tracez" + _query_suffix(limit=limit, slowest=slowest)))
 
     def covz(self, limit: Optional[int] = None) -> Dict[str, object]:
         """The server's retained coverage reports (``GET /covz``)."""
-        status, _, data = self._request(
-            "GET", "/covz" + _query_suffix(limit=limit))
-        if status != 200:
-            raise ClientError(status, data.decode("utf-8", "replace"))
-        return json.loads(data)
+        return json.loads(self._get("/covz" + _query_suffix(limit=limit)))

@@ -3,13 +3,18 @@
 One module owns every byte that crosses the serving wire, so the three
 transport surfaces cannot drift:
 
+- :data:`KINDS`, one row per wire kind (``solve`` and ``eval``): its
+  path, request and response types, parser, request encoder, status ->
+  HTTP-code table, 200-body rule and client-side decoder.  The server,
+  the router and the client dispatch on it instead of repeating code
+  per kind.
 - The solve codecs (``request_to_json`` / ``request_from_json`` /
   ``response_from_json``) — a 200 body is **exactly**
   ``SolveResponse.to_json()``, byte-identical to the in-process
   serialization.
 - The eval codecs (``eval_request_to_json`` / ``eval_request_from_json``
-  / ``eval_report_from_json`` / ``eval_response_wire``) — a 200 body is
-  exactly ``EvalReport.to_json()``, same guarantee.
+  / ``eval_report_from_json``) — a 200 body is exactly
+  ``EvalReport.to_json()``, same guarantee.
 - The structured error envelope (:func:`error_body`) every non-payload
   response uses, whether it came from a backend handler or was
   synthesized by the fleet router::
@@ -27,7 +32,8 @@ map that to a 400.
 from __future__ import annotations
 
 import json
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro import knobs
 from repro.eval.cases import cases_from_json, cases_to_json
@@ -43,34 +49,33 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "EVAL_STATUS_HTTP_CODES",
-    "STATUS_HTTP_CODES",
+    "KINDS",
+    "EvalFailed",
+    "WireKind",
     "error_body",
     "error_detail",
     "eval_report_from_json",
     "eval_request_from_json",
     "eval_request_to_json",
-    "eval_response_wire",
     "request_from_json",
     "request_to_json",
     "response_from_json",
 ]
 
-#: SolveResponse.status -> HTTP status code (the transport's one table).
-STATUS_HTTP_CODES = {
-    "ok": 200,
-    "compile_error": 422,
-    "timeout": 504,
-    "cancelled": 409,
-}
 
-#: EvalResponse.status -> HTTP status code (the eval twin).
-EVAL_STATUS_HTTP_CODES = {
-    "ok": 200,
-    "unknown_model": 404,
-    "timeout": 504,
-    "cancelled": 409,
-}
+class EvalFailed(RuntimeError):
+    """A ``POST /v1/eval`` that resolved to a non-``ok`` service status.
+
+    ``status`` carries the service-level tag off the error envelope
+    (``unknown_model`` / ``timeout`` / ``cancelled``), ``code`` the HTTP
+    status, ``detail`` the human text."""
+
+    def __init__(self, code: int, detail: str, status: str):
+        super().__init__(f"eval {status} (HTTP {code}): {detail}")
+        self.code = code
+        self.detail = detail
+        self.status = status
+
 
 # -- the shared error envelope -------------------------------------------------
 
@@ -185,20 +190,6 @@ def eval_report_from_json(text) -> EvalReport:
     return EvalReport.from_json(text)
 
 
-def eval_response_wire(response: EvalResponse) -> Tuple[int, bytes]:
-    """``(http code, body)`` for an in-process :class:`EvalResponse`.
-
-    The 200 body is exactly ``report.to_json()`` — byte-identical to
-    what an in-process ``run_eval`` serializes for the same content;
-    every other status rides the shared error envelope with the
-    service-level status tag."""
-    if response.status == "ok":
-        return 200, response.report.to_json().encode("utf-8")
-    code = EVAL_STATUS_HTTP_CODES.get(response.status, 500)
-    return code, error_body(code, response.error or response.status,
-                            status=response.status)
-
-
 def _json_object(body: bytes) -> Dict:
     try:
         payload = json.loads(body.decode("utf-8")
@@ -209,3 +200,77 @@ def _json_object(body: bytes) -> Dict:
         raise ValueError(
             f"body must be a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def _eval_result(code: int, data: bytes) -> EvalReport:
+    """The client's reading of a ``/v1/eval`` answer: the report, or
+    :class:`EvalFailed` carrying the envelope's status tag."""
+    if code == 200:
+        return eval_report_from_json(data)
+    detail, status = error_detail(data)
+    raise EvalFailed(code, detail, status)
+
+
+# -- the request-kind table ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WireKind:
+    """Everything the HTTP edge knows about one wire kind.
+
+    The callables look the codec functions up by name on each call
+    instead of holding them: rebinding one on this module (perfbench's
+    layer tracer, a test's counting wrapper) then reaches every caller.
+    The service-side facts (the timeout/cancelled response constructor,
+    result cacheability) live on the request types, because this module
+    imports the service."""
+
+    name: str
+    path: str
+    request_type: type
+    response_type: type
+    #: Service status -> HTTP code; any other status answers 500.
+    http_codes: Mapping[str, int]
+    parse: Callable[[bytes], object]
+    encode: Callable[[object], str]
+    #: The 200 body of a response.
+    payload: Callable[[object], str]
+    #: Whether a non-``ok`` status rides the error envelope (eval) or
+    #: still carries ``payload`` (solve: every status serializes).
+    enveloped_errors: bool
+    #: Client side: ``(code, body)`` of a service-status answer -> result.
+    decode: Callable[[int, bytes], object]
+
+    def wire(self, response) -> Tuple[int, bytes]:
+        """``(http code, body)`` for an in-process response of this kind."""
+        code = self.http_codes.get(response.status, 500)
+        if self.enveloped_errors and response.status != "ok":
+            return code, error_body(code, response.error or response.status,
+                                    status=response.status)
+        return code, self.payload(response).encode("utf-8")
+
+
+#: Every wire kind, keyed by name; ``path`` is where its requests POST and
+#: ``path + "/{request_id}"`` where they are cancelled.
+KINDS: Dict[str, WireKind] = {
+    "solve": WireKind(
+        name="solve", path="/v1/solve",
+        request_type=SolveRequest, response_type=SolveResponse,
+        http_codes={"ok": 200, "compile_error": 422, "timeout": 504,
+                    "cancelled": 409},
+        parse=lambda body: request_from_json(body),
+        encode=lambda request: request_to_json(request),
+        payload=lambda response: response.to_json(),
+        enveloped_errors=False,
+        decode=lambda code, data: response_from_json(data.decode("utf-8"))),
+    "eval": WireKind(
+        name="eval", path="/v1/eval",
+        request_type=EvalRequest, response_type=EvalResponse,
+        http_codes={"ok": 200, "unknown_model": 404, "timeout": 504,
+                    "cancelled": 409},
+        parse=lambda body: eval_request_from_json(body),
+        encode=lambda request: eval_request_to_json(request),
+        payload=lambda response: response.report.to_json(),
+        enveloped_errors=True,
+        decode=_eval_result),
+}

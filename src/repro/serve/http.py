@@ -3,7 +3,13 @@
 The in-process API (``submit`` -> ``Future`` -> ``SolveResponse``) is
 the serving contract; this module puts a network edge in front of it
 using nothing but the standard library (``http.server``), so the
-reproduction runs as an actual service without growing a dependency:
+reproduction runs as an actual service without growing a dependency.
+Every route comes from the request-kind table
+(:data:`repro.serve.codecs.KINDS`): each row's path takes ``POST`` and
+``DELETE``, parses with the row's parser and maps statuses with its
+code table, so the handler names no kind.  One handler class serves
+this server and the fleet router alike (the router relays where this
+server submits):
 
 - ``POST /v1/solve``  — body :func:`request_to_json`; the response body
   for a solved request is **exactly** ``SolveResponse.to_json()``, so
@@ -51,7 +57,8 @@ reproduction runs as an actual service without growing a dependency:
   ``trace_id/parent_span_id``): the server continues that trace, which
   is how a fleet-routed request stays one coherent trace across
   router and backend.
-- ``DELETE /v1/solve/{request_id}`` (alias ``/v1/eval/{request_id}``) —
+- ``DELETE /v1/solve/{request_id}`` (or ``/v1/eval/{request_id}``; the
+  service keeps one ``request_id`` registry for both kinds) —
   client-initiated cancellation (:meth:`AssertService.cancel`): queued
   requests are dropped, in-batch ones abandoned.
 - Connections are persistent HTTP/1.1: a client's next request reuses
@@ -81,39 +88,14 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.knobs import EXECUTION, configclass, knob
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.serve.codecs import (
-    EVAL_STATUS_HTTP_CODES,
-    STATUS_HTTP_CODES,
-    error_body,
-    eval_request_from_json,
-    eval_request_to_json,
-    eval_response_wire,
-    request_from_json,
-    request_to_json,
-    response_from_json,
-)
+from repro.serve.codecs import KINDS, WireKind, error_body
 from repro.serve.service import (
     AssertService,
-    EvalRequest,
-    EvalResponse,
     ServiceClosed,
     ServiceOverloaded,
-    SolveRequest,
-    SolveResponse,
 )
 
-__all__ = [
-    "AssertHttpServer",
-    "HttpConfig",
-    "EVAL_STATUS_HTTP_CODES",
-    "STATUS_HTTP_CODES",
-    "eval_request_from_json",
-    "eval_request_to_json",
-    "eval_response_wire",
-    "request_from_json",
-    "request_to_json",
-    "response_from_json",
-]
+__all__ = ["AssertHttpServer", "HttpConfig"]
 
 #: Prometheus content type for ``GET /metricsz``.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -123,15 +105,26 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 ACCEPT_POLL_S = 0.05
 
 
+#: ``POST`` path -> its wire kind.
+_POST_ROUTES: Dict[str, WireKind] = {kind.path: kind
+                                     for kind in KINDS.values()}
+
+
+def _cancel_id(path: str) -> Optional[str]:
+    """The quoted request id of a ``DELETE <kind path>/{request_id}``,
+    or ``None`` for any other path."""
+    for kind_path in _POST_ROUTES:
+        if path.startswith(kind_path + "/"):
+            return path[len(kind_path) + 1:]
+    return None
+
+
 def _handler_label(command: str, path: str) -> str:
     """Low-cardinality route label for the per-request metrics."""
     path = path.partition("?")[0]
-    if path == "/v1/solve":
-        return "solve"
-    if path == "/v1/eval":
-        return "eval"
-    if command == "DELETE" and (path.startswith("/v1/solve/")
-                                or path.startswith("/v1/eval/")):
+    if path in _POST_ROUTES:
+        return _POST_ROUTES[path].name
+    if command == "DELETE" and _cancel_id(path) is not None:
         return "cancel"
     if path in ("/healthz", "/metricsz", "/tracez", "/covz"):
         return path[1:]
@@ -191,6 +184,19 @@ class _DrainAbandoned(Exception):
     """Internal: a drain outlived its grace while this handler waited."""
 
 
+class _Refusal(Exception):
+    """A transport refusal a context raises instead of an answer: the
+    handler sends it in the error envelope (``close`` also ends the
+    connection)."""
+
+    def __init__(self, code: int, detail: str, close: bool = False,
+                 headers: Optional[Dict[str, str]] = None):
+        super().__init__(detail)
+        self.code = code
+        self.close = close
+        self.headers = headers
+
+
 class _ThreadedHTTPServer(ThreadingMixIn, HTTPServer):
     """One thread per connection; non-daemon so ``server_close`` joins
     them — that join is what makes the drain graceful.
@@ -208,8 +214,8 @@ class _ThreadedHTTPServer(ThreadingMixIn, HTTPServer):
     #: size it for a burst of every client connecting at once.
     request_queue_size = 128
 
-    # Filled in by AssertHttpServer.start().
-    ctx: "AssertHttpServer"
+    # Filled in by _HttpEdge._listen().
+    ctx: "_HttpEdge"
 
     def __init__(self, address, handler):
         super().__init__(address, handler)
@@ -245,6 +251,18 @@ class _ThreadedHTTPServer(ThreadingMixIn, HTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """The one request handler of the HTTP edge, for a lone server and
+    the fleet router alike.
+
+    Its ``ctx`` (the server object it runs under) supplies only what
+    differs between the two: ``answer_post`` (submit and await, or
+    relay to a backend), ``cancel`` (local, or a fleet broadcast) and
+    ``healthz``, besides ``span_name``, ``draining``,
+    ``config.max_body_bytes`` and the diagnostic payloads.  Routing,
+    refusals and parsing live here once, so any body the router
+    synthesizes is the one a lone backend would send.
+    """
+
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
     #: Socket-read timeout: bounds how long an idle keep-alive
@@ -257,7 +275,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- helpers -------------------------------------------------------------
 
     @property
-    def ctx(self) -> "AssertHttpServer":
+    def ctx(self):
         return self.server.ctx
 
     def setup(self) -> None:
@@ -312,10 +330,9 @@ class _Handler(BaseHTTPRequestHandler):
             _handler_label(self.command, self.path), code,
             getattr(self, "_obs_started", None))
 
-    def _send_json(self, code: int, payload: dict,
-                   headers: Optional[Dict[str, str]] = None) -> None:
+    def _send_json(self, code: int, payload: dict) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send_body(code, body, headers)
+        self._send_body(code, body)
 
     def _send_error_json(self, code: int, message: str,
                          headers: Optional[Dict[str, str]] = None,
@@ -326,11 +343,8 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        if self.path == "/v1/solve":
-            parse, serve = request_from_json, self._solve
-        elif self.path == "/v1/eval":
-            parse, serve = eval_request_from_json, self._eval
-        else:
+        kind = _POST_ROUTES.get(self.path)
+        if kind is None:
             self._send_error_json(404, f"no such endpoint: {self.path}")
             return
         ctx = self.ctx
@@ -356,116 +370,38 @@ class _Handler(BaseHTTPRequestHandler):
             return
         body = self.rfile.read(length)
 
+        # The router parses too: malformed bodies get the identical 400
+        # a lone instance would send, and well-formed ones yield the
+        # content key the ring routes on.
         try:
-            request = parse(body)
+            request = kind.parse(body)
         except ValueError as exc:
             self._send_error_json(400, str(exc))
             return
-        # One server span per request.  An incoming
-        # X-Repro-Trace-Id (injected by the fleet router, or set by a
-        # client correlating its own retries) continues that trace; an
-        # absent or malformed header derives the same deterministic id
-        # the service would.  root=True: this span finalizes the trace's
-        # local fragment when it ends.
+        # One root span per request.  An incoming X-Repro-Trace-Id
+        # (injected by the fleet router, or set by a client correlating
+        # its own retries) continues that trace; an absent or malformed
+        # header derives the same deterministic id the service would.
+        # root=True: this span finalizes the trace's local fragment when
+        # it ends.
         incoming_id, incoming_parent = obs_trace.parse_trace_header(
             self.headers.get(obs_trace.TRACE_HEADER, ""))
         trace_id = incoming_id or obs_trace.trace_id_for(
             request.cache_key(), request.request_id)
-        with obs_trace.span("http.server", parent=incoming_parent,
-                            trace_id=trace_id, root=True) as server_span:
-            serve(ctx, request, server_span)
-
-    def _solve(self, ctx: "AssertHttpServer", request: SolveRequest,
-               server_span) -> None:
-        response = self._serve_request(
-            ctx, request, ctx.service.submit,
-            lambda: SolveResponse(
-                "timeout", request.cache_key(),
-                error=f"server wait budget of "
-                      f"{ctx.config.default_timeout_s}s exceeded"))
-        if response is None:
-            return
-        code = STATUS_HTTP_CODES.get(response.status, 500)
-        if server_span is not None:
-            server_span.attrs["status"] = response.status
-            server_span.attrs["code"] = code
-        # The body IS SolveResponse.to_json(): byte-identical to the
-        # in-process serialization for the same request content hash.
-        self._send_body(code, response.to_json().encode("utf-8"))
-
-    def _eval(self, ctx: "AssertHttpServer", request: EvalRequest,
-              server_span) -> None:
-        response = self._serve_request(
-            ctx, request, ctx.service.submit_eval,
-            lambda: EvalResponse(
-                "timeout", request.cache_key(),
-                error=f"server wait budget of "
-                      f"{ctx.config.default_timeout_s}s exceeded"))
-        if response is None:
-            return
-        code, body = eval_response_wire(response)
-        if server_span is not None:
-            server_span.attrs["status"] = response.status
-            server_span.attrs["code"] = code
-        # A 200 body IS EvalReport.to_json(): byte-identical to the
-        # in-process serialization for the same request content hash.
-        self._send_body(code, body)
-
-    def _serve_request(self, ctx: "AssertHttpServer", request, submit,
-                       timeout_response):
-        """Shared submit-and-await: returns the service response, or
-        ``None`` after sending a transport refusal itself."""
-        try:
-            future = submit(request)
-        except ServiceOverloaded as exc:
-            retry_after = max(1, round(ctx.config.retry_after_s))
-            self._send_error_json(429, str(exc),
-                                  headers={"Retry-After": str(retry_after)})
-            return None
-        except ServiceClosed:
-            self.close_connection = True
-            self._send_error_json(503, "service is closed")
-            return None
-        except ValueError as exc:  # submit re-validates; belt and braces
-            self._send_error_json(400, str(exc))
-            return None
-
-        try:
-            return self._await(ctx, future, timeout_response)
-        except _DrainAbandoned:
-            self.close_connection = True
-            self._send_error_json(503, "server drained before the request "
-                                       "was served")
-            return None
-        except ServiceClosed:
-            self.close_connection = True
-            self._send_error_json(503, "service closed mid-request")
-            return None
-        except Exception as exc:  # noqa: BLE001 - surface, don't hang
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
-            return None
-
-    def _await(self, ctx: "AssertHttpServer", future, timeout_response):
-        """Wait for the future in slices, so a drain can reclaim
-        handlers whose futures nobody will ever resolve (an
-        externally-owned, never-started service) instead of hanging
-        ``close()`` for the full wait budget."""
-        wait_deadline = time.monotonic() + ctx.config.default_timeout_s
-        while True:
-            remaining = wait_deadline - time.monotonic()
-            if remaining <= 0:
-                # The *server's* wait budget, not the request's
-                # deadline_ms (the deadline timer resolves those to
-                # status="timeout" well before this).  The future stays
-                # live: a late result is still cached for repeats.
-                return timeout_response()
+        with obs_trace.span(ctx.span_name, parent=incoming_parent,
+                            trace_id=trace_id, root=True) as span:
             try:
-                return future.result(timeout=min(0.25, remaining))
-            except FutureTimeoutError:
-                drained_for = ctx.drain_elapsed()
-                if drained_for is not None \
-                        and drained_for > ctx.config.drain_grace_s:
-                    raise _DrainAbandoned() from None
+                code, data, headers = ctx.answer_post(kind, request, body,
+                                                      span)
+            except _Refusal as refusal:
+                if refusal.close:
+                    self.close_connection = True
+                self._send_error_json(refusal.code, str(refusal),
+                                      refusal.headers)
+                return
+            if span is not None:
+                span.attrs["code"] = code
+            self._send_body(code, data, headers)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         ctx = self.ctx
@@ -479,9 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
         if route == "/healthz":
             if ctx.draining:
                 self.close_connection = True
-                self._send_json(503, {"status": "draining"})
-            else:
-                self._send_json(200, {"status": "ok"})
+            self._send_json(*ctx.healthz())
         elif route == "/metricsz":
             self._send_body(200, ctx.metricsz().encode("utf-8"),
                             content_type=PROMETHEUS_CONTENT_TYPE)
@@ -495,23 +429,104 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
         # Cancellation is kind-agnostic service-side (one request_id
-        # registry), so both prefixes route to the same cancel.
-        for prefix in ("/v1/solve/", "/v1/eval/"):
-            if self.path.startswith(prefix):
-                break
-        else:
+        # registry), so every kind's path routes to the same cancel.
+        quoted = _cancel_id(self.path)
+        if quoted is None:
             self._send_error_json(404, f"no such endpoint: {self.path}")
             return
-        request_id = unquote(self.path[len(prefix):])
+        request_id = unquote(quoted)
         if not request_id:
             self._send_error_json(400, "missing request_id")
             return
-        cancelled = self.ctx.service.cancel(request_id)
+        cancelled = self.ctx.cancel(request_id)
         self._send_json(200 if cancelled else 404,
                         {"request_id": request_id, "cancelled": cancelled})
 
 
-class AssertHttpServer:
+class _HttpEdge:
+    """The handler's ``ctx``: what a lone server and the fleet router
+    share — the edge's HTTP metrics, its accept loop, its bound address
+    and its drain flag.  Subclasses answer the requests
+    (``answer_post``, ``cancel``, ``healthz`` and the diagnostic
+    payloads)."""
+
+    #: The root span of each request this edge answers.
+    span_name = "http.server"
+
+    def __init__(self, edge: str):
+        self.draining = False
+        self._httpd: Optional[_ThreadedHTTPServer] = None
+        self._thread: Optional[threading.Thread] = None
+        self._closed = False
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._http_requests = self.metrics.counter_family(
+            "repro_http_requests_total", "HTTP responses sent.",
+            ("handler", "code"))
+        self._http_seconds = self.metrics.histogram(
+            "repro_http_request_seconds",
+            "Request handling time, request line to body written.")
+        self._http_connections = self.metrics.counter_family(
+            "repro_http_connections_total", "HTTP connections accepted.",
+            ("edge",)).labels(edge=edge)
+
+    def _listen(self, handler: type, thread_name: str) -> None:
+        """Bind ``config.host:config.port`` and start the accept loop."""
+        self._httpd = _ThreadedHTTPServer(
+            (self.config.host, self.config.port), handler)
+        self._httpd.ctx = self
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(ACCEPT_POLL_S,),
+            name=thread_name, daemon=True)
+        self._thread.start()
+
+    def _stop_accepting(self) -> None:
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            if self._thread is not None:
+                self._thread.join(timeout=30)
+
+    def _release(self) -> None:
+        """Close the connections idle between requests, then join the
+        handler threads and release the socket."""
+        if self._httpd is not None:
+            self._httpd.close_idle()
+            self._httpd.server_close()
+
+    def observe_connection(self) -> None:
+        """Called by the handler once per accepted connection."""
+        self._http_connections.inc()
+
+    def observe_http(self, handler: str, code: int,
+                     started: Optional[float]) -> None:
+        """Per-response bookkeeping, called by the handler on every send."""
+        self._http_requests.labels(handler=handler, code=str(code)).inc()
+        if started is not None:
+            self._http_seconds.observe(time.perf_counter() - started)
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        if self._httpd is None:
+            raise RuntimeError(f"{type(self).__name__} not started")
+        host, port = self._httpd.server_address[:2]
+        return host, port
+
+    @property
+    def port(self) -> int:
+        return self.address[1]
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class AssertHttpServer(_HttpEdge):
     """A threaded HTTP front end over one :class:`AssertService`.
 
     Lifecycle::
@@ -530,38 +545,83 @@ class AssertHttpServer:
     def __init__(self, service: AssertService,
                  config: Optional[HttpConfig] = None,
                  manage_service: bool = True):
+        super().__init__(edge="server")
         self.service = service
         self.config = config or HttpConfig()
         self.config.validate()
         self.manage_service = manage_service
-        self.draining = False
         self._drain_started: Optional[float] = None
-        self._httpd: Optional[_ThreadedHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-        self.metrics = obs_metrics.MetricsRegistry()
-        self._http_requests = self.metrics.counter_family(
-            "repro_http_requests_total", "HTTP responses sent.",
-            ("handler", "code"))
-        self._http_seconds = self.metrics.histogram(
-            "repro_http_request_seconds",
-            "Request handling time, request line to body written.")
-        self._http_connections = self.metrics.counter_family(
-            "repro_http_connections_total", "HTTP connections accepted.",
-            ("edge",)).labels(edge="server")
 
-    # -- observability ----------------------------------------------------
+    # -- what the handler asks of its server ------------------------------
 
-    def observe_connection(self) -> None:
-        """Called by the handler once per accepted connection."""
-        self._http_connections.inc()
+    def answer_post(self, kind: WireKind, request, body: bytes,
+                    span) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
+        """Submit ``request`` and await it: ``(code, body, headers)``.
 
-    def observe_http(self, handler: str, code: int,
-                     started: Optional[float]) -> None:
-        """Per-response bookkeeping, called by the handler on every send."""
-        self._http_requests.labels(handler=handler, code=str(code)).inc()
-        if started is not None:
-            self._http_seconds.observe(time.perf_counter() - started)
+        A transport refusal raises :class:`_Refusal` instead."""
+        try:
+            future = self.service.submit(request)
+        except ServiceOverloaded as exc:
+            retry_after = max(1, round(self.config.retry_after_s))
+            raise _Refusal(429, str(exc),
+                           headers={"Retry-After": str(retry_after)}) \
+                from None
+        except ServiceClosed:
+            raise _Refusal(503, "service is closed", close=True) from None
+        except ValueError as exc:  # submit re-validates; belt and braces
+            raise _Refusal(400, str(exc)) from None
+
+        try:
+            response = self._await(future, request)
+        except _DrainAbandoned:
+            raise _Refusal(503, "server drained before the request was "
+                                "served", close=True) from None
+        except ServiceClosed:
+            raise _Refusal(503, "service closed mid-request",
+                           close=True) from None
+        except Exception as exc:  # noqa: BLE001 - surface, don't hang
+            raise _Refusal(500, f"{type(exc).__name__}: {exc}") from None
+        if span is not None:
+            span.attrs["status"] = response.status
+        # A 200 body IS the in-process serialization (SolveResponse or
+        # EvalReport.to_json()): byte-identical for the same content.
+        code, data = kind.wire(response)
+        return code, data, None
+
+    def _await(self, future, request):
+        """Wait for the future in slices, so a drain can reclaim
+        handlers whose futures nobody will ever resolve (an
+        externally-owned, never-started service) instead of hanging
+        ``close()`` for the full wait budget."""
+        wait_deadline = time.monotonic() + self.config.default_timeout_s
+        while True:
+            remaining = wait_deadline - time.monotonic()
+            if remaining <= 0:
+                # The *server's* wait budget, not the request's
+                # deadline_ms (the deadline timer resolves those to
+                # status="timeout" well before this).  The future stays
+                # live: a late result is still cached for repeats.
+                return request.reply(
+                    "timeout", request.cache_key(),
+                    f"server wait budget of "
+                    f"{self.config.default_timeout_s}s exceeded")
+            try:
+                return future.result(timeout=min(0.25, remaining))
+            except FutureTimeoutError:
+                drained_for = self.drain_elapsed()
+                if drained_for is not None \
+                        and drained_for > self.config.drain_grace_s:
+                    raise _DrainAbandoned() from None
+
+    def cancel(self, request_id: str) -> int:
+        """``DELETE``: cancel the service's requests tagged ``request_id``."""
+        return self.service.cancel(request_id)
+
+    def healthz(self) -> Tuple[int, Dict[str, object]]:
+        """``(code, payload)`` of ``GET /healthz``: liveness."""
+        if self.draining:
+            return 503, {"status": "draining"}
+        return 200, {"status": "ok"}
 
     def metricsz(self) -> str:
         """The ``GET /metricsz`` exposition: this edge's HTTP metrics,
@@ -580,10 +640,8 @@ class AssertHttpServer:
         ``?slowest=N`` on the endpoint) — retention is unchanged, only
         the payload shrinks."""
         snapshot = obs_trace.buffer().snapshot()
-        if limit is not None:
-            snapshot["recent"] = snapshot["recent"][:limit]
-        if slowest is not None:
-            snapshot["slowest"] = snapshot["slowest"][:slowest]
+        snapshot["recent"] = snapshot["recent"][:limit]  # [:None] = all
+        snapshot["slowest"] = snapshot["slowest"][:slowest]
         return snapshot
 
     def covz(self, limit: Optional[int] = None) -> Dict[str, object]:
@@ -600,30 +658,8 @@ class AssertHttpServer:
             return self
         if self.manage_service:
             self.service.start()
-        self._httpd = _ThreadedHTTPServer(
-            (self.config.host, self.config.port), _Handler)
-        self._httpd.ctx = self
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(ACCEPT_POLL_S,),
-            name="serve-http-accept", daemon=True)
-        self._thread.start()
+        self._listen(_Handler, "serve-http-accept")
         return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._httpd is None:
-            raise RuntimeError("server not started")
-        host, port = self._httpd.server_address[:2]
-        return host, port
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     def close(self) -> None:
         """Graceful drain: stop accepting, answer what was accepted.
@@ -638,24 +674,13 @@ class AssertHttpServer:
         self._closed = True
         self.draining = True
         self._drain_started = time.monotonic()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            if self._thread is not None:
-                self._thread.join(timeout=30)
+        self._stop_accepting()
         if self.manage_service:
             self.service.close()
-        if self._httpd is not None:
-            self._httpd.close_idle()
-            self._httpd.server_close()
+        self._release()
 
     def drain_elapsed(self) -> Optional[float]:
         """Seconds since the drain began, or ``None`` while serving."""
         if self._drain_started is None:
             return None
         return time.monotonic() - self._drain_started
-
-    def __enter__(self) -> "AssertHttpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -36,8 +36,8 @@ like one bigger instance without forking the protocol or the bytes:
 
 The router is a pure execution layer: bodies it relays are the
 backend's bytes verbatim, and bodies it must synthesize itself (400,
-404, 413) reuse the single-instance handler's serialization so they
-stay byte-identical too.
+404, 413) come from the single-instance handler itself, so they stay
+byte-identical too.
 """
 
 from __future__ import annotations
@@ -49,22 +49,15 @@ import time
 from bisect import bisect_right, insort
 from hashlib import sha256
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
-from urllib.parse import unquote, urlsplit
+from urllib.parse import quote
 
 from repro import cov
 from repro.knobs import EXECUTION, configclass, knob
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.serve.client import ConnectionPool, Exchange
-from repro.serve.codecs import eval_request_from_json, request_from_json
-from repro.serve.http import (
-    ACCEPT_POLL_S,
-    PROMETHEUS_CONTENT_TYPE,
-    AssertHttpServer,
-    _Handler,
-    _query_int_params,
-    _ThreadedHTTPServer,
-)
+from repro.serve.client import ConnectionPool, Exchange, _query_suffix
+from repro.serve.codecs import WireKind
+from repro.serve.http import AssertHttpServer, _Handler, _HttpEdge, _Refusal
 from repro.serve.service import ServiceClosed
 
 __all__ = [
@@ -229,140 +222,18 @@ def _resolve_backend(spec: BackendSpec,
 
 
 class _RouterHandler(_Handler):
-    """Wire-compatible front door: same codes, same bodies.
-
-    Inherits the single-instance handler's serialization helpers so any
-    body the router synthesizes itself (400/404/413/503) is built by
-    the very code a lone backend would use.
-    """
+    """The single-instance handler under the router's own name: routing,
+    refusals and parsing are the very code a lone backend runs, so any
+    body the router synthesizes itself (400/404/413/503) is byte-identical
+    to that backend's."""
 
     server_version = "repro-fleet/1"
-
-    @property
-    def ctx(self) -> "FleetRouter":  # type: ignore[override]
-        return self.server.ctx
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        if self.path == "/v1/solve":
-            parse = request_from_json
-        elif self.path == "/v1/eval":
-            parse = eval_request_from_json
-        else:
-            self._send_error_json(404, f"no such endpoint: {self.path}")
-            return
-        ctx = self.ctx
-        if ctx.draining:
-            self.close_connection = True
-            self._send_error_json(503, "server is draining")
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            length = -1
-        if length < 0:
-            self.close_connection = True
-            self._send_error_json(400, "missing or invalid Content-Length")
-            return
-        if length > ctx.config.max_body_bytes:
-            self.close_connection = True
-            self._send_error_json(
-                413, f"body of {length} bytes exceeds the "
-                     f"{ctx.config.max_body_bytes}-byte limit")
-            return
-        body = self.rfile.read(length)
-
-        # Validate locally with the backend's own parser: malformed
-        # bodies get the identical 400 a lone instance would send, and
-        # well-formed ones yield the content key the ring routes on —
-        # eval repeats therefore land on the backend whose store memo
-        # already holds their per-case outcomes.
-        try:
-            request = parse(body)
-        except ValueError as exc:
-            self._send_error_json(400, str(exc))
-            return
-
-        # The router roots (or continues) the request's trace; every
-        # forward below injects X-Repro-Trace-Id, so the backend's
-        # server span — and everything under it — joins this trace.
-        incoming_id, incoming_parent = obs_trace.parse_trace_header(
-            self.headers.get(obs_trace.TRACE_HEADER, ""))
-        trace_id = incoming_id or obs_trace.trace_id_for(
-            request.cache_key(), request.request_id)
-        with obs_trace.span("fleet.route", parent=incoming_parent,
-                            trace_id=trace_id, root=True) as route_span:
-            routed = ctx.route_post(self.path, request.cache_key(), body)
-            if routed is None:
-                self.close_connection = True
-                self._send_error_json(503, "no healthy backends")
-                return
-            status, headers, data = routed
-            if route_span is not None:
-                route_span.attrs["code"] = status
-            relay: Dict[str, str] = {}
-            if "retry-after" in headers:
-                relay["Retry-After"] = headers["retry-after"]
-            # The backend's bytes, verbatim: routing never re-serializes.
-            self._send_body(status, data, relay or None)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        ctx = self.ctx
-        parsed = urlsplit(self.path)
-        try:
-            params = _query_int_params(parsed.query)
-        except ValueError as exc:
-            self._send_error_json(400, str(exc))
-            return
-        route = parsed.path
-        if route == "/healthz":
-            healthy, total = ctx.health()
-            body = {"backends": {"healthy": healthy, "total": total},
-                    "nodes": ctx.node_status()}
-            if ctx.draining:
-                self.close_connection = True
-                self._send_json(503, {"status": "draining", **body})
-            elif healthy == 0:
-                self._send_json(503, {"status": "unavailable", **body})
-            else:
-                self._send_json(200, {"status": "ok", **body})
-        elif route == "/metricsz":
-            self._send_body(200, ctx.metricsz().encode("utf-8"),
-                            content_type=PROMETHEUS_CONTENT_TYPE)
-        elif route == "/tracez":
-            self._send_json(200, ctx.tracez(limit=params.get("limit"),
-                                            slowest=params.get("slowest")))
-        elif route == "/covz":
-            self._send_json(200, ctx.covz(limit=params.get("limit")))
-        else:
-            self._send_error_json(404, f"no such endpoint: {self.path}")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        for prefix in ("/v1/solve/", "/v1/eval/"):
-            if self.path.startswith(prefix):
-                break
-        else:
-            self._send_error_json(404, f"no such endpoint: {self.path}")
-            return
-        request_id = unquote(self.path[len(prefix):])
-        if not request_id:
-            self._send_error_json(400, "missing request_id")
-            return
-        cancelled = self.ctx.cancel_broadcast(request_id)
-        self._send_json(200 if cancelled else 404,
-                        {"request_id": request_id, "cancelled": cancelled})
 
 
 # -- router --------------------------------------------------------------------
 
 
-def _diag_query(**params: Optional[int]) -> str:
-    """Rebuild the ``?limit=N&slowest=N`` suffix a fan-out forwards."""
-    parts = [f"{name}={value}" for name, value in params.items()
-             if value is not None]
-    return f"?{'&'.join(parts)}" if parts else ""
-
-
-class FleetRouter:
+class FleetRouter(_HttpEdge):
     """A consistent-hash HTTP router over N solve backends.
 
     Lifecycle::
@@ -409,7 +280,6 @@ class FleetRouter:
         self.config = config or RouterConfig()
         self.config.validate()
         self.manage_backends = manage_backends
-        self.draining = False
         self._backends: List[BackendSpec] = list(backends)
         self._slots: List[_BackendSlot] = []
         self._by_node: Dict[str, _BackendSlot] = {}
@@ -420,23 +290,11 @@ class FleetRouter:
         self._failovers = 0
         self._no_backend = 0
         self._cancel_broadcasts = 0
-        self._httpd: Optional[_ThreadedHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
         self._health_thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._closed = False
         #: Keep-alive backend connections shared by every router thread.
         self._pool = ConnectionPool()
-        self.metrics = obs_metrics.MetricsRegistry()
-        self._http_requests = self.metrics.counter_family(
-            "repro_http_requests_total", "HTTP responses sent.",
-            ("handler", "code"))
-        self._http_seconds = self.metrics.histogram(
-            "repro_http_request_seconds",
-            "Request handling time, request line to body written.")
-        self._http_connections = self.metrics.counter_family(
-            "repro_http_connections_total", "HTTP connections accepted.",
-            ("edge",)).labels(edge="router")
+        super().__init__(edge="router")
         self._forward_seconds = self.metrics.histogram(
             "repro_router_forward_seconds",
             "Solve-forward round trip to a backend (success or failure).")
@@ -492,33 +350,11 @@ class FleetRouter:
         self._by_node = {slot.node: slot for slot in self._slots}
         self._ring = HashRing(nodes, replicas=self.config.ring_replicas)
         self.probe()  # address-only backends that are down start ejected
-        self._httpd = _ThreadedHTTPServer(
-            (self.config.host, self.config.port), _RouterHandler)
-        self._httpd.ctx = self  # type: ignore[assignment]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(ACCEPT_POLL_S,),
-            name="fleet-router-accept", daemon=True)
-        self._thread.start()
+        self._listen(_RouterHandler, "fleet-router-accept")
         self._health_thread = threading.Thread(
             target=self._health_loop, name="fleet-router-health", daemon=True)
         self._health_thread.start()
         return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._httpd is None:
-            raise RuntimeError("router not started")
-        host, port = self._httpd.server_address[:2]
-        return host, port
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     @property
     def backends(self) -> List[BackendSpec]:
@@ -536,12 +372,8 @@ class FleetRouter:
         self._closed = True
         self.draining = True
         self._stop.set()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            if self._thread is not None:
-                self._thread.join(timeout=30)
-            self._httpd.close_idle()
-            self._httpd.server_close()  # joins in-flight handler threads
+        self._stop_accepting()
+        self._release()  # joins in-flight handler threads
         if self._health_thread is not None:
             self._health_thread.join(timeout=10)
         self._pool.close()
@@ -549,12 +381,6 @@ class FleetRouter:
             for spec in self._backends:
                 if isinstance(spec, AssertHttpServer):
                     spec.close()
-
-    def __enter__(self) -> "FleetRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- health --------------------------------------------------------------
 
@@ -571,20 +397,14 @@ class FleetRouter:
         answer again, and returns ``(healthy, total)``.  The background
         loop calls this every ``health_interval_s``; tests and drains
         can call it directly for a deterministic round."""
-        for slot in self._slots:
-            try:
-                status, _, _ = self._forward(
-                    slot, "GET", "/healthz", None,
-                    self.config.probe_timeout_s)
-                ok = status == 200
-                error = "" if ok else f"healthz returned {status}"
-            except (OSError, http.client.HTTPException) as exc:
-                ok = False
-                error = f"healthz probe failed: {type(exc).__name__}"
-            if ok:
+        for slot, exchange in self._fan_out("GET", "/healthz",
+                                            "healthz probe"):
+            if exchange is None:
+                continue  # ejected by the fan-out
+            if exchange[0] == 200:
                 self._readmit(slot)
             else:
-                self._eject(slot, error)
+                self._eject(slot, f"healthz returned {exchange[0]}")
         return self.health()
 
     def health(self) -> Tuple[int, int]:
@@ -622,6 +442,38 @@ class FleetRouter:
                 slot.healthy = True
                 slot.readmissions += 1
                 slot.last_error = ""
+
+    # -- what the handler asks of its server ------------------------------
+
+    span_name = "fleet.route"
+
+    def answer_post(self, kind: WireKind, request, body: bytes,
+                    span) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
+        """Relay the body along its content key's ring order.
+
+        The router roots (or continues) the request's trace; every
+        forward injects X-Repro-Trace-Id, so the backend's server span —
+        and everything under it — joins this trace."""
+        routed = self.route_post(kind.path, request.cache_key(), body)
+        if routed is None:
+            raise _Refusal(503, "no healthy backends", close=True)
+        status, headers, data = routed
+        relay = ({"Retry-After": headers["retry-after"]}
+                 if "retry-after" in headers else None)
+        # The backend's bytes, verbatim: routing never re-serializes.
+        return status, data, relay
+
+    def healthz(self) -> Tuple[int, Dict[str, object]]:
+        """``(code, payload)`` of ``GET /healthz``: fleet shape, each
+        backend's address and last error."""
+        healthy, total = self.health()
+        body = {"backends": {"healthy": healthy, "total": total},
+                "nodes": self.node_status()}
+        if self.draining:
+            return 503, {"status": "draining", **body}
+        if healthy == 0:
+            return 503, {"status": "unavailable", **body}
+        return 200, {"status": "ok", **body}
 
     # -- routing -------------------------------------------------------------
 
@@ -700,69 +552,65 @@ class FleetRouter:
             self._no_backend += 1
         return None
 
-    def cancel_broadcast(self, request_id: str) -> int:
+    def cancel(self, request_id: str) -> int:
         """``DELETE`` fan-out: the router cannot recover the content key
         from a request id, so cancellation asks every backend and sums
-        the ``cancelled`` counts (at most one backend holds the id)."""
+        the ``cancelled`` counts (at most one backend holds the id).
+
+        The id is quoted again for the forward: the handler unquoted it
+        once, and a raw space or control character would make the
+        forward itself fail and eject a healthy backend."""
         with self._lock:
             self._cancel_broadcasts += 1
         total = 0
-        for slot in self._slots:
-            try:
-                status, _, data = self._forward(
-                    slot, "DELETE", f"/v1/solve/{request_id}", None,
-                    self.config.probe_timeout_s)
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"cancel failed: {type(exc).__name__}")
-                continue
-            if status in (200, 404):
+        path = f"/v1/solve/{quote(request_id, safe='')}"
+        for _, exchange in self._fan_out("DELETE", path, "cancel"):
+            if exchange is not None and exchange[0] in (200, 404):
                 try:
-                    total += int(json.loads(data).get("cancelled", 0))
+                    total += int(json.loads(exchange[2]).get("cancelled", 0))
                 except (ValueError, TypeError):
                     pass
         return total
 
+    def _fan_out(self, method: str, path: str, what: str
+                 ) -> Iterator[Tuple[_BackendSlot, Optional[Exchange]]]:
+        """The one backend fan-out (health probes, cancel broadcasts,
+        diagnostics): ``method path`` on every backend in slot order,
+        yielding ``(slot, exchange)``.  One error policy: a transport
+        error ejects the backend (``"<what> failed: <error>"``) and
+        yields ``None`` for it."""
+        for slot in self._slots:
+            try:
+                exchange = self._forward(slot, method, path, None,
+                                         self.config.probe_timeout_s)
+            except (OSError, http.client.HTTPException) as exc:
+                self._eject(slot, f"{what} failed: {type(exc).__name__}")
+                exchange = None
+            yield slot, exchange
+
     # -- observability -------------------------------------------------------
-
-    def observe_http(self, handler: str, code: int,
-                     started: Optional[float]) -> None:
-        """Per-response bookkeeping, called by the handler on every send."""
-        self._http_requests.labels(handler=handler, code=str(code)).inc()
-        if started is not None:
-            self._http_seconds.observe(time.perf_counter() - started)
-
-    def observe_connection(self) -> None:
-        """Called by the handler once per accepted client connection."""
-        self._http_connections.inc()
 
     def _gather(self, path: str,
                 text: bool = False) -> List[Tuple[_BackendSlot, object]]:
-        """The one diagnostic fan-out: ``GET path`` on every backend.
+        """The diagnostic fan-out: ``GET path`` on every backend.
 
         Returns ``(slot, payload)`` per backend, in slot order.  The
         payload is the decoded body (``text`` gives the UTF-8 string,
-        otherwise a JSON object), or ``None``.  One error policy for
-        every endpoint: a transport error ejects the backend, and a
-        non-200 or undecodable body is skipped (``None``)."""
+        otherwise a JSON object), or ``None``: a non-200 or undecodable
+        body is skipped like a backend the fan-out ejected."""
+        endpoint = path.split("?", 1)[0].lstrip("/")
         gathered: List[Tuple[_BackendSlot, object]] = []
-        for slot in self._slots:
+        for slot, exchange in self._fan_out("GET", path,
+                                            f"{endpoint} probe"):
             payload = None
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", path, None, self.config.probe_timeout_s)
-            except (OSError, http.client.HTTPException) as exc:
-                endpoint = path.split("?", 1)[0].lstrip("/")
-                self._eject(slot, f"{endpoint} probe failed: "
-                                  f"{type(exc).__name__}")
-            else:
-                if status == 200:
-                    try:
-                        payload = (data.decode("utf-8") if text
-                                   else json.loads(data))
-                    except ValueError:  # bad UTF-8 or bad JSON
-                        pass
-                    if not (text or isinstance(payload, dict)):
-                        payload = None
+            if exchange is not None and exchange[0] == 200:
+                try:
+                    payload = (exchange[2].decode("utf-8") if text
+                               else json.loads(exchange[2]))
+                except ValueError:  # bad UTF-8 or bad JSON
+                    pass
+                if not (text or isinstance(payload, dict)):
+                    payload = None
             gathered.append((slot, payload))
         return gathered
 
@@ -795,7 +643,7 @@ class FleetRouter:
         recent = list(local["recent"])
         slow_records = list(local["slowest"])
         payloads = [payload for _, payload in self._gather(
-            f"/tracez{_diag_query(limit=limit, slowest=slowest)}")
+            f"/tracez{_query_suffix(limit=limit, slowest=slowest)}")
             if payload is not None]
         for payload in payloads:
             for key, into in (("recent", recent), ("slowest", slow_records)):
@@ -805,15 +653,11 @@ class FleetRouter:
         merged_slowest = obs_trace.merge_trace_records(slow_records)
         merged_slowest.sort(
             key=lambda r: -(obs_trace.duration_ms(r) or 0.0))
-        if limit is not None:
-            merged_recent = merged_recent[:limit]
-        if slowest is not None:
-            merged_slowest = merged_slowest[:slowest]
         return {
             "enabled": local["enabled"],
             "backends_reached": len(payloads),
-            "recent": merged_recent,
-            "slowest": merged_slowest,
+            "recent": merged_recent[:limit],  # [:None] keeps them all
+            "slowest": merged_slowest[:slowest],
         }
 
     def covz(self, limit: Optional[int] = None) -> Dict[str, object]:
@@ -825,7 +669,7 @@ class FleetRouter:
         once per backend.  ``limit`` caps the merged design list and is
         forwarded on the fan-out."""
         payloads = [payload for _, payload in self._gather(
-            f"/covz{_diag_query(limit=limit)}") if payload is not None]
+            f"/covz{_query_suffix(limit=limit)}") if payload is not None]
         merged = cov.merge_covz_payloads(
             [cov.buffer().snapshot(), *payloads], limit=limit)
         merged["backends_reached"] = len(payloads)

@@ -46,7 +46,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import cov, knobs
 from repro.corpus.meta import DesignSeed, SvaHint, TemplateMeta
@@ -166,7 +166,14 @@ class SolveRequest:
     ``request_id`` is a client-side tag for tracing; it is *not* part of
     the content key, so differently-tagged repeats still share cache
     entries and batch dedup.
+
+    Each request type tells the service what differs by kind (see
+    :class:`EvalRequest`): ``cacheable``, the deadline, and :meth:`reply`
+    for the lifecycle's own answers (timeout, cancelled).
     """
+
+    #: Responses are pure functions of content: cached == recomputed.
+    cacheable: ClassVar[bool] = True
 
     design_source: str
     options: SolveOptions = field(default_factory=SolveOptions)
@@ -174,6 +181,17 @@ class SolveRequest:
 
     def cache_key(self) -> str:
         return content_key(self.design_source, self.options.canonical())
+
+    def validate(self) -> None:
+        self.options.validate()
+
+    @property
+    def deadline_ms(self) -> Optional[float]:
+        return self.options.deadline_ms
+
+    @staticmethod
+    def reply(status: str, key: str, error: str) -> "SolveResponse":
+        return SolveResponse(status, key, error=error)
 
 
 class ScoredProposal:
@@ -278,6 +296,11 @@ class EvalRequest:
 
     __slots__ = ("model", "cases", "config", "request_id", "_cases_json")
 
+    #: Deliberately not result-cached: the response depends on which
+    #: object is registered under the model *name*, which a shared store
+    #: cannot see, whereas the per-case memo keys on the model's digest.
+    cacheable: ClassVar[bool] = False
+
     def __init__(self, model: str, cases,
                  config: Optional[EvalConfig] = None, request_id: str = ""):
         if not isinstance(model, str) or not model:
@@ -300,6 +323,17 @@ class EvalRequest:
     def cache_key(self) -> str:
         return content_key("eval", self.model, self.cases_json(),
                            self.config.canonical())
+
+    def validate(self) -> None:
+        self.config.validate()
+
+    @property
+    def deadline_ms(self) -> Optional[float]:
+        return self.config.deadline_ms
+
+    @staticmethod
+    def reply(status: str, key: str, error: str) -> "EvalResponse":
+        return EvalResponse(status, key, error=error)
 
 
 class EvalResponse:
@@ -871,7 +905,7 @@ class AssertService:
             except queue.Empty:
                 break
             if isinstance(item, _Pending):
-                self._fail(item, ServiceClosed(
+                self._finish(item, ServiceClosed(
                     "service closed before the request was served"))
         if self._engine is not None:
             self._engine.close()
@@ -886,12 +920,6 @@ class AssertService:
         self.close()
 
     # -- request path --------------------------------------------------------
-
-    def _coerce(self, request: Union[SolveRequest, str]) -> SolveRequest:
-        if isinstance(request, str):
-            request = SolveRequest(request)
-        request.options.validate()
-        return request
 
     def register_model(self, name: str, model) -> str:
         """Install ``model`` under ``name`` for ``POST /v1/eval`` traffic.
@@ -914,38 +942,21 @@ class AssertService:
         with self._lock:
             return sorted(self._models)
 
-    def submit(self, request: Union[SolveRequest, str]) -> "Future":
-        """Accept one solve; the future resolves to a SolveResponse.
-
-        A result-cache hit comes back already resolved; a miss is
-        enqueued.  Raises :class:`ServiceOverloaded` when a miss finds
-        the bounded queue full and :class:`ServiceClosed` after
-        :meth:`close`.
-        """
-        request = self._coerce(request)
-        return self._submit_pending(request, request.options.deadline_ms)
-
-    def submit_eval(self, request: EvalRequest) -> "Future":
-        """Enqueue one evaluation; the future resolves to an EvalResponse.
-
-        Same lifecycle as :meth:`submit`: bounded queue (429-style
-        backpressure), deadline timer, cancellation by ``request_id``,
-        batch dedup by content key."""
-        if not isinstance(request, EvalRequest):
-            raise ValueError(
-                f"submit_eval takes an EvalRequest, "
-                f"got {type(request).__name__}")
-        return self._submit_pending(request, request.config.deadline_ms)
-
-    def _submit_pending(self, request: Union[SolveRequest, EvalRequest],
-                        deadline: Optional[float]) -> "Future":
-        """The shared accept path: solve and eval requests ride the same
-        queue, timer, and cancellation registry — except a solve whose
-        response is already cached, which resolves here and never
-        touches any of them."""
+    def submit(self,
+               request: Union[SolveRequest, EvalRequest, str]) -> "Future":
+        """Accept a :class:`SolveRequest` or an :class:`EvalRequest`; the
+        future resolves to the kind's response.  Both kinds ride one
+        queue, deadline timer, cancellation registry and batch dedup; a
+        cached response comes back resolved and touches none of them.
+        Raises :class:`ServiceOverloaded` when a miss finds the bounded
+        queue full and :class:`ServiceClosed` after :meth:`close`."""
+        if isinstance(request, str):
+            request = SolveRequest(request)
+        request.validate()
         if self._closed:
             raise ServiceClosed("service is closed")
         future: "Future" = Future()
+        deadline = request.deadline_ms
         expiry = (time.monotonic() + deadline / 1000.0
                   if deadline is not None else None)
         pending = _Pending(request, future, expiry)
@@ -953,8 +964,7 @@ class AssertService:
         # answer even before start().  A miss is settled (counted) by the
         # flush's memory-only re-check, so the store is read once.
         hit = (self._cache.probe(pending.key)
-               if self._cache is not None
-               and isinstance(request, SolveRequest) else None)
+               if self._cache is not None and request.cacheable else None)
         # Open the trace before any resolution path can see the request:
         # the inflight span roots the trace for in-process callers and
         # joins the HTTP server span's trace (the ambient context) when
@@ -1022,7 +1032,9 @@ class AssertService:
             pendings = list(self._by_id.get(request_id, ()))
         cancelled = 0
         for pending in pendings:
-            if self._finish(pending, self._cancelled_response_for(pending)):
+            reply = pending.request.reply("cancelled", pending.key,
+                                          "cancelled by client")
+            if self._finish(pending, reply):
                 cancelled += 1
         return cancelled
 
@@ -1035,44 +1047,38 @@ class AssertService:
 
     # -- resolution (exactly-once, any thread) -------------------------------
 
-    def _finish(self, pending: _Pending, response: SolveResponse) -> bool:
-        """Resolve ``pending`` with ``response`` if nobody else has.
+    def _finish(self, pending: _Pending, outcome) -> bool:
+        """Resolve ``pending`` with ``outcome`` (a response, or the
+        exception that failed it) if nobody else has.
 
         Exactly one resolver wins — flush, deadline timer, cancel, or
         close — decided by the ``claimed`` flag under the service lock.
         Counters update before the future resolves, so a client that
         wakes from ``result()`` and immediately reads ``stats()`` sees
         its own request counted."""
+        failed = isinstance(outcome, BaseException)
+        status = "error" if failed else outcome.status
         with self._lock:
             if pending.claimed:
                 return False
             pending.claimed = True
-            self._completed += 1
-            if response.status == "timeout":
+            if failed:
+                self._errors += 1
+            else:
+                self._completed += 1
+            if status == "timeout":
                 self._timeouts += 1
-            elif response.status == "cancelled":
+            elif status == "cancelled":
                 self._cancelled += 1
             self._unregister_locked(pending)
         self._request_seconds.observe(time.perf_counter() - pending.created)
-        self._end_spans(pending, response.status)
-        if pending.expiry is not None and response.status != "timeout":
+        self._end_spans(pending, status)
+        if pending.expiry is not None and status != "timeout":
             self._timer.discard(pending)
-        pending.future.set_result(response)
-        return True
-
-    def _fail(self, pending: _Pending, exc: BaseException) -> bool:
-        """Exception twin of :meth:`_finish` (same claim discipline)."""
-        with self._lock:
-            if pending.claimed:
-                return False
-            pending.claimed = True
-            self._errors += 1
-            self._unregister_locked(pending)
-        self._request_seconds.observe(time.perf_counter() - pending.created)
-        self._end_spans(pending, "error")
-        if pending.expiry is not None:
-            self._timer.discard(pending)
-        pending.future.set_exception(exc)
+        if failed:
+            pending.future.set_exception(outcome)
+        else:
+            pending.future.set_result(outcome)
         return True
 
     @staticmethod
@@ -1100,26 +1106,11 @@ class AssertService:
             del self._by_id[request_id]
 
     def _expire_pending(self, pending: _Pending) -> None:
-        """Timer callback: the deadline lapsed before anything served it."""
-        self._finish(pending, self._timeout_response_for(pending))
-
-    @staticmethod
-    def _timeout_response_for(
-            pending: _Pending) -> Union[SolveResponse, EvalResponse]:
-        """A kind-matched timeout: eval waiters get an EvalResponse."""
-        error = "deadline_ms exceeded before the request was served"
-        if isinstance(pending.request, EvalRequest):
-            return EvalResponse("timeout", pending.key, error=error)
-        return SolveResponse("timeout", pending.key, error=error)
-
-    @staticmethod
-    def _cancelled_response_for(
-            pending: _Pending) -> Union[SolveResponse, EvalResponse]:
-        if isinstance(pending.request, EvalRequest):
-            return EvalResponse("cancelled", pending.key,
-                                error="cancelled by client")
-        return SolveResponse("cancelled", pending.key,
-                             error="cancelled by client")
+        """The deadline lapsed before anything served it (the timer's
+        callback, and the flush's for a deadline that lapsed mid-compute)."""
+        self._finish(pending, pending.request.reply(
+            "timeout", pending.key,
+            "deadline_ms exceeded before the request was served"))
 
     # -- batch flush (batcher thread) ----------------------------------------
 
@@ -1130,17 +1121,16 @@ class AssertService:
         try:
             self._flush_inner(batch, reason)
         except BaseException as exc:  # noqa: BLE001
-            for pending in batch:
-                self._fail(pending, exc)
+            self._deliver(batch, exc)
             raise  # let the batcher count the flush error too
 
     def _flush_inner(self, batch: List[_Pending], reason: str) -> None:
         # Requests the deadline timer or a cancellation already resolved
         # drop out here, and a key all of whose waiters are gone is
         # never computed at all — a queued cancel or expiry saves its
-        # compute entirely.
-        groups: "OrderedDict[str, List[_Pending]]" = OrderedDict()
-        eval_groups: "OrderedDict[str, List[_Pending]]" = OrderedDict()
+        # compute entirely.  Waiters group by kind, then by content key.
+        solves: "OrderedDict[str, List[_Pending]]" = OrderedDict()
+        evals: "OrderedDict[str, List[_Pending]]" = OrderedDict()
         picked = time.perf_counter()
         for pending in batch:
             if pending.future.done():
@@ -1152,10 +1142,41 @@ class AssertService:
                 pending.batch_span = obs_trace.begin(
                     "batch.wait", parent=pending.span,
                     attrs={"flush": reason})
-            target = (eval_groups if isinstance(pending.request, EvalRequest)
-                      else groups)
-            target.setdefault(pending.key, []).append(pending)
+            groups = (evals if isinstance(pending.request, EvalRequest)
+                      else solves)
+            groups.setdefault(pending.key, []).append(pending)
+        # Evals after solves: solves are the latency-sensitive traffic.
+        self._compute_solves(solves)
+        self._compute_evals(evals)
 
+    def _deliver(self, waiters: List[_Pending], outcome) -> None:
+        """Resolve every waiter of one computed key with ``outcome``, a
+        response or the exception its compute raised."""
+        failed = isinstance(outcome, BaseException)
+        now = time.monotonic()
+        for pending in waiters:
+            # Belt and braces: the timer normally fires first, but a
+            # deadline that lapsed mid-compute must never see its
+            # response delivered late just because the timer thread
+            # has not been scheduled yet.
+            if not failed and pending.expiry is not None \
+                    and now > pending.expiry:
+                self._expire_pending(pending)
+            else:
+                self._finish(pending, outcome)
+
+    def _count_dedup(self, waiter_lists) -> None:
+        """An extra waiter is deduped only when its key is computed (or
+        evaluated) for it: waiters of a key the re-check found filled
+        already counted as cache hits, one each."""
+        extra = sum(len(waiters) - 1 for waiters in waiter_lists)
+        if extra:
+            with self._lock:
+                self._deduped += extra
+
+    def _compute_solves(self,
+                        groups: "OrderedDict[str, List[_Pending]]") -> None:
+        """Cache re-check, then one engine map over the missed keys."""
         misses: List[str] = []
         for key, waiters in groups.items():
             # Every waiter missed at submit; an earlier batch may have
@@ -1170,10 +1191,11 @@ class AssertService:
             if cached is not None:
                 # Resolve hits now: a microsecond lookup must not wait
                 # behind the batch's slowest cache-miss solve.
-                for pending in waiters:
-                    self._finish(pending, cached)
+                self._deliver(waiters, cached)
             else:
                 misses.append(key)
+        if not misses:
+            return
 
         tasks = [SolveTask(key=key,
                            design_source=groups[key][0].request.design_source,
@@ -1185,37 +1207,20 @@ class AssertService:
                                groups[key][0].span.context_tuple()
                                if groups[key][0].span is not None else None))
                  for key in misses]
-        # An extra waiter is deduped only when its key is computed (or
-        # evaluated) for it: waiters of a key the re-check found filled
-        # already counted as cache hits, one each.
-        dedup_extra = sum(len(groups[key]) - 1 for key in misses) + sum(
-            len(waiters) - 1 for waiters in eval_groups.values())
-        with self._lock:
-            self._deduped += dedup_extra
+        self._count_dedup(groups[key] for key in misses)
         try:
-            results = (self._engine.map(solve_task, tasks, stage="serve")
-                       if tasks else [])
+            results = self._engine.map(solve_task, tasks, stage="serve")
         except BaseException as exc:  # noqa: BLE001 - fail futures, not thread
             for key in misses:
-                for pending in groups[key]:
-                    self._fail(pending, exc)
+                self._deliver(groups[key], exc)
             return
 
         compile_errors = sum(1 for response in results if not response.ok)
         with self._lock:
             self._solved += len(tasks)
             self._compile_errors += compile_errors
-        now = time.monotonic()
         for key, response in zip(misses, results):
-            for pending in groups[key]:
-                # Belt and braces: the timer normally fires first, but a
-                # deadline that lapsed mid-compute must never see its
-                # response delivered late just because the timer thread
-                # has not been scheduled yet.
-                if pending.expiry is not None and now > pending.expiry:
-                    self._finish(pending, self._timeout_response_for(pending))
-                else:
-                    self._finish(pending, response)
+            self._deliver(groups[key], response)
         # Write-through last: a disk-backed cache put (pickle + rename +
         # index bookkeeping) must not sit on the response critical path.
         # The computed response is valid and cacheable even when its own
@@ -1232,26 +1237,18 @@ class AssertService:
                 if report:
                     self.cov_buffer.record(report)
 
-        # Evals after solves: solves are the latency-sensitive traffic.
-        # One compute per unique key serves every deduped waiter; repeats
-        # across batches recompute only the aggregation — the per-case
-        # outcomes come back from the store's eval/v1 memo.  Deliberately
-        # NOT ResultCache'd: the response depends on which object is
-        # registered under the model *name*, which a shared store cannot
-        # see, whereas the per-case memo keys on the model's digest.
-        for key, waiters in eval_groups.items():
+    def _compute_evals(self,
+                       groups: "OrderedDict[str, List[_Pending]]") -> None:
+        """One :func:`run_eval` per unique key serves every deduped
+        waiter; repeats across batches recompute only the aggregation —
+        the per-case outcomes come back from the store's eval/v1 memo."""
+        self._count_dedup(groups.values())
+        for key, waiters in groups.items():
             try:
                 response = self._run_eval(waiters[0].request, key)
             except BaseException as exc:  # noqa: BLE001
-                for pending in waiters:
-                    self._fail(pending, exc)
-                continue
-            now = time.monotonic()
-            for pending in waiters:
-                if pending.expiry is not None and now > pending.expiry:
-                    self._finish(pending, self._timeout_response_for(pending))
-                else:
-                    self._finish(pending, response)
+                response = exc
+            self._deliver(waiters, response)
 
     def _run_eval(self, request: EvalRequest, key: str) -> EvalResponse:
         """Resolve one unique eval key (batcher thread)."""

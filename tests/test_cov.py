@@ -395,7 +395,7 @@ class TestServeCoverage:
                 assert 0.0 <= value <= structural[name]
 
     def test_response_codec_roundtrips_coverage(self):
-        from repro.serve.http import response_from_json
+        from repro.serve.codecs import response_from_json
 
         response = SolveResponse("ok", "k" * 8, coverage={"report": {},
                                                           "scores": {}})

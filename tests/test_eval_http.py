@@ -35,9 +35,8 @@ from repro.serve import (
     ServeConfig,
     eval_request_from_json,
     eval_request_to_json,
-    eval_response_wire,
 )
-from repro.serve.codecs import EVAL_STATUS_HTTP_CODES, error_body
+from repro.serve.codecs import KINDS, error_body
 from repro.store import MemoryStore, StoreConfig
 
 MODEL_NAME = "GPT-4"
@@ -158,7 +157,7 @@ class TestEvalResponseWire:
     def test_ok_maps_to_report_bytes(self, machine_cases):
         report = run_eval(make_baseline(MODEL_NAME, seed=0),
                           machine_cases, config=CONFIG)
-        code, body = eval_response_wire(
+        code, body = KINDS["eval"].wire(
             EvalResponse("ok", "key", report=report))
         assert code == 200
         assert body == report.to_json().encode("utf-8")
@@ -166,9 +165,9 @@ class TestEvalResponseWire:
     @pytest.mark.parametrize("status", ["unknown_model", "timeout",
                                         "cancelled"])
     def test_failures_carry_status_tag(self, status):
-        code, body = eval_response_wire(
+        code, body = KINDS["eval"].wire(
             EvalResponse(status, "key", error="boom"))
-        assert code == EVAL_STATUS_HTTP_CODES[status]
+        assert code == KINDS["eval"].http_codes[status]
         assert body == error_body(code, "boom", status=status)
         payload = json.loads(body)
         assert payload["status"] == status
