@@ -10,8 +10,8 @@ column-wise pass per signal (with C-speed column extraction and an
 identity-set fast path for unchanged columns).  The hot simulation loop
 therefore pays nothing per cycle, and early-exited (abandoned) runs are
 observed exactly up to the last appended snapshot.  Snapshots a run
-replayed from a prefix trie are not walked again: their counts come
-from the trie (see :meth:`CoverageSink.begin_run`).
+replayed by an exhaustive walker are not walked again: their counts
+come from the walker's nodes (see :meth:`CoverageSink.begin_run`).
 
 - **toggle coverage** — per-signal bitmasks of observed 0->1 (rise) and
   1->0 (fall) transitions between consecutive snapshots, counted only on
@@ -54,8 +54,9 @@ from repro.verilog.elaborator import Design, _walk_stmts
 #: Quality-counter keys, in report order.
 QUALITY_KEYS = ("activations", "vacuous", "real_passes", "fails")
 
-#: Field width of the packed toggle and block counts a trie node records
-#: (see CoverageSink.begin_run): toggle events, then one per block.
+#: Field width of the packed toggle and block counts a walker node
+#: records (see CoverageSink.begin_run): toggle events, then one per
+#: block.
 _COUNT_BITS = 64
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
 
@@ -144,12 +145,12 @@ class CoverageSink:
         trace snapshot list, typically still empty and grown in place by
         the simulator).  Runs stack; processing is deferred to report.
 
-        ``trace`` is the run's :class:`repro.sim.trace.Trace` when it
-        walks a :class:`repro.sim.runloop.PrefixTrie`: its replayed
-        snapshots (``trace.shared``) are not walked again.  The run that
-        made a node records on it (``memo[self]``) the toggle and block
-        counts of every snapshot pair on the path up to it, packed one
-        counter per field, and a run replaying the node adds those.
+        ``trace`` is the run's :class:`repro.sim.trace.Trace`.  A run
+        through a :class:`repro.sim.runloop.ExhaustiveWalker` does not
+        walk its replayed snapshots (``trace.shared``) again.  The run
+        that made a node records on it (``memo[self]``) the toggle and
+        block counts of every snapshot pair on the path up to it, packed
+        one counter per field, and a run replaying the node adds those.
         Replayed pairs add no new rise/fall bits: they were OR-ed in
         when walked."""
         self._pending.append([snapshots, 0, trace])
@@ -169,9 +170,9 @@ class CoverageSink:
         window: List[Dict] = []
         starts = set()
         #: (nodes, done, first walked index, end, its window position)
-        #: of every trie run, in run order: a run replays nodes only
+        #: of every walker run, in run order: a run replays nodes only
         #: earlier runs made.
-        trie_runs = []
+        walker_runs = []
         for entry in pending:
             snaps, done, trace = entry
             n = len(snaps)
@@ -182,7 +183,7 @@ class CoverageSink:
             first = done
             if trace is not None and trace.nodes:
                 first = max(done, min(trace.shared, n))
-                trie_runs.append((trace.nodes, done, first, n, len(window)))
+                walker_runs.append((trace.nodes, done, first, n, len(window)))
             if first >= n:
                 continue
             starts.add(len(window))
@@ -194,9 +195,9 @@ class CoverageSink:
         # Keep only the newest run: it may still be growing in place.
         del pending[:-1]
         total = len(window)
-        #: Packed per-position counts, kept only when trie runs need
+        #: Packed per-position counts, kept only when walker runs need
         #: their nodes' path counts.
-        at = [0] * total if trie_runs else None
+        at = [0] * total if walker_runs else None
         toggles = self.toggle_events
         rise_acc = self._rise
         fall_acc = self._fall
@@ -258,7 +259,7 @@ class CoverageSink:
                 for k in fired:
                     at[k] += bit
         replayed = 0  # packed counts of replayed snapshot pairs
-        for nodes, done, first, end, position in trie_runs:
+        for nodes, done, first, end, position in walker_runs:
             counts = self._path_counts(nodes, first - 1)
             replayed += counts - self._path_counts(nodes, done - 1)
             if first:

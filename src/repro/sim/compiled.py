@@ -1037,6 +1037,12 @@ class CompiledSimulator(RunLoop):
     def _load(self, snapshot: Dict[str, FourState]) -> None:
         self.values = [snapshot[name] for name in self.program.names]
 
+    def _save(self) -> List[FourState]:
+        return list(self.values)
+
+    def _restore(self, state: List[FourState]) -> None:
+        self.values = list(state)
+
 
 # -- program cache / factory --------------------------------------------------
 

@@ -1,54 +1,40 @@
 """The one stimulus run loop behind both simulation tiers.
 
-:class:`RunLoop` drives a stimulus cycle by cycle over four per-tier
+:class:`RunLoop` drives a stimulus cycle by cycle over six per-tier
 primitives — ``_start`` (the reset-time state), ``_cycle`` (drive one
 cycle's inputs and settle, returning the fresh snapshot and applied
-inputs), ``tick`` (one clock edge) and ``_load`` (restore a snapshot) —
-so :class:`repro.sim.simulator.Simulator` and
+inputs), ``tick`` (one clock edge), ``_load`` (restore a snapshot) and
+``_save``/``_restore`` (copy out, and put back, the simulator's whole
+state) — so :class:`repro.sim.simulator.Simulator` and
 :class:`repro.sim.compiled.CompiledSimulator` share one loop.
 
-An optional, caller-owned :class:`PrefixTrie` lets a family of stimuli
-share simulation work: each node stands for one distinct input prefix
-and holds that cycle's settled snapshot and applied inputs.  A run
-replays its longest already-simulated prefix from the trie and simulates
-only the new suffix; its trace records how many leading snapshots were
-replayed (``shared``) and the node of every snapshot (``nodes``).
-Replay is exact: a node exists only once its settle succeeded and gains
-children only once its tick succeeded, so an error surfaces on the same
-stimulus and cycle as in a fresh run, and after every run the simulator
-holds the same post-tick state.
+:class:`ExhaustiveWalker` runs the exhaustive stimulus set of
+:func:`repro.sim.stimulus.enumerate_exhaustive` by *code*: stimulus
+``c`` drives digit ``t`` of ``c`` in base ``2 ** free_input_bits`` at
+input cycle ``t``.  Each distinct input prefix is one
+:class:`PrefixNode` holding that cycle's settled snapshot and applied
+inputs, keyed by its position and the code modulo ``base ** inputs``.
+Codes run in increasing order, so the prefix a run replays is
+arithmetic (an earlier code built the ``k``-input prefix exactly when
+``c >= base ** k``): a run appends its replayed snapshots in one step,
+records their count (``trace.shared``) and every snapshot's node
+(``trace.nodes``), and simulates only the new suffix.  Each node's
+clock edge runs once: the post-edge state its first child computed is
+saved for the other children and freed after the last.  Replay is
+exact: a node exists only once its settle succeeded, a leaf still runs
+its trailing edge, and a node whose run was abandoned before its edge
+is loaded and ticked by the next run through it, so an error surfaces
+on the same stimulus and cycle as in a fresh run, and after every run
+the simulator holds the same post-edge state.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.sim.stimulus import Stimulus
 from repro.sim.trace import Trace
-
-
-class PrefixTrie:
-    """A node per distinct input prefix; a fresh instance is the root.
-
-    ``children`` maps one cycle's input key (``None`` for a reset cycle,
-    else the vector's items) to the next node.  Snapshots and input
-    dicts are shared by every trace that replays the node, so consumers
-    must treat them as read-only.  One trie serves one simulator.
-    ``memo`` belongs to the trie's consumers, which record there counts
-    over the node's path for later runs that replay it: the SVA monitor
-    its quality counts (keyed by plan index), a coverage sink its toggle
-    and block counts (keyed by the sink).
-    """
-
-    __slots__ = ("snapshot", "inputs", "children", "memo")
-
-    def __init__(self, snapshot: Optional[dict] = None,
-                 inputs: Optional[Dict[str, int]] = None):
-        self.snapshot = snapshot
-        self.inputs = inputs
-        self.children: Dict[object, "PrefixTrie"] = {}
-        self.memo: Optional[dict] = None
 
 
 class RunLoop:
@@ -59,8 +45,7 @@ class RunLoop:
     """
 
     def run_iter(self, stimulus: Stimulus,
-                 trace_signals: Optional[List[str]] = None,
-                 trie: Optional[PrefixTrie] = None) -> Iterator[Trace]:
+                 trace_signals: Optional[List[str]] = None) -> Iterator[Trace]:
         """Simulate ``stimulus`` lazily, one cycle per yield.
 
         Yields the (shared, growing) :class:`Trace` once before any
@@ -73,15 +58,6 @@ class RunLoop:
         generator mid-run is safe; the BMC batch driver uses this to
         stop simulating a stimulus the moment every assertion already
         has a verdict.
-
-        With a ``trie`` the run replays the longest prefix an earlier
-        run of the same trie already simulated — appending its shared
-        snapshots without re-simulating them — and extends the trie with
-        the new suffix.  Snapshots, errors and the post-run state are
-        those of a run without one; the trace also counts the replayed
-        snapshots in ``shared`` (up to date at every yield: only leading
-        snapshots replay, since a new node has no children) and lists
-        each snapshot's node in ``nodes``.
         """
         trace = Trace(trace_signals or self.trace_names)
         # Append through the lists directly: ``_cycle`` builds fresh
@@ -96,41 +72,12 @@ class RunLoop:
             cov.begin_run(snapshots, trace)
         self._start()
         yield trace
-        steps = chain(repeat(None, stimulus.reset_cycles), stimulus.vectors)
-        if trie is None:
-            for vector in steps:
-                snapshot, inputs = self._cycle(vector)
-                snapshots.append(snapshot)
-                inputs_applied.append(inputs)
-                yield trace
-                self.tick()
-            return
-        # ``held`` is the node whose settled state the simulator holds
-        # (the root: the reset-time state); replayed nodes are not loaded.
-        node = held = trie
-        nodes = trace.nodes
-        for vector in steps:
-            key = None if vector is None else tuple(vector.items())
-            child = node.children.get(key)
-            if child is None:
-                if node is not trie:
-                    if held is not node:
-                        self._load(node.snapshot)
-                    self.tick()
-                snapshot, inputs = self._cycle(vector)
-                child = node.children[key] = PrefixTrie(snapshot, inputs)
-                held = child
-            else:
-                trace.shared += 1
-            nodes.append(child)
-            snapshots.append(child.snapshot)
-            inputs_applied.append(child.inputs)
+        for vector in chain(repeat(None, stimulus.reset_cycles),
+                            stimulus.vectors):
+            snapshot, inputs = self._cycle(vector)
+            snapshots.append(snapshot)
+            inputs_applied.append(inputs)
             yield trace
-            node = child
-        if node is not trie:
-            # The trailing edge: post-run state and tick errors as usual.
-            if held is not node:
-                self._load(node.snapshot)
             self.tick()
 
     def run(self, stimulus: Stimulus,
@@ -144,3 +91,163 @@ class RunLoop:
         for trace in self.run_iter(stimulus, trace_signals):
             pass
         return trace
+
+
+class PrefixNode:
+    """One distinct input prefix of an exhaustive walk.
+
+    ``snapshot`` and ``inputs`` are the settled snapshot and applied
+    inputs of the prefix's last cycle, shared by every trace that
+    replays the node, so consumers must treat them as read-only.
+    ``saved`` is the simulator state after the node's clock edge, kept
+    from its first child until its last.  ``memo`` belongs to the walk's
+    consumers, which record there counts over the node's path for later
+    runs that replay it: the SVA monitor its quality counts (keyed by
+    plan index), a coverage sink its toggle and block counts (keyed by
+    the sink).
+    """
+
+    __slots__ = ("snapshot", "inputs", "saved", "memo")
+
+    def __init__(self, snapshot: dict, inputs: Dict[str, int]):
+        self.snapshot = snapshot
+        self.inputs = inputs
+        self.saved = None
+        self.memo: Optional[dict] = None
+
+
+class ExhaustiveWalker:
+    """Runs code ``c`` of ``enumerate_exhaustive(design, depth,
+    reset_cycles)`` on one simulator, sharing every simulated prefix.
+
+    ``inputs`` are the design's free input symbols, in
+    ``Design.free_inputs()`` order.  ``table[p]`` maps ``c % base **
+    inputs(p)`` to the node at trace position ``p`` (``inputs(p)`` is
+    the number of input cycles up to and including ``p``; 0 for a reset
+    cycle).  One walker serves one simulator, for one increasing run of
+    codes; a run may be abandoned mid-stimulus.
+    """
+
+    def __init__(self, inputs: Sequence, depth: int, reset_cycles: int):
+        self._fields = tuple((sym.name, sym.width) for sym in inputs)
+        self._bits = sum(width for _, width in self._fields)
+        self.base = base = 1 << self._bits
+        self.depth = depth
+        self.reset_cycles = reset_cycles
+        #: Number of codes (stimuli) in the set.
+        self.count = base ** depth
+        #: Per position, the code's divisor for that cycle's digit and
+        #: the modulus that keys its node.
+        self._divs = [1] * reset_cycles + [base ** t for t in range(depth)]
+        self._mods = [1] * reset_cycles + [base ** (t + 1)
+                                           for t in range(depth)]
+        self.table: List[Dict[int, PrefixNode]] = [
+            {} for _ in range(reset_cycles + depth)]
+        #: digit -> its input vector, built on first use.
+        self._vectors: Dict[int, Dict[str, int]] = {}
+
+    def _vector(self, digit: int) -> Dict[str, int]:
+        """The input vector of one cycle digit (first input lowest)."""
+        vector = self._vectors.get(digit)
+        if vector is None:
+            vector = self._vectors[digit] = {}
+            for name, width in self._fields:
+                vector[name] = digit & ((1 << width) - 1)
+                digit >>= width
+        return vector
+
+    def stimulus(self, code: int) -> Stimulus:
+        """Code ``code`` as a :class:`Stimulus` (fresh vector dicts)."""
+        vectors = []
+        for _ in range(self.depth):
+            vectors.append(dict(self._vector(code % self.base)))
+            code //= self.base
+        return Stimulus(vectors, self.reset_cycles)
+
+    def _replayed(self, code: int) -> int:
+        """Leading positions of ``code`` an earlier run simulated."""
+        if not code:
+            return 0
+        shared = self.reset_cycles + (code.bit_length() - 1) // self._bits
+        # In the increasing order every such node exists; a run
+        # abandoned mid-stimulus may have stopped short of some.
+        table = self.table
+        mods = self._mods
+        while shared and code % mods[shared - 1] not in table[shared - 1]:
+            shared -= 1
+        return shared
+
+    def _edge(self, simulator, node: PrefixNode, position: int, code: int,
+              held: bool) -> None:
+        """Leave ``simulator`` in ``node``'s post-edge state, on the way
+        to the child at ``position + 1`` that ``code`` takes.
+
+        ``held``: the simulator holds the node's settled state.  The
+        edge runs once per node; its state is saved unless this child
+        is the node's last, and freed when the last child restores it.
+        """
+        child = position + 1
+        last = (child < self.reset_cycles
+                or code // self._divs[child] % self.base == self.base - 1)
+        saved = node.saved
+        if saved is not None:
+            simulator._restore(saved)
+            if last:
+                node.saved = None
+            return
+        if not held:
+            simulator._load(node.snapshot)
+        simulator.tick()
+        if not last:
+            node.saved = simulator._save()
+
+    def run_iter(self, simulator, code: int) -> Iterator[Trace]:
+        """Run code ``code`` on ``simulator``, one yield per simulated
+        cycle.
+
+        Yields the :class:`Trace` once before any simulated cycle — with
+        the replayed prefix already appended and counted in
+        ``trace.shared`` — and then once after each cycle it simulates;
+        the clock edge follows the yield, as in
+        :meth:`RunLoop.run_iter`, and snapshots, errors and the post-run
+        state are those of ``simulator.run(self.stimulus(code))``.
+        """
+        trace = Trace(simulator.trace_names)
+        snapshots = trace.snapshots
+        inputs_applied = trace.inputs_applied
+        cov = simulator.cov
+        if cov is not None:
+            cov.begin_run(snapshots, trace)
+        table = self.table
+        mods = self._mods
+        shared = self._replayed(code)
+        nodes = trace.nodes = [table[p][code % mods[p]]
+                               for p in range(shared)]
+        if shared:
+            trace.shared = shared
+            snapshots.extend([node.snapshot for node in nodes])
+            inputs_applied.extend([node.inputs for node in nodes])
+            self._edge(simulator, nodes[-1], shared - 1, code, held=False)
+        else:
+            simulator._start()
+        yield trace
+        reset_cycles = self.reset_cycles
+        divs = self._divs
+        base = self.base
+        last = len(table) - 1
+        for position in range(shared, last + 1):
+            vector = (None if position < reset_cycles
+                      else self._vector(code // divs[position] % base))
+            snapshot, inputs = simulator._cycle(vector)
+            node = table[position][code % mods[position]] = PrefixNode(
+                snapshot, inputs)
+            nodes.append(node)
+            snapshots.append(snapshot)
+            inputs_applied.append(inputs)
+            yield trace
+            if position < last:
+                self._edge(simulator, node, position, code, held=True)
+            else:
+                # The leaf's trailing edge: post-run state and tick
+                # errors as in a fresh run.
+                simulator.tick()

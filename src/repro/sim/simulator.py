@@ -315,6 +315,12 @@ class Simulator(RunLoop):
     def _load(self, snapshot: Dict[str, FourState]) -> None:
         self.env = dict(snapshot)
 
+    def _save(self) -> Dict[str, FourState]:
+        return dict(self.env)
+
+    def _restore(self, state: Dict[str, FourState]) -> None:
+        self.env = dict(state)
+
 
 def _base_name(target: ast.Expr) -> str:
     while isinstance(target, (ast.BitSelect, ast.PartSelect)):

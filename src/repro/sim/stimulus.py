@@ -51,10 +51,11 @@ def reset_sequence(design: Design, depth: int, rng: Optional[random.Random] = No
                    reset_cycles: int = 2) -> Stimulus:
     """Random stimulus of ``depth`` post-reset cycles."""
     rng = rng or random.Random(0)
+    inputs = design.free_inputs()
     vectors = []
     for _ in range(depth):
         vector = {}
-        for sym in design.free_inputs():
+        for sym in inputs:
             vector[sym.name] = rng.getrandbits(sym.width)
         vectors.append(vector)
     return Stimulus(vectors, reset_cycles)
@@ -63,10 +64,11 @@ def reset_sequence(design: Design, depth: int, rng: Optional[random.Random] = No
 def constant_sequence(design: Design, depth: int, value_bit: int,
                       reset_cycles: int = 2) -> Stimulus:
     """All inputs held at all-zeros (value_bit=0) or all-ones (=1)."""
+    inputs = design.free_inputs()
     vectors = []
     for _ in range(depth):
         vector = {}
-        for sym in design.free_inputs():
+        for sym in inputs:
             vector[sym.name] = ((1 << sym.width) - 1) if value_bit else 0
         vectors.append(vector)
     return Stimulus(vectors, reset_cycles)
@@ -75,11 +77,12 @@ def constant_sequence(design: Design, depth: int, value_bit: int,
 def toggle_sequence(design: Design, depth: int, phase: int = 0,
                     reset_cycles: int = 2) -> Stimulus:
     """Inputs alternate all-ones / all-zeros each cycle."""
+    inputs = design.free_inputs()
     vectors = []
     for t in range(depth):
         bit = (t + phase) & 1
         vector = {}
-        for sym in design.free_inputs():
+        for sym in inputs:
             vector[sym.name] = ((1 << sym.width) - 1) if bit else 0
         vectors.append(vector)
     return Stimulus(vectors, reset_cycles)
@@ -112,7 +115,8 @@ def enumerate_exhaustive(design: Design, depth: int,
     load-bearing: cycle 0's inputs change fastest (the stimulus index's
     low bits), and since :func:`repro.sva.bmc.bounded_check` stops at the
     first failing stimulus, this order decides which counterexample it
-    reports.
+    reports.  :class:`repro.sim.runloop.ExhaustiveWalker` runs the same
+    set by stimulus index (its *code*); this generator is its reference.
     """
     inputs = design.free_inputs()
     total_bits = sum(s.width for s in inputs)

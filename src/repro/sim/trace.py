@@ -21,9 +21,9 @@ class Trace:
         self.signal_names = list(signal_names or [])
         self.snapshots: List[Snapshot] = []
         self.inputs_applied: List[Dict[str, int]] = []
-        #: Leading snapshots replayed from a
-        #: :class:`repro.sim.runloop.PrefixTrie`, and the trie node of
-        #: every snapshot (0 and empty for a run without a trie).
+        #: Leading snapshots replayed by a
+        #: :class:`repro.sim.runloop.ExhaustiveWalker`, and the walker
+        #: node of every snapshot (0 and empty for a plain run).
         self.shared = 0
         self.nodes: list = []
 

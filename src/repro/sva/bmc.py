@@ -9,8 +9,9 @@ The datagen pipeline asks two questions of the checker:
    the failure logs that become model input.)
 
 Strategy: exhaustive stimulus enumeration when the input space is small
-enough (``total_input_bits * depth <= exhaustive_bits``), simulating each
-distinct input prefix once (:class:`repro.sim.runloop.PrefixTrie`), else a
+enough (``total_input_bits * depth <= exhaustive_bits``), run by code
+through a :class:`repro.sim.runloop.ExhaustiveWalker` (each distinct
+input prefix settled once and its clock edge run once), else a
 deterministic portfolio of directed patterns (constants, toggling, walking
 ones) plus seeded random search.  Bounded, like any BMC: ``proven`` is
 never claimed, only "no counterexample within the bound" — which is also
@@ -20,6 +21,7 @@ all the paper's pipeline needs.
 from __future__ import annotations
 
 import random
+from functools import partial
 from time import perf_counter
 from typing import Iterable, List, Optional, Tuple
 
@@ -28,12 +30,11 @@ from repro.engine import metrics
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.sim.compiled import SIM_MODES, make_simulator
 from repro.sim.eval import EvalError
-from repro.sim.runloop import PrefixTrie
+from repro.sim.runloop import ExhaustiveWalker
 from repro.sim.simulator import SimulationError
 from repro.sim.stimulus import (
     Stimulus,
     constant_sequence,
-    enumerate_exhaustive,
     reset_sequence,
     toggle_sequence,
     walking_ones_sequence,
@@ -148,20 +149,22 @@ def _stimulus_portfolio(design: Design, config: BmcConfig) -> Iterable[Stimulus]
 
 
 def _candidate_stimuli(design: Design, config: BmcConfig
-                       ) -> Tuple[Iterable[Stimulus], Optional[PrefixTrie]]:
+                       ) -> Tuple[Iterable, Optional[ExhaustiveWalker]]:
     """The candidate selection of the bounded-check driver.
 
     The exhaustive-bits decision lives only here, so both driver modes
-    draw the exact same stimuli.  An exhaustive set comes with a fresh
-    :class:`PrefixTrie`: its stimuli share long input prefixes, so each
-    distinct prefix is simulated once.  The directed + random portfolio
-    gets none — its prefixes do not repeat, and keeping their paths
+    draw the exact same stimuli.  An exhaustive set is the codes of a
+    fresh :class:`ExhaustiveWalker`, in the order of
+    :func:`repro.sim.stimulus.enumerate_exhaustive`: its stimuli share
+    long input prefixes, so each distinct prefix is simulated once.
+    The directed + random portfolio is plain :class:`Stimulus` objects
+    and no walker — its prefixes do not repeat, and keeping their paths
     alive would only feed the garbage collector.
     """
-    total_bits = sum(s.width for s in design.free_inputs())
-    if total_bits * config.depth <= config.exhaustive_bits:
-        return (enumerate_exhaustive(design, config.depth,
-                                     config.reset_cycles), PrefixTrie())
+    inputs = design.free_inputs()
+    if sum(s.width for s in inputs) * config.depth <= config.exhaustive_bits:
+        walker = ExhaustiveWalker(inputs, config.depth, config.reset_cycles)
+        return range(walker.count), walker
     return _stimulus_portfolio(design, config), None
 
 
@@ -171,9 +174,11 @@ def _drive(design: Design, config: BmcConfig,
     """The one bounded-check driver: fills ``result`` in place.
 
     One simulator and one :class:`IncrementalChecker` serve every
-    candidate stimulus, and the trie :func:`_candidate_stimuli` hands
-    over with an exhaustive set (freed when the check returns) makes
-    every distinct input prefix simulate once.  The driver owns the
+    candidate stimulus.  An exhaustive set runs by code through the
+    walker :func:`_candidate_stimuli` hands over (freed when the check
+    returns), so every distinct input prefix simulates once, and a
+    :class:`Stimulus` is built only for a reported counterexample; the
+    portfolio's stimuli run plainly.  The driver owns the
     ``simulate``/``monitor``/``bmc`` timers and the coverage sink.  An
     RTL-level simulation error voids every assertion alike
     (``sim_error`` / ``design_error``).
@@ -187,10 +192,10 @@ def _drive(design: Design, config: BmcConfig,
     ``EvalError``.
 
     The monitor relies on these stop rules to skip the windows a trace
-    replayed from the trie (see :class:`IncrementalChecker`): a label
+    replayed from the walker (see :class:`IncrementalChecker`): a label
     is dropped only at its first failure or ``EvalError``, and a
     stimulus is abandoned only once every label it monitors has
-    resolved.  So every trie node was created by a stimulus that
+    resolved.  So every walker node was created by a stimulus that
     evaluated, for every label still pending, each window ending at
     that node — and, the check having gone on, none of them failed or
     raised.  Every stimulus of a check has the same length, so a tail
@@ -204,8 +209,10 @@ def _drive(design: Design, config: BmcConfig,
     sink = CoverageSink.for_design(design) if config.coverage else None
     checker = None
     try:
-        candidates, trie = _candidate_stimuli(design, config)
+        candidates, walker = _candidate_stimuli(design, config)
         simulator = make_simulator(design, config.sim_mode)
+        run_iter = (simulator.run_iter if walker is None
+                    else partial(walker.run_iter, simulator))
         if sink is not None:
             simulator.cov = sink
         checker = IncrementalChecker(design, config.reset_cycles + 1,
@@ -214,9 +221,9 @@ def _drive(design: Design, config: BmcConfig,
                                      exhaustive=first_failure)
         labels = {assertion.label for assertion in design.assertions}
         resolved: set = set()
-        for stimulus in candidates:
+        for candidate in candidates:
             result.stimuli_tried += 1
-            cycles = simulator.run_iter(stimulus, trie=trie)
+            cycles = run_iter(candidate)
             t0 = perf_counter()
             try:
                 trace = next(cycles)
@@ -251,7 +258,8 @@ def _drive(design: Design, config: BmcConfig,
                     result.failed = True
                     result.failures = checker.failures
                     result.trace = trace
-                    result.stimulus = stimulus
+                    result.stimulus = (candidate if walker is None
+                                       else walker.stimulus(candidate))
                     return
                 continue
             result.failed_labels |= checker.failed

@@ -473,7 +473,7 @@ def property_lookahead(prop: ast.PropExpr) -> int:
 
 # Quality counts packed one counter per 64-bit field, in QUALITY_KEYS
 # order, so that counts add as one int: per label over a check, and per
-# plan along a trie path (see IncrementalChecker).
+# plan along a walker path (see IncrementalChecker).
 _FIELD_BITS = 64
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _ACTIVATION, _VACUOUS, _REAL, _FAILS = (
@@ -512,15 +512,15 @@ class IncrementalChecker:
     antecedent can fail); UNDET counts nothing.  Compiled and
     interpreted tiers count alike.
 
-    A trace whose first ``trace.shared`` snapshots were replayed from a
-    :class:`repro.sim.runloop.PrefixTrie` skips every window that ends
-    below ``shared``: the window end of start cycle ``c`` is ``c +
+    A trace whose first ``trace.shared`` snapshots were replayed by a
+    :class:`repro.sim.runloop.ExhaustiveWalker` skips every window that
+    ends below ``shared``: the window end of start cycle ``c`` is ``c +
     lookahead``, or the last cycle for a tail window.  The driver's stop
     rules (see :func:`repro.sva.bmc._drive`) guarantee that an earlier
-    stimulus of the same check, through the same trie prefix, already
+    stimulus of the same check, through the same walker prefix, already
     evaluated that window over identical snapshots while its label was
     pending, and that it neither failed nor raised.  Each evaluated
-    window records on the trie node where it ends (``memo``, keyed by
+    window records on the walker node where it ends (``memo``, keyed by
     plan) the plan's quality counts over every window of the path that
     ends there, so a scan that skips adds them with one lookup, and
     counts are those of a scan of every window.
@@ -549,7 +549,7 @@ class IncrementalChecker:
         # once and then only the consequent — instead of the whole
         # implication plus a second antecedent pass for vacuity
         # classification.  ``index`` keys the plan's counts in
-        # trie-node memos.
+        # walker-node memos.
         program = _prop_program(design) if compiled else None
         self._plans = []
         for index, assertion in enumerate(design.assertions):

@@ -388,17 +388,22 @@ def _both_keys(design, config):
 
 
 def _keys_with_and_without_trie(design, config):
-    """Both entry points' results as run, and as run without a trie —
-    the oracle of the replayed-window skip: every window of every
-    stimulus is evaluated."""
+    """Both entry points' results as run, and as run with no sharing —
+    the oracle of the walker and of the replayed-window skip: an
+    exhaustive set runs as the plain stimuli of ``enumerate_exhaustive``,
+    a fresh run per stimulus, and every window of every stimulus is
+    evaluated."""
     candidates = bmc._candidate_stimuli
 
-    def without_trie(design, config):
-        stimuli, _ = candidates(design, config)
+    def without_walker(design, config):
+        stimuli, walker = candidates(design, config)
+        if walker is not None:
+            stimuli = enumerate_exhaustive(design, config.depth,
+                                           config.reset_cycles)
         return stimuli, None
     shared = _both_keys(design, config)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bmc, "_candidate_stimuli", without_trie)
+        patch.setattr(bmc, "_candidate_stimuli", without_walker)
         full = _both_keys(design, config)
     return shared, full
 
@@ -543,8 +548,9 @@ endmodule
 @pytest.mark.parametrize("coverage", [False, True], ids=["cov_off", "cov_on"])
 @pytest.mark.parametrize("sim_mode", SIM_MODES)
 class TestReplayedWindowSkip:
-    """A trace replayed from the trie skips the windows an earlier
-    stimulus settled; results must equal a scan of every window."""
+    """A trace replayed by the walker skips the windows an earlier
+    stimulus settled; results must equal fresh runs scanning every
+    window."""
 
     def test_corpus_checks_match_full_scan(self, corpus_checks, sim_mode,
                                            coverage):
