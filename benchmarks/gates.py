@@ -40,11 +40,15 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.engine import make_baseline
-from repro.core.api import FleetConfig, make_fleet
+from repro.core.api import make_fleet
 from repro.corpus.generator import CorpusGenerator
 from repro.datagen.pipeline import DatagenConfig, run_pipeline
 from repro.datagen.stage1 import unit_ids
-from repro.datagen.stage2 import STAGE_NAME, validate_svas
+from repro.datagen.stage2 import (
+    STAGE_NAME,
+    _validate_svas_per_proposal,
+    validate_svas,
+)
 from repro.engine import StageContext, available_cpus
 from repro.eval import EvalConfig, run_eval
 from repro.eval.benchmark import build_benchmark
@@ -188,7 +192,7 @@ def fresh_target(cfg: Dict[str, object], http: bool = False,
     ``run_load`` drives."""
     config = serve_config(cfg, **overrides)
     if fleet:
-        front = make_fleet(FleetConfig(n_backends=cfg["backends"]), config)
+        front = make_fleet(cfg["backends"], config)
     else:
         front = AssertService(config)
         if http:
@@ -312,9 +316,9 @@ def measure_solve(cfg) -> Measured:
 
 
 def measure_validate(cfg) -> Measured:
-    """``validate_svas`` on the same oracle proposals, one bounded check
-    per proposal vs one shared batched check, on one worker; the compile
-    cache starts cold in every pass."""
+    """``validate_svas`` on the same oracle proposals, one shared batched
+    check vs the per-proposal reference (one bounded check per proposal),
+    on one worker; the compile cache starts cold in every pass."""
     designs = [d for d in CorpusGenerator(seed=cfg["seed"]).generate(
         cfg["designs"]) if compile_source(d.source).ok]
     proposals = [SvaOracle(StageContext(cfg["seed"], STAGE_NAME, unit).rng("sva"),
@@ -324,15 +328,18 @@ def measure_validate(cfg) -> Measured:
     bmc = BmcConfig(depth=cfg["bmc_depth"],
                     random_trials=cfg["bmc_random_trials"])
 
+    validators = {"per_proposal": _validate_svas_per_proposal,
+                  "batched": validate_svas}
+
     def validate_all(mode: str) -> list:
         default_compile_cache().clear()
         return [(tuple(p.name for p in valid), rejected)
                 for valid, rejected in (
-                    validate_svas(design, props, bmc, mode=mode)
+                    validators[mode](design, props, bmc)
                     for design, props in zip(designs, proposals))]
 
     legs, verdicts = {}, []
-    for mode in ("per_proposal", "batched"):
+    for mode in validators:
         seconds, runs = best_of(cfg["repeats"], lambda: validate_all(mode))
         verdicts.extend(runs)
         legs[mode] = {"seconds": round(seconds, 4),

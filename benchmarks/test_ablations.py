@@ -22,7 +22,7 @@ def test_ablation_pt_off(benchmark, pipeline):
         return model
 
     model = benchmark.pedantic(train_without_pt, rounds=1, iterations=1)
-    no_pt = run_eval(model, cases, EvalConfig(n_samples=10)).result
+    no_pt = run_eval(model, cases, EvalConfig(n_samples=10))
     with_pt = pipeline.evaluate()["SFT Model"]
     print(f"\nPT ablation (machine pass@1): with PT = "
           f"{with_pt.pass_at_origin(1, 'machine'):.2%}, "
@@ -41,7 +41,7 @@ def test_ablation_dpo_beta_sweep(benchmark, pipeline):
             model = sft.clone_checkpoint(f"dpo-beta{beta}")
             model._train_examples = sft._train_examples
             model.train_dpo(beta=beta)
-            result = run_eval(model, cases, EvalConfig(n_samples=10)).result
+            result = run_eval(model, cases, EvalConfig(n_samples=10))
             scores[beta] = result.pass_at(1)
         return scores
 

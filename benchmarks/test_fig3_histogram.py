@@ -22,6 +22,6 @@ def test_fig3_histogram(benchmark, pipeline, results):
     n = pipeline.config.n_samples
     sft_series = histogram_series(sft, n)
     solver_series = histogram_series(solver, n)
-    assert sum(sft_series) == sum(solver_series) == len(sft.outcomes)
+    assert sum(sft_series) == sum(solver_series) == sft.n_cases
 
     assert extremity_mass(solver, n) >= extremity_mass(sft, n) - 0.05

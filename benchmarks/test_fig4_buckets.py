@@ -8,7 +8,7 @@ trained models.
 
 import math
 
-from repro.eval.buckets import bucket_pass_at
+from repro.eval.passk import aggregate_pass_at_k
 from repro.eval.reporting import render_fig4
 
 
@@ -23,7 +23,7 @@ def test_fig4_buckets(benchmark, pipeline, results):
     figure = benchmark(render)
     print("\n" + figure)
 
-    solver_types = bucket_pass_at(results["AssertSolver"], 1, by="bug_type")
+    solver_types = results["AssertSolver"].bucket_pass_at(1, by="bug_type")
     defined = {k: v for k, v in solver_types.items() if not math.isnan(v)}
     assert defined, "no bug-type buckets populated"
 
@@ -31,14 +31,17 @@ def test_fig4_buckets(benchmark, pipeline, results):
 def test_fig4_length_trend(benchmark, pipeline, results):
     """Short machine cases are the easy end of the length axis."""
     solver = results["AssertSolver"]
+    cases = {case.case_id: case for case in pipeline.build_benchmark().cases}
 
     def shortest_bucket():
-        machine = [o for o in solver.outcomes if o.case.origin == "machine"]
-        short = [o for o in machine
-                 if o.case.entry.length_bin() == (0, 50)]
+        outcomes = [(cases[case_id], n, c)
+                    for case_id, n, c in solver.case_outcomes()]
+        machine = [o for o in outcomes if o[0].origin == "machine"]
+        short = [(n, c) for case, n, c in machine
+                 if case.entry.length_bin() == (0, 50)]
         if not short:
             return float("nan")
-        return solver.pass_at(1, short)
+        return aggregate_pass_at_k(short, 1)
 
     value = benchmark(shortest_bucket)
     print(f"\nAssertSolver pass@1 on (0, 50] machine cases: {value:.2%} "

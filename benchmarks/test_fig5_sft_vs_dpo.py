@@ -6,7 +6,6 @@ Shape target: DPO's pass@1 is at least on par with SFT in most buckets
 
 import math
 
-from repro.eval.buckets import bucket_pass_at
 from repro.eval.reporting import render_fig5
 
 
@@ -20,11 +19,11 @@ def test_fig5_sft_vs_dpo(benchmark, pipeline, results):
     figure = benchmark(render)
     print("\n" + figure)
 
-    sft_types = bucket_pass_at(sft, 1, by="bug_type")
-    solver_types = bucket_pass_at(solver, 1, by="bug_type")
+    sft_types = sft.bucket_pass_at(1, by="bug_type")
+    solver_types = solver.bucket_pass_at(1, by="bug_type")
     wins = ties = losses = 0
     for name, sft_score in sft_types.items():
-        solver_score = solver_types[name]
+        solver_score = solver_types.get(name, math.nan)
         if math.isnan(sft_score) or math.isnan(solver_score):
             continue
         if solver_score > sft_score + 1e-9:

@@ -38,15 +38,14 @@ the paper on a pure-Python substrate:
   on every HTTP server and fleet router.
 """
 
-_API_EXPORTS = ("AssertSolverPipeline", "FleetConfig", "PipelineConfig",
-                "make_fleet")
+_API_EXPORTS = ("AssertSolverPipeline", "PipelineConfig", "make_fleet")
 _SERVE_EXPORTS = ("AssertClient", "AssertHttpServer", "AssertService",
                   "EvalRequest", "EvalResponse", "FleetRouter", "HttpConfig",
                   "RouterConfig", "ServeConfig", "SolveOptions",
                   "SolveRequest")
 _STORE_EXPORTS = ("DiskStore", "MemoryStore", "StoreConfig", "TieredStore")
 _OBS_EXPORTS = ("MetricsRegistry", "TraceBuffer")
-_EVAL_EXPORTS = ("EvalConfig", "EvalReport", "EvalResult", "run_eval")
+_EVAL_EXPORTS = ("EvalConfig", "EvalReport", "run_eval")
 __all__ = [*_API_EXPORTS, *_SERVE_EXPORTS, *_STORE_EXPORTS, *_OBS_EXPORTS,
            *_EVAL_EXPORTS]
 __version__ = "1.5.0"

@@ -36,34 +36,20 @@ from repro.eval.reporting import (
 )
 from repro.eval.config import EvalConfig
 from repro.eval.report import EvalReport
-from repro.eval.runner import EvalResult, run_eval
+from repro.eval.runner import run_eval
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.model.assertsolver import AssertSolver
 from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
 
 
-@configclass
-class FleetConfig:
-    """Launcher knobs for a same-host fleet: N identical backends plus
-    one :class:`repro.serve.FleetRouter` in front (see
-    :func:`make_fleet`).  Per-backend service knobs come from the
-    accompanying ``ServeConfig``; these are only the fleet shape."""
-
-    n_backends: int = knob(3, kind=int, ge=1, role=EXECUTION)
-    host: str = knob("127.0.0.1", kind=str, role=EXECUTION)
-    # router port; backends always bind ephemeral ports
-    port: int = knob(0, kind=int, ge=0, le=65535, role=EXECUTION)
-    health_interval_s: float = knob(1.0, kind=float, gt=0, role=EXECUTION)
-    ring_replicas: int = knob(64, kind=int, ge=1, role=EXECUTION)
-
-
-def make_fleet(fleet: Optional[FleetConfig] = None,
-               serve: Optional["ServeConfig"] = None) -> "FleetRouter":
+def make_fleet(n_backends: int = 3, serve: Optional["ServeConfig"] = None,
+               router: Optional["RouterConfig"] = None) -> "FleetRouter":
     """An (unstarted) router-managed fleet: ``n_backends`` identical
     :class:`AssertHttpServer` instances (each with its own
     :class:`AssertService` built from ``serve``) behind one
-    :class:`FleetRouter`.  ``router.start()`` — or ``with`` — brings the
+    :class:`FleetRouter` built from ``router`` (backends bind ephemeral
+    ports on its host).  ``router.start()`` — or ``with`` — brings the
     whole fleet up; ``router.close()`` drains it in order.  Backends get
     stable ring names ``backend-0..N-1``, so the key->backend map — and
     with it cache affinity — is the same on every launch regardless of
@@ -79,21 +65,18 @@ def make_fleet(fleet: Optional[FleetConfig] = None,
         ServeConfig,
     )
 
-    fleet = fleet or FleetConfig()
-    fleet.validate()
+    if n_backends < 1:
+        raise ValueError(f"n_backends must be >= 1, got {n_backends!r}")
     serve = serve if serve is not None else ServeConfig()
+    router = router if router is not None else RouterConfig()
     backends = [
         AssertHttpServer(AssertService(serve),
-                         HttpConfig(host=fleet.host, port=0))
-        for _ in range(fleet.n_backends)
+                         HttpConfig(host=router.host, port=0))
+        for _ in range(n_backends)
     ]
     return FleetRouter(
-        backends,
-        RouterConfig(host=fleet.host, port=fleet.port,
-                     health_interval_s=fleet.health_interval_s,
-                     ring_replicas=fleet.ring_replicas),
-        manage_backends=True,
-        node_names=[f"backend-{i}" for i in range(fleet.n_backends)])
+        backends, router, manage_backends=True,
+        node_names=[f"backend-{i}" for i in range(n_backends)])
 
 
 @configclass
@@ -206,9 +189,10 @@ class PipelineConfig:
         horizontally scaled service.  Keyword overrides reach the
         per-backend :class:`ServeConfig`; the router binds ``port``
         (0 = ephemeral, read it off ``router.port`` after start)."""
-        return make_fleet(
-            FleetConfig(n_backends=n_backends, host=host, port=port),
-            self.serve(**overrides))
+        from repro.serve import RouterConfig
+
+        return make_fleet(n_backends, self.serve(**overrides),
+                          RouterConfig(host=host, port=port))
 
     def cache_key(self) -> tuple:
         """The ``semantic`` knobs, for the shared-pipeline cache: the
@@ -227,7 +211,6 @@ class AssertSolverPipeline:
         self.sft_model: Optional[AssertSolver] = None
         self.assertsolver: Optional[AssertSolver] = None
         self.benchmark: Optional[SvaEvalBenchmark] = None
-        self.results: Dict[str, EvalResult] = {}
         self.reports: Dict[str, EvalReport] = {}
 
     # -- stages --------------------------------------------------------------
@@ -274,9 +257,9 @@ class AssertSolverPipeline:
         models.extend([self.base_model, self.sft_model, self.assertsolver])
         return models
 
-    def evaluate(self) -> Dict[str, EvalResult]:
-        if self.results:
-            return self.results
+    def evaluate(self) -> Dict[str, EvalReport]:
+        if self.reports:
+            return self.reports
         benchmark = self.build_benchmark()
         eval_config = self.config.eval_config()
         store = (self.config.store.make_store()
@@ -285,19 +268,18 @@ class AssertSolverPipeline:
             for model in self.models():
                 report = run_eval(model, benchmark.cases, config=eval_config,
                                   engine=engine, store=store)
-                self.reports[report.result.model_name] = report
-                self.results[report.result.model_name] = report.result
-        return self.results
+                self.reports[report.model_name] = report
+        return self.reports
 
     # -- reporting -------------------------------------------------------------
 
-    def table3_results(self) -> Dict[str, EvalResult]:
+    def table3_results(self) -> Dict[str, EvalReport]:
         results = self.evaluate()
         return {"Base Model": results["Base Model"],
                 "SFT Model": results["SFT Model"],
                 "AssertSolver": results["AssertSolver"]}
 
-    def table4_results(self) -> Dict[str, EvalResult]:
+    def table4_results(self) -> Dict[str, EvalReport]:
         results = self.evaluate()
         order = ["Claude-3.5", "GPT-4", "o1-preview", "Deepseek-coder-6.7b",
                  "CodeLlama-7b", "Llama-3.1-8b", "AssertSolver"]

@@ -34,7 +34,7 @@ from repro.datagen.records import (
 )
 from repro.datagen.split import assert_disjoint, split_by_module_name
 from repro.datagen.stage1 import run_stage1
-from repro.datagen.stage2 import SVA_VALIDATION_MODES, run_stage2
+from repro.datagen.stage2 import run_stage2
 from repro.datagen.stage3 import run_stage3
 from repro.engine import BACKENDS, ExecutionEngine, StageGraph, derive_rng
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
@@ -50,7 +50,10 @@ VOLATILE_STAT_KEYS = ("engine", "compile_cache", "store", "solve_profile",
                       "coverage")
 
 
-@configclass
+#: Stage 2 always validates SVAs with one batched check
+#: (:func:`repro.datagen.stage2.validate_svas`); the retired
+#: ``sva_validation`` keeps stage-memo keys from before that.
+@configclass(retired={"sva_validation": "batched"})
 class DatagenConfig:
     """Scale, rate and execution knobs.
 
@@ -93,8 +96,6 @@ class DatagenConfig:
     sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
                          role=EXECUTION)
     coverage: bool = knob(False, kind=bool, role=EXECUTION)
-    sva_validation: str = knob("batched", kind=str,
-                               choices=SVA_VALIDATION_MODES, role=SEMANTIC)
     template_families: Optional[Tuple[str, ...]] = knob(
         None, kind=(tuple, list), items=str, optional=True, role=SEMANTIC)
     family_weights: Optional[Dict[str, float]] = knob(
@@ -234,8 +235,7 @@ def build_stage_graph(config: DatagenConfig) -> StageGraph:
         inputs["stage1"].compiled, seed=config.seed,
         bugs_per_design=config.bugs_per_design,
         hallucination_rate=config.hallucination_rate,
-        bmc=config.bmc(), engine=inputs.engine,
-        sva_validation=config.sva_validation),
+        bmc=config.bmc(), engine=inputs.engine),
         deps=("stage1",))
 
     def split_stage(inputs):

@@ -132,9 +132,6 @@ class SvaEvalCase:
     def record(self) -> BugRecord:
         return self.entry.record
 
-    def length_bin_name(self) -> str:
-        return length_bin_label(self.entry.length_bin())
-
 
 def distribution_table(entries: List[SvaBugEntry]) -> Dict[str, int]:
     """Table-II style marginal counts (length bins + all seven bug types)."""

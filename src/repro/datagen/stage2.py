@@ -3,8 +3,10 @@
 For every compiled design:
 
 1. The SVA oracle (Claude-3.5 surrogate) proposes assertions; each one is
-   inserted into the *golden* design, compiled, and bounded-checked.
-   Proposals that fail either step are hallucinations and are dropped.
+   inserted into the *golden* design and compiled, and the compiling ones
+   share one batched bounded check (:func:`validate_svas`, verdicts equal
+   to the one-check-per-proposal reference it falls back to).  Proposals
+   that fail either step are hallucinations and are dropped.
 2. The bug injector proposes mutations; mutants that fail compilation are
    dropped (the paper "employed the compiler again to identify and
    eliminate syntax errors introduced during the random bug generation").
@@ -44,14 +46,6 @@ from repro.verilog.writer import write_module
 
 STAGE_NAME = "stage2"
 
-#: SVA validation modes: ``per_proposal`` is the paper-faithful reference
-#: (one full bounded check of the golden design per proposal);
-#: ``batched`` produces identical verdicts from a single shared bounded
-#: check (see :func:`repro.sva.bmc.bounded_check_batch`), cutting the
-#: dominant golden-design simulation cost by ~the proposal count.
-SVA_VALIDATION_MODES = ("batched", "per_proposal")
-
-
 @dataclass
 class Stage2Result:
     sva_bug_entries: List[SvaBugEntry] = field(default_factory=list)
@@ -80,7 +74,6 @@ class Stage2Task:
     bugs_per_design: int
     hallucination_rate: float
     bmc: BmcConfig
-    sva_validation: str = "batched"
 
 
 def _validate_svas_per_proposal(seed: DesignSeed,
@@ -115,32 +108,25 @@ def _assertion_label(proposal: SvaProposal) -> str:
 
 
 def validate_svas(seed: DesignSeed, proposals: List[SvaProposal],
-                  bmc: BmcConfig, mode: str = "batched",
-                  coverage_out: Optional[dict] = None
+                  bmc: BmcConfig, coverage_out: Optional[dict] = None
                   ) -> "tuple[List[SvaProposal], int]":
     """Keep proposals that compile into and hold on the golden design.
 
-    ``batched`` filters non-compiling proposals individually (cheap), then
-    scores all survivors with one shared bounded check — verdicts are
-    identical to ``per_proposal`` (asserted by the test suite) at a
-    fraction of the simulation cost.  Falls back to the reference path
-    whenever per-label attribution would be ambiguous.
+    Non-compiling proposals are filtered individually (cheap), then all
+    survivors are scored with one shared bounded check — verdicts are
+    identical to :func:`_validate_svas_per_proposal` (asserted by the
+    test suite) at a fraction of the simulation cost.  Falls back to that
+    reference whenever per-label attribution would be ambiguous.
 
     With ``bmc.coverage`` on, ``coverage_out`` (a dict) receives the
     coverage report the validating checks already produced — callers get
     telemetry without re-running a single simulation.
     """
-    if mode not in SVA_VALIDATION_MODES:
-        raise ValueError(f"sva_validation must be one of "
-                         f"{SVA_VALIDATION_MODES}, got {mode!r}")
-    if mode == "per_proposal" or len(proposals) <= 1:
-        return _validate_svas_per_proposal(seed, proposals, bmc,
-                                           coverage_out)
-
-    golden = compile_source(seed.source)
-    if not golden.ok or (golden.design is not None
-                         and golden.design.assertions):
-        # Pre-existing assertions would mix with proposal labels.
+    golden = compile_source(seed.source) if len(proposals) > 1 else None
+    if golden is None or not golden.ok or (golden.design is not None
+                                           and golden.design.assertions):
+        # One proposal, or pre-existing assertions that would mix with
+        # proposal labels.
         return _validate_svas_per_proposal(seed, proposals, bmc,
                                            coverage_out)
 
@@ -157,15 +143,12 @@ def validate_svas(seed: DesignSeed, proposals: List[SvaProposal],
     for proposal in compiling:
         blocks.extend(proposal.blocks())
     combined = compile_with_sva(seed.source, blocks)
-    if not combined.ok:
-        # Individually-valid proposals that clash when combined: ambiguous
-        # attribution, use the reference path.
-        valid, more_rejected = _validate_svas_per_proposal(
-            seed, compiling, bmc, coverage_out)
-        return valid, rejected + more_rejected
-    combined_labels = {a.label for a in combined.design.assertions}
-    if any(_assertion_label(p) not in combined_labels for p in compiling):
-        # Label drift would silently accept failing proposals; don't risk it.
+    # Individually-valid proposals that clash when combined (no labels),
+    # or label drift (which would silently accept failing proposals),
+    # make the attribution ambiguous: use the reference path.
+    labels = ({a.label for a in combined.design.assertions}
+              if combined.ok else set())
+    if any(_assertion_label(p) not in labels for p in compiling):
         valid, more_rejected = _validate_svas_per_proposal(
             seed, compiling, bmc, coverage_out)
         return valid, rejected + more_rejected
@@ -179,20 +162,17 @@ def validate_svas(seed: DesignSeed, proposals: List[SvaProposal],
 
 def process_design(seed: DesignSeed, sva_oracle: SvaOracle,
                    injector: BugInjector, bugs_per_design: int,
-                   bmc: BmcConfig,
-                   result: Optional[Stage2Result] = None,
-                   sva_validation: str = "batched") -> Stage2Result:
+                   bmc: BmcConfig) -> Stage2Result:
     """Run Stage 2 for one design.
 
     Input contract: ``seed.source`` compiles (Stage 1 only forwards
     compiling designs through ``Stage1Result.compiled``).
     """
-    result = result or Stage2Result()
+    result = Stage2Result()
     spec = write_spec(seed.source, seed.meta)
 
     proposals = sva_oracle.propose(seed)
-    valid_svas, rejected = validate_svas(seed, proposals, bmc,
-                                         mode=sva_validation)
+    valid_svas, rejected = validate_svas(seed, proposals, bmc)
     result.rejected_svas += rejected
     result.accepted_svas += len(valid_svas)
     if not valid_svas:
@@ -245,8 +225,7 @@ def stage2_unit(task: Stage2Task) -> Stage2Result:
                            hallucination_rate=task.hallucination_rate)
     injector = BugInjector(task.ctx.rng("bugs"))
     return process_design(task.seed, sva_oracle, injector,
-                          task.bugs_per_design, task.bmc,
-                          sva_validation=task.sva_validation)
+                          task.bugs_per_design, task.bmc)
 
 
 def _failing_assertion_signals(module: ast.Module,
@@ -265,8 +244,7 @@ def run_stage2(seeds: List[DesignSeed], seed: int = 0,
                bugs_per_design: int = 4,
                hallucination_rate: float = 0.15,
                bmc: Optional[BmcConfig] = None,
-               engine: Optional[ExecutionEngine] = None,
-               sva_validation: str = "batched") -> Stage2Result:
+               engine: Optional[ExecutionEngine] = None) -> Stage2Result:
     """Run Stage 2 over a list of compiled designs.
 
     ``seed`` is the stage's global seed; each design's streams derive from
@@ -277,8 +255,7 @@ def run_stage2(seeds: List[DesignSeed], seed: int = 0,
                         ctx=StageContext(seed, STAGE_NAME, unit_id),
                         bugs_per_design=bugs_per_design,
                         hallucination_rate=hallucination_rate,
-                        bmc=bmc,
-                        sva_validation=sva_validation)
+                        bmc=bmc)
              for design, unit_id in zip(seeds, unit_ids(seeds))]
     if engine is None:
         unit_results = [stage2_unit(task) for task in tasks]

@@ -59,30 +59,14 @@ def stage3_unit(task: Stage3Task) -> Tuple[Optional[str], bool]:
 
 
 def run_stage3(entries: List[SvaBugEntry], seed: int = 0,
-               oracle: Optional[CotOracle] = None,
                engine: Optional[ExecutionEngine] = None) -> Stage3Result:
     """Attach validated CoTs to training entries (in place) and report the
     observed validity rate (paper: 74.55%).
 
-    Passing an explicit ``oracle`` keeps the legacy serial semantics (one
-    RNG threaded through all entries); otherwise per-entry streams are
-    derived from ``seed`` and any ``engine`` backend yields identical
-    output.
+    Per-entry streams are derived from ``seed``, so any ``engine``
+    backend yields identical output.
     """
     result = Stage3Result()
-    if oracle is not None:
-        for entry in entries:
-            proposal = oracle.generate(entry.record, entry.logs,
-                                       entry.assertion_signals)
-            result.generated += 1
-            if proposal.is_correct_for(entry.record):
-                entry.cot = proposal.text
-                result.validated += 1
-            else:
-                entry.cot = None
-            result.entries.append(entry)
-        return result
-
     ordinals: Dict[str, int] = {}
     tasks: List[Stage3Task] = []
     for entry in entries:

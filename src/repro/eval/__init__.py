@@ -3,29 +3,11 @@ experiment runners that regenerate every table and figure of the paper."""
 
 from repro.eval.passk import aggregate_pass_at_k, pass_at_k
 
-__all__ = [
-    "pass_at_k",
-    "aggregate_pass_at_k",
-    "SvaEvalBenchmark",
-    "build_benchmark",
-    "EvalConfig",
-    "EvalReport",
-    "EvalResult",
-    "case_digest",
-    "cases_from_json",
-    "cases_to_json",
-    "eval_memo_key",
-    "is_correct",
-    "model_digest",
-    "run_eval",
-]
-
 _LAZY = {
     "SvaEvalBenchmark": "repro.eval.benchmark",
     "build_benchmark": "repro.eval.benchmark",
     "EvalConfig": "repro.eval.config",
     "EvalReport": "repro.eval.report",
-    "EvalResult": "repro.eval.runner",
     "case_digest": "repro.eval.cases",
     "cases_from_json": "repro.eval.cases",
     "cases_to_json": "repro.eval.cases",
@@ -34,6 +16,7 @@ _LAZY = {
     "model_digest": "repro.eval.runner",
     "run_eval": "repro.eval.runner",
 }
+__all__ = ["pass_at_k", "aggregate_pass_at_k", *_LAZY]
 
 
 def __getattr__(name):

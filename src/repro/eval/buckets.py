@@ -2,48 +2,34 @@
 
 Cases are grouped along the Table-II axes — the seven bug types (Direct,
 Indirect, Var, Value, Op, Cond, Non_cond) and the five code-length bins —
-and pass@k is computed per bucket per model.
+and :class:`repro.eval.report.EvalReport` computes pass@k per bucket.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.bugs.taxonomy import BUG_TYPE_ORDER, LENGTH_BINS, length_bin_label
-from repro.eval.runner import CaseOutcome, EvalResult
+from repro.eval.runner import CaseOutcome
 
 
-def bug_type_buckets(result: EvalResult) -> Dict[str, List[CaseOutcome]]:
+def bug_type_buckets(outcomes: Iterable[CaseOutcome]
+                     ) -> Dict[str, List[CaseOutcome]]:
     """bug-type name -> outcomes (a case lands in three buckets, one per
     taxonomy axis, exactly as the paper's counts do)."""
     buckets: Dict[str, List[CaseOutcome]] = {name: [] for name in BUG_TYPE_ORDER}
-    for outcome in result.outcomes:
+    for outcome in outcomes:
         for label in outcome.case.entry.bucket_labels():
             if label in buckets:
                 buckets[label].append(outcome)
     return buckets
 
 
-def length_buckets(result: EvalResult) -> Dict[str, List[CaseOutcome]]:
+def length_buckets(outcomes: Iterable[CaseOutcome]
+                   ) -> Dict[str, List[CaseOutcome]]:
     buckets: Dict[str, List[CaseOutcome]] = {
         length_bin_label(b): [] for b in LENGTH_BINS}
-    for outcome in result.outcomes:
+    for outcome in outcomes:
         label = length_bin_label(outcome.case.entry.length_bin())
         buckets[label].append(outcome)
     return buckets
-
-
-def bucket_pass_at(result: EvalResult, k: int,
-                   by: str = "bug_type") -> Dict[str, float]:
-    """pass@k per bucket; empty buckets map to float('nan')."""
-    if by == "bug_type":
-        buckets = bug_type_buckets(result)
-    elif by == "length":
-        buckets = length_buckets(result)
-    else:
-        raise ValueError(f"unknown bucket axis {by!r}")
-    scores: Dict[str, float] = {}
-    for name, outcomes in buckets.items():
-        scores[name] = (result.pass_at(k, outcomes) if outcomes
-                        else float("nan"))
-    return scores

@@ -10,24 +10,25 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.eval.runner import EvalResult
+from repro.eval.report import EvalReport
 
 
-def histogram_series(result: EvalResult, n: int = 20) -> List[int]:
+def histogram_series(report: EvalReport, n: int = 20) -> List[int]:
     """Counts for c = 0..n as a dense list."""
-    histogram = result.histogram()
+    histogram = report.histogram()
     return [histogram.get(c, 0) for c in range(n + 1)]
 
 
-def extremity_mass(result: EvalResult, n: int = 20) -> float:
+def extremity_mass(report: EvalReport, n: int = 20) -> float:
     """Fraction of cases at the deterministic ends (c = 0 or c = n)."""
-    if not result.outcomes:
+    if not report.n_cases:
         return 0.0
-    extreme = sum(1 for o in result.outcomes if o.c in (0, n))
-    return extreme / len(result.outcomes)
+    extreme = sum(count for c, count in report.histogram().items()
+                  if c in (0, n))
+    return extreme / report.n_cases
 
 
-def render_histogram(results: Dict[str, EvalResult], n: int = 20,
+def render_histogram(results: Dict[str, EvalReport], n: int = 20,
                      width: int = 40) -> str:
     """ASCII rendering of Fig. 3 (one row per c, one column per model)."""
     lines = []
@@ -35,8 +36,8 @@ def render_histogram(results: Dict[str, EvalResult], n: int = 20,
     header = "c".rjust(4) + "".join(name.rjust(width // len(names) + 10)
                                     for name in names)
     lines.append(header)
-    series = {name: histogram_series(result, n)
-              for name, result in results.items()}
+    series = {name: histogram_series(report, n)
+              for name, report in results.items()}
     for c in range(n + 1):
         row = [str(c).rjust(4)]
         for name in names:

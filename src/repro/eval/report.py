@@ -7,21 +7,27 @@ payload whose :meth:`to_json` is byte-deterministic: two runs that score
 the same cases the same way serialize identically, whether the outcomes
 were computed cold, replayed from the store, or carried over the wire.
 
-Volatile attributes (the backing :class:`EvalResult`, the model digest,
-memoization stats) ride on the object for callers but are excluded from
-the payload — a warm re-run must reproduce the cold bytes even though
-its memo counters differ.
+This is the only place pass@k is aggregated: :func:`run_eval` builds the
+report straight from its per-case outcomes, and the Table III/IV and
+Fig. 3-5 renderers read the report's accessors.
+
+Volatile attributes (the model digest, memoization stats) ride on the
+object for callers but are excluded from the payload — a warm re-run
+must reproduce the cold bytes even though its memo counters differ.
 
 Empty splits are *omitted*, not rendered as ``0.0``: a benchmark with no
-human-origin cases has no ``origins["human"]`` entry at all, so "no
-data" can never be misread as "all failed" (the
-:meth:`EvalResult.pass_at_origin` fix, applied to the wire format).
+human-origin cases has no ``origins["human"]`` entry at all, and
+:meth:`EvalReport.pass_at_origin` answers ``None`` for it, so "no data"
+can never be misread as "all failed".
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Dict, List, Optional
+
+from repro.eval.passk import aggregate_pass_at_k
 
 __all__ = ["EvalReport"]
 
@@ -37,62 +43,57 @@ class EvalReport:
     :meth:`to_json` bytes agree.
     """
 
-    __slots__ = ("_payload", "result", "model_digest", "stats")
+    __slots__ = ("_payload", "model_digest", "stats")
 
-    def __init__(self, payload: Dict[str, object], result=None,
-                 model_digest: str = "",
+    def __init__(self, payload: Dict[str, object], model_digest: str = "",
                  stats: Optional[Dict[str, int]] = None):
         self._payload = payload
-        self.result = result
         self.model_digest = model_digest
         self.stats = stats or {}
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_result(cls, result, config) -> "EvalReport":
-        """Render ``result`` (an :class:`EvalResult`) under ``config``."""
+    def from_result(cls, model_name: str, outcomes, config) -> "EvalReport":
+        """Render one run's result, its per-case ``outcomes``
+        (:class:`repro.eval.runner.CaseOutcome`), under ``config``."""
         from repro.eval.buckets import bug_type_buckets, length_buckets
 
         ks = list(config.k_values)
+
+        def split(subset) -> Dict[str, object]:
+            counts = [(o.n, o.c) for o in subset]
+            return {"n_cases": len(subset),
+                    "pass_at": {str(k): aggregate_pass_at_k(counts, k)
+                                for k in ks}}
+
         origins: Dict[str, object] = {}
         for origin in ("machine", "human"):
-            subset = [o for o in result.outcomes if o.case.origin == origin]
-            if not subset:
-                continue  # omitted, never 0.0
-            origins[origin] = {
-                "n_cases": len(subset),
-                "pass_at": {str(k): result.pass_at(k, subset) for k in ks},
-            }
-        buckets: Dict[str, object] = {}
-        for axis, grouped in (("bug_type", bug_type_buckets(result)),
-                              ("length", length_buckets(result))):
-            rendered: Dict[str, object] = {}
-            for label, outcomes in grouped.items():
-                if not outcomes:
-                    continue  # empty buckets are omitted too
-                rendered[label] = {
-                    "n_cases": len(outcomes),
-                    "pass_at": {str(k): result.pass_at(k, outcomes)
-                                for k in ks},
-                }
-            buckets[axis] = rendered
+            subset = [o for o in outcomes if o.case.origin == origin]
+            if subset:  # omitted, never 0.0
+                origins[origin] = split(subset)
+        buckets = {
+            axis: {label: split(subset) for label, subset in grouped.items()
+                   if subset}  # empty buckets are omitted too
+            for axis, grouped in (("bug_type", bug_type_buckets(outcomes)),
+                                  ("length", length_buckets(outcomes)))}
+        histogram = Counter(o.c for o in outcomes)
         payload = {
             "schema": REPORT_SCHEMA,
-            "model": result.model_name,
-            "n_samples": result.n_samples,
+            "model": model_name,
+            "n_samples": config.n_samples,
             "seed": config.seed,
             "semantic_check": config.semantic_check,
             "k_values": ks,
-            "n_cases": len(result.outcomes),
-            "pass_at": {str(k): result.pass_at(k) for k in ks},
+            "n_cases": len(outcomes),
+            "pass_at": split(outcomes)["pass_at"],
             "origins": origins,
             "buckets": buckets,
             "histogram": {str(c): count
-                          for c, count in sorted(result.histogram().items())},
-            "cases": [[o.case.case_id, o.n, o.c] for o in result.outcomes],
+                          for c, count in sorted(histogram.items())},
+            "cases": [[o.case.case_id, o.n, o.c] for o in outcomes],
         }
-        return cls(payload, result=result)
+        return cls(payload)
 
     @classmethod
     def from_json(cls, text) -> "EvalReport":
@@ -157,6 +158,8 @@ class EvalReport:
 
     def bucket_pass_at(self, k: int, by: str = "bug_type"
                        ) -> Dict[str, float]:
+        """pass@k per populated bucket along ``by`` (``"bug_type"`` or
+        ``"length"``); empty buckets are absent."""
         axes = self._payload["buckets"]
         if by not in axes:
             raise ValueError(f"unknown bucket axis {by!r}")
@@ -164,6 +167,7 @@ class EvalReport:
                 for label, entry in axes[by].items()}
 
     def histogram(self) -> Dict[int, int]:
+        """c-value histogram (the paper's Fig. 3 series)."""
         return {int(c): count
                 for c, count in self._payload["histogram"].items()}
 

@@ -6,8 +6,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bugs.taxonomy import BUG_TYPE_ORDER, LENGTH_BINS, TABLE1_ROWS, length_bin_label
-from repro.eval.buckets import bucket_pass_at
-from repro.eval.runner import EvalResult
+from repro.eval.report import EvalReport
 
 # Published numbers, for side-by-side display.
 PAPER_TABLE3 = {
@@ -71,15 +70,15 @@ def render_table2(train_distribution: Dict[str, int],
     return "\n".join(lines)
 
 
-def render_table3(results: Dict[str, EvalResult]) -> str:
+def render_table3(results: Dict[str, EvalReport]) -> str:
     """Table III: pass@k for Base vs SFT vs AssertSolver."""
     lines = ["Table III: model performance as pass@k (ours vs paper)"]
     lines.append(f"{'Metric':<10}" + "".join(name.rjust(24)
                                              for name in results))
     for k in (1, 5):
         row = [f"pass@{k}".ljust(10)]
-        for name, result in results.items():
-            ours = 100 * result.pass_at(k)
+        for name, report in results.items():
+            ours = 100 * report.pass_at(k)
             paper = PAPER_TABLE3.get(name, (None, None))[0 if k == 1 else 1]
             cell = f"{ours:6.2f}%"
             if paper is not None:
@@ -89,7 +88,7 @@ def render_table3(results: Dict[str, EvalResult]) -> str:
     return "\n".join(lines)
 
 
-def render_table4(results: Dict[str, EvalResult]) -> str:
+def render_table4(results: Dict[str, EvalReport]) -> str:
     """Table IV: all models x {Machine, Human, All} x pass@{1,5}."""
     lines = ["Table IV: comparison on SVA-Eval (ours | paper)"]
     header = (f"{'Model':<22}" + "Machine@1".rjust(10) + "Machine@5".rjust(10)
@@ -97,14 +96,14 @@ def render_table4(results: Dict[str, EvalResult]) -> str:
               + "All@1".rjust(10) + "All@5".rjust(10))
     lines.append(header)
     lines.append("-" * len(header))
-    for name, result in results.items():
+    for name, report in results.items():
         ours = (
-            result.pass_at_origin(1, "machine"),
-            result.pass_at_origin(5, "machine"),
-            result.pass_at_origin(1, "human"),
-            result.pass_at_origin(5, "human"),
-            result.pass_at(1),
-            result.pass_at(5),
+            report.pass_at_origin(1, "machine"),
+            report.pass_at_origin(5, "machine"),
+            report.pass_at_origin(1, "human"),
+            report.pass_at_origin(5, "human"),
+            report.pass_at(1),
+            report.pass_at(5),
         )
         lines.append(f"{name:<22}" + "".join(_pct(v).rjust(10) for v in ours))
         paper = PAPER_TABLE4.get(name)
@@ -114,22 +113,22 @@ def render_table4(results: Dict[str, EvalResult]) -> str:
     return "\n".join(lines)
 
 
-def render_bucket_figure(results: Dict[str, EvalResult], k: int,
+def render_bucket_figure(results: Dict[str, EvalReport], k: int,
                          by: str, title: str) -> str:
     """Fig. 4 / Fig. 5 panels: pass@k per bucket per model."""
     lines = [title]
     names = (BUG_TYPE_ORDER if by == "bug_type"
              else [length_bin_label(b) for b in LENGTH_BINS])
     lines.append(f"{'Model':<22}" + "".join(n.rjust(12) for n in names))
-    for model_name, result in results.items():
-        scores = bucket_pass_at(result, k, by=by)
+    for model_name, report in results.items():
+        scores = report.bucket_pass_at(k, by=by)
         lines.append(f"{model_name:<22}"
                      + "".join(_pct(scores.get(n, float('nan'))).rjust(12)
                                for n in names))
     return "\n".join(lines)
 
 
-def render_fig4(results: Dict[str, EvalResult]) -> str:
+def render_fig4(results: Dict[str, EvalReport]) -> str:
     parts = [
         render_bucket_figure(results, 1, "bug_type",
                              "Fig 4(a): pass@1 by bug type"),
@@ -143,7 +142,7 @@ def render_fig4(results: Dict[str, EvalResult]) -> str:
     return "\n\n".join(parts)
 
 
-def render_fig5(sft: EvalResult, assertsolver: EvalResult) -> str:
+def render_fig5(sft: EvalReport, assertsolver: EvalReport) -> str:
     results = {"SFT Model": sft, "AssertSolver": assertsolver}
     parts = [
         render_bucket_figure(results, 1, "bug_type",

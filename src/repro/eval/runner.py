@@ -4,9 +4,8 @@
 surrogates) over a case list under an :class:`EvalConfig` and produces
 an :class:`EvalReport` holding everything the paper's tables and figures
 need: per-case correct counts, aggregate pass@k for the config's
-k-vector, per-origin splits, per-bucket splits and the c-histogram;
-``report.result`` is the plain :class:`EvalResult` the table renderers
-take.
+k-vector, per-origin splits, per-bucket splits and the c-histogram.  The
+report is the only aggregation: the table and figure renderers read it.
 
 Correctness follows the paper: the answer's buggy line must match the
 golden buggy line and the suggested fix must match the golden fixed line
@@ -34,13 +33,12 @@ import hashlib
 import pickle
 import random
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.datagen.records import SvaEvalCase
 from repro.engine import ExecutionEngine, derive_rng
 from repro.eval.cases import case_digest
 from repro.eval.config import EvalConfig
-from repro.eval.passk import aggregate_pass_at_k
 from repro.eval.report import EvalReport
 from repro.model.assertsolver import Problem, SolverResponse
 from repro.store.base import NS_EVAL, content_key
@@ -85,46 +83,6 @@ class CaseOutcome:
         self.case = case
         self.n = n
         self.c = c
-
-
-class EvalResult:
-    """All outcomes of one model over one case list."""
-
-    def __init__(self, model_name: str, outcomes: List[CaseOutcome],
-                 n_samples: int):
-        self.model_name = model_name
-        self.outcomes = outcomes
-        self.n_samples = n_samples
-
-    # -- aggregates ---------------------------------------------------------
-
-    def pass_at(self, k: int, subset: Optional[Sequence[CaseOutcome]] = None
-                ) -> float:
-        outcomes = self.outcomes if subset is None else list(subset)
-        return aggregate_pass_at_k(((o.n, o.c) for o in outcomes), k)
-
-    def pass_at_origin(self, k: int, origin: str) -> Optional[float]:
-        """``None`` when no case has ``origin`` — an empty split is "no
-        data", which must never be mistakable for "all failed" (0.0)."""
-        subset = [o for o in self.outcomes if o.case.origin == origin]
-        if not subset:
-            return None
-        return self.pass_at(k, subset)
-
-    def histogram(self) -> Dict[int, int]:
-        """c-value histogram (the paper's Fig. 3 series)."""
-        counts: Dict[int, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.c] = counts.get(outcome.c, 0) + 1
-        return counts
-
-    def subset_where(self, predicate) -> List[CaseOutcome]:
-        return [o for o in self.outcomes if predicate(o.case)]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"EvalResult({self.model_name}: "
-                f"pass@1={self.pass_at(1):.4f}, pass@5={self.pass_at(5):.4f}, "
-                f"{len(self.outcomes)} cases)")
 
 
 def generate_for_case(model, case: SvaEvalCase, n: int,
@@ -299,8 +257,7 @@ def run_eval(model, cases: Iterable[SvaEvalCase],
     outcomes = [CaseOutcome(case, total, c)
                 for case, (total, c) in zip(cases, scores)]
     name = getattr(model, "name", type(model).__name__)
-    result = EvalResult(name, outcomes, config.n_samples)
-    report = EvalReport.from_result(result, config)
+    report = EvalReport.from_result(name, outcomes, config)
     report.model_digest = digest
     report.stats = {"cases": len(cases), "memo_hits": hits,
                     "computed": len(miss_idx)}

@@ -5,7 +5,8 @@ bounds or choices, and its *role*:
 
 - ``semantic`` knobs change results.  They enter content keys and
   digests, so a store or cache entry is reused only when all of them
-  match.
+  match.  A deleted one is *retired* (:func:`configclass`): keys keep
+  its last default, so older store entries keep hitting.
 - ``report`` knobs change only how results aggregate.  They enter a
   request's content key but not the memo digest (``EvalConfig.k_values``
   is the one such knob).
@@ -160,9 +161,9 @@ class _Plan:
     """One config class's knobs, resolved once at class creation."""
 
     __slots__ = ("names", "roles", "checks", "check", "eager", "sequences",
-                 "by_role")
+                 "by_role", "retired")
 
-    def __init__(self, cls, eager: bool):
+    def __init__(self, cls, eager: bool, retired: dict):
         self.names = []
         self.roles = {}
         self.checks = []
@@ -179,6 +180,9 @@ class _Plan:
             if tuple in _kinds(spec["kind"]):
                 self.sequences.add(f.name)
         self.names = tuple(self.names)
+        if set(retired).intersection(self.names):
+            raise TypeError(f"{cls.__name__} retires a live knob")
+        self.retired = dict(retired)
         self.check = getattr(cls, "_check", None)
         self.eager = eager
         self.by_role = {}
@@ -204,20 +208,24 @@ def _validate(self) -> None:
         plan.check(self)
 
 
-def configclass(cls=None, *, frozen=False, eager=True):
+def configclass(cls=None, *, frozen=False, eager=True, retired=None):
     """Make ``cls`` a dataclass whose fields are all declared with
     :func:`knob`.
 
     Installs ``validate()`` and, when ``eager`` and the class defines no
     ``__post_init__`` of its own, runs it at construction (and so on
-    ``dataclasses.replace``)."""
+    ``dataclasses.replace``).
+
+    ``retired`` maps each deleted ``semantic`` knob to its last default:
+    no field, yet :func:`payload` and so every key still carries it, and
+    :func:`from_wire` accepts that one value."""
 
     def wrap(cls):
         cls.validate = _validate
         if eager and "__post_init__" not in cls.__dict__:
             cls.__post_init__ = _validate
         cls = dataclass(frozen=frozen)(cls)
-        cls.__knobs__ = _Plan(cls, eager)
+        cls.__knobs__ = _Plan(cls, eager, retired or {})
         return cls
 
     return wrap if cls is None else wrap(cls)
@@ -225,9 +233,13 @@ def configclass(cls=None, *, frozen=False, eager=True):
 
 def payload(config, roles=(SEMANTIC,)) -> dict:
     """``{name: rendered value}`` over the knobs whose role is in
-    ``roles``, in declaration order."""
-    names = type(config).__knobs__.select(roles)
-    return {name: _canon(getattr(config, name)) for name in names}
+    ``roles``, in declaration order, then any retired ones."""
+    plan = type(config).__knobs__
+    data = {name: _canon(getattr(config, name))
+            for name in plan.select(roles)}
+    if plan.retired and SEMANTIC in roles:
+        data.update(plan.retired)
+    return data
 
 
 def canonical(config, roles=(SEMANTIC,)) -> str:
@@ -264,6 +276,13 @@ def from_wire(cls, raw, where: str):
         raise ValueError(
             f"{where} must be a JSON object, got {type(raw).__name__}")
     plan = cls.__knobs__
+    if plan.retired:
+        raw = dict(raw)
+        for name, last in plan.retired.items():
+            value = raw.pop(name, last)
+            if type(value) is not type(last) or value != last:
+                raise ValueError(f"{name} is retired and must be {last!r}, "
+                                 f"got {value!r}")
     unknown = set(raw).difference(plan.names)
     if unknown:
         raise ValueError(f"unknown {where} fields: {sorted(unknown)}")

@@ -32,7 +32,8 @@ like one bigger instance without forking the protocol or the bytes:
   lets in-flight forwards finish against still-live backends (handler
   threads are joined), and only then drains the backends themselves
   (when ``manage_backends=True``) — in-flight clients get real
-  responses end to end.
+  responses end to end; a forward a wedged backend leaves unanswered
+  for :data:`DRAIN_GRACE_S` is cut off and answered 503.
 
 The router is a pure execution layer: bodies it relays are the
 backend's bytes verbatim, and bodies it must synthesize itself (400,
@@ -57,7 +58,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve.client import ConnectionPool, Exchange, _query_suffix
 from repro.serve.codecs import WireKind
-from repro.serve.http import AssertHttpServer, _Handler, _HttpEdge, _Refusal
+from repro.serve.http import AssertHttpServer, HttpConfig, _Handler, _HttpEdge, _Refusal
 from repro.serve.service import ServiceClosed
 
 __all__ = [
@@ -138,6 +139,10 @@ class HashRing:
 
 
 # -- config --------------------------------------------------------------------
+
+#: How long ``close()`` lets in-flight forwards run before answering them
+#: 503: the drain grace a lone :class:`AssertHttpServer` uses by default.
+DRAIN_GRACE_S: float = HttpConfig.drain_grace_s
 
 
 @configclass
@@ -366,14 +371,19 @@ class FleetRouter(_HttpEdge):
         against still-live backends (``server_close`` joins the
         non-daemon handler threads), then drain the backends themselves
         — so a client mid-solve gets its real response from the backend,
-        through the router, before anything shuts down."""
+        through the router, before anything shuts down (or 503 after
+        :data:`DRAIN_GRACE_S`)."""
         if self._closed:
             return
         self._closed = True
         self.draining = True
         self._stop.set()
         self._stop_accepting()
+        abandon = threading.Timer(DRAIN_GRACE_S, self._pool.abort)
+        abandon.daemon = True
+        abandon.start()
         self._release()  # joins in-flight handler threads
+        abandon.cancel()
         if self._health_thread is not None:
             self._health_thread.join(timeout=10)
         self._pool.close()
@@ -529,9 +539,13 @@ class FleetRouter(_HttpEdge):
                         slot, "POST", path, body,
                         self.config.forward_timeout_s)
             except (OSError, http.client.HTTPException) as exc:
+                self._forward_seconds.observe(time.perf_counter() - started)
+                if self._pool.aborted:
+                    # The drain outlived its grace: answer, don't fail over.
+                    raise _Refusal(503, "router drained before the request "
+                                        "was served", close=True) from None
                 # Dead or wedged: eject now (the probe re-admits after
                 # recovery) and re-offer the request to the next node.
-                self._forward_seconds.observe(time.perf_counter() - started)
                 self._eject(slot, f"forward failed: {type(exc).__name__}")
                 with self._lock:
                     self._failovers += 1

@@ -468,7 +468,7 @@ def _solve_task_inner(task: SolveTask) -> SolveResponse:
                     seed=task.seed, sim_mode=task.sim_mode,
                     coverage=task.coverage)
     coverage_out: Optional[dict] = {} if task.coverage else None
-    valid, rejected = validate_svas(seed_like, proposals, bmc, mode="batched",
+    valid, rejected = validate_svas(seed_like, proposals, bmc,
                                     coverage_out=coverage_out)
 
     design_signals = frozenset(compiled.design.symbols)
@@ -937,10 +937,6 @@ class AssertService:
         with self._lock:
             self._models[name] = (model, digest)
         return digest
-
-    def model_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._models)
 
     def submit(self,
                request: Union[SolveRequest, EvalRequest, str]) -> "Future":

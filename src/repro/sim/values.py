@@ -42,10 +42,6 @@ class FourState:
         return cls(width, 0, _mask(width))
 
     @classmethod
-    def from_int(cls, value: int, width: int) -> "FourState":
-        return cls(width, value, 0)
-
-    @classmethod
     def from_bool(cls, flag: bool) -> "FourState":
         return cls(1, int(flag), 0)
 

@@ -1,9 +1,13 @@
 """Insertion of SVA property/assertion source into a design.
 
 Stage 2 of the pipeline takes generated SVA text and embeds it into the
-Verilog module before validation.  Insertion is textual (before
-``endmodule``) followed by re-canonicalization, so the combined artefact
-has stable line numbers.
+Verilog module before validation.  :func:`compile_with_sva` is the one
+splice: the blocks go in textually, before ``endmodule``, and the
+combined source is compiled.  RTL lines keep their numbers, and
+``write_module(result.module)`` renders the canonical combined artefact.
+A proposal that does not compile is reported in the result, never
+raised — which is precisely how the pipeline detects hallucinated SVAs
+with syntax problems.
 """
 
 from __future__ import annotations
@@ -11,31 +15,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.verilog.compile import CompileResult, compile_source
-from repro.verilog.writer import write_module
-
-
-class SvaInsertionError(Exception):
-    """Raised when the combined design + SVA source fails to compile."""
-
-
-def insert_sva_text(source: str, sva_blocks: List[str]) -> str:
-    """Insert raw SVA source blocks before ``endmodule`` and canonicalize.
-
-    Raises :class:`SvaInsertionError` when the result does not compile —
-    which is precisely how the pipeline detects hallucinated SVAs with
-    syntax problems.
-    """
-    marker = "endmodule"
-    index = source.rfind(marker)
-    if index < 0:
-        raise SvaInsertionError("design has no 'endmodule' to insert before")
-    blob = "\n".join(sva_blocks)
-    combined = source[:index] + blob + "\n" + source[index:]
-    result = compile_source(combined)
-    if not result.ok:
-        raise SvaInsertionError(
-            f"SVA insertion produced invalid source:\n{result.failure_summary()}")
-    return write_module(result.module)
 
 
 def compile_with_sva(source: str, sva_blocks: List[str]) -> CompileResult:

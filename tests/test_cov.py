@@ -459,11 +459,10 @@ class TestHttpCovz:
 class TestFleetCovz:
     @pytest.fixture(scope="class")
     def fleet(self):
-        from repro.core.api import FleetConfig, make_fleet
+        from repro.core.api import make_fleet
 
         cov.reset()  # the router's local payload reads the global buffer
-        router = make_fleet(FleetConfig(n_backends=3),
-                            _serve_config(coverage=True))
+        router = make_fleet(3, _serve_config(coverage=True))
         with router:
             generator = CorpusGenerator(seed=29)
             client = AssertClient(host=router.address[0], port=router.port)

@@ -290,7 +290,10 @@ class TestBatchedSvaValidation:
 
     def test_batched_matches_per_proposal(self):
         from repro.corpus.generator import CorpusGenerator
-        from repro.datagen.stage2 import validate_svas
+        from repro.datagen.stage2 import (
+            _validate_svas_per_proposal,
+            validate_svas,
+        )
         from repro.oracles.sva import SvaOracle
         from repro.sva.bmc import BmcConfig
 
@@ -304,27 +307,24 @@ class TestBatchedSvaValidation:
                                hallucination_rate=0.6)
             proposals = oracle.propose(design)
             batched_valid, batched_rejected = validate_svas(
-                design, proposals, bmc, mode="batched")
-            ref_valid, ref_rejected = validate_svas(
-                design, proposals, bmc, mode="per_proposal")
+                design, proposals, bmc)
+            ref_valid, ref_rejected = _validate_svas_per_proposal(
+                design, proposals, bmc)
             assert [p.name for p in batched_valid] == \
                 [p.name for p in ref_valid]
             assert batched_rejected == ref_rejected
             compared += len(proposals)
         assert compared > 0
 
-    def test_invalid_mode_rejected(self):
-        from repro.datagen.stage2 import validate_svas
+    def test_pipeline_identical_across_modes(self, monkeypatch):
+        from repro.datagen import stage2
 
-        with pytest.raises(ValueError, match="sva_validation"):
-            validate_svas(None, [], None, mode="turbo")
-
-    def test_pipeline_identical_across_modes(self):
         config = dict(n_designs=6, bugs_per_design=2, seed=29,
                       bmc_depth=6, bmc_random_trials=8)
         batched = run_pipeline(DatagenConfig(**config))
-        reference = run_pipeline(DatagenConfig(
-            sva_validation="per_proposal", **config))
+        monkeypatch.setattr(stage2, "validate_svas",
+                            stage2._validate_svas_per_proposal)
+        reference = run_pipeline(DatagenConfig(**config))
         assert batched.fingerprint() == reference.fingerprint()
 
 
@@ -336,10 +336,8 @@ class TestParallelEvaluation:
         if not cases:
             pytest.skip("no machine cases at this scale")
         model = make_baseline("GPT-4", seed=3)
-        serial = run_eval(model, cases,
-                          EvalConfig(n_samples=6, seed=11)).result
+        serial = run_eval(model, cases, EvalConfig(n_samples=6, seed=11))
         with ExecutionEngine(n_workers=3, backend="process") as engine:
             parallel = run_eval(model, cases, EvalConfig(n_samples=6, seed=11),
-                                engine=engine).result
-        assert [(o.n, o.c) for o in serial.outcomes] == \
-            [(o.n, o.c) for o in parallel.outcomes]
+                                engine=engine)
+        assert serial.case_outcomes() == parallel.case_outcomes()

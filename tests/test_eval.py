@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.baselines.engine import make_baseline
 from repro.baselines.profiles import case_difficulty, get_profile
-from repro.eval.buckets import bucket_pass_at, bug_type_buckets, length_buckets
+from repro.eval.buckets import bug_type_buckets, length_buckets
 from repro.eval.cases import case_digest, cases_from_json, cases_to_json
 from repro.eval.config import EvalConfig
 from repro.eval.histogram import extremity_mass, histogram_series
@@ -15,6 +15,7 @@ from repro.eval.passk import aggregate_pass_at_k, pass_at_k
 from repro.eval.report import EvalReport
 from repro.eval.reporting import render_table1, render_table3, render_table4
 from repro.eval.runner import (
+    CaseOutcome,
     eval_memo_key,
     is_correct,
     model_digest,
@@ -110,23 +111,24 @@ class TestRunner:
     def test_evaluate_model_counts(self, small_bundle, trained_models):
         _, sft, _ = trained_models
         result = run_eval(sft, small_bundle.sva_eval_machine,
-                          EvalConfig(n_samples=8)).result
-        assert len(result.outcomes) == len(small_bundle.sva_eval_machine)
-        for outcome in result.outcomes:
-            assert 0 <= outcome.c <= outcome.n == 8
+                          EvalConfig(n_samples=8))
+        assert len(result.case_outcomes()) == \
+            len(small_bundle.sva_eval_machine)
+        for _, n, c in result.case_outcomes():
+            assert 0 <= c <= n == 8
 
     def test_histogram_total(self, small_bundle, trained_models):
         _, sft, _ = trained_models
         result = run_eval(sft, small_bundle.sva_eval_machine,
-                          EvalConfig(n_samples=8)).result
+                          EvalConfig(n_samples=8))
         series = histogram_series(result, n=8)
-        assert sum(series) == len(result.outcomes)
+        assert sum(series) == result.n_cases
         assert 0.0 <= extremity_mass(result, n=8) <= 1.0
 
     def test_origin_split(self, small_bundle, trained_models, human_cases):
         _, sft, _ = trained_models
         cases = small_bundle.sva_eval_machine + human_cases[:4]
-        result = run_eval(sft, cases, EvalConfig(n_samples=6)).result
+        result = run_eval(sft, cases, EvalConfig(n_samples=6))
         assert result.pass_at_origin(1, "machine") >= 0.0
         assert result.pass_at_origin(1, "human") >= 0.0
 
@@ -165,17 +167,16 @@ class TestModelTransport:
         assert len(cases) > 1
         model = SerializationCountingModel()
         SerializationCountingModel.pickle_count = 0
-        serial = run_eval(model, cases, EvalConfig(n_samples=4, seed=9)).result
+        serial = run_eval(model, cases, EvalConfig(n_samples=4, seed=9))
         assert SerializationCountingModel.pickle_count == 0
         with ExecutionEngine(n_workers=2, backend="process") as engine:
             parallel = run_eval(model, cases, EvalConfig(n_samples=4, seed=9),
-                                engine=engine).result
+                                engine=engine)
             # However many chunks fan out, the object graph is walked
             # exactly twice per run: once for transport, once for the
             # after-run fingerprint assertion — never once per chunk.
             assert SerializationCountingModel.pickle_count == 2
-        assert [(o.n, o.c) for o in serial.outcomes] == \
-               [(o.n, o.c) for o in parallel.outcomes]
+        assert serial.case_outcomes() == parallel.case_outcomes()
 
     def test_thread_run_never_pickles(self, small_bundle):
         from repro.engine import ExecutionEngine
@@ -193,39 +194,46 @@ class TestModelTransport:
 
         _, sft, _ = trained_models
         serial = run_eval(sft, small_bundle.sva_eval_machine,
-                          EvalConfig(n_samples=4, seed=3)).result
+                          EvalConfig(n_samples=4, seed=3))
         with ExecutionEngine(n_workers=2, backend="process") as engine:
             parallel = run_eval(sft, small_bundle.sva_eval_machine,
                                 EvalConfig(n_samples=4, seed=3),
-                                engine=engine).result
-        assert [(o.n, o.c) for o in serial.outcomes] == \
-               [(o.n, o.c) for o in parallel.outcomes]
+                                engine=engine)
+        assert serial.case_outcomes() == parallel.case_outcomes()
+
+
+def outcomes_of(report, cases):
+    """The report's per-case ``(n, c)``, joined back to its cases."""
+    return [CaseOutcome(case, n, c)
+            for case, (_, n, c) in zip(cases, report.case_outcomes())]
 
 
 class TestBuckets:
     def test_bug_type_buckets_partition_axes(self, small_bundle,
                                              trained_models):
         _, sft, _ = trained_models
-        result = run_eval(sft, small_bundle.sva_eval_machine,
-                          EvalConfig(n_samples=4)).result
+        result = outcomes_of(run_eval(sft, small_bundle.sva_eval_machine,
+                                      EvalConfig(n_samples=4)),
+                             small_bundle.sva_eval_machine)
         buckets = bug_type_buckets(result)
-        n = len(result.outcomes)
+        n = len(result)
         assert len(buckets["Direct"]) + len(buckets["Indirect"]) == n
         assert len(buckets["Cond"]) + len(buckets["Non_cond"]) == n
 
     def test_length_buckets_cover_all(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = run_eval(sft, small_bundle.sva_eval_machine,
-                          EvalConfig(n_samples=4)).result
+        result = outcomes_of(run_eval(sft, small_bundle.sva_eval_machine,
+                                      EvalConfig(n_samples=4)),
+                             small_bundle.sva_eval_machine)
         buckets = length_buckets(result)
-        assert sum(len(v) for v in buckets.values()) == len(result.outcomes)
+        assert sum(len(v) for v in buckets.values()) == len(result)
 
     def test_bucket_pass_at_unknown_axis(self, small_bundle, trained_models):
         _, sft, _ = trained_models
         result = run_eval(sft, small_bundle.sva_eval_machine,
-                          EvalConfig(n_samples=4)).result
+                          EvalConfig(n_samples=4))
         with pytest.raises(ValueError):
-            bucket_pass_at(result, 1, by="colour")
+            result.bucket_pass_at(1, by="colour")
 
 
 class TestBaselines:
@@ -263,7 +271,7 @@ class TestBaselines:
         for name in ("o1-preview", "Claude-3.5", "GPT-4", "Llama-3.1-8b",
                      "CodeLlama-7b", "Deepseek-coder-6.7b"):
             model = make_baseline(name, seed=0)
-            result = run_eval(model, cases, EvalConfig(n_samples=20)).result
+            result = run_eval(model, cases, EvalConfig(n_samples=20))
             scores[name] = result.pass_at(1)
         assert scores["o1-preview"] > scores["GPT-4"]
         assert scores["Claude-3.5"] > scores["GPT-4"]
@@ -487,7 +495,7 @@ class TestEvalReport:
         _, sft, _ = trained_models
         report = run_eval(sft, small_bundle.sva_eval_machine,
                           config=EvalConfig(n_samples=4, seed=5))
-        assert report.result.pass_at_origin(1, "human") is None
+        assert report.pass_at_origin(1, "human") is None
         assert "human" not in json.loads(report.to_json())["origins"]
 
     def test_wrong_schema_rejected(self):
@@ -507,11 +515,11 @@ class TestReporting:
         base, sft, solver = trained_models
         results = {
             "Base Model": run_eval(base, small_bundle.sva_eval_machine,
-                                   EvalConfig(n_samples=4)).result,
+                                   EvalConfig(n_samples=4)),
             "SFT Model": run_eval(sft, small_bundle.sva_eval_machine,
-                                  EvalConfig(n_samples=4)).result,
+                                  EvalConfig(n_samples=4)),
             "AssertSolver": run_eval(solver, small_bundle.sva_eval_machine,
-                                     EvalConfig(n_samples=4)).result,
+                                     EvalConfig(n_samples=4)),
         }
         text = render_table3(results)
         assert "paper 88.54" in text
@@ -520,6 +528,6 @@ class TestReporting:
     def test_table4_renders(self, small_bundle, trained_models):
         _, sft, _ = trained_models
         result = run_eval(sft, small_bundle.sva_eval_machine,
-                          EvalConfig(n_samples=4)).result
+                          EvalConfig(n_samples=4))
         text = render_table4({"AssertSolver": result})
         assert "Machine@1" in text and "(paper)" in text

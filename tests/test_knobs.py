@@ -22,9 +22,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import knobs
 from repro.baselines.engine import make_baseline
-from repro.core.api import FleetConfig, PipelineConfig
+from repro.core.api import PipelineConfig
 from repro.datagen.pipeline import DatagenConfig, run_pipeline
 from repro.eval import EvalConfig, run_eval
 from repro.knobs import EXECUTION, REPORT, ROLES, SEMANTIC
@@ -170,7 +171,7 @@ class TestGoldenBytes:
 # -- the walker ----------------------------------------------------------------
 
 #: Every config class built on the knob table.
-CONFIG_CLASSES = (DatagenConfig, PipelineConfig, FleetConfig, ServeConfig,
+CONFIG_CLASSES = (DatagenConfig, PipelineConfig, ServeConfig,
                   SolveOptions, EvalConfig, StoreConfig, HttpConfig,
                   RouterConfig, WorkloadSpec, BmcConfig)
 
@@ -183,8 +184,7 @@ ALTERNATIVES = {
         hallucination_rate=0.0, train_fraction=0.5, bmc_depth=6,
         bmc_random_trials=8, n_workers=2, backend="thread",
         compile_cache=False, compile_cache_size=64, sim_mode="interp",
-        coverage=True, sva_validation="per_proposal",
-        template_families=FAMILIES, family_weights={"counter": 2.0},
+        coverage=True, template_families=FAMILIES, family_weights={"counter": 2.0},
         store=StoreConfig(memory_entries=16)),
     PipelineConfig: dict(
         n_designs=5, bugs_per_design=2, seed=9, n_samples=4,
@@ -192,8 +192,6 @@ ALTERNATIVES = {
         backend="thread", compile_cache=False, sim_mode="interp",
         template_families=FAMILIES, family_weights={"counter": 2.0},
         store=StoreConfig(memory_entries=16)),
-    FleetConfig: dict(n_backends=2, host="localhost", port=8080,
-                      health_interval_s=0.5, ring_replicas=8),
     ServeConfig: dict(
         n_workers=2, backend="thread", max_queue=8, max_batch=2,
         batch_window_ms=0.0, result_cache=False, cache_entries=4,
@@ -272,6 +270,41 @@ class TestKnobTable:
         cls, name = case
         with pytest.raises(ValueError, match=name):
             cls(**{name: object()}).validate()
+
+
+class TestRetiredKnobs:
+    """``DatagenConfig.sva_validation`` is retired: no field, yet every
+    key still carries its last default, ``"batched"``."""
+
+    NAME, LAST = "sva_validation", "batched"
+
+    def test_constructing_with_it_raises(self):
+        with pytest.raises(TypeError):
+            DatagenConfig(**{self.NAME: self.LAST})
+
+    def test_canonical_and_digest_carry_its_value(self):
+        config = DatagenConfig()
+        data = json.loads(knobs.canonical(config))
+        assert data[self.NAME] == self.LAST
+        data["repro_version"] = repro.__version__
+
+        def sha(payload):
+            return hashlib.sha256(json.dumps(
+                payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+        assert knobs.digest(config) == sha(data)
+        del data[self.NAME]
+        assert knobs.digest(config) != sha(data)
+
+    def test_from_wire_accepts_only_its_last_default(self):
+        body = knobs.wire(DatagenConfig())
+        assert self.NAME not in body
+        config = knobs.from_wire(DatagenConfig,
+                                 {**body, self.NAME: self.LAST}, "config")
+        assert config == DatagenConfig()
+        with pytest.raises(ValueError, match=self.NAME):
+            knobs.from_wire(DatagenConfig,
+                            {**body, self.NAME: "per_proposal"}, "config")
 
 
 class TestExecutionKnobsKeepBytes:
@@ -405,3 +438,32 @@ class TestWireParsersProperty:
             return
         again = eval_request_from_json(eval_request_to_json(request).encode())
         assert again.cache_key() == request.cache_key()
+
+
+def _configs(cls):
+    """``cls`` with any subset of its knobs moved to their alternatives."""
+    return st.fixed_dictionaries({}, optional={
+        name: st.just(value) for name, value in ALTERNATIVES[cls].items()
+    }).map(lambda changed: cls(**changed))
+
+
+def _through_json(body: dict) -> dict:
+    """A wire block as a JSON body carries it; a nested config object
+    (``store``) is not JSON and rides as it is."""
+    nested = {name: value for name, value in body.items()
+              if hasattr(value, "__knobs__")}
+    plain = {name: value for name, value in body.items()
+             if name not in nested}
+    return {**json.loads(json.dumps(plain)), **nested}
+
+
+class TestWireRoundTrip:
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_from_wire_of_wire_is_identity(self, cls, data):
+        config = data.draw(_configs(cls))
+        again = knobs.from_wire(cls, _through_json(knobs.wire(config)),
+                                cls.__name__)
+        assert again == config
+        assert knobs.digest(again) == knobs.digest(config)

@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.core.api import FleetConfig, make_fleet
+from repro.core.api import make_fleet
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve import (
@@ -577,8 +577,7 @@ class TestFleetObservability:
         # layer — router, backend HTTP edge, service queue/batch, solve.
         request = fast_request(request_id="fleet-trace")
         trace_id = obs_trace.trace_id_for(request.cache_key(), "fleet-trace")
-        router = make_fleet(FleetConfig(n_backends=2),
-                            ServeConfig(batch_window_ms=5.0))
+        router = make_fleet(2, ServeConfig(batch_window_ms=5.0))
         router.start()
         try:
             client = AssertClient.for_server(router)
@@ -605,8 +604,7 @@ class TestFleetObservability:
         assert sum(1 for e in record["spans"] if e.get("root")) >= 1
 
     def test_fleet_metricsz_merges_backends(self, clean_tracing):
-        router = make_fleet(FleetConfig(n_backends=2),
-                            ServeConfig(batch_window_ms=5.0))
+        router = make_fleet(2, ServeConfig(batch_window_ms=5.0))
         router.start()
         try:
             client = AssertClient.for_server(router)

@@ -82,9 +82,9 @@ class TestRenderers:
         _, sft, solver = trained_models
         results = {
             "SFT Model": run_eval(sft, small_bundle.sva_eval_machine,
-                                  EvalConfig(n_samples=6)).result,
+                                  EvalConfig(n_samples=6)),
             "AssertSolver": run_eval(solver, small_bundle.sva_eval_machine,
-                                     EvalConfig(n_samples=6)).result,
+                                     EvalConfig(n_samples=6)),
         }
         text = render_histogram(results, n=6)
         assert "extremity mass" in text
@@ -93,9 +93,9 @@ class TestRenderers:
     def test_fig4_fig5_render(self, small_bundle, trained_models):
         _, sft, solver = trained_models
         sft_result = run_eval(sft, small_bundle.sva_eval_machine,
-                              EvalConfig(n_samples=4)).result
+                              EvalConfig(n_samples=4))
         solver_result = run_eval(solver, small_bundle.sva_eval_machine,
-                                 EvalConfig(n_samples=4)).result
+                                 EvalConfig(n_samples=4))
         fig4 = render_fig4({"SFT Model": sft_result,
                             "AssertSolver": solver_result})
         assert "Fig 4(a)" in fig4 and "Fig 4(b)" in fig4

@@ -36,15 +36,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.core.api import FleetConfig, PipelineConfig, make_fleet
+from repro.core.api import PipelineConfig, make_fleet
 from repro.obs import metrics as obs_metrics
 from repro.serve import (
     AssertClient,
     AssertService,
     FleetRouter,
     HashRing,
+    HttpConfig,
     RouterConfig,
     ServeConfig,
+    ServiceClosed,
     SolveOptions,
     SolveRequest,
     request_to_json,
@@ -597,8 +599,7 @@ class TestCancelBroadcast:
 @contextmanager
 def real_fleet(n_backends: int = 2, **serve_overrides):
     serve_overrides.setdefault("batch_window_ms", 5.0)
-    router = make_fleet(FleetConfig(n_backends=n_backends),
-                        ServeConfig(**serve_overrides))
+    router = make_fleet(n_backends, ServeConfig(**serve_overrides))
     router.start()
     try:
         yield router, AssertClient.for_server(router)
@@ -667,7 +668,7 @@ class TestRealFleet:
             assert payload["backends"] == {"healthy": 3, "total": 3}
 
     def test_close_is_idempotent_and_restart_refused(self):
-        router = make_fleet(FleetConfig(n_backends=1), ServeConfig())
+        router = make_fleet(1, ServeConfig())
         router.start()
         router.close()
         router.close()
@@ -696,8 +697,8 @@ class TestKeepAliveEdge:
 
         monkeypatch.setattr(ConnectionPool, "_exchange",
                             staticmethod(spying_exchange))
-        router = make_fleet(FleetConfig(n_backends=1, health_interval_s=60),
-                            ServeConfig(batch_window_ms=5.0))
+        router = make_fleet(1, ServeConfig(batch_window_ms=5.0),
+                            RouterConfig(health_interval_s=60))
         router.start()  # its probe opens the first backend connection
         try:
             client = AssertClient.for_server(router)
@@ -738,6 +739,37 @@ class TestKeepAliveEdge:
         finally:
             backend.close()
 
+    def test_close_bounds_a_forward_the_backend_never_answers(
+            self, monkeypatch):
+        # The backend fronts a service that was never started, so the
+        # forwarded POST parks there for good: close() must cut the
+        # forward off after the drain grace and answer its client 503,
+        # not wait out forward_timeout_s.
+        grace = 0.5
+        monkeypatch.setattr("repro.serve.router.DRAIN_GRACE_S", grace)
+        service = AssertService(ServeConfig())  # never started
+        backend = AssertHttpServer(service, HttpConfig(drain_grace_s=grace),
+                                   manage_service=False).start()
+        router = FleetRouter([backend]).start()
+        try:
+            handle = AssertClient.for_server(router).submit(
+                fast_request(MINI_SOURCE))
+            deadline = time.monotonic() + 5
+            while service.stats().inflight < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert service.stats().inflight == 1
+            started = time.monotonic()
+            router.close()
+            assert time.monotonic() - started < grace + 5
+            with pytest.raises(ServiceClosed, match="drained"):
+                handle.result(timeout=5)  # ServiceClosed is the 503
+            assert router.health() == (1, 1)  # cut off, not ejected
+        finally:
+            router.close()
+            backend.close()
+            service.close()
+
     def test_drain_answers_inflight_next_to_an_idle_connection(self):
         with real_fleet(n_backends=1, batch_window_ms=300) \
                 as (router, client):
@@ -769,13 +801,13 @@ class TestLauncherGlue:
 
     def test_fleet_config_validation(self):
         with pytest.raises(ValueError):
-            FleetConfig(n_backends=0)
+            make_fleet(n_backends=0)
         with pytest.raises(ValueError):
-            FleetConfig(port=70000)
+            make_fleet(router=RouterConfig(port=70000))
         with pytest.raises(ValueError):
-            FleetConfig(health_interval_s=0)
+            make_fleet(router=RouterConfig(health_interval_s=0))
         with pytest.raises(ValueError):
-            FleetConfig(ring_replicas=0)
+            make_fleet(router=RouterConfig(ring_replicas=0))
 
     def test_router_requires_backends_and_unique_addresses(self):
         with pytest.raises(ValueError):
