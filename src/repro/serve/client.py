@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 import threading
 import uuid
 from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 from urllib.parse import quote
 
 from repro.serve.codecs import KINDS, EvalFailed, WireKind
@@ -71,8 +70,6 @@ class ConnectionPool:
     def __init__(self):
         self._idle: Dict[Tuple[str, int],
                          "deque[http.client.HTTPConnection]"] = {}
-        self._busy: Set[http.client.HTTPConnection] = set()
-        self.aborted = False  # set for good by abort()
 
     def request(self, host: str, port: int, method: str, path: str,
                 body: Optional[bytes] = None,
@@ -86,26 +83,13 @@ class ConnectionPool:
             pass
         else:
             try:
-                return self._tracked(idle, conn, method, path, body,
-                                     headers, timeout)
+                return self._exchange(idle, conn, method, path, body,
+                                      headers, timeout)
             except _STALE_ERRORS:
                 pass  # closed while idle: retry once, on a fresh one
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        conn.connect()  # a socket for abort() to shut down
-        return self._tracked(idle, conn, method, path, body, headers,
-                             timeout)
-
-    def _tracked(self, idle, conn: http.client.HTTPConnection,
-                 *exchange) -> Exchange:
-        """:meth:`_exchange` with ``conn`` listed as busy: listed before
-        the flag is read, so :meth:`abort` (flag, then scan) misses none."""
-        self._busy.add(conn)
-        try:
-            if self.aborted:
-                raise ConnectionAbortedError("connection pool aborted")
-            return self._exchange(idle, conn, *exchange)
-        finally:
-            self._busy.discard(conn)
+        return self._exchange(idle, conn, method, path, body, headers,
+                              timeout)
 
     @staticmethod
     def _exchange(idle: "deque[http.client.HTTPConnection]",
@@ -128,18 +112,6 @@ class ConnectionPool:
         lowered = {name.lower(): value
                    for name, value in response.getheaders()}
         return response.status, lowered, data
-
-    def abort(self) -> None:
-        """Fail every exchange, in flight or later, with an ``OSError``:
-        shut down the busy sockets so their blocked callers wake now."""
-        self.aborted = True
-        for conn in list(self._busy):
-            sock = conn.sock
-            if sock is not None:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # already gone
 
     def close(self) -> None:
         """Close the idle connections.  Call it once no request is in

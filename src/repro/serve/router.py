@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 from bisect import bisect_right, insort
 from hashlib import sha256
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 from urllib.parse import quote
 
 from repro import cov
@@ -136,6 +137,50 @@ class HashRing:
     def node_for(self, key: str) -> Optional[str]:
         """The owning node for ``key`` (``None`` on an empty ring)."""
         return next(self.candidates(key), None)
+
+
+# -- forwards --------------------------------------------------------------------
+
+
+class _ForwardPool(ConnectionPool):
+    """The router's :class:`ConnectionPool`, whose in-flight exchanges
+    :meth:`abort` can cut short; the client's pool pays none of this.
+
+    An exchange lists its connection as busy, then reads the flag, both
+    before and after connecting: :meth:`abort` sets the flag, then shuts
+    the busy sockets down, so it misses no exchange.  Once aborted, an
+    exchange closes its connection and raises before it connects, so the
+    pool's stale-connection retry opens no new connection either."""
+
+    def __init__(self):
+        super().__init__()
+        self._busy: Set[http.client.HTTPConnection] = set()
+        self.aborted = False  # set for good by abort()
+
+    def _exchange(self, idle, conn: http.client.HTTPConnection,
+                  *exchange) -> Exchange:
+        self._busy.add(conn)
+        try:
+            if not self.aborted and conn.sock is None:
+                conn.connect()  # a socket for abort() to shut down
+            if self.aborted:
+                conn.close()
+                raise ConnectionAbortedError("connection pool aborted")
+            return super()._exchange(idle, conn, *exchange)
+        finally:
+            self._busy.discard(conn)
+
+    def abort(self) -> None:
+        """Fail every exchange, in flight or later, with an ``OSError``:
+        shut down the busy sockets so their blocked callers wake now."""
+        self.aborted = True
+        for conn in list(self._busy):
+            sock = conn.sock
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already gone
 
 
 # -- config --------------------------------------------------------------------
@@ -298,7 +343,7 @@ class FleetRouter(_HttpEdge):
         self._health_thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         #: Keep-alive backend connections shared by every router thread.
-        self._pool = ConnectionPool()
+        self._pool = _ForwardPool()
         super().__init__(edge="router")
         self._forward_seconds = self.metrics.histogram(
             "repro_router_forward_seconds",

@@ -204,6 +204,12 @@ def router_counts(router) -> dict:
                          "ejections", "readmissions", "cancel_broadcasts")}
 
 
+def backend_connections(backend: AssertHttpServer) -> float:
+    """The connections a backend has accepted, read in process."""
+    parsed = obs_metrics.parse_prometheus_text(backend.metricsz())
+    return parsed.value("repro_http_connections_total", edge="server")
+
+
 def owner_stub(router, stubs, key: str) -> Stub:
     return stubs[router.candidates_for(key)[0]]
 
@@ -759,12 +765,16 @@ class TestKeepAliveEdge:
                     and time.monotonic() < deadline:
                 time.sleep(0.002)
             assert service.stats().inflight == 1
+            opened = backend_connections(backend)
             started = time.monotonic()
             router.close()
             assert time.monotonic() - started < grace + 5
             with pytest.raises(ServiceClosed, match="drained"):
                 handle.result(timeout=5)  # ServiceClosed is the 503
             assert router.health() == (1, 1)  # cut off, not ejected
+            # The cut-off forward is not retried on a fresh connection.
+            time.sleep(0.2)
+            assert backend_connections(backend) == opened
         finally:
             router.close()
             backend.close()
