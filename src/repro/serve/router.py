@@ -49,6 +49,7 @@ import socket
 import threading
 import time
 from bisect import bisect_right, insort
+from contextlib import suppress
 from hashlib import sha256
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 from urllib.parse import quote
@@ -139,26 +140,20 @@ class HashRing:
         return next(self.candidates(key), None)
 
 
-# -- forwards --------------------------------------------------------------------
-
-
 class _ForwardPool(ConnectionPool):
-    """The router's :class:`ConnectionPool`, whose in-flight exchanges
-    :meth:`abort` can cut short; the client's pool pays none of this.
-
-    An exchange lists its connection as busy, then reads the flag, both
-    before and after connecting: :meth:`abort` sets the flag, then shuts
-    the busy sockets down, so it misses no exchange.  Once aborted, an
-    exchange closes its connection and raises before it connects, so the
-    pool's stale-connection retry opens no new connection either."""
+    """The router's :class:`ConnectionPool`: :meth:`abort` cuts its
+    in-flight exchanges short (the client's pool pays for none of this).
+    An exchange lists its connection busy, then reads the flag before
+    and after connecting; abort sets the flag, then shuts the busy
+    sockets down, so it misses none, and once aborted the pool's
+    stale-connection retry opens no new connection."""
 
     def __init__(self):
         super().__init__()
         self._busy: Set[http.client.HTTPConnection] = set()
         self.aborted = False  # set for good by abort()
 
-    def _exchange(self, idle, conn: http.client.HTTPConnection,
-                  *exchange) -> Exchange:
+    def _exchange(self, idle, conn, *exchange) -> Exchange:
         self._busy.add(conn)
         try:
             if not self.aborted and conn.sock is None:
@@ -171,16 +166,13 @@ class _ForwardPool(ConnectionPool):
             self._busy.discard(conn)
 
     def abort(self) -> None:
-        """Fail every exchange, in flight or later, with an ``OSError``:
-        shut down the busy sockets so their blocked callers wake now."""
+        """Fail every exchange, in flight or later, with an OSError."""
         self.aborted = True
         for conn in list(self._busy):
             sock = conn.sock
             if sock is not None:
-                try:
+                with suppress(OSError):  # already gone
                     sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # already gone
 
 
 # -- config --------------------------------------------------------------------
