@@ -12,6 +12,7 @@ Run:  python examples/reproduce_paper.py [--designs N]
 """
 
 import argparse
+import sys
 import time
 
 from repro.core.api import AssertSolverPipeline, PipelineConfig
@@ -29,7 +30,8 @@ def main():
         n_designs=args.designs, seed=args.seed))
     report = pipeline.report()
     print(report)
-    print(f"\ntotal wall time: {time.time() - started:.0f}s")
+    print(f"\ntotal wall time: {time.time() - started:.0f}s",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -101,7 +101,6 @@ class PipelineConfig:
     include_baselines: bool = knob(True, kind=bool, role=SEMANTIC)
     n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
     backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
-    compile_cache: bool = knob(True, kind=bool, role=EXECUTION)
     #: Simulation execution tier ("compiled" closure programs or the
     #: "interp" AST walker — see :mod:`repro.sim.compiled`).  Pure
     #: execution knob: both tiers produce byte-identical results, so it
@@ -130,7 +129,6 @@ class PipelineConfig:
                              seed=self.seed,
                              n_workers=self.n_workers,
                              backend=self.backend,
-                             compile_cache=self.compile_cache,
                              template_families=self.template_families,
                              family_weights=self.family_weights,
                              store=self.store,
@@ -157,8 +155,8 @@ class PipelineConfig:
         from repro.serve import ServeConfig
 
         settings = dict(n_workers=self.n_workers, backend=self.backend,
-                        compile_cache=self.compile_cache, seed=self.seed,
-                        store=self.store, sim_mode=self.sim_mode)
+                        seed=self.seed, store=self.store,
+                        sim_mode=self.sim_mode)
         settings.update(overrides)
         return ServeConfig(**settings)
 

@@ -7,19 +7,16 @@ Public surface:
 - :func:`merge_reports` / :func:`accumulate_totals` /
   :func:`coverage_counters` — report aggregation and the ``coverage``
   provider of the engine counter-delta protocol.
-- :class:`CoverageBuffer` with :func:`buffer` / :func:`configure` /
-  :func:`reset` and :func:`merge_covz_payloads` — the bounded retention
-  behind ``GET /covz`` and its fleet-wide merge.
+- :class:`CoverageBuffer` (one per service) and
+  :func:`merge_covz_payloads` — the bounded retention behind
+  ``GET /covz`` and its fleet-wide merge.
 - :func:`new_quality` / ``QUALITY_KEYS`` — the per-assertion quality
   counter record the SVA monitor fills in.
 """
 
 from repro.cov.buffer import (
     CoverageBuffer,
-    buffer,
-    configure,
     merge_covz_payloads,
-    reset,
 )
 from repro.cov.collector import (
     QUALITY_KEYS,
@@ -35,11 +32,8 @@ __all__ = [
     "CoverageBuffer",
     "CoverageSink",
     "accumulate_totals",
-    "buffer",
-    "configure",
     "coverage_counters",
     "merge_covz_payloads",
     "merge_reports",
     "new_quality",
-    "reset",
 ]

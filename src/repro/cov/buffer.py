@@ -1,10 +1,11 @@
 """Bounded per-design retention of coverage reports — ``GET /covz``.
 
-The serving layer records each solved request's coverage report here
-(keyed by design name); the buffer keeps one merged report per design
-for the ``max_designs`` most recently updated designs, the same bounded-
-retention discipline as :class:`repro.obs.trace.TraceBuffer`.  The fleet
-router folds backend ``/covz`` payloads into its own snapshot with
+Each :class:`repro.serve.AssertService` records its solved requests'
+coverage reports in its own buffer (keyed by design name); the buffer
+keeps one merged report per design for the ``max_designs`` most
+recently updated designs, the same bounded-retention discipline as
+:class:`repro.obs.trace.TraceBuffer`.  The fleet router, which solves
+nothing itself, folds its backends' ``/covz`` payloads into one with
 :func:`merge_covz_payloads`.
 
 Like tracing, this is a pure execution concern: nothing here enters
@@ -19,13 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.cov.collector import merge_reports
 
-__all__ = [
-    "CoverageBuffer",
-    "buffer",
-    "configure",
-    "merge_covz_payloads",
-    "reset",
-]
+__all__ = ["CoverageBuffer", "merge_covz_payloads"]
 
 
 class CoverageBuffer:
@@ -133,23 +128,3 @@ def merge_covz_payloads(payloads: List[Dict[str, object]],
         "retained": len(designs),
     }
 
-
-_BUFFER = CoverageBuffer()
-
-
-def buffer() -> CoverageBuffer:
-    """The process-global coverage buffer behind ``GET /covz``."""
-    return _BUFFER
-
-
-def configure(max_designs: Optional[int] = None) -> None:
-    """Swap in a fresh, empty buffer (optionally resized)."""
-    global _BUFFER
-    _BUFFER = CoverageBuffer(
-        max_designs=max_designs if max_designs is not None
-        else _BUFFER.max_designs)
-
-
-def reset() -> None:
-    """Drop every retained report (tests and benches start clean)."""
-    _BUFFER.clear()

@@ -41,7 +41,6 @@ from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
-from repro.verilog.compile import configure_compile_cache
 
 #: ``DatasetBundle.stats`` keys that legitimately differ between backends
 #: and between cold/warm runs (wall times, worker counts, cache and store
@@ -60,12 +59,13 @@ class DatagenConfig:
     The paper runs on 108,971 corpus samples; ``n_designs`` scales the
     whole pipeline down while preserving every stage's behaviour (the
     bundle's ``stats`` record both our counts and the paper's).
-    ``n_workers``/``backend`` control the engine's worker pool,
-    ``compile_cache``/``compile_cache_size`` the content-hash compile
-    memoization, and ``sim_mode`` the simulation tier (``"compiled"``
-    evaluation programs vs the ``"interp"`` AST walker — see
-    :mod:`repro.sim.compiled`); none of them changes the produced
-    datasets, which is why none of them enters ``semantic_digest``.
+    ``n_workers``/``backend`` control the engine's worker pool and
+    ``sim_mode`` the simulation tier (``"compiled"`` evaluation programs
+    vs the ``"interp"`` AST walker — see :mod:`repro.sim.compiled`);
+    neither changes the produced datasets, which is why neither enters
+    ``semantic_digest``.  Compiles are always memoized by the
+    process-wide content-hash cache (:mod:`repro.verilog.compile`), with
+    ``store``'s disk tier under it for the run when it has a path.
 
     ``coverage`` attaches coverage collection (:mod:`repro.cov`) to every
     BMC run; the totals land in the volatile ``stats["coverage"]`` key.
@@ -91,8 +91,6 @@ class DatagenConfig:
     bmc_random_trials: int = knob(24, kind=int, ge=0, role=SEMANTIC)
     n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
     backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
-    compile_cache: bool = knob(True, kind=bool, role=EXECUTION)
-    compile_cache_size: int = knob(4096, kind=int, ge=1, role=EXECUTION)
     sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
                          role=EXECUTION)
     coverage: bool = knob(False, kind=bool, role=EXECUTION)
@@ -130,22 +128,18 @@ class DatagenConfig:
                          coverage=self.coverage)
 
     def make_engine(self, store=None) -> ExecutionEngine:
-        """An engine whose workers inherit this config's cache knobs.
+        """An engine that holds this config's compile tier open.
 
         ``store`` (built from ``self.store`` by the pipeline) enables
-        stage-level memoization in the parent; process-pool workers
-        additionally attach their compile caches to the same disk
-        directory via the initializer, so compile artifacts are shared
+        stage-level memoization; ``self.store``'s disk directory, when
+        it has one, is the compile cache's persistent tier in this
+        process and every worker, so compile artifacts are shared
         across the whole worker fleet.
         """
-        store_path = self.store.store_path() if self.store else ""
-        store_bytes = self.store.max_bytes if store_path else 0
         return ExecutionEngine(
             n_workers=self.n_workers, backend=self.backend,
-            store=store, memo_context=self.semantic_digest(),
-            initializer=configure_compile_cache,
-            initargs=(self.compile_cache, self.compile_cache_size,
-                      store_path, store_bytes))
+            compile_store=self.store, store=store,
+            memo_context=self.semantic_digest())
 
 
 @dataclass
@@ -266,19 +260,11 @@ def run_pipeline(config: DatagenConfig) -> DatasetBundle:
     """
     config.validate()
     store = config.store.make_store() if config.store is not None else None
-    store_path = config.store.store_path() if config.store else ""
-    previous_cache = configure_compile_cache(
-        enabled=config.compile_cache, max_entries=config.compile_cache_size,
-        store_path=store_path,
-        store_max_bytes=config.store.max_bytes if store_path else 0)
-    try:
-        with config.make_engine(store=store) as engine:
-            before = engine.counter_totals()
-            outputs = build_stage_graph(config).run(engine)
-            bundle = _assemble(config, outputs)
-            _attach_execution_stats(bundle, engine, before, store)
-    finally:
-        configure_compile_cache(*previous_cache)
+    with config.make_engine(store=store) as engine:
+        before = engine.counter_totals()
+        outputs = build_stage_graph(config).run(engine)
+        bundle = _assemble(config, outputs)
+        _attach_execution_stats(bundle, engine, before, store)
     return bundle
 
 

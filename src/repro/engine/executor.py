@@ -21,6 +21,7 @@ counters (compile-cache hits, …) surface in the parent, totalled by
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -38,6 +39,14 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _compile_tier():
+    """:mod:`repro.verilog.compile`, which owns the compile tier; imported
+    at first use because it imports this package."""
+    from repro.verilog import compile as verilog_compile
+
+    return verilog_compile
 
 
 def _warm_noop() -> None:
@@ -65,16 +74,14 @@ class ExecutionEngine:
     """Maps task functions over unit lists with a persistent worker pool."""
 
     def __init__(self, n_workers: int = 1, backend: str = "auto",
-                 initializer: Optional[Callable] = None,
-                 initargs: tuple = (),
-                 store=None, memo_context: str = "",
+                 compile_store=None, store=None, memo_context: str = "",
                  memo_namespace: str = "stage/v1"):
-        """``initializer(*initargs)`` propagates process-global settings
-        (e.g. compile-cache knobs) into process-pool workers.  It runs
-        only in subprocesses: under the serial and thread backends work
-        executes in the calling process, whose state the caller already
-        controls — running it there would leak a global mutation past
-        the engine's lifetime.
+        """``compile_store`` (a :class:`repro.store.StoreConfig` or
+        ``None``) is the persistent tier under the compile cache: the
+        engine holds it open (:func:`repro.verilog.compile
+        .hold_compile_store`) in this process from construction to
+        :meth:`close`, and in every process-pool worker for the pool's
+        lifetime.  A memory-only config attaches nothing.
 
         ``store`` (any :class:`repro.store.ArtifactStore`) enables
         unit-level memoization in :meth:`map`: calls that also pass a
@@ -99,13 +106,14 @@ class ExecutionEngine:
         self.store = store
         self.memo_context = memo_context
         self.memo_namespace = memo_namespace
-        self._initializer = initializer
-        self._initargs = initargs
+        self.compile_store = compile_store
         self._pool = None
         self._closed = False
         self._stage_stats: "Dict[str, Dict[str, float]]" = {}
         self._metric_totals: Dict[str, Dict[str, int]] = {}
         self._map_count = 0
+        self._compile_hold = _compile_tier().hold_compile_store(
+            compile_store)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -120,8 +128,9 @@ class ExecutionEngine:
             else:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.n_workers,
-                    initializer=self._initializer,
-                    initargs=self._initargs)
+                    initializer=functools.partial(
+                        _compile_tier().hold_compile_store,
+                        self.compile_store))
         return self._pool
 
     def warm(self) -> None:
@@ -129,11 +138,10 @@ class ExecutionEngine:
 
         Batch runs don't care, but the serving layer does: without this
         the first request of a cold service pays the whole process-pool
-        spawn (plus initializer) latency.  Executors spawn workers
-        lazily on submit, so constructing the pool is not enough — a
-        round of no-op tasks forces the spawns (and runs the
-        initializer) before any real work arrives.  No-op for serial
-        backends.
+        spawn (plus compile-tier attach) latency.  Executors spawn
+        workers lazily on submit, so constructing the pool is not enough
+        — a round of no-op tasks forces the spawns (and the attaches)
+        before any real work arrives.  No-op for serial backends.
         """
         pool = self._ensure_pool()
         if pool is not None:
@@ -145,6 +153,8 @@ class ExecutionEngine:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        _compile_tier().release_compile_store(self._compile_hold)
+        self._compile_hold = None
         self._closed = True
 
     def __enter__(self) -> "ExecutionEngine":

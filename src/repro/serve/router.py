@@ -721,7 +721,6 @@ class FleetRouter(_HttpEdge):
         forwarded on the fan-out."""
         payloads = [payload for _, payload in self._gather(
             f"/covz{_query_suffix(limit=limit)}") if payload is not None]
-        merged = cov.merge_covz_payloads(
-            [cov.buffer().snapshot(), *payloads], limit=limit)
+        merged = cov.merge_covz_payloads(payloads, limit=limit)
         merged["backends_reached"] = len(payloads)
         return merged

@@ -63,7 +63,7 @@ from repro.serve.cache import ResultCache, content_key
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
 from repro.sva.mine import mine_invariant_hints
-from repro.verilog.compile import compile_source, configure_compile_cache
+from repro.verilog.compile import compile_source
 
 #: A hint as it travels inside a request: hashable, picklable, canonical.
 #: ``(name, consequent, antecedent, delay, message)`` mirrors
@@ -498,7 +498,9 @@ class ServeConfig:
     change responses — only how fast they arrive — except ``coverage``,
     which adds a block to them.  The one ``semantic`` knob, ``seed``,
     roots every solve's RNG streams; its digest, and ``coverage`` when
-    on, scope the result cache's store keys.
+    on, scope the result cache's store keys.  Compiles are always
+    memoized by the process-wide cache of :mod:`repro.verilog.compile`
+    (``CACHE_ENTRIES`` entries), which has no knob here.
     """
 
     n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
@@ -510,8 +512,6 @@ class ServeConfig:
     batch_window_ms: float = knob(10.0, kind=float, ge=0, role=EXECUTION)
     result_cache: bool = knob(True, kind=bool, role=EXECUTION)
     cache_entries: int = knob(1024, kind=int, ge=1, role=EXECUTION)
-    compile_cache: bool = knob(True, kind=bool, role=EXECUTION)
-    compile_cache_size: int = knob(4096, kind=int, ge=1, role=EXECUTION)
     sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
                          role=EXECUTION)
     #: Collect toggle/block coverage and assertion-quality counters from
@@ -523,31 +523,19 @@ class ServeConfig:
     #: path pays nothing for it.
     coverage: bool = knob(False, kind=bool, role=EXECUTION)
     seed: int = knob(2025, kind=int, role=SEMANTIC)
-    #: Persistent tier under the result cache (and, via the worker
-    #: initializer, under every worker's compile cache).  Responses are
-    #: byte-deterministic functions of request content and ``seed``, so
-    #: a fleet of service instances pointed at one store directory
-    #: safely pool responses: cached == recomputed.
+    #: Persistent tier under the result cache and, while the service's
+    #: engine is open, under the compile cache of its process and
+    #: workers.  Responses are byte-deterministic functions of request
+    #: content and ``seed``, so a fleet of service instances pointed at
+    #: one store directory safely pool responses: cached == recomputed.
     store: Optional[StoreConfig] = knob(None, kind=StoreConfig,
                                        optional=True, role=EXECUTION)
 
-    def compile_cache_settings(self) -> tuple:
-        """The ``configure_compile_cache`` arguments this config implies —
-        applied in worker processes (engine initializer) and, by
-        :meth:`AssertService.start`, in the serving process itself, so
-        the persistent compile tier also exists under the serial and
-        thread backends where no initializer ever runs."""
-        store_path = self.store.store_path() if self.store else ""
-        store_bytes = self.store.max_bytes if store_path else 0
-        return (self.compile_cache, self.compile_cache_size,
-                store_path, store_bytes)
-
     def make_engine(self) -> ExecutionEngine:
-        """Worker pool whose subprocesses inherit the compile-cache knobs."""
-        return ExecutionEngine(
-            n_workers=self.n_workers, backend=self.backend,
-            initializer=configure_compile_cache,
-            initargs=self.compile_cache_settings())
+        """Worker pool that holds ``store``'s compile tier open."""
+        return ExecutionEngine(n_workers=self.n_workers,
+                               backend=self.backend,
+                               compile_store=self.store)
 
 
 def _counter(help_: str):
@@ -768,7 +756,6 @@ class AssertService:
         for name in SERVICE_COUNTERS:
             setattr(self, f"_{name}", 0)
         self._models: Dict[str, Tuple[object, str]] = {}
-        self._previous_compile_cache: Optional[tuple] = None
         self.metrics = obs_metrics.MetricsRegistry()
         self._request_seconds = self.metrics.histogram(
             "repro_service_request_seconds",
@@ -868,12 +855,6 @@ class AssertService:
             raise ServiceClosed("service is closed")
         if self._batcher is not None:
             return self
-        # Apply the compile-cache knobs (incl. the persistent store tier)
-        # in this process too: under the serial and thread backends the
-        # engine initializer never runs, and compilation happens right
-        # here.  close() restores the previous settings.
-        self._previous_compile_cache = configure_compile_cache(
-            *self.config.compile_cache_settings())
         self._engine = self.config.make_engine()
         self._engine.warm()  # pool startup off the first request's latency
         self._batcher = MicroBatcher(
@@ -909,9 +890,6 @@ class AssertService:
                     "service closed before the request was served"))
         if self._engine is not None:
             self._engine.close()
-        if self._previous_compile_cache is not None:
-            configure_compile_cache(*self._previous_compile_cache)
-            self._previous_compile_cache = None
 
     def __enter__(self) -> "AssertService":
         return self.start()

@@ -2,7 +2,8 @@
 
 Every cache elsewhere in the system (the compile cache, the serving
 result cache, stage-level memoization) is an in-memory, per-process LRU.
-This package is the durable tier underneath them:
+This package is the durable tier underneath them, and the one LRU
+implementation the first two share:
 
 - :mod:`repro.store.base` — the :class:`ArtifactStore` contract,
   SHA-256 :func:`content_key` addressing, versioned namespaces
@@ -15,8 +16,12 @@ This package is the durable tier underneath them:
   on-disk index; safe under concurrent writers across processes;
 - :mod:`repro.store.tiered` — :class:`TieredStore`: memory front over a
   disk back (promote on hit, write through on put);
-- :mod:`repro.store.config` — :class:`StoreConfig`, the knob block the
-  pipeline/serve configs embed.
+- :mod:`repro.store.lru` — :class:`StoreBackedLRU`, the memory LRU with
+  store refill and write-through that
+  :class:`repro.verilog.compile.CompileCache` and
+  :class:`repro.serve.cache.ResultCache` are built on;
+- :mod:`repro.store.config` — :class:`StoreConfig` (``path`` and
+  ``max_bytes``), the knob block the pipeline/serve configs embed.
 
 Because every artifact producer in the system is a pure function of its
 content-addressed inputs (compile results of source text, solve
@@ -36,6 +41,7 @@ from repro.store.base import (
 )
 from repro.store.config import StoreConfig
 from repro.store.disk import DiskStore
+from repro.store.lru import StoreBackedLRU
 from repro.store.memory import MemoryStore
 from repro.store.tiered import TieredStore
 
@@ -47,6 +53,7 @@ __all__ = [
     "ArtifactStore",
     "DiskStore",
     "MemoryStore",
+    "StoreBackedLRU",
     "StoreConfig",
     "TieredStore",
     "content_key",

@@ -13,23 +13,28 @@ SVA insertion path, the bug-mutant syntax check and the semantic
 re-verification in eval.  Cached :class:`CompileResult` objects are shared
 — treat them as immutable.  Hit/miss counters are exported through
 :mod:`repro.engine.metrics` so worker-pool runs can aggregate them into
-``DatasetBundle.stats``.
+``DatasetBundle.stats``.  The cache has no knobs; its optional disk tier
+is attached by :func:`hold_compile_store` holds, which
+:class:`repro.engine.ExecutionEngine` alone takes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine import metrics
 from repro.store.base import NS_COMPILE
 from repro.store.disk import DiskStore
+from repro.store.lru import StoreBackedLRU
 from repro.verilog import ast
 from repro.verilog.elaborator import Design, elaborate
 from repro.verilog.errors import Diagnostic, VerilogError
 from repro.verilog.parser import parse_source
+
+#: Entries the process-wide compile cache keeps in memory.
+CACHE_ENTRIES = 4096
 
 
 class CompileResult:
@@ -72,7 +77,7 @@ class CompileResult:
         return f"CompileResult({status})"
 
 
-class CompileCache:
+class CompileCache(StoreBackedLRU):
     """Content-hash LRU memoization of :func:`compile_source`.
 
     Thread-safe; failures are cached too (a source that does not compile
@@ -83,127 +88,86 @@ class CompileCache:
     persistent backing tier: a memory miss consults it before compiling,
     and every fresh compile is written through, so compile artifacts
     survive across runs and are shared by process-pool workers pointed at
-    the same store directory.  ``store_hits`` counts refills from it; the
-    invariant ``hits + store_hits + misses == lookups`` holds, and when a
-    store is attached its own hit/miss deltas equal ``store_hits`` plus
-    ``misses`` (every memory miss consults the store exactly once).
+    the same store directory (see :class:`repro.store.lru.StoreBackedLRU`
+    for the counter invariants).
     """
 
-    def __init__(self, max_entries: int = 4096, store=None):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.store = store
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.store_hits = 0
-        self._entries: "OrderedDict[str, CompileResult]" = OrderedDict()
-        self._lock = threading.Lock()
+    def __init__(self, max_entries: int = CACHE_ENTRIES, store=None):
+        super().__init__(max_entries, store, NS_COMPILE)
 
     @staticmethod
     def key(source_text: str) -> str:
         return hashlib.sha256(source_text.encode("utf-8")).hexdigest()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _insert_locked(self, key: str, result: CompileResult) -> None:
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
     def get_or_compile(self, source_text: str) -> CompileResult:
         key = self.key(source_text)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return cached
-        if self.store is not None:
-            stored = self.store.get(NS_COMPILE, key)
-            if stored is not None:
-                with self._lock:
-                    self.store_hits += 1
-                    self._insert_locked(key, stored)
-                return stored
-        with self._lock:
-            self.misses += 1
-        result = _compile_uncached(source_text)
-        with self._lock:
-            self._insert_locked(key, result)
-        if self.store is not None:
-            self.store.put(NS_COMPILE, key, result)
+        result = self.get(key)
+        if result is None:
+            result = _compile_uncached(source_text)
+            self.put(key, result)
         return result
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (the backing store keeps its entries)."""
-        with self._lock:
-            self._entries.clear()
-
-    def counters(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "store_hits": self.store_hits}
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without compiling (either tier)."""
-        total = self.hits + self.store_hits + self.misses
-        return (self.hits + self.store_hits) / total if total else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"CompileCache({len(self._entries)}/{self.max_entries} "
-                f"entries, {self.hits} hits, {self.misses} misses)")
 
 
 _DEFAULT_CACHE = CompileCache()
-_CACHE_ENABLED = True
-_STORE_PATH = ""  # "" = no persistent tier
-_STORE_MAX_BYTES: Optional[int] = None
+#: The open holds on the persistent compile tier (see
+#: :func:`hold_compile_store`); the newest one's tier is attached.
+_HOLDS: List["_Hold"] = []
+_HOLDS_LOCK = threading.Lock()
+_TIER: Optional[Tuple[str, int]] = None  # the attached tier, if any
+
+
+class _Hold:
+    """One owner's claim on a compile tier: ``(disk root, max_bytes)``."""
+
+    __slots__ = ("tier",)
+
+    def __init__(self, tier: Tuple[str, int]):
+        self.tier = tier
 
 
 def default_compile_cache() -> CompileCache:
     return _DEFAULT_CACHE
 
 
-def configure_compile_cache(enabled: Optional[bool] = None,
-                            max_entries: Optional[int] = None,
-                            store_path: Optional[str] = None,
-                            store_max_bytes: Optional[int] = None):
-    """Reconfigure the process-wide cache; returns the previous settings.
+def _retier_locked() -> None:
+    """Start a fresh cache when the newest open hold's tier is not the
+    attached one (no hold: no store)."""
+    global _DEFAULT_CACHE, _TIER
+    tier = _HOLDS[-1].tier if _HOLDS else None
+    if tier != _TIER:
+        _TIER = tier
+        _DEFAULT_CACHE = CompileCache(
+            store=None if tier is None else DiskStore(*tier))
 
-    Also used as a worker-pool initializer so subprocesses inherit the
-    pipeline's cache knobs — which is why every argument is a plain
-    picklable value.  ``store_path`` attaches a :class:`DiskStore` at
-    that directory as the cache's persistent tier (each process opens
-    its own handle; atomic blob writes make sharing safe); pass ``""``
-    to detach, ``None`` to leave the store settings unchanged.
-    ``store_max_bytes`` follows the same shape: ``None`` leaves the
-    budget unchanged and ``0`` resets it to the store default — so the
-    returned settings tuple always restores exactly.
+
+def hold_compile_store(store) -> Optional[_Hold]:
+    """Attach the disk tier of ``store`` (a :class:`repro.store.StoreConfig`)
+    under this process's compile cache until the hold is released.
+
+    Holds may overlap in any order: the tier stays attached while any
+    hold is open (the newest open hold's tier wins), and the process
+    returns to "no store" when the last one is released.  ``None`` or a
+    memory-only config holds nothing and returns ``None``.
+    :class:`repro.engine.ExecutionEngine` is the one owner that calls
+    this, for its own process and in each pool worker.
     """
-    global _DEFAULT_CACHE, _CACHE_ENABLED, _STORE_PATH, _STORE_MAX_BYTES
-    previous = (_CACHE_ENABLED, _DEFAULT_CACHE.max_entries, _STORE_PATH,
-                _STORE_MAX_BYTES or 0)
-    if enabled is not None:
-        _CACHE_ENABLED = bool(enabled)
-    new_path = _STORE_PATH if store_path is None else str(store_path)
-    new_bytes = (_STORE_MAX_BYTES if store_max_bytes is None
-                 else (store_max_bytes or None))
-    new_entries = (_DEFAULT_CACHE.max_entries if max_entries is None
-                   else max_entries)
-    if (new_entries, new_path, new_bytes) != (
-            _DEFAULT_CACHE.max_entries, _STORE_PATH, _STORE_MAX_BYTES):
-        store = None
-        if new_path:
-            kwargs = {} if new_bytes is None else {"max_bytes": new_bytes}
-            store = DiskStore(new_path, **kwargs)
-        _STORE_PATH, _STORE_MAX_BYTES = new_path, new_bytes
-        _DEFAULT_CACHE = CompileCache(max_entries=new_entries, store=store)
-    return previous
+    path = store.store_path() if store is not None else ""
+    if not path:
+        return None
+    hold = _Hold((path, store.max_bytes))
+    with _HOLDS_LOCK:
+        _HOLDS.append(hold)
+        _retier_locked()
+    return hold
+
+
+def release_compile_store(hold: Optional[_Hold]) -> None:
+    """Release a :func:`hold_compile_store` hold (``None`` is a no-op)."""
+    if hold is None:
+        return
+    with _HOLDS_LOCK:
+        _HOLDS.remove(hold)
+        _retier_locked()
 
 
 def compile_cache_counters() -> Dict[str, int]:
@@ -244,9 +208,9 @@ def compile_source(source_text: str, use_cache: bool = True) -> CompileResult:
     paper keeps non-compiling code for pretraining.
 
     Results are memoized in the process-wide :class:`CompileCache` unless
-    ``use_cache=False`` or the cache is globally disabled; cached results
-    are shared objects and must not be mutated.
+    ``use_cache=False`` (the uncached reference); cached results are
+    shared objects and must not be mutated.
     """
-    if use_cache and _CACHE_ENABLED:
+    if use_cache:
         return _DEFAULT_CACHE.get_or_compile(source_text)
     return _compile_uncached(source_text)

@@ -461,7 +461,6 @@ class TestFleetCovz:
     def fleet(self):
         from repro.core.api import make_fleet
 
-        cov.reset()  # the router's local payload reads the global buffer
         router = make_fleet(3, _serve_config(coverage=True))
         with router:
             generator = CorpusGenerator(seed=29)
@@ -481,6 +480,16 @@ class TestFleetCovz:
         want = sum(r.coverage["report"]["toggle_events"] for r in responses)
         got = sum(d["toggle_events"] for d in payload["designs"])
         assert got == want
+
+    def test_router_covz_is_the_merge_of_its_backends(self, fleet):
+        # The router solves nothing, so its /covz is exactly the merge
+        # of its backends' payloads, in ring-slot order.
+        router, client, _ = fleet
+        merged = cov.merge_covz_payloads(
+            [json.loads(json.dumps(server.service.covz()))
+             for server in router.backends])
+        merged["backends_reached"] = len(router.backends)
+        assert client.covz() == merged
 
     def test_router_metricsz_counts_ejections_once(self, fleet):
         router, client, _ = fleet

@@ -19,7 +19,7 @@ from repro.engine import (
 )
 from repro.eval.config import EvalConfig
 from repro.eval.runner import run_eval
-from repro.verilog.compile import CompileCache, compile_source
+from repro.verilog.compile import CompileCache, _compile_uncached, compile_source
 
 
 def _square(x):
@@ -211,8 +211,7 @@ class TestDatagenConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("n_designs", 0), ("bugs_per_design", 0), ("bmc_depth", 0),
-        ("bmc_random_trials", -1), ("n_workers", 0),
-        ("compile_cache_size", 0), ("break_rate", 1.5),
+        ("bmc_random_trials", -1), ("n_workers", 0), ("break_rate", 1.5),
         ("hallucination_rate", -0.1), ("train_fraction", 2.0),
         ("backend", "gpu"),
     ])
@@ -249,9 +248,13 @@ class TestParallelDeterminism:
                                               **self.CONFIG))
         assert serial.fingerprint() == threaded.fingerprint()
 
-    def test_cache_disabled_same_datasets(self):
+    def test_cache_disabled_same_datasets(self, monkeypatch):
         cached = run_pipeline(DatagenConfig(**self.CONFIG))
-        uncached = run_pipeline(DatagenConfig(compile_cache=False,
+        # The uncached reference: every cache lookup compiles afresh
+        # (serial backend, so the patch reaches every compile).
+        monkeypatch.setattr(CompileCache, "get_or_compile",
+                            lambda self, text: _compile_uncached(text))
+        uncached = run_pipeline(DatagenConfig(backend="serial",
                                               **self.CONFIG))
         assert cached.fingerprint() == uncached.fingerprint()
         assert uncached.stats["compile_cache"]["hits"] == 0

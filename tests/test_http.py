@@ -42,6 +42,7 @@ from repro.serve import (
     response_from_json,
 )
 from repro.serve.http import _Handler
+from repro.verilog.compile import default_compile_cache
 
 MINI_SOURCE = """
 module mini (
@@ -416,14 +417,14 @@ class TestOneMetricsSurface:
         # One request stream through a serial and a 2-worker process
         # service: the provider section counts the same work either way
         # (worker deltas added under the pool, nothing counted twice).
-        # A compile-cache size of its own gives each service a fresh
-        # compile cache, so both start from the same cache state.
+        # Clearing the compile cache before each service makes both
+        # start from the same cache state.
         sources = [f"// design {i}\n{MINI_SOURCE}" for i in (0, 1, 2, 0, 1)]
         counted = {}
         for backend, workers in (("serial", 1), ("process", 2)):
+            default_compile_cache().clear()
             with http_server(backend=backend, n_workers=workers,
-                             coverage=True,
-                             compile_cache_size=1001) as (server, client):
+                             coverage=True) as (server, client):
                 before = provider_counts(
                     obs_metrics.parse_prometheus_text(client.metricsz()))
                 for source in sources:

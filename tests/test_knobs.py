@@ -183,27 +183,25 @@ ALTERNATIVES = {
         n_designs=5, bugs_per_design=2, seed=9, break_rate=0.5,
         hallucination_rate=0.0, train_fraction=0.5, bmc_depth=6,
         bmc_random_trials=8, n_workers=2, backend="thread",
-        compile_cache=False, compile_cache_size=64, sim_mode="interp",
-        coverage=True, template_families=FAMILIES, family_weights={"counter": 2.0},
-        store=StoreConfig(memory_entries=16)),
+        sim_mode="interp", coverage=True, template_families=FAMILIES,
+        family_weights={"counter": 2.0}, store=StoreConfig(max_bytes=4096)),
     PipelineConfig: dict(
         n_designs=5, bugs_per_design=2, seed=9, n_samples=4,
         include_human=False, include_baselines=False, n_workers=2,
-        backend="thread", compile_cache=False, sim_mode="interp",
+        backend="thread", sim_mode="interp",
         template_families=FAMILIES, family_weights={"counter": 2.0},
-        store=StoreConfig(memory_entries=16)),
+        store=StoreConfig(max_bytes=4096)),
     ServeConfig: dict(
         n_workers=2, backend="thread", max_queue=8, max_batch=2,
         batch_window_ms=0.0, result_cache=False, cache_entries=4,
-        compile_cache=False, compile_cache_size=64, sim_mode="interp",
-        coverage=True, seed=7, store=StoreConfig(memory_entries=16)),
+        sim_mode="interp", coverage=True, seed=7,
+        store=StoreConfig(max_bytes=4096)),
     SolveOptions: dict(hints=HINTS, mine_hints=False, max_proposals=2,
                        hallucination_rate=0.5, bmc_depth=4,
                        bmc_random_trials=2, deadline_ms=60_000.0),
     EvalConfig: dict(n_samples=3, seed=1, k_values=(1, 2),
                      semantic_check=True, deadline_ms=60_000.0),
-    StoreConfig: dict(path="/nonexistent/store", max_bytes=1024,
-                      memory_entries=1, enabled=False),
+    StoreConfig: dict(path="/nonexistent/store", max_bytes=1024),
     HttpConfig: dict(host="localhost", port=8080, max_body_bytes=64,
                      default_timeout_s=5.0, retry_after_s=2.0,
                      drain_grace_s=1.0),

@@ -44,7 +44,12 @@ from repro.store import (
     content_key,
     unit_memo_key,
 )
-from repro.verilog.compile import CompileCache
+from repro.verilog.compile import (
+    CompileCache,
+    default_compile_cache,
+    hold_compile_store,
+    release_compile_store,
+)
 
 GOLDEN = """
 module and_gate (
@@ -413,22 +418,18 @@ class TestStoreConfig:
         tiered = StoreConfig(path=tmp_path).make_store()
         assert isinstance(tiered, TieredStore)
         assert isinstance(tiered.back, DiskStore)
-        disk = StoreConfig(path=tmp_path, memory_entries=0).make_store()
-        assert isinstance(disk, DiskStore)
         assert StoreConfig(path=tmp_path).store_path() == str(tmp_path)
 
-    def test_disabled_makes_nothing(self, tmp_path):
-        config = StoreConfig(path=tmp_path, enabled=False)
-        assert config.make_store() is None
-        assert config.store_path() == ""
+    def test_disabled_makes_nothing(self):
+        """``store=None`` is the way to run without a store; neither it
+        nor a memory-only config attaches a compile tier."""
+        assert AssertService(ServeConfig(store=None))._store is None
+        assert hold_compile_store(None) is None
+        assert hold_compile_store(StoreConfig()) is None
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             StoreConfig(path=tmp_path, max_bytes=0)
-        with pytest.raises(ValueError, match="memory_entries"):
-            StoreConfig(path=tmp_path, memory_entries=-1)
-        with pytest.raises(ValueError, match="nothing to store"):
-            StoreConfig(memory_entries=0)
 
 
 class TestCompileCachePersistence:
@@ -604,7 +605,7 @@ class TestIncrementalPipeline:
     def test_semantic_digest_tracks_only_semantic_knobs(self):
         base = DatagenConfig(**PIPELINE_KNOBS)
         same = DatagenConfig(n_workers=4, backend="process",
-                             compile_cache=False, **PIPELINE_KNOBS)
+                             **PIPELINE_KNOBS)
         assert base.semantic_digest() == same.semantic_digest()
         other = DatagenConfig(**{**PIPELINE_KNOBS, "seed": 9999})
         assert base.semantic_digest() != other.semantic_digest()
@@ -643,21 +644,18 @@ class TestServiceResponsePooling:
 
     def test_cold_request_reads_the_store_once(self, tmp_path):
         """The submit probe reads the store; the flush re-check of a
-        miss stays in memory, so a cold request costs one store read."""
-        config = ServeConfig(n_workers=1, backend="serial", seed=5,
-                             batch_window_ms=1.0,
-                             store=StoreConfig(path=tmp_path,
-                                               memory_entries=0))
-        service = AssertService(config)
-        assert isinstance(service._store, DiskStore)
+        miss stays in memory, so a cold request costs one disk read."""
+        service = AssertService(self._config(tmp_path))
+        disk = service._store.back
+        assert isinstance(disk, DiskStore)
         reads = []
-        real_get = service._store.get
+        real_get = disk.get
 
         def counting_get(namespace, key):
             reads.append(namespace)
             return real_get(namespace, key)
 
-        service._store.get = counting_get
+        disk.get = counting_get
         with service:
             cold = service.solve(SolveRequest(self.SOURCE, self.OPTIONS))
             assert reads.count(NS_SERVE) == 1
@@ -677,9 +675,9 @@ class TestServiceResponsePooling:
 
 class TestStoreSurvivesWorkerProcesses:
     def test_process_pool_workers_share_the_compile_store(self, tmp_path):
-        """Workers attach their compile caches to the shared directory via
-        the engine initializer; artifacts they compile persist after the
-        pool is gone."""
+        """The engine attaches each worker's compile cache to the shared
+        directory; artifacts they compile persist after the pool is
+        gone."""
         config = DatagenConfig(seed=83, n_workers=2, backend="process",
                                store=StoreConfig(path=tmp_path),
                                **PIPELINE_KNOBS)
@@ -727,29 +725,40 @@ class TestEvictionSurvivesStaleIndexes:
 
 class TestCompileCacheGlobalConfig:
     def test_store_budget_restores_exactly(self, tmp_path):
-        """Regression: the settings tuple returned by
-        ``configure_compile_cache`` must round-trip ``store_max_bytes``
-        — a later store attachment must not inherit a stale budget."""
+        """Regression: releasing a hold must restore "no store", and a
+        later attachment must not inherit a stale budget."""
         from repro.store.disk import DEFAULT_MAX_BYTES
-        from repro.verilog import compile as compile_mod
-        from repro.verilog.compile import configure_compile_cache
 
-        previous = configure_compile_cache(store_path=str(tmp_path),
-                                           store_max_bytes=123_456)
+        hold = hold_compile_store(StoreConfig(path=tmp_path,
+                                              max_bytes=123_456))
         try:
-            assert compile_mod._DEFAULT_CACHE.store.max_bytes == 123_456
+            assert default_compile_cache().store.max_bytes == 123_456
         finally:
-            configure_compile_cache(*previous)
-        assert compile_mod._DEFAULT_CACHE.store is None
+            release_compile_store(hold)
+        assert default_compile_cache().store is None
         # A fresh attachment without an explicit budget gets the default,
         # not the 123_456 leftover.
-        second = configure_compile_cache(store_path=str(tmp_path))
+        second = hold_compile_store(StoreConfig(path=tmp_path))
         try:
-            assert compile_mod._DEFAULT_CACHE.store.max_bytes \
+            assert default_compile_cache().store.max_bytes \
                 == DEFAULT_MAX_BYTES
         finally:
-            configure_compile_cache(*second)
-        assert compile_mod._DEFAULT_CACHE.store is None
+            release_compile_store(second)
+        assert default_compile_cache().store is None
+
+    def test_overlapping_holds_keep_the_tier(self, tmp_path):
+        """Holds released in start order (not nested) keep the tier
+        attached until the last one goes."""
+        config = StoreConfig(path=tmp_path)
+        holds = [hold_compile_store(config) for _ in range(3)]
+        cache = default_compile_cache()
+        assert cache.store is not None
+        for hold in holds[:-1]:
+            release_compile_store(hold)
+            assert default_compile_cache() is cache, \
+                "an open hold keeps the attached cache"
+        release_compile_store(holds[-1])
+        assert default_compile_cache().store is None
 
     def test_hit_rate_counts_store_refills(self, tmp_path):
         store = DiskStore(tmp_path)
@@ -761,11 +770,9 @@ class TestCompileCacheGlobalConfig:
 
 class TestSerialServeCompileTier:
     def test_serial_service_persists_compile_artifacts(self, tmp_path):
-        """Regression: under the serial backend no engine initializer
-        runs, so the service itself must attach the compile store in its
-        own process — and detach it again on close."""
-        from repro.verilog.compile import default_compile_cache
-
+        """Regression: under the serial backend no pool worker exists, so
+        the service's engine must hold the compile store in its own
+        process — and release it again on close."""
         config = ServeConfig(n_workers=1, backend="serial", seed=3,
                              batch_window_ms=1.0,
                              store=StoreConfig(path=tmp_path))
@@ -775,6 +782,39 @@ class TestSerialServeCompileTier:
                 GOLDEN, SolveOptions(bmc_depth=4, bmc_random_trials=4)))
             assert response.ok
         assert default_compile_cache().store is None, \
-            "close() must restore the process-global cache settings"
+            "close() must release the compile tier"
         compile_dir = tmp_path / "compile" / "v1"
         assert compile_dir.is_dir() and any(compile_dir.rglob("*"))
+
+    def test_fleet_keeps_the_tier_until_its_last_backend_closes(
+            self, tmp_path):
+        """Regression: the fleet closes its backends in start order, so
+        their lifetimes overlap without nesting.  Closing backend 0 must
+        leave the tier attached for the others, and closing the fleet
+        must leave the process with no store."""
+        from repro.core.api import make_fleet
+
+        router = make_fleet(3, ServeConfig(backend="serial",
+                                           store=StoreConfig(path=tmp_path)))
+        with router:
+            router.backends[0].close()
+            assert default_compile_cache().store is not None, \
+                "the other backends still serve from the tier"
+            response = router.backends[1].service.solve(SolveRequest(
+                GOLDEN, SolveOptions(bmc_depth=4, bmc_random_trials=4)))
+            assert response.ok
+            compile_dir = tmp_path / "compile" / "v1"
+            assert compile_dir.is_dir() and any(compile_dir.rglob("*"))
+        assert default_compile_cache().store is None
+
+    def test_services_closed_in_start_order_release_the_tier(
+            self, tmp_path):
+        config = ServeConfig(n_workers=1, backend="serial",
+                             store=StoreConfig(path=tmp_path))
+        first = AssertService(config).start()
+        second = AssertService(config).start()
+        first.close()
+        assert default_compile_cache().store is not None, \
+            "the second service still holds the tier"
+        second.close()
+        assert default_compile_cache().store is None
