@@ -2,11 +2,10 @@
 
 The injector enumerates a golden's mutation sites once
 (:class:`~repro.bugs.mutators.SiteTable`); each attempt applies one random
-candidate in place, re-emits the touched item, diffs it against the
-golden's canonical lines and reverts.  Candidates whose edit does not
-change exactly one line are discarded (the paper's answers
-are judged per buggy line, so multi-line edits would have no well-defined
-golden record).
+candidate in place, re-emits the one canonical line it edits, compares it
+with the golden line and reverts.  Candidates whose edit leaves the line
+unchanged are discarded (the paper's answers are judged per buggy line,
+so every record needs exactly one changed line).
 
 Mutations are *not* compile-filtered here — the datagen Stage 2 does that
 with the compiler, as in the paper ("we employed the compiler again to

@@ -18,11 +18,11 @@ Operators and their Table-I kinds:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set
 
 from repro.bugs.taxonomy import BugKind
 from repro.verilog import ast
-from repro.verilog.writer import write_header_lines, write_item_lines
+from repro.verilog.writer import OwnerLines, write_header_lines, write_item_lines
 
 # Operator swap groups.  Within a group every member maps to every other,
 # so the relation is symmetric (inverse swaps are enumerated too).
@@ -46,12 +46,14 @@ class MutationCandidate:
     ``apply`` performs the edit in place on the module the candidate was
     enumerated from; ``revert`` undoes it, which lets a :class:`SiteTable`
     apply, emit and revert every candidate on one parse instead of
-    deep-copying per edit.  ``item`` is the index of the module item the
-    edit is confined to (set by the site table).
+    deep-copying per edit.  ``owner`` is the node whose canonical line
+    holds the edited node (an assignment, an ``if`` header, a case item or
+    a continuous assign; see :func:`repro.verilog.writer.write_item_lines`),
+    set when the candidate is enumerated.
     """
 
     __slots__ = ("op_name", "kind", "line", "description", "_apply",
-                 "_revert", "repair_only", "item")
+                 "_revert", "repair_only", "owner")
 
     def __init__(self, op_name: str, kind: BugKind, line: int,
                  description: str, apply_fn: Callable[[], None],
@@ -67,7 +69,7 @@ class MutationCandidate:
         # injector must never pick them (else a machine bug would have no
         # in-space golden fix).
         self.repair_only = repair_only
-        self.item: Optional[int] = None
+        self.owner: Optional[ast.Node] = None
 
     def apply(self) -> None:
         self._apply()
@@ -447,9 +449,17 @@ def _target_base_width(target: ast.Expr,
     return None
 
 
+def _owned_by(owner: ast.Node, candidates: Iterable[MutationCandidate]
+              ) -> Iterator[MutationCandidate]:
+    for candidate in candidates:
+        candidate.owner = owner
+        yield candidate
+
+
 def _iter_stmt_sites(stmt: ast.Stmt, peers: Set[str],
                      widths: "dict[str, int]"
                      ) -> Iterator[MutationCandidate]:
+    """Candidates under ``stmt``, each tagged with its owner line's node."""
     if isinstance(stmt, ast.Block):
         for child in stmt.stmts:
             yield from _iter_stmt_sites(child, peers, widths)
@@ -457,17 +467,18 @@ def _iter_stmt_sites(stmt: ast.Stmt, peers: Set[str],
         def set_value(e, s=stmt):
             s.value = e
         target_width = _target_base_width(stmt.target, widths)
-        yield from _rhs_swap_candidates(stmt, peers, target_width)
+        yield from _owned_by(stmt, _rhs_swap_candidates(stmt, peers,
+                                                        target_width))
         # A 1-bit target makes the RHS a boolean position: polarity bugs
         # like 'done <= !byte_end;' are symmetric negations there.
-        yield from _iter_expr_sites(stmt.value, set_value, peers,
-                                    boolean_pos=(target_width == 1),
-                                    widths=widths)
+        yield from _owned_by(stmt, _iter_expr_sites(
+            stmt.value, set_value, peers, boolean_pos=(target_width == 1),
+            widths=widths))
     elif isinstance(stmt, ast.If):
         def set_cond(e, s=stmt):
             s.cond = e
-        yield from _iter_expr_sites(stmt.cond, set_cond, peers,
-                                    boolean_pos=True, widths=widths)
+        yield from _owned_by(stmt, _iter_expr_sites(
+            stmt.cond, set_cond, peers, boolean_pos=True, widths=widths))
         yield from _iter_stmt_sites(stmt.then, peers, widths)
         if stmt.other is not None:
             yield from _iter_stmt_sites(stmt.other, peers, widths)
@@ -476,8 +487,8 @@ def _iter_stmt_sites(stmt: ast.Stmt, peers: Set[str],
         for item in stmt.items:
             for label in item.labels:
                 if isinstance(label, ast.Number):
-                    yield from _const_candidates(label)
-                    yield from _const_set_candidates(label)
+                    yield from _owned_by(item, _const_candidates(label))
+                    yield from _owned_by(item, _const_set_candidates(label))
             yield from _iter_stmt_sites(item.body, peers, widths)
 
 
@@ -487,10 +498,12 @@ def _case_label_restore_candidates(stmt: ast.Case
     of the values missing from [0, max label] — the canonical fix for a
     mutated case label in a decoder/mux, independent of label width."""
     numbers: List[ast.Number] = []
+    owners: List[ast.CaseItem] = []
     for item in stmt.items:
         for label in item.labels:
             if isinstance(label, ast.Number) and not label.xmask:
                 numbers.append(label)
+                owners.append(item)
     if not numbers:
         return
     values = [n.value for n in numbers]
@@ -500,7 +513,7 @@ def _case_label_restore_candidates(stmt: ast.Case
     missing = [v for v in range(max(values) + 1) if v not in value_counts]
     if not missing or len(missing) > 4:
         return
-    for node in numbers:
+    for node, owner in zip(numbers, owners):
         if value_counts[node.value] < 2:
             continue
         original_value = node.value
@@ -522,10 +535,12 @@ def _case_label_restore_candidates(stmt: ast.Case
                     n.text = f"{prefix}'h{v:x}"
                 else:
                     n.text = f"{prefix}'d{v}"
-            yield MutationCandidate(
+            candidate = MutationCandidate(
                 "case_label_restore", BugKind.VALUE, node.line,
                 f"duplicate label {original_value} -> missing {target}",
                 apply_fn, revert_fn, repair_only=True)
+            candidate.owner = owner
+            yield candidate
 
 
 class ModuleMutationContext:
@@ -544,9 +559,9 @@ def enumerate_item_mutations(item: ast.Item, context: ModuleMutationContext
         def set_value(e, it=item):
             it.value = e
         target_width = _target_base_width(item.target, context.widths)
-        candidates.extend(_iter_expr_sites(
+        candidates.extend(_owned_by(item, _iter_expr_sites(
             item.value, set_value, context.peers,
-            boolean_pos=(target_width == 1), widths=context.widths))
+            boolean_pos=(target_width == 1), widths=context.widths)))
     elif isinstance(item, ast.AlwaysBlock):
         candidates.extend(_iter_stmt_sites(item.body, context.peers,
                                            context.widths))
@@ -593,31 +608,34 @@ class SingleLineEdit(NamedTuple):
 class SiteTable:
     """Every mutation site of one module, enumerated once.
 
-    Holds the canonical lines (each item's with its offset), every
-    candidate tagged with the item it edits, and the fault space: the
-    non-repair-only candidates grouped by kind in enumeration order, with
-    the kind weights the injector draws from.
+    Holds the canonical lines, every candidate (tagged with its owner
+    node), each owner's line index and a function that re-emits that one
+    line, and the fault space: the non-repair-only candidates grouped by
+    kind in enumeration order, with the kind weights the injector draws
+    from.
 
     :meth:`edit` is the one apply / emit / revert engine behind bug
-    injection and repair enumeration.  A mutation is confined to one item
-    and ``write_module`` is exactly header + item lines + ``endmodule``,
-    so only the touched item is re-emitted.  The module is mutated only
-    inside :meth:`edit`, and always restored.
+    injection and repair enumeration.  Every mutation site sits on its
+    owner's line and the writer emits one statement per line, so a
+    single-node mutation can change only that line: only it is
+    re-emitted.  The module is mutated only inside :meth:`edit`, and
+    always restored.
     """
 
     def __init__(self, module: ast.Module):
         self.module = module
         self.lines: List[str] = write_header_lines(module)
-        self.items: List[tuple] = []  # (item, item lines, line offset)
         self.candidates: List[MutationCandidate] = []
+        # owner node -> (canonical line index, re-emitter of that line)
+        self._owner_lines: OwnerLines = {}
         context = ModuleMutationContext(module)
-        for index, item in enumerate(module.items):
-            item_lines = write_item_lines(item)
-            self.items.append((item, item_lines, len(self.lines)))
-            self.lines.extend(item_lines)
-            for candidate in enumerate_item_mutations(item, context):
-                candidate.item = index
-                self.candidates.append(candidate)
+        for item in module.items:
+            owners: OwnerLines = {}
+            offset = len(self.lines)
+            self.lines.extend(write_item_lines(item, owners))
+            for owner, (index, render) in owners.items():
+                self._owner_lines[owner] = (offset + index, render)
+            self.candidates.extend(enumerate_item_mutations(item, context))
         self.lines.append("endmodule")
         self.canonical = "\n".join(self.lines) + "\n"  # write_module bytes
         self.faults_by_kind: Dict[BugKind, List[MutationCandidate]] = {}
@@ -634,28 +652,21 @@ class SiteTable:
     def edit(self, candidate: MutationCandidate,
              probe: Optional[Callable[[ast.Module, int], object]] = None
              ) -> Optional[SingleLineEdit]:
-        """Apply ``candidate``, re-emit its item, then revert.
+        """Apply ``candidate``, re-emit its owner line, then revert.
 
-        Returns the edit when it changes exactly one canonical line, else
-        None.  ``probe(module, candidate.line)`` runs on the edited module
-        (only for single-line edits) and its result rides along.
+        Returns the edit when it changes the line, else None.
+        ``probe(module, candidate.line)`` runs on the edited module (only
+        for a changed line) and its result rides along.
         """
-        item, golden, offset = self.items[candidate.item]
+        index, render = self._owner_lines[candidate.owner]
+        golden = self.lines[index]
         candidate.apply()
         try:
-            emitted = write_item_lines(item)
-            if len(emitted) != len(golden):
-                return None
-            for changed, (before, after) in enumerate(zip(golden, emitted)):
-                if before != after:
-                    break
-            else:
-                return None
-            if emitted[changed + 1:] != golden[changed + 1:]:
+            edited = render()
+            if edited == golden:
                 return None
             probed = (probe(self.module, candidate.line)
                       if probe is not None else None)
         finally:
             candidate.revert()
-        return SingleLineEdit(offset + changed + 1, golden[changed],
-                              emitted[changed], probed)
+        return SingleLineEdit(index + 1, golden, edited, probed)

@@ -195,11 +195,11 @@ class AssertSolver:
         context = CaseContext(problem.source, problem.spec, problem.logs,
                               self.lm)
         space = enumerate_repairs(problem.source, module=context.module)
-        matrix = context.matrix(space.candidates)
         if self.weights is None:
+            # The base checkpoint's logits are zeros whatever the features.
             logits = np.zeros(len(space))
         else:
-            logits = matrix @ self.weights
+            logits = context.matrix(space.candidates) @ self.weights
         return space, context, logits
 
     def generate(self, problem: Problem, n: int = 20,

@@ -5,11 +5,13 @@ single-line mutations *of the buggy design* yields a candidate set that
 contains the golden fix (the inverse of whatever was injected).  A model's
 "answer" is a choice of candidate: ``(line, repaired line text)``.
 
-Enumeration applies each mutation to a single parsed copy, re-emits the
-touched item, diffs, and reverts — no per-candidate deep copies.
-Candidates that change zero or multiple lines are skipped; duplicates (two
-operators producing the same edit, e.g. ``+1`` and ``^bit0`` on an even
-constant) are merged, keeping both operator tags.
+Enumeration runs every mutation through
+:meth:`repro.bugs.mutators.SiteTable.edit` on a single parsed copy: apply,
+re-emit the one canonical line the mutated node sits on, compare it with
+the golden line, revert — no per-candidate deep copies or whole-item
+emissions.  Candidates that leave their line unchanged are skipped;
+duplicates (two operators producing the same edit, e.g. ``+1`` and
+``^bit0`` on an even constant) are merged, keeping both operator tags.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def enumerate_repairs(buggy_source: str,
 
     ``module`` may be supplied to skip re-parsing (it will be mutated and
     restored in place).  Every candidate goes through the site table's
-    apply / emit / revert engine, the same one bug injection uses.
+    one-line apply / emit / revert engine, the same one bug injection
+    uses.
     """
     table = SiteTable(module if module is not None
                       else parse_module(buggy_source))

@@ -17,7 +17,8 @@ Everything else is derived:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Set
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Set
 
 import numpy as np
 
@@ -300,54 +301,58 @@ class CaseContext:
         after = self._label_set_badness(patched)
         return float(max(min(before - after, 2), -2)) / 2.0
 
-    # -- the feature vector ---------------------------------------------------
+    # -- the feature matrix ---------------------------------------------------
 
-    def vector(self, candidate: RepairCandidate) -> np.ndarray:
-        features = np.zeros(DIM)
-        i = 0
-        features[i] = 1.0; i += 1
-
-        in_cone = candidate.line in self.cone_lines
-        features[i] = 1.0 if in_cone else 0.0; i += 1
-
-        targets = self.line_targets(candidate.line)
+    def _line_features(self, line: int, old_line: str) -> tuple:
+        """The features every candidate on one line shares: in-cone,
+        drives an assertion signal, cone depth score, old surprisal, old
+        literal consistency, condition line, line position and old
+        cone-ref score."""
+        targets = self.line_targets(line)
         direct = bool(set(targets) & set(self.assert_signals))
-        features[i] = 1.0 if direct else 0.0; i += 1
-
         depth = min((self.depths.get(t, 9) for t in targets), default=9)
-        features[i] = 1.0 / (1.0 + depth); i += 1
-
-        old_s = self.surprisal(candidate.old_line)
-        new_s = self.surprisal(candidate.new_line)
-        features[i] = old_s / (2.0 * self._mean_surprisal); i += 1
-        features[i] = (old_s - new_s) / (2.0 * self._mean_surprisal); i += 1
-
-        features[i] = (self._consistency(candidate.new_line)
-                       - self._consistency(candidate.old_line)); i += 1
-
-        stripped = candidate.old_line.lstrip()
+        stripped = old_line.lstrip()
         is_cond = stripped.startswith(("if ", "if(", "else if", "case ",
                                        "case("))
-        features[i] = 1.0 if is_cond else 0.0; i += 1
+        return (1.0 if line in self.cone_lines else 0.0,
+                1.0 if direct else 0.0,
+                1.0 / (1.0 + depth),
+                self.surprisal(old_line),
+                self._consistency(old_line),
+                1.0 if is_cond else 0.0,
+                line / self.n_lines,
+                self._cone_ref_score(old_line))
 
-        features[i] = candidate.line / self.n_lines; i += 1
-
-        features[i] = self._case_integrity_delta(candidate); i += 1
-
-        features[i] = 1.0 if _is_trivial_const_fix(candidate) else 0.0; i += 1
-
-        features[i] = (self._cone_ref_score(candidate.new_line)
-                       - self._cone_ref_score(candidate.old_line)); i += 1
-
-        for op in OP_NAMES:
-            features[i] = 1.0 if op in candidate.op_names else 0.0
-            i += 1
-        return features
+    def _rows(self, candidates: List[RepairCandidate]) -> Iterator[list]:
+        """Each candidate's row of :data:`FEATURE_NAMES` as Python floats."""
+        scale = 2.0 * self._mean_surprisal
+        by_line: Dict[tuple, tuple] = {}
+        for candidate in candidates:
+            key = (candidate.line, candidate.old_line)
+            shared = by_line.get(key)
+            if shared is None:
+                shared = by_line[key] = self._line_features(*key)
+            (in_cone, direct, depth_score, old_s, old_consistency, is_cond,
+             line_pos, old_cone_refs) = shared
+            new_line = candidate.new_line
+            ops = candidate.op_names
+            yield [
+                1.0, in_cone, direct, depth_score,
+                old_s / scale,
+                (old_s - self.surprisal(new_line)) / scale,
+                self._consistency(new_line) - old_consistency,
+                is_cond, line_pos,
+                self._case_integrity_delta(candidate),
+                1.0 if _is_trivial_const_fix(candidate) else 0.0,
+                self._cone_ref_score(new_line) - old_cone_refs,
+            ] + [1.0 if op in ops else 0.0 for op in OP_NAMES]
 
     def matrix(self, candidates: List[RepairCandidate]) -> np.ndarray:
-        if not candidates:
-            return np.zeros((0, DIM))
-        return np.stack([self.vector(c) for c in candidates])
+        """One float64 row of :data:`FEATURE_NAMES` per candidate, filled
+        row by row in one pass, so no row outlives its copy."""
+        values = chain.from_iterable(self._rows(candidates))
+        return np.fromiter(values, np.float64,
+                           len(candidates) * DIM).reshape(-1, DIM)
 
 
 _TRIVIAL_CONST_RE = re.compile(r"<?=\s*(\d+'[sS]?[bdohBDOH][0-9a-fA-F_]+|\d+)\s*;\s*$")

@@ -28,6 +28,10 @@ from repro.model.tokenizer import BOS, EOS, tokenize_line, tokenize_text
 # vs 'lt_flag <= a >'), which trigram context is one token too short for.
 _LAMBDAS = (0.35, 0.30, 0.23, 0.12)
 
+#: Attributes :meth:`NgramLM._refresh_totals` derives from the counts.
+_DERIVED = frozenset({"_bigram_totals", "_trigram_totals", "_fourgram_totals",
+                      "_unigram_total", "_floor"})
+
 
 class NgramLM:
     """Counting language model over per-line token streams."""
@@ -39,6 +43,7 @@ class NgramLM:
         self.fourgrams: Dict[tuple, Counter] = defaultdict(Counter)
         self.total_tokens = 0
         self.trained = False
+        self._refresh_totals()
 
     # -- training -------------------------------------------------------------
 
@@ -48,6 +53,29 @@ class NgramLM:
             for tokens in tokenize_text(text):
                 self._count_line(tokens)
         self.trained = True
+        self._refresh_totals()
+
+    def _refresh_totals(self) -> None:
+        """Precompute what :meth:`token_prob` divides by: each context's
+        count total and the floor.  Derived from the counts, so they stay
+        out of the pickle (the model digest hashes the pickle) and are
+        rebuilt on unpickling."""
+        self._bigram_totals = {w1: sum(counter.values())
+                               for w1, counter in self.bigrams.items()}
+        self._trigram_totals = {ctx: sum(counter.values())
+                                for ctx, counter in self.trigrams.items()}
+        self._fourgram_totals = {ctx: sum(counter.values())
+                                 for ctx, counter in self.fourgrams.items()}
+        self._unigram_total = max(self.total_tokens, 1)
+        self._floor = 1.0 / (self.vocab_size * 10)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items()
+                if name not in _DERIVED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._refresh_totals()
 
     def _count_line(self, tokens: List[str]) -> None:
         stream = [BOS, BOS, BOS] + tokens + [EOS]
@@ -66,17 +94,18 @@ class NgramLM:
         return max(len(self.unigrams), 1)
 
     def token_prob(self, w3: str, w2: str, w1: str, w0: str) -> float:
-        floor = 1.0 / (self.vocab_size * 10)
-        p_uni = self.unigrams.get(w0, 0) / max(self.total_tokens, 1)
+        p_uni = self.unigrams.get(w0, 0) / self._unigram_total
         bi = self.bigrams.get(w1)
-        p_bi = bi.get(w0, 0) / sum(bi.values()) if bi else 0.0
+        p_bi = bi.get(w0, 0) / self._bigram_totals[w1] if bi else 0.0
         tri = self.trigrams.get((w2, w1))
-        p_tri = tri.get(w0, 0) / sum(tri.values()) if tri else 0.0
+        p_tri = (tri.get(w0, 0) / self._trigram_totals[(w2, w1)]
+                 if tri else 0.0)
         four = self.fourgrams.get((w3, w2, w1))
-        p_four = four.get(w0, 0) / sum(four.values()) if four else 0.0
+        p_four = (four.get(w0, 0) / self._fourgram_totals[(w3, w2, w1)]
+                  if four else 0.0)
         l4, l3, l2, l1 = _LAMBDAS
         p = l4 * p_four + l3 * p_tri + l2 * p_bi + l1 * p_uni
-        return max(p, floor)
+        return max(p, self._floor)
 
     def line_surprisal(self, line: str) -> float:
         """Mean negative log2 probability per token of one source line.

@@ -114,6 +114,9 @@ _DEFAULT_CACHE = CompileCache()
 _HOLDS: List["_Hold"] = []
 _HOLDS_LOCK = threading.Lock()
 _TIER: Optional[Tuple[str, int]] = None  # the attached tier, if any
+#: Counter totals of the caches a tier change replaced, so that
+#: :func:`compile_cache_counters` only goes up over the process's life.
+_RETIRED: Dict[str, int] = {}
 
 
 class _Hold:
@@ -131,11 +134,13 @@ def default_compile_cache() -> CompileCache:
 
 def _retier_locked() -> None:
     """Start a fresh cache when the newest open hold's tier is not the
-    attached one (no hold: no store)."""
+    attached one (no hold: no store), carrying its counters over."""
     global _DEFAULT_CACHE, _TIER
     tier = _HOLDS[-1].tier if _HOLDS else None
     if tier != _TIER:
         _TIER = tier
+        for name, value in _DEFAULT_CACHE.counters().items():
+            _RETIRED[name] = _RETIRED.get(name, 0) + value
         _DEFAULT_CACHE = CompileCache(
             store=None if tier is None else DiskStore(*tier))
 
@@ -171,8 +176,11 @@ def release_compile_store(hold: Optional[_Hold]) -> None:
 
 
 def compile_cache_counters() -> Dict[str, int]:
-    """Metrics provider: current process-local cache counters."""
-    return _DEFAULT_CACHE.counters()
+    """Metrics provider: this process's compile cache counters, totalled
+    over every cache a tier change replaced, so they never go down."""
+    with _HOLDS_LOCK:
+        return {name: value + _RETIRED.get(name, 0)
+                for name, value in _DEFAULT_CACHE.counters().items()}
 
 
 metrics.register_provider("compile_cache", compile_cache_counters)

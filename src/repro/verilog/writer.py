@@ -11,7 +11,7 @@ line.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.verilog import ast
 from repro.verilog.parser import BINARY_PRECEDENCE
@@ -75,12 +75,48 @@ def write_prop(prop: ast.PropExpr) -> str:
     raise TypeError(f"cannot write property node {type(prop).__name__}")
 
 
+#: owner node -> (index of its line, zero-argument re-emitter of that line)
+OwnerLines = Dict[ast.Node, Tuple[int, Callable[[], str]]]
+
+
+def _assignment_text(node: ast.Assignment) -> str:
+    op = "=" if node.blocking else "<="
+    return f"{write_expr(node.target)} {op} {write_expr(node.value)};"
+
+
+def _if_text(node: ast.If) -> str:
+    return f"if ({write_expr(node.cond)})"
+
+
+def _else_if_text(node: ast.If) -> str:
+    return f"else if ({write_expr(node.cond)})"
+
+
+def _labels_text(node: ast.CaseItem) -> str:
+    return ", ".join(write_expr(lbl) for lbl in node.labels) + ":"
+
+
+def _continuous_assign_text(node: ast.ContinuousAssign) -> str:
+    return f"assign {write_expr(node.target)} = {write_expr(node.value)};"
+
+
 class _Emitter:
-    def __init__(self):
+    def __init__(self, owners: Optional[OwnerLines] = None):
         self.lines: List[str] = []
+        self.owners = owners
 
     def emit(self, depth: int, text: str) -> None:
         self.lines.append(f"{_INDENT * depth}{text}" if text else "")
+
+    def owned(self, depth: int, node: ast.Node,
+              text: Callable[[ast.Node], str]) -> None:
+        """Emit the one line that ``node``'s mutation sites sit on and,
+        when recording owners, note its index and how to re-emit it."""
+        if self.owners is not None:
+            indent = _INDENT * depth
+            self.owners[node] = (len(self.lines),
+                                 lambda: indent + text(node))
+        self.emit(depth, text(node))
 
     # -- statements ---------------------------------------------------------
 
@@ -94,11 +130,9 @@ class _Emitter:
                 self.stmt(child, depth + 1)
             self.emit(depth, "end")
         elif isinstance(node, ast.Assignment):
-            op = "=" if node.blocking else "<="
-            self.emit(depth,
-                      f"{write_expr(node.target)} {op} {write_expr(node.value)};")
+            self.owned(depth, node, _assignment_text)
         elif isinstance(node, ast.If):
-            self.emit(depth, f"if ({write_expr(node.cond)})")
+            self.owned(depth, node, _if_text)
             self._branch(node.then, depth)
             if node.other is not None:
                 if isinstance(node.other, ast.If):
@@ -113,8 +147,7 @@ class _Emitter:
                 if item.is_default:
                     self.emit(depth + 1, "default:")
                 else:
-                    labels = ", ".join(write_expr(lbl) for lbl in item.labels)
-                    self.emit(depth + 1, f"{labels}:")
+                    self.owned(depth + 1, item, _labels_text)
                 self._branch(item.body, depth + 1)
             self.emit(depth, "endcase")
         elif isinstance(node, ast.SysTaskCall):
@@ -130,7 +163,7 @@ class _Emitter:
             self.stmt(node, depth + 1)
 
     def _else_if(self, node: ast.If, depth: int) -> None:
-        self.emit(depth, f"else if ({write_expr(node.cond)})")
+        self.owned(depth, node, _else_if_text)
         self._branch(node.then, depth)
         if node.other is not None:
             if isinstance(node.other, ast.If):
@@ -154,8 +187,7 @@ class _Emitter:
             kw = "localparam" if node.local else "parameter"
             self.emit(depth, f"{kw} {node.name} = {write_expr(node.value)};")
         elif isinstance(node, ast.ContinuousAssign):
-            self.emit(depth,
-                      f"assign {write_expr(node.target)} = {write_expr(node.value)};")
+            self.owned(depth, node, _continuous_assign_text)
         elif isinstance(node, ast.AlwaysBlock):
             if node.comb:
                 self.emit(depth, "always @(*)")
@@ -213,14 +245,20 @@ def write_header_lines(module: ast.Module) -> List[str]:
     return emitter.lines
 
 
-def write_item_lines(item: ast.Item) -> List[str]:
+def write_item_lines(item: ast.Item,
+                     owners: Optional[OwnerLines] = None) -> List[str]:
     """One module item's canonical lines (depth 1).
 
-    ``write_module`` is exactly header + per-item lines + ``endmodule``;
-    the repair-candidate enumerator exploits this to re-emit only the item
-    a mutation touched.
+    ``write_module`` is exactly header + per-item lines + ``endmodule``.
+    With an ``owners`` dict, every line a single-node mutation can change
+    is recorded there: its owner node (an assignment, an ``if`` or
+    ``else if`` header, a case item's label line, a continuous assign)
+    maps to the line's index in the returned list and a zero-argument
+    function that re-emits that line from the AST as it stands.  Every
+    mutation site sits on its owner's line, so the mutation site table
+    re-emits one line per edit (:class:`repro.bugs.mutators.SiteTable`).
     """
-    emitter = _Emitter()
+    emitter = _Emitter(owners)
     emitter.item(item, 1)
     return emitter.lines
 

@@ -5,6 +5,8 @@ emits and reverts edits in place.  :class:`TestSiteTableOracle` checks it
 against the path it replaced, kept here as the reference: every attempt
 deep-copies the golden AST, enumerates every candidate on the copy,
 regroups the fault space by kind and re-emits the whole module.
+:class:`TestOneLineEditOracle` checks each one-line edit against the
+whole-module emission and diff.
 """
 
 import copy
@@ -19,7 +21,12 @@ from repro.bugs.classify import (
     targets_of_line,
 )
 from repro.bugs.injector import BugInjector, single_line_diff
-from repro.bugs.mutators import _KIND_WEIGHTS, SiteTable, enumerate_mutations
+from repro.bugs.mutators import (
+    _KIND_WEIGHTS,
+    SingleLineEdit,
+    SiteTable,
+    enumerate_mutations,
+)
 from repro.bugs.taxonomy import (
     BUG_TYPE_ORDER,
     TABLE1_ROWS,
@@ -281,6 +288,54 @@ class TestSiteTableOracle:
                 for c in space] == \
             [(c.line, c.old_line, c.new_line, c.op_names)
              for c in enumerate_repairs(before)]
+
+
+def _reference_edit(table, candidate):
+    """Apply, emit the whole module, diff against the golden, revert."""
+    candidate.apply()
+    try:
+        edited = write_module(table.module)
+    finally:
+        candidate.revert()
+    line = single_line_diff(table.canonical, edited)
+    if line is None:
+        return None
+    return SingleLineEdit(line, table.lines[line - 1],
+                          edited.splitlines()[line - 1], None)
+
+
+def _assert_edits_match_reference(source):
+    """Every candidate's :meth:`SiteTable.edit` equals the reference; the
+    number of single-line edits, for a non-vacuity check."""
+    table = SiteTable(parse_module(source))
+    edits = 0
+    for candidate in table.candidates:
+        want = _reference_edit(table, candidate)
+        assert table.edit(candidate) == want, (candidate, source)
+        edits += want is not None
+    assert write_module(table.module) == table.canonical
+    return edits
+
+
+class TestOneLineEditOracle:
+    def test_golden_edits_match_whole_module(self, family_seed):
+        assert _assert_edits_match_reference(family_seed.source) > 0
+
+    def test_injected_mutant_edits_match_whole_module(self, family_seed):
+        # Eval enumerates the repairs of buggy sources, not goldens.
+        record = BugInjector(random.Random(11)).inject(family_seed.source,
+                                                       family_seed.name)
+        assert record is not None, family_seed.name
+        assert _assert_edits_match_reference(record.buggy_source) > 0
+
+    def test_human_eval_designs_match_whole_module(self, human_cases):
+        assert human_cases
+        for case in human_cases:
+            record = case.entry.record
+            for source in (record.golden_source,
+                           case.entry.buggy_source_with_sva):
+                assert _assert_edits_match_reference(source) > 0, \
+                    case.case_id
 
 
 class TestClassification:

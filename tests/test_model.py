@@ -1,14 +1,31 @@
-"""Model stack: tokenizer, LM, candidates, features, SFT, DPO, inference."""
+"""Model stack: tokenizer, LM, candidates, features, SFT, DPO, inference.
 
+:class:`TestFeatureMatrixOracle` checks :meth:`CaseContext.matrix`
+against the per-element feature vector it replaced, kept here as the
+reference (:func:`_reference_vector`).
+"""
+
+import hashlib
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+from repro.eval import runner
+from repro.eval.benchmark import build_benchmark
+from repro.model import ngram_lm
 from repro.model.assertsolver import AssertSolver, Problem, SolverResponse
 from repro.model.candidates import enumerate_repairs
 from repro.model.dpo import calibrate_margin, mine_challenging, sample_indices, train_dpo
-from repro.model.features import DIM, FEATURE_NAMES, CaseContext, parse_failing_labels
+from repro.model.features import (
+    DIM,
+    FEATURE_NAMES,
+    OP_NAMES,
+    CaseContext,
+    _is_trivial_const_fix,
+    parse_failing_labels,
+)
 from repro.model.ngram_lm import NgramLM
 from repro.model.sft import TrainExample, softmax, train_sft
 from repro.model.tokenizer import tokenize_line, tokenize_text
@@ -124,7 +141,7 @@ class TestFeatures:
                                       entry.record.fixed_line)
             context = CaseContext(entry.buggy_source_with_sva, entry.spec,
                                   entry.logs, sft.lm)
-            vector = context.vector(space.candidates[gold])
+            vector = context.matrix([space.candidates[gold]])[0]
             in_cone = vector[FEATURE_NAMES.index("in_cone")]
             hits += in_cone > 0
         assert hits >= 7  # the buggy line is nearly always in the cone
@@ -250,3 +267,159 @@ class TestAssertSolverModel:
         model = AssertSolver()
         with pytest.raises(RuntimeError):
             model.train_dpo()
+
+
+# -- reference oracle: one candidate's features, written element by element --
+
+
+def _reference_vector(context, candidate):
+    features = np.zeros(DIM)
+    i = 0
+    features[i] = 1.0; i += 1
+
+    in_cone = candidate.line in context.cone_lines
+    features[i] = 1.0 if in_cone else 0.0; i += 1
+
+    targets = context.line_targets(candidate.line)
+    direct = bool(set(targets) & set(context.assert_signals))
+    features[i] = 1.0 if direct else 0.0; i += 1
+
+    depth = min((context.depths.get(t, 9) for t in targets), default=9)
+    features[i] = 1.0 / (1.0 + depth); i += 1
+
+    old_s = context.surprisal(candidate.old_line)
+    new_s = context.surprisal(candidate.new_line)
+    features[i] = old_s / (2.0 * context._mean_surprisal); i += 1
+    features[i] = (old_s - new_s) / (2.0 * context._mean_surprisal); i += 1
+
+    features[i] = (context._consistency(candidate.new_line)
+                   - context._consistency(candidate.old_line)); i += 1
+
+    stripped = candidate.old_line.lstrip()
+    is_cond = stripped.startswith(("if ", "if(", "else if", "case ",
+                                   "case("))
+    features[i] = 1.0 if is_cond else 0.0; i += 1
+
+    features[i] = candidate.line / context.n_lines; i += 1
+
+    features[i] = context._case_integrity_delta(candidate); i += 1
+
+    features[i] = 1.0 if _is_trivial_const_fix(candidate) else 0.0; i += 1
+
+    features[i] = (context._cone_ref_score(candidate.new_line)
+                   - context._cone_ref_score(candidate.old_line)); i += 1
+
+    for op in OP_NAMES:
+        features[i] = 1.0 if op in candidate.op_names else 0.0
+        i += 1
+    return features
+
+
+@pytest.fixture(scope="module")
+def feature_entries(small_bundle, human_cases):
+    """The small bundle's train entries and its SVA-Eval cases."""
+    benchmark = build_benchmark(small_bundle, human_cases=human_cases)
+    return (list(small_bundle.sva_bug_train)
+            + [case.entry for case in benchmark.cases])
+
+
+class TestFeatureMatrixOracle:
+    @pytest.mark.parametrize("with_lm", [False, True])
+    def test_matrix_equals_reference_vectors(self, feature_entries,
+                                             trained_models, with_lm):
+        _, sft, _ = trained_models
+        lm = sft.lm if with_lm else None
+        rows = 0
+        for entry in feature_entries:
+            context = CaseContext(entry.buggy_source_with_sva, entry.spec,
+                                  entry.logs, lm)
+            space = enumerate_repairs(entry.buggy_source_with_sva,
+                                      module=context.module)
+            got = context.matrix(space.candidates)
+            want = (np.stack([_reference_vector(context, c) for c in space])
+                    if len(space) else np.zeros((0, DIM)))
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want), entry.record.design_name
+            rows += len(space)
+        assert rows > 1000
+
+    def test_base_checkpoint_builds_no_matrix(self, small_bundle,
+                                              trained_models, monkeypatch):
+        base, sft, _ = trained_models
+        assert base.weights is None
+        original = CaseContext.matrix
+        calls = []
+
+        def counting(context, candidates):
+            calls.append(len(candidates))
+            return original(context, candidates)
+
+        monkeypatch.setattr(CaseContext, "matrix", counting)
+        for entry in small_bundle.sva_bug_train[:6]:
+            problem = Problem.from_entry(entry)
+            got = [r.to_json() for r in base.generate(
+                problem, n=20, rng=random.Random(3))]
+            assert calls == []
+            # The path that built the matrix and then scored it zeros.
+            context = CaseContext(problem.source, problem.spec, problem.logs,
+                                  base.lm)
+            space = enumerate_repairs(problem.source, module=context.module)
+            original(context, space.candidates)
+            indices = sample_indices(np.zeros(len(space)), base.temperature,
+                                     20, random.Random(3))
+            want = [base._response(space.candidates[i], context).to_json()
+                    for i in indices]
+            assert got == want
+        sft.generate(Problem.from_entry(small_bundle.sva_bug_train[0]), n=2,
+                     rng=random.Random(0))
+        assert len(calls) == 1
+
+
+class TestLmTotals:
+    def test_pickle_holds_no_totals(self, trained_models, monkeypatch):
+        _, _, solver = trained_models
+        blob = pickle.dumps(solver, protocol=pickle.HIGHEST_PROTOCOL)
+        for name in ngram_lm._DERIVED:
+            assert name.encode() not in blob
+        digest = runner.model_digest(solver)
+        assert digest == hashlib.sha256(blob).hexdigest()
+        # Pickled the default way, the state without the totals digests
+        # the same: the digest (and every eval/v1 memo key) stays put.
+        monkeypatch.delattr(NgramLM, "__getstate__")
+        for name in ngram_lm._DERIVED:
+            monkeypatch.delitem(solver.lm.__dict__, name)
+        assert runner.model_digest(solver) == digest
+
+    def test_round_trip_scores_identically(self, small_bundle,
+                                           trained_models):
+        _, _, solver = trained_models
+        runner._WORKER_MODEL_CACHE.clear()
+        try:
+            blob, digest = runner._model_payload(solver)
+            resolved = runner._resolve_model(blob, digest)
+            assert resolved is not solver
+            for name in ngram_lm._DERIVED:
+                assert getattr(resolved.lm, name) == getattr(solver.lm, name)
+            for entry in small_bundle.sva_bug_train[:8]:
+                problem = Problem.from_entry(entry)
+                _, _, want = solver._score(problem)
+                _, _, got = resolved._score(problem)
+                assert np.array_equal(got, want)
+            assert pickle.dumps(resolved.lm) == pickle.dumps(solver.lm)
+        finally:
+            runner._WORKER_MODEL_CACHE.clear()
+
+    def test_second_training_call_scores_like_one(self, small_bundle):
+        texts = [entry.text() for entry in small_bundle.verilog_pt]
+        half = len(texts) // 2
+        twice = NgramLM()
+        twice.train_texts(texts[:half])
+        twice.train_texts(texts[half:])
+        once = NgramLM()
+        once.train_texts(texts)
+        lines = {line.strip() for text in texts
+                 for line in text.splitlines() if line.strip()}
+        lines.add("weird_name_xyz <= other_weird + strange;")
+        for line in sorted(lines):
+            assert twice.line_surprisal(line) == once.line_surprisal(line), \
+                line

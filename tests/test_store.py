@@ -46,6 +46,7 @@ from repro.store import (
 )
 from repro.verilog.compile import (
     CompileCache,
+    compile_cache_counters,
     default_compile_cache,
     hold_compile_store,
     release_compile_store,
@@ -806,6 +807,31 @@ class TestSerialServeCompileTier:
             compile_dir = tmp_path / "compile" / "v1"
             assert compile_dir.is_dir() and any(compile_dir.rglob("*"))
         assert default_compile_cache().store is None
+
+    def test_counters_only_go_up_across_a_tier_change(self, tmp_path):
+        """A tier change starts a fresh cache; the process's counters carry
+        its running totals over instead of falling back to 0."""
+        options = SolveOptions(bmc_depth=4, bmc_random_trials=4)
+        readings = [compile_cache_counters()]
+        with AssertService(ServeConfig(n_workers=1,
+                                       backend="serial")) as service:
+            assert service.solve(SolveRequest(
+                GOLDEN.replace("and_gate", "and_gate_untiered"),
+                options)).ok
+            readings.append(compile_cache_counters())
+        assert readings[-1]["misses"] > readings[0]["misses"]
+        config = ServeConfig(n_workers=1, backend="serial",
+                             store=StoreConfig(path=tmp_path))
+        with AssertService(config) as service:
+            readings.append(compile_cache_counters())
+            assert service.solve(SolveRequest(
+                GOLDEN.replace("and_gate", "and_gate_tiered"), options)).ok
+            readings.append(compile_cache_counters())
+        readings.append(compile_cache_counters())
+        for before, after in zip(readings, readings[1:]):
+            for name, value in before.items():
+                assert after[name] >= value, (name, readings)
+        assert readings[-1]["misses"] > readings[1]["misses"]
 
     def test_services_closed_in_start_order_release_the_tier(
             self, tmp_path):
