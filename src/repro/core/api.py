@@ -101,7 +101,7 @@ class PipelineConfig:
     include_baselines: bool = knob(True, kind=bool, role=SEMANTIC)
     n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
     backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
-    #: Simulation execution tier ("compiled" closure programs or the
+    #: Simulation execution tier ("compiled" generated programs or the
     #: "interp" AST walker — see :mod:`repro.sim.compiled`).  Pure
     #: execution knob: both tiers produce byte-identical results, so it
     #: stays out of :meth:`cache_key`.

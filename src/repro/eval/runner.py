@@ -30,6 +30,7 @@ new/changed cases and reproduces the cold report byte for byte.
 from __future__ import annotations
 
 import hashlib
+import io
 import pickle
 import random
 from collections import OrderedDict
@@ -160,10 +161,19 @@ def _eval_chunk(payload) -> List[Tuple[int, int]]:
 def model_digest(model) -> str:
     """The model's content fingerprint — half of the per-case memo key.
 
-    The pickle-blob digest :func:`_model_payload` already uses as a
-    transfer checksum: any weight, profile, or seed change reads as a
-    different model, invalidating exactly its own stored outcomes."""
-    return _model_payload(model)[1]
+    A digest of the model's pickle written without the pickler's memo:
+    every object is serialized by content each time it is reached, so
+    the bytes do not depend on which attributes happen to share one
+    object (a string shared with the class name, say), and a model
+    loaded in a worker or from disk keeps its digest.  Any weight,
+    profile, or seed change reads as a different model, invalidating
+    exactly its own stored outcomes.  (The model graph holds no cycles,
+    which a memo-free pickle could not write.)"""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(model)
+    return hashlib.sha256(buffer.getvalue()).hexdigest()
 
 
 def eval_memo_key(case_dig: str, model_dig: str, config: EvalConfig,

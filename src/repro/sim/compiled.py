@@ -1,33 +1,58 @@
-"""Compiled simulation tier: lower a Design once, run it many times.
+"""Compiled simulation tier: each design becomes one generated Python program.
 
 The interpreter (:class:`repro.sim.simulator.Simulator`) re-walks the AST
 with per-node dispatch and dict-keyed environments once per signal per
-cycle per stimulus.  This module lowers an elaborated design into a flat
-evaluation program exactly once:
+cycle per stimulus.  This module emits, once per elaborated design,
+Python source text for the whole cycle engine and runs it through
+``compile()``:
 
-- every signal is mapped to an integer slot in a flat list (no dict
-  lookups on the hot path);
-- every expression becomes a dispatch-free Python closure with constants
-  folded and widths/masks precomputed;
-- combinational assigns and ``always @(*)`` blocks are pre-sorted into
-  dependency (topological) order so the settle loop converges in the
-  minimum number of sweeps;
-- the reset-time environment (declaration inits + ``initial`` blocks) is
-  captured once by running the interpreter's own reset, so per-run setup
-  is a single list copy.
+- ``settle(v)`` runs every continuous assign and ``always @(*)`` block in
+  dependency (topological) order: straight-line when the comb logic is a
+  single-driver DAG (one sweep is the fixed point), inside a changed-flag
+  loop bounded at the interpreter's 50 iterations otherwise;
+- ``edge(v)`` runs every clocked block against the pre-edge values and
+  commits the non-blocking updates together.
+
+``v`` is the simulator's slot list (one :class:`FourState` per signal,
+in ``Design.symbols`` order).  Inside a function every slot lives in a
+local (``s<i>``, unpacked from ``v`` on entry and written back on each
+update); a block's blocking scratch values are ``b<i>`` and its pending
+non-blocking values ``n<i>``, so there are no dict lookups and no calls
+per AST node.  Operators whose result is one bit (``!``, reductions,
+compares, ``&&``/``||``, bit selects) are inlined against FourState's
+canonical representation and return the three shared singletons;
+bitwise operators and concatenations build their result in one
+allocation; the rest call the :class:`FourState` methods the interpreter
+calls.  A ``.resize(w)`` is emitted only where the width is not
+statically ``w``.
+
+Constants never appear as literals: each folded value, literal and
+X-poison value is named ``_g<N>`` in emission order and lives in the
+function's globals, so the text is a function of the design's structure
+alone.  Equal text shares one code object through a bounded LRU
+(``CODE_CACHE_ENTRIES``), which is what makes emission cheap for
+mutants: a mutant shares every unchanged function with its golden, and
+a constant nudge changes no text at all.  Constant folding evaluates a
+closed emitted expression once; if that raises, the expression stays
+dynamic so the error surfaces at run time exactly where the interpreter
+raises it.
+
+:class:`_Emitter` is shared with the SVA monitor
+(:mod:`repro.sva.monitor`), whose property functions read
+``trace.snapshots[c][name]`` instead of slots and emit the temporal
+functions against a shifted cycle.
 
 The program is cached per :class:`Design` *instance*; because
 :class:`repro.verilog.compile.CompileCache` shares one immutable design
 object per source content hash, instance identity coincides with content
-identity in-process — the program cache is effectively content-addressed
-alongside ``CompileCache`` without attaching unpicklable closures to the
+identity in-process.  Programs are never pickled or attached to the
 (disk-persisted) compile results.
 
 Semantics contract: a :class:`CompiledSimulator` produces byte-identical
-traces — same snapshots, same error messages at the same points — as the
-interpreter on every supported design.  Constructs the lowerer does not
-handle raise :class:`UnsupportedDesign` at compile time and
-:func:`make_simulator` silently falls back to the interpreter, so the
+traces — same snapshots, same error messages at the same statement and
+cycle — as the interpreter on every supported design.  Constructs the
+emitter does not handle raise :class:`UnsupportedDesign` at compile time
+and :func:`make_simulator` falls back to the interpreter, so the
 contract holds by construction for the rest.
 """
 
@@ -36,7 +61,7 @@ from __future__ import annotations
 import threading
 import weakref
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine import metrics
 from repro.sim.eval import EvalError, Evaluator
@@ -50,6 +75,7 @@ from repro.sim.simulator import (
 )
 from repro.sim.stimulus import reset_values
 from repro.sim.values import FourState
+from repro.store.lru import StoreBackedLRU
 from repro.verilog import ast
 from repro.verilog.elaborator import Design, _walk_stmts
 
@@ -59,22 +85,84 @@ _TRUE = FourState.from_bool(True)
 _FALSE = FourState.from_bool(False)
 _X1 = FourState.unknown(1)
 
+#: Distinct function texts kept compiled.  One datagen call of 24
+#: designs emits about a thousand functions with a few hundred distinct
+#: texts; the LRU keeps a long run from growing without bound.
+CODE_CACHE_ENTRIES = 2048
+
+_CODE = StoreBackedLRU(CODE_CACHE_ENTRIES, None, "code")
+
 
 class UnsupportedDesign(Exception):
-    """The lowerer cannot compile this design; use the interpreter."""
+    """The emitter cannot compile this design; use the interpreter."""
 
 
-# Signature conventions (all closures are built once per design):
-#   expr closure:  fn(env)               -> FourState   (env: List[FourState])
-#   stmt closure:  fn(scratch, nba)      -> None
-#   writer:        fn(scratch, nba, value) -> None
-#   comb step:     fn(env)               -> bool (changed)
-#   seq step:      fn(env, nba)          -> None
-ExprFn = Callable[[List[FourState]], FourState]
+def _code(text: str):
+    """The code object of ``text`` (a module defining one function)."""
+    code = _CODE.get(text)
+    if code is None:
+        try:
+            code = compile(text, "<repro.sim.compiled>", "exec")
+        except SyntaxError as exc:
+            # Nesting beyond what compile() accepts: interpret instead.
+            raise UnsupportedDesign(
+                f"emitted program does not compile: {exc}") from None
+        _CODE.put(text, code)
+    return code
 
 
-class _Lowerer:
-    """One-shot compiler from an elaborated design to closures."""
+def _tmerge(a: FourState, b: FourState) -> FourState:
+    """An X ternary select: X wherever the two branches differ."""
+    width = a.width if a.width > b.width else b.width
+    return FourState(width, a.value, (a.value ^ b.value) | a.xmask | b.xmask)
+
+
+def _popcount(value: int) -> int:
+    return bin(value).count("1")
+
+
+#: Names every emitted function may use besides its own ``_g<N>``.
+_BASE = {
+    "FourState": FourState, "EvalError": EvalError,
+    "SimulationError": SimulationError, "_T": _TRUE, "_F": _FALSE,
+    "_X1": _X1, "_tmerge": _tmerge, "_pop": _popcount,
+}
+
+
+class _Fn:
+    """One emitted function under construction."""
+
+    __slots__ = ("lines", "depth", "temps", "ns", "consts")
+
+    def __init__(self):
+        self.lines: List[Tuple[int, str]] = []
+        self.depth = 1
+        self.temps = 0
+        self.ns = dict(_BASE)
+        self.consts = 0
+
+    def text(self, header: str, lines=None) -> str:
+        body = self.lines if lines is None else lines
+        if not body:
+            body = [(1, "pass")]
+        base = body[0][0] - 1 if lines is not None else 0
+        return header + "\n" + "\n".join(
+            "    " * (depth - base) + line for depth, line in body) + "\n"
+
+
+#: Expression results: (python text, static width or None, constant).
+#: A constant's text is the name of its ``_g<N>`` global.
+_Result = Tuple[str, Optional[int], bool]
+
+
+class _Emitter:
+    """Emits expressions and statements into the current :class:`_Fn`.
+
+    Reads resolve through :meth:`_ident` (slot locals here; trace
+    snapshots in the SVA monitor's subclass) and system functions through
+    :meth:`_syscall`.  Each compound node's value is assigned to a fresh
+    temp ``t<N>``, in the interpreter's evaluation order.
+    """
 
     def __init__(self, design: Design):
         self.design = design
@@ -83,411 +171,438 @@ class _Lowerer:
         self.slots: Dict[str, int] = {name: i for i, name in enumerate(self.names)}
         self.widths: Tuple[int, ...] = tuple(
             sym.width for sym in design.symbols.values())
+        self.fn = _Fn()
 
-    # -- expressions -------------------------------------------------------
+    # -- emission primitives -----------------------------------------------
 
-    def _fold(self, fn: ExprFn, is_const: bool) -> Tuple[ExprFn, bool]:
+    def line(self, text: str) -> None:
+        self.fn.lines.append((self.fn.depth, text))
+
+    def open(self, header: str) -> int:
+        self.line(header)
+        self.fn.depth += 1
+        return len(self.fn.lines)
+
+    def close(self, mark: int) -> None:
+        if len(self.fn.lines) == mark:
+            self.line("pass")
+        self.fn.depth -= 1
+
+    def temp(self, text: str) -> str:
+        name = f"t{self.fn.temps}"
+        self.fn.temps += 1
+        self.line(f"{name} = {text}")
+        return name
+
+    def name(self, text: str) -> str:
+        """``text`` as a name, assigning it to a temp if it is not one."""
+        return text if text.isidentifier() else self.temp(text)
+
+    def const(self, value) -> str:
+        fn = self.fn
+        name = f"_g{fn.consts}"
+        fn.consts += 1
+        fn.ns[name] = value
+        return name
+
+    def const_value(self, name: str):
+        return self.fn.ns[name]
+
+    def raise_(self, exc_type, message: str) -> _Result:
+        self.line(f"raise {exc_type.__name__}({self.const(message)})")
+        return "None", None, False
+
+    def discard(self, emit):
+        """Run ``emit`` (for its lowering-time errors and constants) and
+        drop the lines it emitted: code the closure never evaluates."""
+        mark = len(self.fn.lines)
+        result = emit()
+        del self.fn.lines[mark:]
+        return result
+
+    def fold(self, mark: int, text: str, width, const: bool) -> _Result:
         """Evaluate a closed expression once at compile time.
 
         Anything the evaluation raises (EvalError, arithmetic errors) keeps
-        the closure dynamic so the error surfaces at run time exactly where
-        the interpreter would raise it.
+        the expression dynamic so the error surfaces at run time exactly
+        where the interpreter would raise it.
         """
-        if not is_const:
-            return fn, False
+        if not const:
+            return text, width, False
+        fn = self.fn
+        lines = fn.lines[mark:] + [(fn.depth, f"return {text}")]
         try:
-            value = fn(None)
+            exec(_code(fn.text("def _fold():", lines)), fn.ns)
+            value = fn.ns.pop("_fold")()
         except Exception:
-            return fn, False
-        return (lambda env: value), True
+            fn.ns.pop("_fold", None)
+            return text, width, False
+        del fn.lines[mark:]
+        return self.const(value), value.width, True
 
-    @staticmethod
-    def _raiser(exc_type, message: str) -> ExprFn:
-        def fn(env):
-            raise exc_type(message)
-        return fn
+    # -- expressions -------------------------------------------------------
 
-    _UNARY_METHODS = {
-        "~": FourState.bit_not, "!": FourState.log_not,
-        "-": FourState.negate, "&": FourState.reduce_and,
-        "|": FourState.reduce_or, "^": FourState.reduce_xor,
-    }
+    def _param(self, name: str) -> _Result:
+        return self.const(FourState(32, self.params[name] & 0xFFFFFFFF)), 32, True
 
-    def _lower_ident(self, expr: ast.Ident) -> Tuple[ExprFn, bool]:
-        """Overridable binding: subclasses redefine what ``env`` is.
+    def _ident(self, expr: ast.Ident) -> _Result:
+        """Overridable binding: what a signal read is."""
+        raise NotImplementedError
 
-        The SVA property lowerer (:mod:`repro.sva.monitor`) reuses every
-        operator combinator above a trace-backed environment by replacing
-        only this method and :meth:`_lower_syscall`.
-        """
-        name = expr.name
-        if name in self.params:
-            value = FourState(32, self.params[name] & 0xFFFFFFFF)
-            return (lambda env: value), True
-        slot = self.slots.get(name)
-        if slot is None:
-            return self._raiser(EvalError, f"no such signal '{name}'"), False
-        return (lambda env: env[slot]), False
-
-    def _lower_expr(self, expr: ast.Expr) -> Tuple[ExprFn, bool]:
+    def expr(self, expr: ast.Expr) -> _Result:
         t = type(expr)
         if t is ast.Number:
             width = expr.width or 32
-            value = FourState(width, expr.value, expr.xmask)
-            return (lambda env: value), True
+            return self.const(FourState(width, expr.value, expr.xmask)), width, True
         if t is ast.Ident:
-            return self._lower_ident(expr)
+            return self._ident(expr)
+        mark = len(self.fn.lines)
         if t is ast.Unary:
-            operand, const = self._lower_expr(expr.operand)
-            op = expr.op
-            if op == "+":
-                return operand, const
-            # 1-bit-result operators return the three shared singletons
-            # instead of allocating: same canonical values, zero garbage.
-            if op == "!":
-                def log_not(env):
-                    v = operand(env)
-                    if v.value != 0:
-                        return _FALSE
-                    if v.xmask == 0:
-                        return _TRUE
-                    return _X1
-                return self._fold(log_not, const)
-            if op == "&":
-                def reduce_and(env):
-                    v = operand(env)
-                    if (v.value | v.xmask) != (1 << v.width) - 1:
-                        return _FALSE
-                    if v.xmask:
-                        return _X1
-                    return _TRUE
-                return self._fold(reduce_and, const)
-            if op == "|":
-                def reduce_or(env):
-                    v = operand(env)
-                    if v.value:
-                        return _TRUE
-                    if v.xmask:
-                        return _X1
-                    return _FALSE
-                return self._fold(reduce_or, const)
-            if op == "^":
-                def reduce_xor(env):
-                    v = operand(env)
-                    if v.xmask:
-                        return _X1
-                    return _TRUE if bin(v.value).count("1") & 1 else _FALSE
-                return self._fold(reduce_xor, const)
-            method = self._UNARY_METHODS.get(op)
-            if method is None:
-                return self._raiser(
-                    EvalError, f"unknown unary operator {op!r}"), False
-            return self._fold(lambda env: method(operand(env)), const)
+            return self._unary(expr, mark)
         if t is ast.Binary:
-            return self._lower_binary(expr)
+            return self._binary(expr, mark)
         if t is ast.Ternary:
-            cond, cc = self._lower_expr(expr.cond)
-            then, tc = self._lower_expr(expr.then)
-            other, oc = self._lower_expr(expr.other)
-
-            def ternary(env):
-                select = cond(env)
-                if select.is_true():
-                    return then(env)
-                if select.is_false():
-                    return other(env)
-                # Unknown select: merge to X where the branches differ.
-                a, b = then(env), other(env)
-                width = max(a.width, b.width)
-                a, b = a.resize(width), b.resize(width)
-                differ = (a.value ^ b.value) | a.xmask | b.xmask
-                return FourState(width, a.value, differ)
-
-            return self._fold(ternary, cc and tc and oc)
+            return self._ternary(expr, mark)
         if t is ast.BitSelect:
-            base, bc = self._lower_expr(expr.base)
-            index, ic = self._lower_expr(expr.index)
-
-            def bitselect(env):
-                value = base(env)
-                at = index(env)
+            base, _, bc = self.expr(expr.base)
+            index, _, ic = self.expr(expr.index)
+            b = self.name(base)
+            if ic:
+                at = self.const_value(index)
                 if at.has_x:
-                    return _X1
-                i = at.value
-                if i >= value.width or (value.xmask >> i) & 1:
-                    return _X1
-                return _TRUE if (value.value >> i) & 1 else _FALSE
-
-            return self._fold(bitselect, bc and ic)
+                    return self.fold(mark, "_X1", 1, bc)
+                i = self.const(at.value)
+                out = (f"_X1 if {i} >= {b}.width or ({b}.xmask >> {i}) & 1 "
+                       f"else (_T if ({b}.value >> {i}) & 1 else _F)")
+            else:
+                i = self.name(index)
+                out = (f"_X1 if {i}.xmask or {i}.value >= {b}.width "
+                       f"or ({b}.xmask >> {i}.value) & 1 "
+                       f"else (_T if ({b}.value >> {i}.value) & 1 else _F)")
+            return self.fold(mark, self.temp(out), 1, bc and ic)
         if t is ast.PartSelect:
-            base, bc = self._lower_expr(expr.base)
-            msb, mc = self._lower_expr(expr.msb)
-            lsb, lc = self._lower_expr(expr.lsb)
-
-            def partselect(env):
-                value = base(env)
-                hi, lo = msb(env), lsb(env)
-                if hi.has_x or lo.has_x:
-                    return FourState.unknown(
-                        max(1, abs(hi.value - lo.value) + 1))
-                return value.slice(hi.value, lo.value)
-
-            return self._fold(partselect, bc and mc and lc)
+            base, _, bc = self.expr(expr.base)
+            msb, _, mc = self.expr(expr.msb)
+            lsb, _, lc = self.expr(expr.lsb)
+            width = None
+            if mc and lc:
+                hi, lo = self.const_value(msb), self.const_value(lsb)
+                width = max(1, abs(hi.value - lo.value) + 1)
+                if not (hi.has_x or lo.has_x):
+                    out = self.temp(f"{self.name(base)}.slice({msb}.value, {lsb}.value)")
+                    return self.fold(mark, out, width, bc)
+            b, h, low = self.name(base), self.name(msb), self.name(lsb)
+            out = self.temp(
+                f"FourState.unknown(max(1, abs({h}.value - {low}.value) + 1)) "
+                f"if {h}.xmask or {low}.xmask else {b}.slice({h}.value, {low}.value)")
+            return self.fold(mark, out, width, bc and mc and lc)
         if t is ast.Concat:
             if not expr.parts:
-                return self._raiser(EvalError, "empty concatenation"), False
-            parts = [self._lower_expr(part) for part in expr.parts]
-            fns = tuple(fn for fn, _ in parts)
-            if len(fns) == 1:
+                return self.raise_(EvalError, "empty concatenation")
+            parts = [self.expr(part) for part in expr.parts]
+            if len(parts) == 1:
                 return parts[0]
-
-            def concat(env):
-                out = fns[0](env)
-                for fn in fns[1:]:
-                    out = out.concat(fn(env))
-                return out
-
-            return self._fold(concat, all(c for _, c in parts))
+            names = [self.name(text) for text, _, _ in parts]
+            widths = [w for _, w, _ in parts]
+            const = all(c for _, _, c in parts)
+            if None in widths:
+                out = names[0]
+                for part in names[1:]:
+                    out = f"{out}.concat({part})"
+                return self.fold(mark, self.temp(out), None, const)
+            shifts = []
+            shift = 0
+            for part, w in zip(reversed(names), reversed(widths)):
+                shifts.append((part, shift))
+                shift += w
+            shifts.reverse()
+            value = " | ".join(f"({p}.value << {s})" if s else f"{p}.value"
+                               for p, s in shifts)
+            xmask = " | ".join(f"({p}.xmask << {s})" if s else f"{p}.xmask"
+                               for p, s in shifts)
+            return self.fold(
+                mark, self.temp(f"FourState({shift}, {value}, {xmask})"),
+                shift, const)
         if t is ast.Repeat:
-            count, cc = self._lower_expr(expr.count)
-            value, vc = self._lower_expr(expr.value)
-
-            def repeat(env):
-                times = count(env)
-                if times.has_x:
-                    raise EvalError("replication count is unknown")
-                return value(env).repeat(max(times.value, 1))
-
-            return self._fold(repeat, cc and vc)
+            count, _, cc = self.expr(expr.count)
+            c = self.name(count)
+            self.line(f"if {c}.xmask: raise EvalError("
+                      f"{self.const('replication count is unknown')})")
+            value, vw, vc = self.expr(expr.value)
+            width = None
+            if cc and vw is not None and not self.const_value(count).has_x:
+                width = vw * max(self.const_value(count).value, 1)
+            out = self.temp(f"{self.name(value)}.repeat(max({c}.value, 1))")
+            return self.fold(mark, out, width, cc and vc)
         if t is ast.SysCall:
-            return self._lower_syscall(expr)
-        return self._raiser(
-            EvalError, f"cannot evaluate {type(expr).__name__}"), False
+            return self._syscall(expr, mark)
+        return self.raise_(EvalError, f"cannot evaluate {type(expr).__name__}")
 
-    _CMP_OPS = {"<": int.__lt__, "<=": int.__le__,
-                ">": int.__gt__, ">=": int.__ge__}
+    _UNARY = {
+        "!": "_F if {a}.value else (_T if not {a}.xmask else _X1)",
+        "&": "_F if ({a}.value | {a}.xmask) != {m} else (_X1 if {a}.xmask else _T)",
+        "|": "_T if {a}.value else (_X1 if {a}.xmask else _F)",
+        "^": "_X1 if {a}.xmask else (_T if _pop({a}.value) & 1 else _F)",
+        "~": "FourState({w}, ~{a}.value, {a}.xmask)",
+        "-": "{a}.negate()",
+    }
 
-    def _lower_binary(self, expr: ast.Binary) -> Tuple[ExprFn, bool]:
-        lhs, lc = self._lower_expr(expr.lhs)
-        rhs, rc = self._lower_expr(expr.rhs)
+    def _unary(self, expr: ast.Unary, mark: int) -> _Result:
         op = expr.op
-        # 1-bit-result operators are inlined against FourState's canonical
-        # representation (value bits are zero wherever xmask is set) and
-        # return the shared singletons — the hottest allocation sites in
-        # compiled programs.  Verdicts are identical to the interpreter's
-        # eq/ne/case_eq/_cmp/log_and/log_or methods.
-        if op in ("~^", "^~"):
-            fn = lambda env: lhs(env).bit_xor(rhs(env)).bit_not()
-        elif op in ("==", "!="):
-            when_eq, when_ne = (_TRUE, _FALSE) if op == "==" else (_FALSE, _TRUE)
-
-            def fn(env):
-                a = lhs(env)
-                b = rhs(env)
-                if a.width != b.width:
-                    w = a.width if a.width > b.width else b.width
-                    a = a.resize(w)
-                    b = b.resize(w)
-                x = a.xmask | b.xmask
-                if x:
-                    if (a.value ^ b.value) & ~x:
-                        return when_ne
-                    return _X1
-                return when_eq if a.value == b.value else when_ne
-        elif op in ("===", "!=="):
-            when_eq, when_ne = (_TRUE, _FALSE) if op == "===" else (_FALSE, _TRUE)
-
-            def fn(env):
-                a = lhs(env)
-                b = rhs(env)
-                if a.width != b.width:
-                    w = a.width if a.width > b.width else b.width
-                    a = a.resize(w)
-                    b = b.resize(w)
-                if a.value == b.value and a.xmask == b.xmask:
-                    return when_eq
-                return when_ne
-        elif op in self._CMP_OPS:
-            cmp = self._CMP_OPS[op]
-
-            def fn(env):
-                a = lhs(env)
-                b = rhs(env)
-                if a.xmask or b.xmask:
-                    return _X1
-                return _TRUE if cmp(a.value, b.value) else _FALSE
-        elif op == "&&":
-            def fn(env):
-                a = lhs(env)
-                b = rhs(env)
-                if ((a.value == 0 and a.xmask == 0)
-                        or (b.value == 0 and b.xmask == 0)):
-                    return _FALSE
-                if a.value != 0 and b.value != 0:
-                    return _TRUE
-                return _X1
-        elif op == "||":
-            def fn(env):
-                a = lhs(env)
-                b = rhs(env)
-                if a.value != 0 or b.value != 0:
-                    return _TRUE
-                if a.xmask == 0 and b.xmask == 0:
-                    return _FALSE
-                return _X1
+        if op not in self._UNARY and op != "+":
+            self.discard(lambda: self.expr(expr.operand))
+            return self.raise_(EvalError, f"unknown unary operator {op!r}")
+        text, width, const = self.expr(expr.operand)
+        if op == "+":
+            return text, width, const
+        a = self.name(text)
+        if width is None:
+            w, m = f"{a}.width", f"(1 << {a}.width) - 1"
         else:
-            name = Evaluator._BINARY_DISPATCH.get(op)
-            if name is None:
-                return self._raiser(
-                    EvalError, f"unknown binary operator {op!r}"), False
-            method = getattr(FourState, name)
-            fn = lambda env: method(lhs(env), rhs(env))
-        return self._fold(fn, lc and rc)
+            w, m = width, (1 << width) - 1
+        out = self.temp(self._UNARY[op].format(a=a, m=m, w=w))
+        return self.fold(mark, out, width if op in ("~", "-") else 1, const)
 
-    def _lower_syscall(self, expr: ast.SysCall) -> Tuple[ExprFn, bool]:
+    _CMP = ("<", "<=", ">", ">=")
+    _ARITH = ("+", "-", "*", "/", "%", "**")
+
+    def _binary(self, expr: ast.Binary, mark: int) -> _Result:
+        op = expr.op
+        method = Evaluator._BINARY_DISPATCH.get(op)
+        if method is None and op != "!==":
+            self.discard(lambda: (self.expr(expr.lhs), self.expr(expr.rhs)))
+            return self.raise_(EvalError, f"unknown binary operator {op!r}")
+        lhs, lw, lc = self.expr(expr.lhs)
+        rhs, rw, rc = self.expr(expr.rhs)
+        a, b = self.name(lhs), self.name(rhs)
+        const = lc and rc
+        width = (max(lw, rw) if lw is not None and rw is not None else None)
+        if op in ("==", "!="):
+            eq, ne = ("_T", "_F") if op == "==" else ("_F", "_T")
+            out = f"t{self.fn.temps}"
+            self.fn.temps += 1
+            self.line(f"if {a}.xmask or {b}.xmask: {out} = {ne} if "
+                      f"({a}.value ^ {b}.value) & ~({a}.xmask | {b}.xmask) "
+                      f"else _X1")
+            self.line(f"else: {out} = {eq} if {a}.value == {b}.value else {ne}")
+            return self.fold(mark, out, 1, const)
+        if op in ("===", "!=="):
+            eq, ne = ("_T", "_F") if op == "===" else ("_F", "_T")
+            out = self.temp(f"{eq} if {a}.value == {b}.value and "
+                            f"{a}.xmask == {b}.xmask else {ne}")
+            return self.fold(mark, out, 1, const)
+        if op in self._CMP:
+            out = self.temp(f"_X1 if {a}.xmask or {b}.xmask else "
+                            f"(_T if {a}.value {op} {b}.value else _F)")
+            return self.fold(mark, out, 1, const)
+        if op == "&&":
+            out = self.temp(
+                f"_F if (not {a}.value and not {a}.xmask) or "
+                f"(not {b}.value and not {b}.xmask) else "
+                f"(_T if {a}.value and {b}.value else _X1)")
+            return self.fold(mark, out, 1, const)
+        if op == "||":
+            out = self.temp(
+                f"_T if {a}.value or {b}.value else "
+                f"(_F if not {a}.xmask and not {b}.xmask else _X1)")
+            return self.fold(mark, out, 1, const)
+        w = str(width) if width is not None else \
+            f"({a}.width if {a}.width > {b}.width else {b}.width)"
+        if op == "&":
+            out = self.temp(
+                f"FourState({w}, {a}.value & {b}.value, ({a}.xmask | {b}.xmask)"
+                f" & ({a}.value | {a}.xmask) & ({b}.value | {b}.xmask))")
+        elif op == "|":
+            out = self.temp(
+                f"FourState({w}, {a}.value | {b}.value, ({a}.xmask | {b}.xmask)"
+                f" & ~({a}.value | {b}.value))")
+        elif op in ("^", "~^", "^~"):
+            value = f"{a}.value ^ {b}.value"
+            if op != "^":
+                value = f"~({value})"
+            out = self.temp(f"FourState({w}, {value}, {a}.xmask | {b}.xmask)")
+        else:
+            out = self.temp(f"{a}.{method}({b})")
+            if op not in self._ARITH:
+                width = lw  # shifts keep the left operand's width
+        return self.fold(mark, out, width, const)
+
+    def _ternary(self, expr: ast.Ternary, mark: int) -> _Result:
+        cond, _, cc = self.expr(expr.cond)
+        c = self.name(cond)
+        fn = self.fn
+        then_mark = len(fn.lines)
+        then, tw, tc = self.expr(expr.then)
+        then_lines = fn.lines[then_mark:]
+        del fn.lines[then_mark:]
+        other, ow, oc = self.expr(expr.other)
+        other_lines = fn.lines[then_mark:]
+        del fn.lines[then_mark:]
+        width = tw if tw == ow else None
+        if not then_lines and not other_lines:
+            out = self.temp(f"{then} if {c}.value else ({other} if not "
+                            f"{c}.xmask else _tmerge({then}, {other}))")
+            return self.fold(mark, out, width, cc and tc and oc)
+        # Each branch is emitted once: k is 1 (then), 0 (other) or 2 (X:
+        # both, then-branch first, as the interpreter evaluates them).
+        k = self.temp(f"1 if {c}.value else (2 if {c}.xmask else 0)")
+        a = f"t{fn.temps}"
+        b = f"t{fn.temps + 1}"
+        fn.temps += 2
+        inner = self.open(f"if {k}:")
+        self._splice(then_lines)
+        self.line(f"{a} = {then}")
+        self.close(inner)
+        inner = self.open(f"if {k} != 1:")
+        self._splice(other_lines)
+        self.line(f"{b} = {other}")
+        self.close(inner)
+        out = self.temp(f"{a} if {k} == 1 else ({b} if not {k} "
+                        f"else _tmerge({a}, {b}))")
+        return self.fold(mark, out, width, cc and tc and oc)
+
+    def _splice(self, lines) -> None:
+        """Re-emit ``lines`` (cut from this function) at the current depth."""
+        fn = self.fn
+        if lines:
+            shift = fn.depth - lines[0][0]
+            fn.lines.extend((depth + shift, text) for depth, text in lines)
+
+    _SYS_VALUE = ("$countones", "$onehot", "$onehot0", "$signed", "$unsigned")
+
+    def _value_syscall(self, expr: ast.SysCall, mark: int) -> _Result:
         name = expr.name
-        if name in ("$countones", "$onehot", "$onehot0", "$signed",
-                    "$unsigned"):
-            if not expr.args:
-                raise UnsupportedDesign(f"{name} with no arguments")
-            arg, const = self._lower_expr(expr.args[0])
-            if name == "$countones":
-                return self._fold(lambda env: arg(env).count_ones(), const)
-            if name in ("$signed", "$unsigned"):
-                return arg, const
-            exact = name == "$onehot"
+        if not expr.args:
+            raise UnsupportedDesign(f"{name} with no arguments")
+        text, width, const = self.expr(expr.args[0])
+        if name in ("$signed", "$unsigned"):
+            return text, width, const
+        a = self.name(text)
+        if name == "$countones":
+            return self.fold(mark, self.temp(f"{a}.count_ones()"), 32, const)
+        test = "== 1" if name == "$onehot" else "<= 1"
+        out = self.temp(f"_X1 if {a}.xmask else "
+                        f"(_T if _pop({a}.value) {test} else _F)")
+        return self.fold(mark, out, 1, const)
 
-            def onehot(env):
-                value = arg(env)
-                if value.has_x:
-                    return _X1
-                ones = bin(value.value).count("1")
-                if exact:
-                    return _TRUE if ones == 1 else _FALSE
-                return _TRUE if ones <= 1 else _FALSE
-
-            return self._fold(onehot, const)
-        # The RTL context has no sys_hook; temporal functions only exist in
-        # the property monitor, which keeps using the interpreter.
-        return self._raiser(
+    def _syscall(self, expr: ast.SysCall, mark: int) -> _Result:
+        if expr.name in self._SYS_VALUE:
+            return self._value_syscall(expr, mark)
+        # The RTL context has no temporal functions; only the property
+        # monitor (repro.sva.monitor) defines them.
+        return self.raise_(
             EvalError,
-            f"system function {name} not available in this context"), False
+            f"system function {expr.name} not available in this context")
+
+
+def _differs(a: str, b: str) -> str:
+    """Value inequality of two same-width slot values."""
+    return f"{a}.value != {b}.value or {a}.xmask != {b}.xmask"
+
+
+class _RtlEmitter(_Emitter):
+    """Emits ``settle(v)`` and ``edge(v)`` for one design.
+
+    Slot ``i`` is the local ``s<i>``; inside a procedural block its
+    blocking scratch value is ``b<i>`` (``self.read`` maps the block's
+    blocking targets to them) and its pending non-blocking value
+    ``n<i>`` (``None`` until written).
+    """
+
+    def __init__(self, design: Design):
+        super().__init__(design)
+        self.read: Dict[int, str] = {}
+
+    def _ident(self, expr: ast.Ident) -> _Result:
+        name = expr.name
+        if name in self.params:
+            return self._param(name)
+        slot = self.slots.get(name)
+        if slot is None:
+            return self.raise_(EvalError, f"no such signal '{name}'")
+        return self._scratch(slot), self.widths[slot], False
+
+    def _scratch(self, slot: int) -> str:
+        return self.read.get(slot, f"s{slot}")
+
+    def _resized(self, text: str, width, target_width: int) -> str:
+        if width == target_width:
+            return text
+        return f"{self.name(text)}.resize({target_width})"
 
     # -- assignment targets ------------------------------------------------
 
-    def _lower_write(self, target: ast.Expr, blocking: bool):
-        """Build ``write(scratch, nba, value)``.
+    def _write(self, target: ast.Expr, blocking: bool, value: str,
+               width) -> None:
+        """Write ``value`` to ``target``.
 
-        Blocking writes land in ``scratch`` (and read-modify-writes read
-        it); non-blocking writes land in ``nba`` with current values read
-        from ``nba`` first, then ``scratch`` — mirroring the interpreter's
-        ``sink``/``base_env`` pair.
+        Blocking writes land in the scratch local (and read-modify-writes
+        read it); non-blocking writes land in ``n<slot>``, with the
+        current value read from there first, then from scratch —
+        mirroring the interpreter's ``sink``/``base_env`` pair.
         """
         t = type(target)
         if t is ast.Ident:
             sym = self.design.symbols.get(target.name)
             if sym is None:
-                message = f"write to unknown signal '{target.name}'"
-
-                def bad_write(scratch, nba, value):
-                    raise SimulationError(message)
-                return bad_write
+                self.raise_(SimulationError,
+                            f"write to unknown signal '{target.name}'")
+                return
             slot = self.slots[target.name]
-            width = sym.width
-            if blocking:
-                def write(scratch, nba, value):
-                    scratch[slot] = value.resize(width)
-            else:
-                def write(scratch, nba, value):
-                    nba[slot] = value.resize(width)
-            return write
+            dest = self._scratch(slot) if blocking else f"n{slot}"
+            self.line(f"{dest} = {self._resized(value, width, sym.width)}")
+            return
         if t in (ast.BitSelect, ast.PartSelect):
             try:
                 name = _base_name(target)
             except SimulationError as exc:
-                message = str(exc)
-
-                def bad_write(scratch, nba, value):
-                    raise SimulationError(message)
-                return bad_write
+                self.raise_(SimulationError, str(exc))
+                return
             sym = self.design.symbols.get(name)
             if sym is None:
                 raise UnsupportedDesign(
                     f"select write to undeclared signal '{name}'")
             slot = self.slots[name]
-            width = sym.width
-            unknown = FourState.unknown(width)
+            value = self.name(value)
+            unknown = self.const(FourState.unknown(sym.width))
             if t is ast.BitSelect:
-                index, _ = self._lower_expr(target.index)
-                if blocking:
-                    def write(scratch, nba, value):
-                        at = index(scratch)
-                        current = scratch[slot]
-                        if at.has_x:
-                            scratch[slot] = unknown
-                        else:
-                            scratch[slot] = current.replace_slice(
-                                at.value, at.value, value.resize(1))
-                else:
-                    def write(scratch, nba, value):
-                        at = index(scratch)
-                        current = nba.get(slot)
-                        if current is None:
-                            current = scratch[slot]
-                        if at.has_x:
-                            nba[slot] = unknown
-                        else:
-                            nba[slot] = current.replace_slice(
-                                at.value, at.value, value.resize(1))
-                return write
-            msb, _ = self._lower_expr(target.msb)
-            lsb, _ = self._lower_expr(target.lsb)
-            if blocking:
-                def write(scratch, nba, value):
-                    hi, lo = msb(scratch), lsb(scratch)
-                    current = scratch[slot]
-                    if hi.has_x or lo.has_x:
-                        scratch[slot] = unknown
-                    else:
-                        span = abs(hi.value - lo.value) + 1
-                        scratch[slot] = current.replace_slice(
-                            hi.value, lo.value, value.resize(span))
+                at = self.name(self.expr(target.index)[0])
+                hi = lo = f"{at}.value"
+                x = f"{at}.xmask"
+                piece = self._resized(value, width, 1)
             else:
-                def write(scratch, nba, value):
-                    hi, lo = msb(scratch), lsb(scratch)
-                    current = nba.get(slot)
-                    if current is None:
-                        current = scratch[slot]
-                    if hi.has_x or lo.has_x:
-                        nba[slot] = unknown
-                    else:
-                        span = abs(hi.value - lo.value) + 1
-                        nba[slot] = current.replace_slice(
-                            hi.value, lo.value, value.resize(span))
-            return write
+                hi = self.name(self.expr(target.msb)[0])
+                lo = self.name(self.expr(target.lsb)[0])
+                x = f"{hi}.xmask or {lo}.xmask"
+                piece = (f"{value}.resize(abs({hi}.value - {lo}.value) + 1)")
+                hi, lo = f"{hi}.value", f"{lo}.value"
+            scratch = self._scratch(slot)
+            if blocking:
+                dest = current = scratch
+            else:
+                dest = f"n{slot}"
+                current = f"({dest} if {dest} is not None else {scratch})"
+            self.line(f"{dest} = {unknown} if {x} else "
+                      f"{current}.replace_slice({hi}, {lo}, {piece})")
+            return
         if t is ast.Concat:
             # {a, b} = value : split from the high end.  Part widths must be
             # compile-time constants (the interpreter evaluates part-select
             # bounds against the live environment; non-constant bounds in a
             # *target* are out of scope for the compiled tier).
             widths = tuple(self._static_target_width(p) for p in target.parts)
-            writers = tuple(self._lower_write(p, blocking)
-                            for p in target.parts)
-
-            def write(scratch, nba, value):
-                offset = value.width
-                for part_width, part_write in zip(widths, writers):
-                    offset -= part_width
-                    part_value = value.slice(
-                        min(offset + part_width - 1, value.width - 1),
-                        max(offset, 0))
-                    part_write(scratch, nba, part_value.resize(part_width))
-            return write
-        message = f"unsupported assignment target {type(target).__name__}"
-
-        def bad_write(scratch, nba, value):
-            raise SimulationError(message)
-        return bad_write
+            value = self.name(value)
+            offset = self.temp(f"{value}.width")
+            for part, part_width in zip(target.parts, widths):
+                self.line(f"{offset} -= {part_width}")
+                piece = self.temp(
+                    f"{value}.slice(min({offset} + {part_width - 1}, "
+                    f"{value}.width - 1), max({offset}, 0))"
+                    f".resize({part_width})")
+                self._write(part, blocking, piece, part_width)
+            return
+        self.raise_(SimulationError,
+                    f"unsupported assignment target {type(target).__name__}")
 
     def _static_target_width(self, target: ast.Expr) -> int:
         if isinstance(target, ast.Ident):
@@ -511,82 +626,47 @@ class _Lowerer:
             f"unsupported assignment target {type(target).__name__}")
 
     def _fold_int(self, expr: ast.Expr) -> Optional[int]:
-        fn, const = self._lower_expr(expr)
+        text, _, const = self.discard(lambda: self.expr(expr))
         if not const:
             return None
-        try:
-            value = fn(None)
-        except Exception:
-            return None
+        value = self.const_value(text)
         if value.has_x:
             return None
         return value.value
 
     # -- statements --------------------------------------------------------
 
-    def _lower_stmt(self, stmt: ast.Stmt):
+    def stmt(self, stmt: ast.Stmt) -> None:
         t = type(stmt)
         if t is ast.Block:
-            fns = tuple(self._lower_stmt(child) for child in stmt.stmts)
-            if len(fns) == 1:
-                return fns[0]
-
-            def block(scratch, nba):
-                for fn in fns:
-                    fn(scratch, nba)
-            return block
+            for child in stmt.stmts:
+                self.stmt(child)
+            return
         if t is ast.Assignment:
-            value, _ = self._lower_expr(stmt.value)
-            target = stmt.target
-            if type(target) is ast.Ident:
-                sym = self.design.symbols.get(target.name)
-                if sym is not None:
-                    slot = self.slots[target.name]
-                    width = sym.width
-                    if stmt.blocking:
-                        def assign(scratch, nba):
-                            scratch[slot] = value(scratch).resize(width)
-                    else:
-                        def assign(scratch, nba):
-                            nba[slot] = value(scratch).resize(width)
-                    return assign
-            write = self._lower_write(target, stmt.blocking)
-
-            def assign(scratch, nba):
-                write(scratch, nba, value(scratch))
-            return assign
+            value, width, _ = self.expr(stmt.value)
+            self._write(stmt.target, stmt.blocking, value, width)
+            return
         if t is ast.If:
-            cond, _ = self._lower_expr(stmt.cond)
-            then = self._lower_stmt(stmt.then)
-            other = self._lower_stmt(stmt.other) if stmt.other is not None \
-                else None
+            cond = self.name(self.expr(stmt.cond)[0])
+            inner = self.open(f"if {cond}.value:")
+            self.stmt(stmt.then)
+            self.close(inner)
+            if stmt.other is not None:
+                inner = self.open(f"elif not {cond}.xmask:")
+                self.stmt(stmt.other)
+                self.close(inner)
             poison = self._poison_entries(stmt)
-
-            if other is None:
-                def branch(scratch, nba):
-                    select = cond(scratch)
-                    if select.is_true():
-                        then(scratch, nba)
-                    elif select.has_x:
-                        for slot, xval in poison:
-                            nba[slot] = xval
-            else:
-                def branch(scratch, nba):
-                    select = cond(scratch)
-                    if select.is_true():
-                        then(scratch, nba)
-                    elif select.is_false():
-                        other(scratch, nba)
-                    elif select.has_x:
-                        for slot, xval in poison:
-                            nba[slot] = xval
-            return branch
+            if poison:
+                inner = self.open(f"elif {cond}.xmask:")
+                for slot, xval in poison:
+                    self.line(f"n{slot} = {self.const(xval)}")
+                self.close(inner)
+            return
         if t is ast.Case:
-            return self._lower_case(stmt)
+            self._case(stmt)
+            return
         if t is ast.SysTaskCall:
-            def noop(scratch, nba):
-                pass  # $display/$finish are inert in the cycle engine.
-            return noop
+            return  # $display/$finish are inert in the cycle engine.
         raise UnsupportedDesign(f"cannot execute {type(stmt).__name__}")
 
     def _poison_entries(self, stmt: ast.If):
@@ -605,161 +685,166 @@ class _Lowerer:
                             seen.add(name)
                             entries.append((self.slots[name],
                                             FourState.unknown(sym.width)))
-        return tuple(entries)
+        return entries
 
-    def _lower_case(self, stmt: ast.Case):
-        subject, _ = self._lower_expr(stmt.subject)
+    def _case(self, stmt: ast.Case) -> None:
+        subject, sw, _ = self.expr(stmt.subject)
+        s = self.name(subject)
         wildcard = stmt.kind in ("casez", "casex")
-        entries = []
+        fn = self.fn
+        items = []  # (labels, body); a label is (lines, text, constant)
         default = None
         for item in stmt.items:
             if item.is_default:
-                default = self._lower_stmt(item.body)
+                default = item.body
                 continue
-            labels = tuple(self._lower_expr(label)[0]
-                           for label in item.labels)
-            entries.append((labels, self._lower_stmt(item.body)))
-        entries = tuple(entries)
-
-        def case(scratch, nba):
-            value = subject(scratch)
-            for labels, body in entries:
-                for label in labels:
-                    label_value = label(scratch)
+            labels = []
+            for label in item.labels:
+                mark = len(fn.lines)
+                text, _, const = self.expr(label)
+                labels.append((fn.lines[mark:], text, const))
+                del fn.lines[mark:]
+            items.append((labels, item.body))
+        if all(const for labels, _ in items for _, _, const in labels):
+            # Constant labels: evaluating them is free of effects, so the
+            # subject's X check is hoisted (an X subject matches none).
+            key = self.temp(f"-1 if {s}.xmask else {s}.value")
+            tests = [" or ".join(self._const_match(key, s, sw, wildcard, text)
+                                 for _, text, _ in labels) or "False"
+                     for labels, _ in items]
+        else:
+            # Labels with effects run lazily, in order, until one matches.
+            match = self.temp("0")
+            for number, (labels, _) in enumerate(items, 1):
+                for lines, text, _ in labels:
+                    inner = self.open(f"if not {match}:")
+                    self._splice(lines)
+                    label = self.name(text)
                     if wildcard:
-                        # Treat x bits in the label as wildcards.
-                        care = ~label_value.xmask
-                        width = max(value.width, label_value.width)
-                        if value.has_x:
-                            continue
-                        if ((value.value ^ label_value.value)
-                                & care & ((1 << width) - 1)) == 0:
-                            body(scratch, nba)
-                            return
+                        test = (f"not {s}.xmask and not (({s}.value ^ "
+                                f"{label}.value) & ~{label}.xmask & ((1 << max("
+                                f"{s}.width, {label}.width)) - 1))")
                     else:
-                        if value.eq(label_value).is_true():
-                            body(scratch, nba)
-                            return
-            if default is not None:
-                default(scratch, nba)
-        return case
+                        test = (f"not {s}.xmask and not {label}.xmask and "
+                                f"{s}.value == {label}.value")
+                    self.line(f"if {test}: {match} = {number}")
+                    self.close(inner)
+            tests = [f"{match} == {number}"
+                     for number in range(1, len(items) + 1)]
+        keyword = "if"
+        for test, (_, body) in zip(tests, items):
+            inner = self.open(f"{keyword} {test}:")
+            self.stmt(body)
+            self.close(inner)
+            keyword = "elif"
+        if default is not None:
+            inner = self.open("else:" if items else "if True:")
+            self.stmt(default)
+            self.close(inner)
+
+    def _const_match(self, key: str, subject: str, subject_width,
+                     wildcard: bool, label: str) -> str:
+        """The test of a constant case label against ``key`` (the
+        subject's value, or -1 when it has X bits)."""
+        value = self.const_value(label)
+        if not wildcard:
+            # -2 never equals a key.
+            return f"{key} == {self.const(-2 if value.has_x else value.value)}"
+        # Treat x bits in the label as wildcards.
+        if subject_width is None:
+            care = (f"{self.const(~value.xmask)} & ((1 << max({subject}.width, "
+                    f"{value.width})) - 1)")
+        else:
+            care = self.const(
+                ~value.xmask & ((1 << max(subject_width, value.width)) - 1))
+        return (f"({key} >= 0 and not (({key} ^ {self.const(value.value)})"
+                f" & {care}))")
 
     # -- combinational / sequential items ----------------------------------
 
-    def _lower_assign_step(self, item, track_changes: bool = True):
-        """Continuous assign -> ``step(env) -> changed``.
+    def _block_slots(self, block: ast.AlwaysBlock):
+        """(targets, blocking targets, non-blocking/poisoned targets) of a
+        procedural block, as ordered, de-duplicated slot lists."""
+        targets, blocking, pending = {}, {}, {}
+        for stmt in _walk_stmts(block.body):
+            if isinstance(stmt, ast.Assignment):
+                for name in _target_name_list(stmt.target):
+                    if self.design.symbols.get(name) is None:
+                        continue
+                    slot = self.slots[name]
+                    targets[slot] = None
+                    (blocking if stmt.blocking else pending)[slot] = None
+            elif isinstance(stmt, ast.If):
+                for slot, _ in self._poison_entries(stmt):
+                    pending[slot] = None
+        return list(targets), list(blocking), list(pending)
 
-        ``track_changes=False`` is the acyclic-program variant: the
-        single-pass settle ignores the changed flag, so the steps skip
-        the old-vs-new value comparison and write unconditionally.
-        """
-        value, _ = self._lower_expr(item.value)
+    def _clear(self, slots) -> None:
+        """No pending non-blocking value yet for ``slots``."""
+        if slots:
+            self.line(" = ".join(f"n{slot}" for slot in slots) + " = None")
+
+    def _commit(self, slot: int, new: str, track: bool) -> None:
+        if track:
+            self.line(f"if {_differs(new, f's{slot}')}: "
+                      f"v[{slot}] = s{slot} = {new}; ch = 1")
+        else:
+            self.line(f"v[{slot}] = s{slot} = {new}")
+
+    def _assign_step(self, item, track: bool) -> None:
+        """Continuous assign; ``track`` sets ``ch`` when a value changes."""
+        value, width, _ = self.expr(item.value)
         target = item.target
         if type(target) is ast.Ident:
             sym = self.design.symbols.get(target.name)
             if sym is not None:
                 slot = self.slots[target.name]
-                width = sym.width
-                if not track_changes:
-                    def step(env):
-                        env[slot] = value(env).resize(width)
-                        return False
-                    return step
+                self._commit(slot, self.name(
+                    self._resized(value, width, sym.width)), track)
+                return
+        slots = [self.slots[name] for name in _target_name_list(target)
+                 if self.design.symbols.get(name) is not None]
+        slots = list(dict.fromkeys(slots))
+        self._clear(slots)
+        self._write(target, False, value, width)
+        for slot in slots:
+            inner = self.open(f"if n{slot} is not None:")
+            self._commit(slot, f"n{slot}", track)
+            self.close(inner)
 
-                def step(env):
-                    new = value(env).resize(width)
-                    if env[slot] != new:
-                        env[slot] = new
-                        return True
-                    return False
-                return step
-        write = self._lower_write(target, blocking=False)
-        if not track_changes:
-            def step(env):
-                tmp: Dict[int, FourState] = {}
-                write(env, tmp, value(env))
-                for slot, new in tmp.items():
-                    env[slot] = new
-                return False
-            return step
+    def _comb_block_step(self, block: ast.AlwaysBlock, track: bool) -> None:
+        targets, blocking, pending = self._block_slots(block)
+        for slot in blocking:
+            self.line(f"b{slot} = s{slot}")
+        self._clear(pending)
+        self.read = {slot: f"b{slot}" for slot in blocking}
+        self.stmt(block.body)
+        # In comb blocks both '=' and '<=' behave combinationally.
+        for slot in targets:
+            new = self._scratch(slot)
+            if slot in pending:
+                new = self.temp(f"n{slot} if n{slot} is not None else {new}")
+            self._commit(slot, new, track)
+        self.read = {}
 
-        def step(env):
-            tmp: Dict[int, FourState] = {}
-            write(env, tmp, value(env))
-            changed = False
-            for slot, new in tmp.items():
-                if env[slot] != new:
-                    env[slot] = new
-                    changed = True
-            return changed
-        return step
-
-    def _block_target_slots(self, block: ast.AlwaysBlock,
-                            state_only: bool) -> Tuple[int, ...]:
-        slots = []
-        for stmt in _walk_stmts(block.body):
-            if isinstance(stmt, ast.Assignment):
-                for name in _target_name_list(stmt.target):
-                    sym = self.design.symbols.get(name)
-                    if sym is None or (state_only and not sym.is_state):
-                        continue
-                    slots.append(self.slots[name])
-        return tuple(slots)
-
-    def _lower_comb_block_step(self, block: ast.AlwaysBlock,
-                               track_changes: bool = True):
-        body = self._lower_stmt(block.body)
-        targets = self._block_target_slots(block, state_only=False)
-        if not track_changes:
-            def step(env):
-                scratch = env[:]
-                nba: Dict[int, FourState] = {}
-                body(scratch, nba)
-                for slot, new in nba.items():
-                    scratch[slot] = new
-                for slot in targets:
-                    env[slot] = scratch[slot]
-                return False
-            return step
-
-        def step(env):
-            scratch = env[:]
-            nba: Dict[int, FourState] = {}
-            body(scratch, nba)
-            # In comb blocks both '=' and '<=' behave combinationally.
-            for slot, new in nba.items():
-                scratch[slot] = new
-            changed = False
-            for slot in targets:
-                new = scratch[slot]
-                if new != env[slot]:
-                    env[slot] = new
-                    changed = True
-            return changed
-        return step
-
-    def _lower_seq_block_step(self, block: ast.AlwaysBlock):
-        body = self._lower_stmt(block.body)
-        # A block with no blocking assignments never writes scratch, so the
-        # env copy and the edge-commit sweep would both be no-ops: the body
-        # can read env directly.
-        if not any(isinstance(stmt, ast.Assignment) and stmt.blocking
-                   for stmt in _walk_stmts(block.body)):
-            def step(env, nba):
-                body(env, nba)
-            return step
+    def _seq_block(self, block: ast.AlwaysBlock) -> List[int]:
+        """One clocked block into ``edge``; returns its pending slots."""
+        _, blocking, pending = self._block_slots(block)
+        # Only blocking targets get a scratch local: the body reads every
+        # other signal's pre-edge value.
+        for slot in blocking:
+            self.line(f"b{slot} = s{slot}")
+        self.read = {slot: f"b{slot}" for slot in blocking}
+        self.stmt(block.body)
+        self.read = {}
         # Blocking writes inside clocked blocks also commit at the edge,
         # but only for state-holding signals.
-        state_targets = self._block_target_slots(block, state_only=True)
-
-        def step(env, nba):
-            scratch = env[:]
-            body(scratch, nba)
-            for slot in state_targets:
-                new = scratch[slot]
-                if env[slot] != new and slot not in nba:
-                    nba[slot] = new
-        return step
+        committed = [slot for slot in blocking
+                     if self.design.symbols[self.names[slot]].is_state]
+        for slot in committed:
+            differs = _differs(f"b{slot}", f"s{slot}")
+            self.line(f"if n{slot} is None and ({differs}): n{slot} = b{slot}")
+        return pending + committed
 
     # -- comb scheduling ---------------------------------------------------
 
@@ -853,9 +938,21 @@ class _Lowerer:
 
     # -- whole design ------------------------------------------------------
 
+    def _begin(self) -> None:
+        """Start a function over ``v``: every slot unpacked into ``s<i>``."""
+        self.fn = _Fn()
+        names = [f"s{i}" for i in range(len(self.names))]
+        self.line(f"{', '.join(names)}{',' if len(names) == 1 else ''} = v")
+
+    def _finish(self, name: str):
+        fn = self.fn
+        text = fn.text(f"def {name}(v):")
+        exec(_code(text), fn.ns)
+        return fn.ns[name], text
+
     def lower(self) -> "CompiledProgram":
         design = self.design
-        comb_items = []  # (reads, writes, lower_step_thunk)
+        comb_items = []  # (reads, writes, emit(track))
         for item in design.assigns:
             reads: set = set()
             self._expr_reads(item.value, reads)
@@ -864,23 +961,46 @@ class _Lowerer:
                       if name in self.slots}
             comb_items.append(
                 (reads, writes,
-                 lambda item=item, tc=True: self._lower_assign_step(item, tc)))
+                 lambda track, item=item: self._assign_step(item, track)))
         for block in design.comb_blocks:
             reads = set()
             self._stmt_reads(block.body, reads)
             writes = {name for name in self._block_target_names(block)}
             comb_items.append(
                 (reads, writes,
-                 lambda block=block, tc=True:
-                     self._lower_comb_block_step(block, tc)))
+                 lambda track, block=block:
+                     self._comb_block_step(block, track)))
         order, acyclic = self._comb_order([(reads, writes)
                                            for reads, writes, _ in comb_items])
+        self._begin()
         # Acyclic programs settle in one compare-free sweep, so their
-        # steps can skip the changed-value bookkeeping entirely.
-        comb_steps = tuple(comb_items[index][2](tc=not acyclic)
-                           for index in order)
-        seq_steps = tuple(self._lower_seq_block_step(block)
-                          for block in design.seq_blocks)
+        # steps skip the changed-value bookkeeping entirely.
+        if acyclic:
+            for index in order:
+                comb_items[index][2](False)
+        else:
+            loop = self.open(f"for _ in range({_MAX_SETTLE_ITERATIONS}):")
+            self.line("ch = 0")
+            for index in order:
+                comb_items[index][2](True)
+            self.line("if not ch: return")
+            self.close(loop)
+            self.raise_(SimulationError,
+                        f"combinational logic failed to settle within "
+                        f"{_MAX_SETTLE_ITERATIONS} iterations (loop?)")
+        settle, settle_text = self._finish("settle")
+
+        self._begin()
+        unpack = self.fn.lines.pop()
+        pending: Dict[int, None] = {}
+        for block in design.seq_blocks:
+            pending.update(dict.fromkeys(self._seq_block(block)))
+        body, self.fn.lines = self.fn.lines, [unpack]
+        self._clear(pending)
+        self.fn.lines.extend(body)
+        for slot in pending:
+            self.line(f"if n{slot} is not None: v[{slot}] = n{slot}")
+        edge, edge_text = self._finish("edge")
 
         # Reset-time environment: run the interpreter's own reset once
         # (declaration inits + initial blocks) so startup state — and any
@@ -891,8 +1011,7 @@ class _Lowerer:
         return CompiledProgram(
             design=design, names=self.names, slots=self.slots,
             widths=self.widths, initial_values=initial_values,
-            comb_steps=comb_steps, seq_steps=seq_steps,
-            comb_acyclic=acyclic)
+            settle=settle, edge=edge, source=settle_text + "\n" + edge_text)
 
     def _block_target_names(self, block: ast.AlwaysBlock):
         names = []
@@ -905,23 +1024,27 @@ class _Lowerer:
 
 
 class CompiledProgram:
-    """The reusable, immutable result of lowering one design."""
+    """The reusable, immutable result of compiling one design."""
 
-    __slots__ = ("design", "names", "slots", "widths", "initial_values",
-                 "comb_steps", "seq_steps", "comb_acyclic", "trace_names",
+    __slots__ = ("_design", "names", "slots", "widths", "initial_values",
+                 "settle", "edge", "source", "trace_names",
                  "reset_active_drive", "reset_inactive_drive", "zero_drive",
                  "reset_inputs", "inactive_ints", "drive_cache")
 
     def __init__(self, design: Design, names, slots, widths, initial_values,
-                 comb_steps, seq_steps, comb_acyclic=False):
-        self.design = design
+                 settle, edge, source=""):
+        # Weak: _PROGRAMS is keyed weakly by the design, so a strong
+        # reference from its value would keep every design alive.
+        self._design = weakref.ref(design)
         self.names = names
         self.slots = slots
         self.widths = widths
         self.initial_values = initial_values
-        self.comb_steps = comb_steps
-        self.seq_steps = seq_steps
-        self.comb_acyclic = comb_acyclic
+        #: ``settle(v)`` and ``edge(v)`` over a slot list, and the emitted
+        #: text they were compiled from.
+        self.settle = settle
+        self.edge = edge
+        self.source = source
         self.trace_names = sorted(design.symbols)
         active = reset_values(design, active=True)
         inactive = reset_values(design, active=False)
@@ -942,6 +1065,10 @@ class CompiledProgram:
         #: immutable, so sharing instances is free.  Benign data race
         #: under threads (worst case: a duplicate construction).
         self.drive_cache: Dict[Tuple[int, int], FourState] = {}
+
+    @property
+    def design(self) -> Design:
+        return self._design()
 
 
 class CompiledSimulator(RunLoop):
@@ -986,34 +1113,13 @@ class CompiledSimulator(RunLoop):
     # -- cycle engine ----------------------------------------------------
 
     def settle(self) -> None:
-        values = self.values
-        steps = self.program.comb_steps
-        if self.program.comb_acyclic:
-            # Single-driver DAG evaluated in dependency order: one sweep
-            # IS the fixed point, so skip the confirmation pass.
-            for step in steps:
-                step(values)
-            return
-        for _ in range(_MAX_SETTLE_ITERATIONS):
-            changed = False
-            for step in steps:
-                if step(values):
-                    changed = True
-            if not changed:
-                return
-        raise SimulationError(
-            f"combinational logic failed to settle within "
-            f"{_MAX_SETTLE_ITERATIONS} iterations (loop?)")
+        self.program.settle(self.values)
 
     def tick(self) -> None:
         """One clock edge: evaluate sequential blocks, commit, settle."""
-        values = self.values
-        nba: Dict[int, FourState] = {}
-        for step in self.program.seq_steps:
-            step(values, nba)
-        for slot, value in nba.items():
-            values[slot] = value
-        self.settle()
+        program = self.program
+        program.edge(self.values)
+        program.settle(self.values)
 
     # -- run-loop primitives (see repro.sim.runloop) ----------------------
 
@@ -1031,7 +1137,7 @@ class CompiledSimulator(RunLoop):
             self._drive(vector)
             self._drive_pairs(program.reset_inactive_drive)
             inputs = {**vector, **program.inactive_ints}
-        self.settle()
+        program.settle(self.values)
         return dict(zip(program.names, self.values)), inputs
 
     def _load(self, snapshot: Dict[str, FourState]) -> None:
@@ -1064,18 +1170,22 @@ _COUNTERS: Dict[str, int] = {
 
 
 def sim_program_counters() -> Dict[str, int]:
-    """Metrics provider: program-cache and mode-selection counters."""
-    return dict(_COUNTERS)
+    """Metrics provider: program-cache, code-cache and mode-selection
+    counters."""
+    counters = dict(_COUNTERS)
+    counters["code_cache_hits"] = _CODE.hits
+    counters["code_cache_misses"] = _CODE.misses
+    return counters
 
 
 metrics.register_provider("sim_program", sim_program_counters)
 
 
 def compile_program(design: Design) -> CompiledProgram:
-    """Lower ``design`` (memoized per design instance).
+    """Emit and compile ``design`` (memoized per design instance).
 
     Raises :class:`UnsupportedDesign` (also memoized) when the design uses
-    constructs the lowerer does not handle, and propagates whatever the
+    constructs the emitter does not handle, and propagates whatever the
     interpreter's own reset would raise (e.g. ``EvalError`` from a bad
     initializer) without caching it.
     """
@@ -1089,7 +1199,7 @@ def compile_program(design: Design) -> CompiledProgram:
     start = perf_counter()
     try:
         try:
-            program = _Lowerer(design).lower()
+            program = _RtlEmitter(design).lower()
         except UnsupportedDesign as exc:
             _COUNTERS["unsupported_designs"] += 1
             with _PROGRAM_LOCK:

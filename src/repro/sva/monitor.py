@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import threading
 import weakref
+from time import perf_counter
 from typing import List, Optional
 
 from repro.cov.collector import QUALITY_KEYS
-from repro.sim.compiled import _FALSE, _TRUE, _X1, UnsupportedDesign, _Lowerer
+from repro.engine import metrics
+from repro.sim.compiled import UnsupportedDesign, _code, _Emitter
 from repro.sim.eval import EvalError, Evaluator
 from repro.sim.trace import Trace
 from repro.sim.values import FourState
@@ -120,201 +122,215 @@ class _TraceEnv:
         raise EvalError(f"system function {name} unsupported in properties")
 
 
-class _PropLowerer(_Lowerer):
-    """Trace-backed variant of the compiled tier's expression lowerer.
+# 3-valued property verdicts.
+TRUE = "true"
+FALSE = "false"
+UNDET = "undetermined"   # obligation ran past the end of the trace / X
 
-    Reuses every operator combinator of :class:`repro.sim.compiled._Lowerer`
-    unchanged; only the environment differs — ``env`` is ``(trace, cycle)``
-    instead of a slot list, and the temporal system functions
-    (``$past``/``$rose``/``$fell``/``$stable``) re-enter sub-closures at a
-    shifted cycle, mirroring :meth:`_TraceEnv._sys_hook` verdict for
-    verdict.  Expressions the lowerer cannot compile fall back to the
-    interpreted :class:`_TraceEnv` path per expression.
+_TEMPORAL = ("$past", "$rose", "$fell", "$stable")
+
+
+class _PropEmitter(_Emitter):
+    """Trace-backed variant of the compiled tier's emitter.
+
+    Emits every operator as :class:`repro.sim.compiled._Emitter` does;
+    only the environment differs: a signal read is
+    ``trace.snapshots[cycle][name]`` (``S[k][name]``, or ``e[name]`` with
+    ``e = S[c]`` hoisted for the function's own cycle ``c``), and the
+    temporal system functions (``$past``/``$rose``/``$fell``/``$stable``)
+    emit their argument again against a shifted cycle local, mirroring
+    :meth:`_TraceEnv._sys_hook` verdict for verdict.
     """
 
-    def _lower_ident(self, expr: ast.Ident):
+    def __init__(self, design: Design):
+        super().__init__(design)
+        self.fn.ns.update(TRUE=TRUE, FALSE=FALSE, UNDET=UNDET)
+        self.cycle = "c"
+        #: Whether a read of cycle ``c`` was emitted (``e`` is needed).
+        self.hoist = False
+
+    def _ident(self, expr: ast.Ident):
         name = expr.name
         if name in self.params:
-            value = FourState(32, self.params[name] & 0xFFFFFFFF)
-            return (lambda env: value), True
-        if name not in self.slots:
-            return self._raiser(
-                EvalError, f"no such signal '{name}' in trace"), False
-        return (lambda env: env[0].snapshots[env[1]][name]), False
+            return self._param(name)
+        slot = self.slots.get(name)
+        if slot is None:
+            return self.raise_(EvalError, f"no such signal '{name}' in trace")
+        if self.cycle == "c":
+            self.hoist = True
+            return f"e[{name!r}]", self.widths[slot], False
+        return f"S[{self.cycle}][{name!r}]", self.widths[slot], False
 
-    def _lower_syscall(self, expr: ast.SysCall):
+    def _at(self, cycle: str, arg: ast.Expr) -> str:
+        """``arg`` emitted at ``cycle``, as a name."""
+        outer, self.cycle = self.cycle, cycle
+        try:
+            return self.name(self.expr(arg)[0])
+        finally:
+            self.cycle = outer
+
+    def _syscall(self, expr: ast.SysCall, mark: int):
         name = expr.name
-        if name not in ("$past", "$rose", "$fell", "$stable"):
-            if name in ("$countones", "$onehot", "$onehot0", "$signed",
-                        "$unsigned"):
-                return super()._lower_syscall(expr)
-            return self._raiser(
-                EvalError,
-                f"system function {name} unsupported in properties"), False
+        if name not in _TEMPORAL:
+            if name in self._SYS_VALUE:
+                return self._value_syscall(expr, mark)
+            return self.raise_(
+                EvalError, f"system function {name} unsupported in properties")
         if not expr.args:
             # The interpreted hook would crash on args[0]; don't compile.
             raise UnsupportedDesign(f"{name} with no arguments")
-        arg, _ = self._lower_expr(expr.args[0])
+        arg = expr.args[0]
+        fn = self.fn
+        out = f"t{fn.temps}"
+        fn.temps += 1
+        cycle = self.cycle
         if name == "$past":
             depth = 1
             if len(expr.args) > 1 and isinstance(expr.args[1], ast.Number):
                 depth = expr.args[1].value
-
-            def past(env):
-                cycle = env[1] - depth
-                if cycle < 0:
-                    return _X1
-                return arg((env[0], cycle))
-            return past, False
+            past = self.temp(f"{cycle} - {self.const(depth)}")
+            inner = self.open(f"if {past} < 0:")
+            self.line(f"{out} = _X1")
+            self.close(inner)
+            inner = self.open("else:")
+            self.line(f"{out} = {self._at(past, arg)}")
+            self.close(inner)
+            return out, None, False
+        inner = self.open(f"if {cycle} == 0:")
+        self.line(f"{out} = _X1")
+        self.close(inner)
+        inner = self.open("else:")
+        now = self._at(cycle, arg)
+        before = self._at(self.temp(f"{cycle} - 1"), arg)
         if name == "$stable":
-            def stable(env):
-                if env[1] == 0:
-                    return _X1
-                return arg(env).case_eq(arg((env[0], env[1] - 1)))
-            return stable, False
-        rising = name == "$rose"
+            self.line(f"{out} = _T if {now}.value == {before}.value and "
+                      f"{now}.xmask == {before}.xmask else _F")
+        else:
+            rose = name == "$rose"
+            edge = (f"not {before}.value & 1 and {now}.value & 1" if rose
+                    else f"{before}.value & 1 and not {now}.value & 1")
+            self.line(f"{out} = _X1 if ({now}.xmask | {before}.xmask) & 1 "
+                      f"else (_T if {edge} else _F)")
+        self.close(inner)
+        return out, 1, False
 
-        def edge(env):
-            if env[1] == 0:
-                return _X1
-            now = arg(env).bit(0)
-            before = arg((env[0], env[1] - 1)).bit(0)
-            if now.has_x or before.has_x:
-                return _X1
-            if rising:
-                return _TRUE if before.value == 0 and now.value == 1 else _FALSE
-            return _TRUE if before.value == 1 and now.value == 0 else _FALSE
-        return edge, False
+    def function(self, checks: str = "") -> str:
+        """The header and prologue of ``_f(S, c)`` around the lines so far:
+        ``checks`` (a bounds check) first, then ``e = S[c]`` if needed."""
+        fn = self.fn
+        prologue = [(1, line) for line in checks.splitlines()]
+        if self.hoist:
+            prologue.append((1, "e = S[c]"))
+        fn.lines[:0] = prologue
+        exec(_code(fn.text("def _f(S, c):")), fn.ns)
+        return fn.ns["_f"]
+
+
+_BOUND = "if c >= len(S): return UNDET, c"
 
 
 class _PropProgram:
-    """Per-design cache of compiled property closures.
+    """Per-design cache of generated property functions.
 
-    Two levels: :meth:`expr_fn` compiles boolean-layer expressions,
-    :meth:`prop_fn` compiles whole property trees (delay windows,
-    implications, negations) into closures ``fn(trace, cycle) ->
-    (verdict, resolving_cycle)`` that mirror
-    :meth:`PropertyChecker.eval_prop` case for case.  Caches are keyed by
-    node identity: property ASTs are owned by the (immutable, shared)
-    design, so ids are stable for the design's lifetime.
+    :meth:`disabled_fn` emits a ``disable iff`` condition;
+    :meth:`prop_fn` emits one function per property node
+    (delay windows, implications, negations) that calls its children's
+    functions, ``fn(snapshots, cycle) -> (verdict, resolving_cycle)``,
+    mirroring :meth:`PropertyChecker.eval_prop` case for case.  Caches
+    are keyed by node identity: property ASTs are owned by the
+    (immutable, shared) design, so ids are stable for the design's
+    lifetime.  Emission plus ``compile()`` is timed as the
+    ``compile_program`` phase, like the RTL program's.
     """
 
-    __slots__ = ("_lowerer", "_fns", "_props")
+    __slots__ = ("_design", "_fns")
 
     def __init__(self, design: Design):
-        self._lowerer = _PropLowerer(design)
+        # Weak, like CompiledProgram's: the cache is keyed by the design.
+        self._design = weakref.ref(design)
         self._fns: dict = {}
-        self._props: dict = {}
 
-    def expr_fn(self, expr: ast.Expr):
-        """Closure ``fn((trace, cycle)) -> FourState``, or ``None`` when
-        this expression must use the interpreted path."""
-        fn = self._fns.get(id(expr))
+    def _get(self, kind: str, node, build):
+        key = (kind, id(node))
+        fn = self._fns.get(key)
         if fn is None:
+            start = perf_counter()
             try:
-                fn, _ = self._lowerer._lower_expr(expr)
+                fn = build(node)
             except UnsupportedDesign:
                 fn = False
-            self._fns[id(expr)] = fn
+            finally:
+                metrics.add_time("compile_program", perf_counter() - start)
+            self._fns[key] = fn
         return fn or None
+
+    def disabled_fn(self, expr: ast.Expr):
+        """``fn(snapshots, cycle)``: truthy unless ``expr`` is definitely
+        false there (a ``disable iff`` condition), or ``None``."""
+        return self._get("disable", expr, self._emit_disabled)
 
     def prop_fn(self, prop: ast.PropExpr):
-        """Closure ``fn(trace, cycle) -> (verdict, at)``, or ``None``."""
-        fn = self._props.get(id(prop))
+        """``fn(snapshots, cycle) -> (verdict, at)``, or ``None``."""
+        return self._get("prop", prop, self._emit_prop)
+
+    def _emit_disabled(self, expr: ast.Expr):
+        em = _PropEmitter(self._design())
+        value = em.name(em.expr(expr)[0])
+        em.line(f"return {value}.value or {value}.xmask")
+        return em.function()
+
+    def _child(self, em: _PropEmitter, prop: ast.PropExpr) -> str:
+        fn = self.prop_fn(prop)
         if fn is None:
-            try:
-                fn = self._lower_prop(prop)
-            except UnsupportedDesign:
-                fn = False
-            self._props[id(prop)] = fn
-        return fn or None
+            raise UnsupportedDesign("property operand does not compile")
+        return em.const(fn)
 
-    def _lower_prop(self, prop: ast.PropExpr):
+    def _emit_prop(self, prop: ast.PropExpr):
+        em = _PropEmitter(self._design())
         if isinstance(prop, ast.PropBool):
-            value, _ = self._lowerer._lower_expr(prop.expr)
-
-            def prop_bool(trace, cycle):
-                if cycle >= len(trace.snapshots):
-                    return UNDET, cycle
-                result = value((trace, cycle))
-                if result.value != 0:
-                    return TRUE, cycle
-                if result.xmask == 0:
-                    return FALSE, cycle
-                return UNDET, cycle
-            return prop_bool
+            value = em.name(em.expr(prop.expr)[0])
+            em.line(f"return (TRUE if {value}.value else (FALSE if not "
+                    f"{value}.xmask else UNDET)), c")
+            return em.function(_BOUND)
         if isinstance(prop, ast.PropNot):
-            operand = self._lower_prop(prop.operand)
-
-            def prop_not(trace, cycle):
-                if cycle >= len(trace.snapshots):
-                    return UNDET, cycle
-                verdict, at = operand(trace, cycle)
-                if verdict == TRUE:
-                    return FALSE, at
-                if verdict == FALSE:
-                    return TRUE, at
-                return UNDET, at
-            return prop_not
+            operand = self._child(em, prop.operand)
+            em.line(f"r, a = {operand}(S, c)")
+            em.line("return (FALSE if r == TRUE else (TRUE if r == FALSE "
+                    "else UNDET)), a")
+            return em.function(_BOUND)
         if isinstance(prop, ast.PropDelay):
-            rhs = self._lower_prop(prop.rhs)
-            lhs = (self._lower_prop(prop.lhs)
-                   if prop.lhs is not None else None)
+            rhs = self._child(em, prop.rhs)
             lo, hi = prop.lo, prop.hi
-
-            def prop_delay(trace, cycle):
-                length = len(trace.snapshots)
-                if cycle >= length:
-                    return UNDET, cycle
-                if lhs is not None:
-                    verdict, at = lhs(trace, cycle)
-                    if verdict != TRUE:
-                        return verdict, at
-                    base = at
-                else:
-                    base = cycle - 1  # leading ##N counts from `cycle`
-                saw_undet = False
-                for offset in range(lo, hi + 1):
-                    target = (base + offset if lhs is not None
-                              else cycle + offset)
-                    if target >= length:
-                        saw_undet = True
-                        continue
-                    verdict, at = rhs(trace, target)
-                    if verdict == TRUE:
-                        return TRUE, at
-                    if verdict == UNDET:
-                        saw_undet = True
-                if saw_undet:
-                    return UNDET, length - 1
-                last = base + hi if lhs is not None else cycle + hi
-                return FALSE, min(last, length - 1)
-            return prop_delay
+            if prop.lhs is not None:
+                lhs = self._child(em, prop.lhs)
+                em.line(f"r, a = {lhs}(S, c)")
+                em.line("if r != TRUE: return r, a")
+                em.line("base = a")
+            else:
+                em.line("base = c")  # leading ##N counts from `c`
+            em.line("u = False")
+            loop = em.open(f"for k in range(base + {lo}, base + {hi + 1}):")
+            em.line("if k >= n: u = True; continue")
+            em.line(f"r, a = {rhs}(S, k)")
+            em.line("if r == TRUE: return TRUE, a")
+            em.line("if r == UNDET: u = True")
+            em.close(loop)
+            em.line("if u: return UNDET, n - 1")
+            em.line(f"return FALSE, min(base + {hi}, n - 1)")
+            return em.function("n = len(S)\nif c >= n: return UNDET, c")
         if isinstance(prop, ast.PropImplication):
-            antecedent = self._lower_prop(prop.antecedent)
-            consequent = self._lower_prop(prop.consequent)
-            overlapped = prop.overlapped
-
-            def prop_implication(trace, cycle):
-                if cycle >= len(trace.snapshots):
-                    return UNDET, cycle
-                verdict, match_end = antecedent(trace, cycle)
-                if verdict == FALSE:
-                    return TRUE, cycle  # vacuous pass
-                if verdict == UNDET:
-                    return UNDET, match_end
-                start = match_end if overlapped else match_end + 1
-                return consequent(trace, start)
-            return prop_implication
-        message = f"cannot evaluate property node {type(prop).__name__}"
-
-        def prop_bad(trace, cycle):
-            # eval_prop bounds-checks before dispatching, so a node past
-            # the end of the trace is UNDET even when unknown.
-            if cycle >= len(trace.snapshots):
-                return UNDET, cycle
-            raise TypeError(message)
-        return prop_bad
+            antecedent = self._child(em, prop.antecedent)
+            consequent = self._child(em, prop.consequent)
+            em.line(f"r, m = {antecedent}(S, c)")
+            em.line("if r == FALSE: return TRUE, c  # vacuous pass")
+            em.line("if r == UNDET: return UNDET, m")
+            em.line(f"return {consequent}(S, m{'' if prop.overlapped else ' + 1'})")
+            return em.function(_BOUND)
+        # eval_prop bounds-checks before dispatching, so a node past the
+        # end of the trace is UNDET even when unknown.
+        em.raise_(TypeError,
+                  f"cannot evaluate property node {type(prop).__name__}")
+        return em.function(_BOUND)
 
 
 _PROP_LOCK = threading.Lock()
@@ -330,12 +346,6 @@ def _prop_program(design: Design) -> _PropProgram:
         return program
 
 
-# 3-valued property verdicts.
-TRUE = "true"
-FALSE = "false"
-UNDET = "undetermined"   # obligation ran past the end of the trace / X
-
-
 def _bool_verdict(value: FourState) -> str:
     if value.is_true():
         return TRUE
@@ -345,22 +355,16 @@ def _bool_verdict(value: FourState) -> str:
 
 
 class PropertyChecker:
-    """Evaluates properties over one trace (the per-stimulus evaluator of
-    :class:`IncrementalChecker`).
-
-    ``compiled=True`` (the default) evaluates boolean layers through
-    per-design closures compiled by :class:`_PropLowerer` — same verdicts,
-    same ``EvalError`` messages, no per-node dispatch; expressions the
-    lowerer rejects fall back to the interpreted path individually.
-    ``compiled=False`` forces the interpreted path throughout (the
-    ``sim_mode="interp"`` baseline).
+    """Interprets properties over one trace: the ``sim_mode="interp"``
+    monitor, and the fallback of :class:`IncrementalChecker` for a plan
+    whose body or ``disable iff`` condition the emitter rejects (same
+    verdicts, same ``EvalError`` messages as the generated functions).
     """
 
-    def __init__(self, design: Design, trace: Trace, compiled: bool = True):
+    def __init__(self, design: Design, trace: Trace):
         self.design = design
         self.trace = trace
         self._envs: dict = {}
-        self._program = _prop_program(design) if compiled else None
 
     def _env(self, cycle: int) -> _TraceEnv:
         env = self._envs.get(cycle)
@@ -370,23 +374,10 @@ class PropertyChecker:
 
     def _eval_bool(self, expr: ast.Expr, cycle: int) -> FourState:
         """Truth value of ``expr`` at ``cycle`` (1-bit, 3-valued)."""
-        program = self._program
-        if program is not None:
-            fn = program.expr_fn(expr)
-            if fn is not None:
-                # Raw value, not collapsed to 1 bit: every consumer only
-                # asks is_true()/is_false(), on which the collapse is a
-                # no-op.
-                return fn((self.trace, cycle))
         return self._env(cycle).evaluator().eval_bool(expr)
 
     def eval_prop(self, prop: ast.PropExpr, cycle: int) -> "tuple[str, int]":
         """Returns (verdict, resolving_cycle)."""
-        program = self._program
-        if program is not None:
-            fn = program.prop_fn(prop)
-            if fn is not None:
-                return fn(self.trace, cycle)
         if cycle >= len(self.trace):
             return UNDET, cycle
         if isinstance(prop, ast.PropBool):
@@ -485,10 +476,13 @@ _FAIL = _ACTIVATION | _FAILS
 class IncrementalChecker:
     """The SVA monitor scan behind every bounded check.
 
-    Built once per check: each assertion's closures and lookahead (see
-    :func:`property_lookahead`) are resolved here, not once per
-    stimulus.  :meth:`start` binds each new stimulus's trace, which may
-    still be growing.
+    Built once per check: each assertion's generated functions (see
+    :class:`_PropProgram`) and lookahead (see :func:`property_lookahead`)
+    are resolved here, not once per stimulus.  :meth:`start` binds each
+    new stimulus's trace, which may still be growing; an interpreting
+    :class:`PropertyChecker` is built for it only when a plan needs one
+    (``sim_mode="interp"``, or a body or ``disable iff`` condition the
+    emitter rejects).
 
     By default every label is scored independently (the batch driver's
     mode).  After each simulated cycle :meth:`advance` evaluates every
@@ -531,7 +525,6 @@ class IncrementalChecker:
                  exhaustive: bool = False):
         self.design = design
         self.skip_cycles = skip_cycles
-        self.compiled = compiled
         self.quality = quality
         self.exhaustive = exhaustive
         self.trace: Optional[Trace] = None
@@ -542,12 +535,14 @@ class IncrementalChecker:
         #: label -> packed quality counts, once a plan of it is scanned.
         self._counts: dict = {}
         # (assertion, lookahead, body_fn, disable_fn, quality,
-        #  antecedent, ant_fn, fast, index) per assertion.  ``fast`` is
-        # ``(ant_expr_fn, cons_fn, overlapped)`` for implication bodies
-        # whose antecedent is a plain boolean: there ``match_end ==
-        # cycle``, so the scan can evaluate the antecedent expression
-        # once and then only the consequent — instead of the whole
-        # implication plus a second antecedent pass for vacuity
+        #  antecedent, ant_fn, fast, index, interp) per assertion; the
+        # functions take (snapshots, cycle), and ``interp`` is set when
+        # one of them is missing and the interpreter stands in.
+        # ``fast`` is ``(ant_fn, cons_fn, overlapped)`` for implication
+        # bodies whose antecedent is a plain boolean: there
+        # ``match_end == cycle``, so the scan can evaluate the
+        # antecedent once and then only the consequent — instead of the
+        # whole implication plus a second antecedent pass for vacuity
         # classification.  ``index`` keys the plan's counts in
         # walker-node memos.
         program = _prop_program(design) if compiled else None
@@ -556,7 +551,7 @@ class IncrementalChecker:
             body = assertion.prop.body
             disable = assertion.prop.disable
             body_fn = program.prop_fn(body) if program is not None else None
-            disable_fn = (program.expr_fn(disable)
+            disable_fn = (program.disabled_fn(disable)
                           if program is not None and disable is not None
                           else None)
             antecedent = ant_fn = fast = None
@@ -566,13 +561,16 @@ class IncrementalChecker:
                     ant_fn = program.prop_fn(antecedent)
                     if body_fn is not None and isinstance(antecedent,
                                                           ast.PropBool):
-                        ant_expr_fn = program.expr_fn(antecedent.expr)
                         cons_fn = program.prop_fn(body.consequent)
-                        if ant_expr_fn is not None and cons_fn is not None:
-                            fast = (ant_expr_fn, cons_fn, body.overlapped)
+                        if ant_fn is not None and cons_fn is not None:
+                            fast = (ant_fn, cons_fn, body.overlapped)
+            interp = (body_fn is None
+                      or (disable is not None and disable_fn is None)
+                      or (antecedent is not None and ant_fn is None))
             self._plans.append(
                 (assertion, property_lookahead(body), body_fn, disable_fn,
-                 quality, antecedent, ant_fn, fast, index))
+                 quality, antecedent, ant_fn, fast, index, interp))
+        self._checker: Optional[PropertyChecker] = None
 
     def start(self, trace: Trace, resolved=()) -> None:
         """Monitor a new stimulus's ``trace`` from its first cycle.
@@ -584,8 +582,7 @@ class IncrementalChecker:
             self._plans = [plan for plan in self._plans
                            if plan[0].label not in resolved]
         self.trace = trace
-        self._checker = PropertyChecker(self.design, trace,
-                                        compiled=self.compiled)
+        self._checker = None
         self.failed = set()
         self.errors = {}
         self.failures = []
@@ -600,7 +597,7 @@ class IncrementalChecker:
 
     def advance(self) -> None:
         """Evaluate every start cycle with a complete lookahead window."""
-        length = len(self.trace)
+        length = len(self.trace.snapshots)
         if not self._pending or length <= self.trace.shared:
             return  # nothing pending, or every window so far replayed
         self._pending = [
@@ -609,7 +606,7 @@ class IncrementalChecker:
 
     def finalize(self) -> None:
         """Trace complete: evaluate the remaining start cycles."""
-        limit = len(self.trace) - 1
+        limit = len(self.trace.snapshots) - 1
         if self.exhaustive:
             for entry in self._pending:
                 self._register((entry[0],))
@@ -639,13 +636,16 @@ class IncrementalChecker:
         """Evaluate start cycles up to ``limit``; True when resolved."""
         plan, cycle, counted_before = entry
         (assertion, lookahead, body_fn, disable_fn,
-         quality, antecedent, ant_fn, fast, index) = plan
+         quality, antecedent, ant_fn, fast, index, interp) = plan
         prop = assertion.prop
-        checker = self._checker
-        disable = prop.disable
         trace = self.trace
+        checker = self._checker
+        if interp and checker is None:
+            checker = self._checker = PropertyChecker(self.design, trace)
+        disable = prop.disable
+        snapshots = trace.snapshots
         nodes = trace.nodes
-        last = len(trace) - 1
+        last = len(snapshots) - 1
         shared = trace.shared
         counted = counted_before
         if shared:
@@ -659,39 +659,40 @@ class IncrementalChecker:
                     counted = nodes[min(stop - 1 + lookahead, last)].memo[index]
                 cycle = stop
         if fast is not None:
-            ant_expr_fn, cons_fn, overlapped = fast
+            ant_bool_fn, cons_fn, overlapped = fast
         try:
             while cycle <= limit:
-                if disable is not None and not (
-                        disable_fn((trace, cycle)) if disable_fn is not None
-                        else checker._eval_bool(disable, cycle)).is_false():
+                if disable is not None and (
+                        disable_fn(snapshots, cycle) if disable_fn is not None
+                        else not checker._eval_bool(disable,
+                                                    cycle).is_false()):
                     verdict = UNDET
                 elif fast is not None:
-                    # Mirrors prop_implication with a prop_bool
-                    # antecedent at match_end == cycle; the bounds check
-                    # is moot because cycle <= limit < len(trace).
-                    value = ant_expr_fn((trace, cycle))
-                    if value.value != 0:
+                    # Mirrors the implication with a PropBool antecedent,
+                    # whose match_end is cycle (cycle <= limit <
+                    # len(trace), so it never reads UNDET for bounds).
+                    ant, _ = ant_bool_fn(snapshots, cycle)
+                    if ant == TRUE:
                         verdict, at = cons_fn(
-                            trace, cycle if overlapped else cycle + 1)
+                            snapshots, cycle if overlapped else cycle + 1)
                         if verdict == TRUE:
                             counted += _PASS
                         elif verdict == FALSE:
                             counted += _FAIL
-                    elif value.xmask == 0:
+                    elif ant == FALSE:
                         verdict = TRUE
                         counted += _VACUOUS
                     else:
                         verdict = UNDET
                 else:
-                    verdict, at = (body_fn(trace, cycle)
+                    verdict, at = (body_fn(snapshots, cycle)
                                    if body_fn is not None
                                    else checker.eval_prop(prop.body, cycle))
                     if quality and verdict != UNDET:
                         if antecedent is None:
                             counted += _PASS if verdict == TRUE else _FAIL
                         else:
-                            ant, _ = (ant_fn(trace, cycle)
+                            ant, _ = (ant_fn(snapshots, cycle)
                                       if ant_fn is not None
                                       else checker.eval_prop(antecedent,
                                                              cycle))

@@ -202,6 +202,27 @@ class TestModelTransport:
         assert serial.case_outcomes() == parallel.case_outcomes()
 
 
+class TestModelDigest:
+    """``model_digest`` keys eval/v1 outcomes by content, so a model
+    loaded from a pickle (a pool worker, a file) keys them alike."""
+
+    def test_stable_under_pickle_round_trips(self, trained_models):
+        import pickle
+
+        models = list(trained_models) + [make_baseline("GPT-4", seed=3)]
+        for model in models:
+            digest = model_digest(model)
+            once = pickle.loads(pickle.dumps(model))
+            twice = pickle.loads(pickle.dumps(once))
+            assert model_digest(once) == digest, type(model).__name__
+            assert model_digest(twice) == digest, type(model).__name__
+
+    def test_content_changes_move_it(self, trained_models):
+        base, sft, solver = trained_models
+        assert len({model_digest(base), model_digest(sft),
+                    model_digest(solver)}) == 3
+
+
 def outcomes_of(report, cases):
     """The report's per-case ``(n, c)``, joined back to its cases."""
     return [CaseOutcome(case, n, c)
