@@ -21,9 +21,9 @@ non-blocking values ``n<i>``, so there are no dict lookups and no calls
 per AST node.  Operators whose result is one bit (``!``, reductions,
 compares, ``&&``/``||``, bit selects) are inlined against FourState's
 canonical representation and return the three shared singletons;
-bitwise operators and concatenations build their result in one
-allocation; the rest call the :class:`FourState` methods the interpreter
-calls.  A ``.resize(w)`` is emitted only where the width is not
+bitwise operators, ``+``/``-`` and concatenations build their result in
+one allocation; the rest call the :class:`FourState` methods the
+interpreter calls.  A ``.resize(w)`` is emitted only where the width is not
 statically ``w``.
 
 Constants never appear as literals: each folded value, literal and
@@ -421,6 +421,11 @@ class _Emitter:
             if op != "^":
                 value = f"~({value})"
             out = self.temp(f"FourState({w}, {value}, {a}.xmask | {b}.xmask)")
+        elif op in ("+", "-") and width is not None:
+            # Vector-pessimistic on X, like FourState.add/sub.
+            unknown = self.const(FourState.unknown(width))
+            out = self.temp(f"{unknown} if {a}.xmask or {b}.xmask else "
+                            f"FourState({w}, {a}.value {op} {b}.value)")
         else:
             out = self.temp(f"{a}.{method}({b})")
             if op not in self._ARITH:

@@ -254,6 +254,11 @@ class _PropProgram:
         key = (kind, id(node))
         fn = self._fns.get(key)
         if fn is None:
+            if kind == "prop":
+                # Children first, so that each build is timed once.
+                for child in node.children():
+                    if isinstance(child, ast.PropExpr):
+                        self.prop_fn(child)
             start = perf_counter()
             try:
                 fn = build(node)
