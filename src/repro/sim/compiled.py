@@ -1117,9 +1117,6 @@ class CompiledSimulator(RunLoop):
 
     # -- cycle engine ----------------------------------------------------
 
-    def settle(self) -> None:
-        self.program.settle(self.values)
-
     def tick(self) -> None:
         """One clock edge: evaluate sequential blocks, commit, settle."""
         program = self.program
