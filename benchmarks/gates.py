@@ -34,7 +34,7 @@ import sys
 import tempfile
 import time
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -49,7 +49,7 @@ from repro.datagen.stage2 import (
     _validate_svas_per_proposal,
     validate_svas,
 )
-from repro.engine import StageContext, available_cpus
+from repro.engine import StageContext, available_cpus, metrics
 from repro.eval import EvalConfig, run_eval
 from repro.eval.benchmark import build_benchmark
 from repro.obs import trace as obs_trace
@@ -72,6 +72,7 @@ from repro.serve import (
 from repro.serve.service import SolveTask
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
+from repro.sva.reference import reference_tier
 from repro.verilog.compile import compile_source, default_compile_cache
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -274,6 +275,25 @@ def best_legs(passes: Sequence[Pass]) -> Dict[str, object]:
             "passes": [leg for _, leg in passes]}
 
 
+@contextmanager
+def interpreter_leg():
+    """The interpreter leg of a tier comparison, in this process and in
+    any worker it forks.  The compile cache starts cold, so the generated
+    tier could not run in it without building programs: the leg's fatal
+    check is that it spent no time in the ``compile_program`` phase."""
+    default_compile_cache().clear()
+    with reference_tier():
+        yield
+
+
+def compile_program_us(profile: Optional[Dict[str, int]] = None) -> int:
+    """``compile_program`` time in a ``solve_profile`` counter set (by
+    default this process's)."""
+    if profile is None:
+        profile = metrics.profile_counters()
+    return profile.get("compile_program_us", 0)
+
+
 def write_report(path: Path, results: Dict[str, object]) -> None:
     report = {"host": {"python": platform.python_version(),
                        "platform": platform.platform(),
@@ -290,20 +310,24 @@ def measure_solve(cfg) -> Measured:
     """``solve_task`` over corpus designs, AST interpreter vs the compiled
     tier; one warm-up pass fills the compile and program caches."""
     seeds = CorpusGenerator(seed=cfg["seed"]).generate(cfg["designs"])
+    tasks = [SolveTask(f"gate_{index}", s.source,
+                       SolveOptions.for_design(
+                           s, bmc_depth=cfg["bmc_depth"],
+                           bmc_random_trials=cfg["bmc_random_trials"]),
+                       cfg["seed"])
+             for index, s in enumerate(seeds)]
     legs, runs = {}, {}
     for mode in ("interp", "compiled"):
-        tasks = [SolveTask(f"gate_{index}", s.source,
-                           SolveOptions.for_design(
-                               s, bmc_depth=cfg["bmc_depth"],
-                               bmc_random_trials=cfg["bmc_random_trials"]),
-                           cfg["seed"], sim_mode=mode)
-                 for index, s in enumerate(seeds)]
-        warm = [solve_task(task).to_json() for task in tasks]
-        seconds, runs[mode] = best_of(cfg["repeats"], lambda: [
-            solve_task(task).to_json() for task in tasks])
+        with (interpreter_leg() if mode == "interp" else nullcontext()):
+            before = compile_program_us()
+            warm = [solve_task(task).to_json() for task in tasks]
+            seconds, runs[mode] = best_of(cfg["repeats"], lambda: [
+                solve_task(task).to_json() for task in tasks])
         runs[mode].insert(0, warm)
         legs[mode] = {"seconds": round(seconds, 4),
-                      "designs_per_sec": round(len(tasks) / seconds, 3)}
+                      "designs_per_sec": round(len(tasks) / seconds, 3),
+                      "compile_program_us":
+                          compile_program_us() - before}
     return Measured(
         legs,
         {"compiled/interp": ratio(legs["interp"]["seconds"],
@@ -312,7 +336,8 @@ def measure_solve(cfg) -> Measured:
             runs["interp"][0] == runs["compiled"][0],
          "bodies_stable_across_repeats": all(
             run == mode_runs[0] for mode_runs in runs.values()
-            for run in mode_runs)})
+            for run in mode_runs),
+         "interp_leg_interpreted": legs["interp"]["compile_program_us"] == 0})
 
 
 def measure_validate(cfg) -> Measured:
@@ -490,6 +515,14 @@ def _without_coverage(report: LoadReport) -> List[Optional[str]]:
     return out
 
 
+def _compile_program_probe(client) -> Dict[str, object]:
+    """The server's ``compile_program`` time: this process's and its
+    workers', as ``/metricsz`` totals them."""
+    parsed = parse_prometheus_text(client.metricsz())
+    return {"compile_program_us": int(parsed.value(
+        "repro_solve_profile_compile_program_us") or 0)}
+
+
 def _coverage_blocks(report: LoadReport) -> List[Optional[str]]:
     return [None if r is None or r.coverage is None
             else json.dumps(r.coverage, sort_keys=True)
@@ -507,8 +540,10 @@ def measure_cov(cfg) -> Measured:
             sides[label] += load_passes(
                 cfg, requests, [label], http=True, coverage=coverage,
                 probe=_coverage_probe if coverage else None)
-    interp = load_passes(cfg, requests, ["interp"], http=True, coverage=True,
-                         sim_mode="interp")
+    with interpreter_leg():
+        before = compile_program_us()
+        interp = load_passes(cfg, requests, ["interp"], http=True,
+                             coverage=True, probe=_compile_program_probe)
     on = [leg for _, leg in sides["coverage_on"]]
     legs = {label: best_legs(passes) for label, passes in sides.items()}
     legs["interp"] = interp[0][1]
@@ -525,6 +560,8 @@ def measure_cov(cfg) -> Measured:
              _coverage_blocks(sides["coverage_on"][-1][0])),
          "no_errors": no_errors(sides["coverage_off"] + sides["coverage_on"]
                                 + interp),
+         "interp_leg_interpreted":
+             legs["interp"]["compile_program_us"] == before,
          "covz_populated": max(leg["covz_retained"] for leg in on) > 0,
          "coverage_on_metricsz": max(leg["coverage_toggles"]
                                      for leg in on) > 0})
@@ -593,14 +630,22 @@ def measure_determinism(cfg) -> Measured:
     """The full dataset bundle serially and over a process pool, on both
     simulation tiers: scheduling must never reach the bytes."""
     legs, checks = {}, {}
-    for mode in cfg["sim_modes"]:
-        serial = run_pipeline(datagen_config(cfg, n_workers=1, sim_mode=mode))
-        pooled = run_pipeline(datagen_config(
-            cfg, n_workers=cfg["workers"], backend="process", sim_mode=mode))
+    for mode in ("compiled", "interp"):
+        bundles = []
+        for knobs in (dict(n_workers=1),
+                      dict(n_workers=cfg["workers"], backend="process")):
+            with (interpreter_leg() if mode == "interp" else nullcontext()):
+                bundles.append(run_pipeline(datagen_config(cfg, **knobs)))
+        serial, pooled = bundles
         legs[mode] = {"serial": serial.fingerprint(),
-                      "process": pooled.fingerprint()}
+                      "process": pooled.fingerprint(),
+                      "compile_program_us": [
+                          compile_program_us(b.stats["solve_profile"])
+                          for b in bundles]}
         checks[f"fingerprints_identical_{mode}"] = \
             legs[mode]["serial"] == legs[mode]["process"]
+    checks["interp_leg_interpreted"] = \
+        legs["interp"]["compile_program_us"] == [0, 0]
     return Measured(legs, {}, checks)
 
 
@@ -615,7 +660,7 @@ CONTRACTS: Dict[str, Contract] = {c.name: c for c in (
                   bmc_random_trials=24),
              measure_solve, {"compiled/interp": at_least(2.0)},
              ("bodies_identical_across_tiers",
-              "bodies_stable_across_repeats")),
+              "bodies_stable_across_repeats", "interp_leg_interpreted")),
     Contract("validate",
              dict(designs=24, repeats=2, seed=2025, hallucination_rate=0.15,
                   bmc_depth=10, bmc_random_trials=24),
@@ -642,7 +687,8 @@ CONTRACTS: Dict[str, Contract] = {c.name: c for c in (
     Contract("cov", dict(_LOAD, repeats=3), measure_cov,
              {"coverage_on/off throughput": at_least(0.85)},
              ("bodies_identical", "tiers_identical", "no_errors",
-              "covz_populated", "coverage_on_metricsz")),
+              "interp_leg_interpreted", "covz_populated",
+              "coverage_on_metricsz")),
     Contract("store",
              dict(designs=16, bugs=2, seed=2025, bmc_depth=10,
                   bmc_random_trials=24, workers=1),
@@ -656,10 +702,10 @@ CONTRACTS: Dict[str, Contract] = {c.name: c for c in (
               "server_fully_memoized")),
     Contract("determinism",
              dict(designs=16, workers=4, bugs=2, seed=2025, bmc_depth=6,
-                  bmc_random_trials=8, sim_modes=["compiled", "interp"]),
+                  bmc_random_trials=8),
              measure_determinism, {},
              ("fingerprints_identical_compiled",
-              "fingerprints_identical_interp")),
+              "fingerprints_identical_interp", "interp_leg_interpreted")),
 )}
 
 

@@ -76,13 +76,12 @@ def main():
     assert result.ok, result.failure_summary()
     canonical = write_module(result.module)
 
-    # sim_mode picks the execution tier: "compiled" (default) lowers the
-    # design once into a closure program — several times faster on the
-    # solve hot path — while "interp" walks the AST per cycle.  Both are
-    # byte-identical (traces, verdicts, fingerprints, responses), so the
-    # knob exists on BmcConfig/PipelineConfig/ServeConfig purely for
-    # execution control and A/B timing (the solve contract of
-    # benchmarks/gates.py).
+    # The bounded check runs the design as one generated Python program
+    # (repro.sim.compiled), several times faster on the solve hot path
+    # than walking the AST per cycle.  The AST interpreter stays as its
+    # reference oracle: repro.sva.reference.reference_tier() runs a check
+    # on it, byte-identical in traces, verdicts, fingerprints and
+    # responses (the solve contract of benchmarks/gates.py times both).
     check = bounded_check(result.design, BmcConfig(depth=10, random_trials=32))
     assert check.failed, "the bug should trigger the assertion"
     logs = check.log_text()

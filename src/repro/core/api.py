@@ -39,7 +39,6 @@ from repro.eval.report import EvalReport
 from repro.eval.runner import run_eval
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.model.assertsolver import AssertSolver
-from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
 
 
@@ -101,12 +100,6 @@ class PipelineConfig:
     include_baselines: bool = knob(True, kind=bool, role=SEMANTIC)
     n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
     backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
-    #: Simulation execution tier ("compiled" generated programs or the
-    #: "interp" AST walker — see :mod:`repro.sim.compiled`).  Pure
-    #: execution knob: both tiers produce byte-identical results, so it
-    #: stays out of :meth:`cache_key`.
-    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
-                         role=EXECUTION)
     template_families: Optional[Tuple[str, ...]] = knob(
         None, kind=(tuple, list), items=str, optional=True, role=SEMANTIC)
     family_weights: Optional[Dict[str, float]] = knob(
@@ -131,8 +124,7 @@ class PipelineConfig:
                              backend=self.backend,
                              template_families=self.template_families,
                              family_weights=self.family_weights,
-                             store=self.store,
-                             sim_mode=self.sim_mode)
+                             store=self.store)
 
     def make_engine(self) -> ExecutionEngine:
         return ExecutionEngine(n_workers=self.n_workers,
@@ -155,8 +147,7 @@ class PipelineConfig:
         from repro.serve import ServeConfig
 
         settings = dict(n_workers=self.n_workers, backend=self.backend,
-                        seed=self.seed, store=self.store,
-                        sim_mode=self.sim_mode)
+                        seed=self.seed, store=self.store)
         settings.update(overrides)
         return ServeConfig(**settings)
 

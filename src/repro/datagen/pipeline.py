@@ -38,7 +38,6 @@ from repro.datagen.stage2 import run_stage2
 from repro.datagen.stage3 import run_stage3
 from repro.engine import BACKENDS, ExecutionEngine, StageGraph, derive_rng
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
-from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
 
@@ -59,18 +58,16 @@ class DatagenConfig:
     The paper runs on 108,971 corpus samples; ``n_designs`` scales the
     whole pipeline down while preserving every stage's behaviour (the
     bundle's ``stats`` record both our counts and the paper's).
-    ``n_workers``/``backend`` control the engine's worker pool and
-    ``sim_mode`` the simulation tier (``"compiled"`` evaluation programs
-    vs the ``"interp"`` AST walker — see :mod:`repro.sim.compiled`);
-    neither changes the produced datasets, which is why neither enters
+    ``n_workers``/``backend`` control the engine's worker pool; neither
+    changes the produced datasets, which is why neither enters
     ``semantic_digest``.  Compiles are always memoized by the
     process-wide content-hash cache (:mod:`repro.verilog.compile`), with
     ``store``'s disk tier under it for the run when it has a path.
 
     ``coverage`` attaches coverage collection (:mod:`repro.cov`) to every
     BMC run; the totals land in the volatile ``stats["coverage"]`` key.
-    Like ``sim_mode`` it is a pure execution knob — it changes no dataset
-    byte and stays out of ``semantic_digest``.
+    It is a pure execution knob too — it changes no dataset byte and
+    stays out of ``semantic_digest``.
 
     ``template_families`` restricts corpus sampling to a subset of the
     registered template families (default: all) and ``family_weights``
@@ -91,8 +88,6 @@ class DatagenConfig:
     bmc_random_trials: int = knob(24, kind=int, ge=0, role=SEMANTIC)
     n_workers: int = knob(1, kind=int, ge=1, role=EXECUTION)
     backend: str = knob("auto", kind=str, choices=BACKENDS, role=EXECUTION)
-    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
-                         role=EXECUTION)
     coverage: bool = knob(False, kind=bool, role=EXECUTION)
     template_families: Optional[Tuple[str, ...]] = knob(
         None, kind=(tuple, list), items=str, optional=True, role=SEMANTIC)
@@ -124,8 +119,7 @@ class DatagenConfig:
     def bmc(self) -> BmcConfig:
         return BmcConfig(depth=self.bmc_depth,
                          random_trials=self.bmc_random_trials,
-                         seed=self.seed, sim_mode=self.sim_mode,
-                         coverage=self.coverage)
+                         seed=self.seed, coverage=self.coverage)
 
     def make_engine(self, store=None) -> ExecutionEngine:
         """An engine that holds this config's compile tier open.

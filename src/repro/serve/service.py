@@ -58,7 +58,6 @@ from repro.eval.cases import cases_to_json
 from repro.eval.config import EvalConfig
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.serve.batcher import FLUSH_REASONS, BatcherStats, MicroBatcher
-from repro.sim.compiled import SIM_MODES
 from repro.serve.cache import ResultCache, content_key
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
@@ -371,15 +370,10 @@ class EvalResponse:
 class SolveTask:
     """Everything one worker needs to solve one unique request.
 
-    ``sim_mode`` is deployment configuration, not request content: it
-    selects the simulation tier (see :mod:`repro.sim.compiled`) and must
-    never change the response, so it stays out of ``key`` — a cached
-    response is valid under either mode.
-
-    ``coverage`` is the same kind of knob: when on, the worker attaches
-    the coverage report its validating checks already produced (no extra
-    simulation) to the response.  Both tiers emit byte-identical
-    reports, so it stays out of ``key`` too.
+    ``coverage`` is deployment configuration, not request content: when
+    on, the worker attaches the coverage report its validating checks
+    already produced (no extra simulation) to the response, which it
+    never otherwise changes, so it stays out of ``key``.
 
     ``trace_parent`` is the first waiter's inflight span context (a
     picklable ``(trace_id, span_id)`` tuple), carried so the worker's
@@ -392,7 +386,6 @@ class SolveTask:
     design_source: str
     options: SolveOptions
     seed: int
-    sim_mode: str = "compiled"
     coverage: bool = False
     trace_parent: Optional[Tuple[str, str]] = None
 
@@ -465,8 +458,7 @@ def _solve_task_inner(task: SolveTask) -> SolveResponse:
     proposals = oracle.propose(seed_like)
     bmc = BmcConfig(depth=options.bmc_depth,
                     random_trials=options.bmc_random_trials,
-                    seed=task.seed, sim_mode=task.sim_mode,
-                    coverage=task.coverage)
+                    seed=task.seed, coverage=task.coverage)
     coverage_out: Optional[dict] = {} if task.coverage else None
     valid, rejected = validate_svas(seed_like, proposals, bmc,
                                     coverage_out=coverage_out)
@@ -512,15 +504,12 @@ class ServeConfig:
     batch_window_ms: float = knob(10.0, kind=float, ge=0, role=EXECUTION)
     result_cache: bool = knob(True, kind=bool, role=EXECUTION)
     cache_entries: int = knob(1024, kind=int, ge=1, role=EXECUTION)
-    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
-                         role=EXECUTION)
     #: Collect toggle/block coverage and assertion-quality counters from
-    #: every solve's validating checks.  A pure execution knob like
-    #: ``sim_mode``: it never changes which proposals are served, only
-    #: whether responses additionally carry a ``coverage`` block (and
-    #: the ``/covz`` buffer fills) — which is why, when on, it scopes the
-    #: result cache's store keys.  Off by default so the serving hot
-    #: path pays nothing for it.
+    #: every solve's validating checks.  A pure execution knob: it never
+    #: changes which proposals are served, only whether responses
+    #: additionally carry a ``coverage`` block (and the ``/covz`` buffer
+    #: fills) — which is why, when on, it scopes the result cache's store
+    #: keys.  Off by default so the serving hot path pays nothing for it.
     coverage: bool = knob(False, kind=bool, role=EXECUTION)
     seed: int = knob(2025, kind=int, role=SEMANTIC)
     #: Persistent tier under the result cache and, while the service's
@@ -1175,7 +1164,6 @@ class AssertService:
                            design_source=groups[key][0].request.design_source,
                            options=groups[key][0].request.options,
                            seed=self.config.seed,
-                           sim_mode=self.config.sim_mode,
                            coverage=self.config.coverage,
                            trace_parent=(
                                groups[key][0].span.context_tuple()

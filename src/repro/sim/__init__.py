@@ -18,10 +18,8 @@ substitution: we do not model sub-cycle glitches).
 """
 
 from repro.sim.compiled import (
-    SIM_MODES,
     CompiledProgram,
     CompiledSimulator,
-    UnsupportedDesign,
     compile_program,
     make_simulator,
 )
@@ -33,10 +31,8 @@ from repro.sim.values import FourState
 __all__ = [
     "Simulator",
     "SimulationError",
-    "SIM_MODES",
     "CompiledProgram",
     "CompiledSimulator",
-    "UnsupportedDesign",
     "compile_program",
     "make_simulator",
     "Stimulus",

@@ -50,10 +50,12 @@ identity in-process.  Programs are never pickled or attached to the
 
 Semantics contract: a :class:`CompiledSimulator` produces byte-identical
 traces — same snapshots, same error messages at the same statement and
-cycle — as the interpreter on every supported design.  Constructs the
-emitter does not handle raise :class:`UnsupportedDesign` at compile time
-and :func:`make_simulator` falls back to the interpreter, so the
-contract holds by construction for the rest.
+cycle — as the interpreter (:class:`Simulator`, kept as the reference
+oracle) on every design that compiles.  The lowering is total: what the
+interpreter rejects at run time (a concat part that is no target, a bad
+select base) is emitted as the same raise at the same statement, and the
+frontend's :data:`repro.verilog.parser.MAX_NESTING` keeps every emitted
+function within what ``compile()`` accepts.
 """
 
 from __future__ import annotations
@@ -79,8 +81,6 @@ from repro.store.lru import StoreBackedLRU
 from repro.verilog import ast
 from repro.verilog.elaborator import Design, _walk_stmts
 
-SIM_MODES = ("compiled", "interp")
-
 _TRUE = FourState.from_bool(True)
 _FALSE = FourState.from_bool(False)
 _X1 = FourState.unknown(1)
@@ -93,20 +93,11 @@ CODE_CACHE_ENTRIES = 2048
 _CODE = StoreBackedLRU(CODE_CACHE_ENTRIES, None, "code")
 
 
-class UnsupportedDesign(Exception):
-    """The emitter cannot compile this design; use the interpreter."""
-
-
 def _code(text: str):
     """The code object of ``text`` (a module defining one function)."""
     code = _CODE.get(text)
     if code is None:
-        try:
-            code = compile(text, "<repro.sim.compiled>", "exec")
-        except SyntaxError as exc:
-            # Nesting beyond what compile() accepts: interpret instead.
-            raise UnsupportedDesign(
-                f"emitted program does not compile: {exc}") from None
+        code = compile(text, "<repro.sim.compiled>", "exec")
         _CODE.put(text, code)
     return code
 
@@ -477,8 +468,6 @@ class _Emitter:
 
     def _value_syscall(self, expr: ast.SysCall, mark: int) -> _Result:
         name = expr.name
-        if not expr.args:
-            raise UnsupportedDesign(f"{name} with no arguments")
         text, width, const = self.expr(expr.args[0])
         if name in ("$signed", "$unsigned"):
             return text, width, const
@@ -548,14 +537,10 @@ class _RtlEmitter(_Emitter):
         """
         t = type(target)
         if t is ast.Ident:
-            sym = self.design.symbols.get(target.name)
-            if sym is None:
-                self.raise_(SimulationError,
-                            f"write to unknown signal '{target.name}'")
-                return
             slot = self.slots[target.name]
             dest = self._scratch(slot) if blocking else f"n{slot}"
-            self.line(f"{dest} = {self._resized(value, width, sym.width)}")
+            self.line(f"{dest} = "
+                      f"{self._resized(value, width, self.widths[slot])}")
             return
         if t in (ast.BitSelect, ast.PartSelect):
             try:
@@ -563,13 +548,9 @@ class _RtlEmitter(_Emitter):
             except SimulationError as exc:
                 self.raise_(SimulationError, str(exc))
                 return
-            sym = self.design.symbols.get(name)
-            if sym is None:
-                raise UnsupportedDesign(
-                    f"select write to undeclared signal '{name}'")
             slot = self.slots[name]
             value = self.name(value)
-            unknown = self.const(FourState.unknown(sym.width))
+            unknown = self.const(FourState.unknown(self.widths[slot]))
             if t is ast.BitSelect:
                 at = self.name(self.expr(target.index)[0])
                 hi = lo = f"{at}.value"
@@ -591,53 +572,56 @@ class _RtlEmitter(_Emitter):
                       f"{current}.replace_slice({hi}, {lo}, {piece})")
             return
         if t is ast.Concat:
-            # {a, b} = value : split from the high end.  Part widths must be
-            # compile-time constants (the interpreter evaluates part-select
-            # bounds against the live environment; non-constant bounds in a
-            # *target* are out of scope for the compiled tier).
-            widths = tuple(self._static_target_width(p) for p in target.parts)
+            # {a, b} = value : split from the high end, part by part.
             value = self.name(value)
             offset = self.temp(f"{value}.width")
-            for part, part_width in zip(target.parts, widths):
+            for part in target.parts:
+                part_width = self._target_width(part)
+                if part_width is None:
+                    return
+                static = part_width.isdigit()
+                top = (int(part_width) - 1 if static
+                       else f"{part_width} - 1")
                 self.line(f"{offset} -= {part_width}")
                 piece = self.temp(
-                    f"{value}.slice(min({offset} + {part_width - 1}, "
+                    f"{value}.slice(min({offset} + {top}, "
                     f"{value}.width - 1), max({offset}, 0))"
                     f".resize({part_width})")
-                self._write(part, blocking, piece, part_width)
+                self._write(part, blocking, piece,
+                            int(part_width) if static else None)
             return
         self.raise_(SimulationError,
                     f"unsupported assignment target {type(target).__name__}")
 
-    def _static_target_width(self, target: ast.Expr) -> int:
-        if isinstance(target, ast.Ident):
-            sym = self.design.symbols.get(target.name)
-            if sym is None:
-                raise UnsupportedDesign(
-                    f"concat write to undeclared signal '{target.name}'")
-            return sym.width
-        if isinstance(target, ast.BitSelect):
-            return 1
-        if isinstance(target, ast.PartSelect):
-            msb = self._fold_int(target.msb)
-            lsb = self._fold_int(target.lsb)
-            if msb is None or lsb is None:
-                raise UnsupportedDesign(
-                    "non-constant part-select bounds in assignment target")
-            return abs(msb - lsb) + 1
-        if isinstance(target, ast.Concat):
-            return sum(self._static_target_width(p) for p in target.parts)
-        raise UnsupportedDesign(
-            f"unsupported assignment target {type(target).__name__}")
-
-    def _fold_int(self, expr: ast.Expr) -> Optional[int]:
-        text, _, const = self.discard(lambda: self.expr(expr))
-        if not const:
-            return None
-        value = self.const_value(text)
-        if value.has_x:
-            return None
-        return value.value
+    def _target_width(self, target: ast.Expr) -> Optional[str]:
+        """A concat part's width as text, as ``Simulator._target_width``
+        takes it (select bounds read committed, not scratch, values); or
+        ``None`` after emitting its raise when the part is no target."""
+        t = type(target)
+        if t is ast.Ident:
+            return str(self.widths[self.slots[target.name]])
+        if t is ast.BitSelect:
+            return "1"
+        if t is ast.PartSelect:
+            read, self.read = self.read, {}
+            msb, _, mc = self.expr(target.msb)
+            lsb, _, lc = self.expr(target.lsb)
+            self.read = read
+            if mc and lc:
+                return str(abs(self.const_value(msb).value
+                               - self.const_value(lsb).value) + 1)
+            return self.temp(f"abs({self.name(msb)}.value - "
+                             f"{self.name(lsb)}.value) + 1")
+        if t is ast.Concat:
+            widths = []
+            for part in target.parts:
+                width = self._target_width(part)
+                if width is None:
+                    return None
+                widths.append(width)
+            return self.temp(" + ".join(widths) or "0")
+        self.raise_(SimulationError, "bad assignment target")
+        return None
 
     # -- statements --------------------------------------------------------
 
@@ -672,7 +656,7 @@ class _RtlEmitter(_Emitter):
             return
         if t is ast.SysTaskCall:
             return  # $display/$finish are inert in the cycle engine.
-        raise UnsupportedDesign(f"cannot execute {type(stmt).__name__}")
+        self.raise_(SimulationError, f"cannot execute {type(stmt).__name__}")
 
     def _poison_entries(self, stmt: ast.If):
         """(slot, X-constant) pairs for every target of both branches,
@@ -685,11 +669,11 @@ class _RtlEmitter(_Emitter):
             for inner in _walk_stmts(branch):
                 if isinstance(inner, ast.Assignment):
                     for name in _target_name_list(inner.target):
-                        sym = self.design.symbols.get(name)
-                        if sym is not None and name not in seen:
+                        if name not in seen:
                             seen.add(name)
-                            entries.append((self.slots[name],
-                                            FourState.unknown(sym.width)))
+                            slot = self.slots[name]
+                            entries.append((slot, FourState.unknown(
+                                self.widths[slot])))
         return entries
 
     def _case(self, stmt: ast.Case) -> None:
@@ -774,8 +758,6 @@ class _RtlEmitter(_Emitter):
         for stmt in _walk_stmts(block.body):
             if isinstance(stmt, ast.Assignment):
                 for name in _target_name_list(stmt.target):
-                    if self.design.symbols.get(name) is None:
-                        continue
                     slot = self.slots[name]
                     targets[slot] = None
                     (blocking if stmt.blocking else pending)[slot] = None
@@ -801,15 +783,12 @@ class _RtlEmitter(_Emitter):
         value, width, _ = self.expr(item.value)
         target = item.target
         if type(target) is ast.Ident:
-            sym = self.design.symbols.get(target.name)
-            if sym is not None:
-                slot = self.slots[target.name]
-                self._commit(slot, self.name(
-                    self._resized(value, width, sym.width)), track)
-                return
-        slots = [self.slots[name] for name in _target_name_list(target)
-                 if self.design.symbols.get(name) is not None]
-        slots = list(dict.fromkeys(slots))
+            slot = self.slots[target.name]
+            self._commit(slot, self.name(
+                self._resized(value, width, self.widths[slot])), track)
+            return
+        slots = list(dict.fromkeys(self.slots[name]
+                                   for name in _target_name_list(target)))
         self._clear(slots)
         self._write(target, False, value, width)
         for slot in slots:
@@ -970,7 +949,7 @@ class _RtlEmitter(_Emitter):
         for block in design.comb_blocks:
             reads = set()
             self._stmt_reads(block.body, reads)
-            writes = {name for name in self._block_target_names(block)}
+            writes = {self.names[slot] for slot in self._block_slots(block)[0]}
             comb_items.append(
                 (reads, writes,
                  lambda track, block=block:
@@ -1017,15 +996,6 @@ class _RtlEmitter(_Emitter):
             design=design, names=self.names, slots=self.slots,
             widths=self.widths, initial_values=initial_values,
             settle=settle, edge=edge, source=settle_text + "\n" + edge_text)
-
-    def _block_target_names(self, block: ast.AlwaysBlock):
-        names = []
-        for stmt in _walk_stmts(block.body):
-            if isinstance(stmt, ast.Assignment):
-                for name in _target_name_list(stmt.target):
-                    if name in self.slots:
-                        names.append(name)
-        return names
 
 
 class CompiledProgram:
@@ -1155,25 +1125,19 @@ class CompiledSimulator(RunLoop):
 # -- program cache / factory --------------------------------------------------
 
 _PROGRAM_LOCK = threading.Lock()
-# Design instance -> CompiledProgram | UnsupportedDesign.  CompileCache
-# shares one immutable Design per source content hash, so identity keying
-# is content keying in-process; weak keys let evicted designs free their
-# programs.
+# Design instance -> CompiledProgram.  CompileCache shares one immutable
+# Design per source content hash, so identity keying is content keying
+# in-process; weak keys let evicted designs free their programs.
 _PROGRAMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _COUNTERS: Dict[str, int] = {
     "programs_compiled": 0,
     "program_cache_hits": 0,
-    "unsupported_designs": 0,
-    "compiled_simulators": 0,
-    "interp_simulators": 0,
-    "fallback_simulators": 0,
 }
 
 
 def sim_program_counters() -> Dict[str, int]:
-    """Metrics provider: program-cache, code-cache and mode-selection
-    counters."""
+    """Metrics provider: program-cache and code-cache counters."""
     counters = dict(_COUNTERS)
     counters["code_cache_hits"] = _CODE.hits
     counters["code_cache_misses"] = _CODE.misses
@@ -1186,27 +1150,17 @@ metrics.register_provider("sim_program", sim_program_counters)
 def compile_program(design: Design) -> CompiledProgram:
     """Emit and compile ``design`` (memoized per design instance).
 
-    Raises :class:`UnsupportedDesign` (also memoized) when the design uses
-    constructs the emitter does not handle, and propagates whatever the
-    interpreter's own reset would raise (e.g. ``EvalError`` from a bad
-    initializer) without caching it.
+    Propagates whatever the interpreter's own reset would raise (e.g.
+    ``EvalError`` from a bad initializer) without caching it.
     """
     with _PROGRAM_LOCK:
         cached = _PROGRAMS.get(design)
     if cached is not None:
         _COUNTERS["program_cache_hits"] += 1
-        if isinstance(cached, UnsupportedDesign):
-            raise UnsupportedDesign(str(cached))
         return cached
     start = perf_counter()
     try:
-        try:
-            program = _RtlEmitter(design).lower()
-        except UnsupportedDesign as exc:
-            _COUNTERS["unsupported_designs"] += 1
-            with _PROGRAM_LOCK:
-                _PROGRAMS[design] = exc
-            raise
+        program = _RtlEmitter(design).lower()
         _COUNTERS["programs_compiled"] += 1
         with _PROGRAM_LOCK:
             _PROGRAMS[design] = program
@@ -1215,23 +1169,8 @@ def compile_program(design: Design) -> CompiledProgram:
         metrics.add_time("compile_program", perf_counter() - start)
 
 
-def make_simulator(design: Design, sim_mode: str = "compiled"):
-    """The one place the ``sim_mode`` knob is interpreted.
-
-    ``"compiled"`` returns a :class:`CompiledSimulator` (falling back to
-    the interpreter for unsupported designs); ``"interp"`` always returns
-    the AST-walking :class:`Simulator`.  Both produce identical traces.
-    """
-    if sim_mode not in SIM_MODES:
-        raise ValueError(
-            f"sim_mode must be one of {SIM_MODES}, got {sim_mode!r}")
-    if sim_mode == "interp":
-        _COUNTERS["interp_simulators"] += 1
-        return Simulator(design)
-    try:
-        program = compile_program(design)
-    except UnsupportedDesign:
-        _COUNTERS["fallback_simulators"] += 1
-        return Simulator(design)
-    _COUNTERS["compiled_simulators"] += 1
-    return CompiledSimulator(program)
+def make_simulator(design: Design) -> CompiledSimulator:
+    """The simulator every bounded check runs: ``design``'s compiled
+    program (see :func:`repro.sva.reference.reference_tier` for the
+    interpreter oracle)."""
+    return CompiledSimulator(compile_program(design))

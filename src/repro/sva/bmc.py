@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.cov import CoverageSink, accumulate_totals
 from repro.engine import metrics
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
-from repro.sim.compiled import SIM_MODES, make_simulator
+from repro.sim.compiled import make_simulator
 from repro.sim.eval import EvalError
 from repro.sim.runloop import ExhaustiveWalker
 from repro.sim.simulator import SimulationError
@@ -48,12 +48,9 @@ from repro.verilog.elaborator import Design
 class BmcConfig:
     """Search budget for :func:`bounded_check`.
 
-    ``sim_mode`` selects the execution tier (``"compiled"`` programs or
-    the ``"interp"`` AST walker — see :mod:`repro.sim.compiled`); it is
-    an execution knob, not a semantic one, and must never change any
-    verdict.  ``coverage`` attaches a :class:`repro.cov.CoverageSink` to
-    the run — also a pure execution knob: verdicts are unchanged, the
-    result just additionally carries a coverage report.
+    ``coverage`` attaches a :class:`repro.cov.CoverageSink` to the run —
+    a pure execution knob: verdicts are unchanged, the result just
+    additionally carries a coverage report.
     """
 
     depth: int = knob(12, kind=int, ge=1, role=SEMANTIC)
@@ -61,8 +58,6 @@ class BmcConfig:
     exhaustive_bits: int = knob(12, kind=int, ge=0, role=SEMANTIC)
     reset_cycles: int = knob(2, kind=int, ge=0, role=SEMANTIC)
     seed: int = knob(2025, kind=int, role=SEMANTIC)
-    sim_mode: str = knob("compiled", kind=str, choices=SIM_MODES,
-                         role=EXECUTION)
     coverage: bool = knob(False, kind=bool, role=EXECUTION)
 
 
@@ -210,13 +205,12 @@ def _drive(design: Design, config: BmcConfig,
     checker = None
     try:
         candidates, walker = _candidate_stimuli(design, config)
-        simulator = make_simulator(design, config.sim_mode)
+        simulator = make_simulator(design)
         run_iter = (simulator.run_iter if walker is None
                     else partial(walker.run_iter, simulator))
         if sink is not None:
             simulator.cov = sink
         checker = IncrementalChecker(design, config.reset_cycles + 1,
-                                     compiled=config.sim_mode == "compiled",
                                      quality=config.coverage,
                                      exhaustive=first_failure)
         labels = {assertion.label for assertion in design.assertions}

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.cov.collector import QUALITY_KEYS
 from repro.engine import metrics
-from repro.sim.compiled import UnsupportedDesign, _code, _Emitter
+from repro.sim.compiled import _code, _Emitter
 from repro.sim.eval import EvalError, Evaluator
 from repro.sim.trace import Trace
 from repro.sim.values import FourState
@@ -153,9 +153,7 @@ class _PropEmitter(_Emitter):
         name = expr.name
         if name in self.params:
             return self._param(name)
-        slot = self.slots.get(name)
-        if slot is None:
-            return self.raise_(EvalError, f"no such signal '{name}' in trace")
+        slot = self.slots[name]
         if self.cycle == "c":
             self.hoist = True
             return f"e[{name!r}]", self.widths[slot], False
@@ -176,9 +174,6 @@ class _PropEmitter(_Emitter):
                 return self._value_syscall(expr, mark)
             return self.raise_(
                 EvalError, f"system function {name} unsupported in properties")
-        if not expr.args:
-            # The interpreted hook would crash on args[0]; don't compile.
-            raise UnsupportedDesign(f"{name} with no arguments")
         arg = expr.args[0]
         fn = self.fn
         out = f"t{fn.temps}"
@@ -260,22 +255,17 @@ class _PropProgram:
                     if isinstance(child, ast.PropExpr):
                         self.prop_fn(child)
             start = perf_counter()
-            try:
-                fn = build(node)
-            except UnsupportedDesign:
-                fn = False
-            finally:
-                metrics.add_time("compile_program", perf_counter() - start)
-            self._fns[key] = fn
-        return fn or None
+            fn = self._fns[key] = build(node)
+            metrics.add_time("compile_program", perf_counter() - start)
+        return fn
 
     def disabled_fn(self, expr: ast.Expr):
         """``fn(snapshots, cycle)``: truthy unless ``expr`` is definitely
-        false there (a ``disable iff`` condition), or ``None``."""
+        false there (a ``disable iff`` condition)."""
         return self._get("disable", expr, self._emit_disabled)
 
     def prop_fn(self, prop: ast.PropExpr):
-        """``fn(snapshots, cycle) -> (verdict, at)``, or ``None``."""
+        """``fn(snapshots, cycle) -> (verdict, at)``."""
         return self._get("prop", prop, self._emit_prop)
 
     def _emit_disabled(self, expr: ast.Expr):
@@ -285,10 +275,7 @@ class _PropProgram:
         return em.function()
 
     def _child(self, em: _PropEmitter, prop: ast.PropExpr) -> str:
-        fn = self.prop_fn(prop)
-        if fn is None:
-            raise UnsupportedDesign("property operand does not compile")
-        return em.const(fn)
+        return em.const(self.prop_fn(prop))
 
     def _emit_prop(self, prop: ast.PropExpr):
         em = _PropEmitter(self._design())
@@ -360,10 +347,11 @@ def _bool_verdict(value: FourState) -> str:
 
 
 class PropertyChecker:
-    """Interprets properties over one trace: the ``sim_mode="interp"``
-    monitor, and the fallback of :class:`IncrementalChecker` for a plan
-    whose body or ``disable iff`` condition the emitter rejects (same
-    verdicts, same ``EvalError`` messages as the generated functions).
+    """Interprets properties over one trace (a :class:`Trace` or its
+    snapshot list): the reference oracle of the generated property
+    functions, which give the same verdicts and the same ``EvalError``
+    messages.  :func:`repro.sva.reference.reference_tier` runs the
+    monitor on it.
     """
 
     def __init__(self, design: Design, trace: Trace):
@@ -484,10 +472,7 @@ class IncrementalChecker:
     Built once per check: each assertion's generated functions (see
     :class:`_PropProgram`) and lookahead (see :func:`property_lookahead`)
     are resolved here, not once per stimulus.  :meth:`start` binds each
-    new stimulus's trace, which may still be growing; an interpreting
-    :class:`PropertyChecker` is built for it only when a plan needs one
-    (``sim_mode="interp"``, or a body or ``disable iff`` condition the
-    emitter rejects).
+    new stimulus's trace, which may still be growing.
 
     By default every label is scored independently (the batch driver's
     mode).  After each simulated cycle :meth:`advance` evaluates every
@@ -508,8 +493,7 @@ class IncrementalChecker:
     label, into :meth:`quality_report`: a TRUE implication whose
     antecedent was FALSE is a *vacuous* pass, any other TRUE a *real*
     pass, a FALSE a fail (always with an activation, since only a TRUE
-    antecedent can fail); UNDET counts nothing.  Compiled and
-    interpreted tiers count alike.
+    antecedent can fail); UNDET counts nothing.
 
     A trace whose first ``trace.shared`` snapshots were replayed by a
     :class:`repro.sim.runloop.ExhaustiveWalker` skips every window that
@@ -526,8 +510,7 @@ class IncrementalChecker:
     """
 
     def __init__(self, design: Design, skip_cycles: int,
-                 compiled: bool = True, quality: bool = False,
-                 exhaustive: bool = False):
+                 quality: bool = False, exhaustive: bool = False):
         self.design = design
         self.skip_cycles = skip_cycles
         self.quality = quality
@@ -540,42 +523,32 @@ class IncrementalChecker:
         #: label -> packed quality counts, once a plan of it is scanned.
         self._counts: dict = {}
         # (assertion, lookahead, body_fn, disable_fn, quality,
-        #  antecedent, ant_fn, fast, index, interp) per assertion; the
-        # functions take (snapshots, cycle), and ``interp`` is set when
-        # one of them is missing and the interpreter stands in.
-        # ``fast`` is ``(ant_fn, cons_fn, overlapped)`` for implication
-        # bodies whose antecedent is a plain boolean: there
-        # ``match_end == cycle``, so the scan can evaluate the
-        # antecedent once and then only the consequent — instead of the
-        # whole implication plus a second antecedent pass for vacuity
-        # classification.  ``index`` keys the plan's counts in
-        # walker-node memos.
-        program = _prop_program(design) if compiled else None
+        #  antecedent, ant_fn, fast, index) per assertion; the functions
+        # take (snapshots, cycle).  ``fast`` is ``(ant_fn, cons_fn,
+        # overlapped)`` for implication bodies whose antecedent is a
+        # plain boolean: there ``match_end == cycle``, so the scan can
+        # evaluate the antecedent once and then only the consequent —
+        # instead of the whole implication plus a second antecedent pass
+        # for vacuity classification.  ``index`` keys the plan's counts
+        # in walker-node memos.
+        program = _prop_program(design)
         self._plans = []
         for index, assertion in enumerate(design.assertions):
             body = assertion.prop.body
             disable = assertion.prop.disable
-            body_fn = program.prop_fn(body) if program is not None else None
+            body_fn = program.prop_fn(body)
             disable_fn = (program.disabled_fn(disable)
-                          if program is not None and disable is not None
-                          else None)
+                          if disable is not None else None)
             antecedent = ant_fn = fast = None
             if quality and isinstance(body, ast.PropImplication):
                 antecedent = body.antecedent
-                if program is not None:
-                    ant_fn = program.prop_fn(antecedent)
-                    if body_fn is not None and isinstance(antecedent,
-                                                          ast.PropBool):
-                        cons_fn = program.prop_fn(body.consequent)
-                        if ant_fn is not None and cons_fn is not None:
-                            fast = (ant_fn, cons_fn, body.overlapped)
-            interp = (body_fn is None
-                      or (disable is not None and disable_fn is None)
-                      or (antecedent is not None and ant_fn is None))
+                ant_fn = program.prop_fn(antecedent)
+                if isinstance(antecedent, ast.PropBool):
+                    fast = (ant_fn, program.prop_fn(body.consequent),
+                            body.overlapped)
             self._plans.append(
                 (assertion, property_lookahead(body), body_fn, disable_fn,
-                 quality, antecedent, ant_fn, fast, index, interp))
-        self._checker: Optional[PropertyChecker] = None
+                 quality, antecedent, ant_fn, fast, index))
 
     def start(self, trace: Trace, resolved=()) -> None:
         """Monitor a new stimulus's ``trace`` from its first cycle.
@@ -587,7 +560,6 @@ class IncrementalChecker:
             self._plans = [plan for plan in self._plans
                            if plan[0].label not in resolved]
         self.trace = trace
-        self._checker = None
         self.failed = set()
         self.errors = {}
         self.failures = []
@@ -641,13 +613,9 @@ class IncrementalChecker:
         """Evaluate start cycles up to ``limit``; True when resolved."""
         plan, cycle, counted_before = entry
         (assertion, lookahead, body_fn, disable_fn,
-         quality, antecedent, ant_fn, fast, index, interp) = plan
+         quality, antecedent, ant_fn, fast, index) = plan
         prop = assertion.prop
         trace = self.trace
-        checker = self._checker
-        if interp and checker is None:
-            checker = self._checker = PropertyChecker(self.design, trace)
-        disable = prop.disable
         snapshots = trace.snapshots
         nodes = trace.nodes
         last = len(snapshots) - 1
@@ -667,10 +635,7 @@ class IncrementalChecker:
             ant_bool_fn, cons_fn, overlapped = fast
         try:
             while cycle <= limit:
-                if disable is not None and (
-                        disable_fn(snapshots, cycle) if disable_fn is not None
-                        else not checker._eval_bool(disable,
-                                                    cycle).is_false()):
+                if disable_fn is not None and disable_fn(snapshots, cycle):
                     verdict = UNDET
                 elif fast is not None:
                     # Mirrors the implication with a PropBool antecedent,
@@ -690,17 +655,12 @@ class IncrementalChecker:
                     else:
                         verdict = UNDET
                 else:
-                    verdict, at = (body_fn(snapshots, cycle)
-                                   if body_fn is not None
-                                   else checker.eval_prop(prop.body, cycle))
+                    verdict, at = body_fn(snapshots, cycle)
                     if quality and verdict != UNDET:
                         if antecedent is None:
                             counted += _PASS if verdict == TRUE else _FAIL
                         else:
-                            ant, _ = (ant_fn(snapshots, cycle)
-                                      if ant_fn is not None
-                                      else checker.eval_prop(antecedent,
-                                                             cycle))
+                            ant, _ = ant_fn(snapshots, cycle)
                             if ant == TRUE:
                                 counted += _ACTIVATION
                             if verdict == TRUE:

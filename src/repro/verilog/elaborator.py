@@ -19,6 +19,11 @@ from repro.verilog.errors import Diagnostic, VerilogSemanticError
 
 _BUILTIN_CONSTS: Set[str] = set()
 
+#: System functions that evaluate their first argument.
+_TAKES_ARGUMENT = frozenset((
+    "$countones", "$onehot", "$onehot0", "$signed", "$unsigned",
+    "$past", "$rose", "$fell", "$stable"))
+
 
 class Symbol:
     """One named signal (port, net or variable) in a module."""
@@ -268,24 +273,30 @@ class Elaborator:
     # -- reference checking ---------------------------------------------------
 
     def _check_references(self) -> None:
+        """Undeclared identifiers, and argument-less calls of system
+        functions that evaluate one (in initializers too)."""
         known = set(self.design.symbols) | set(self.design.params) | _BUILTIN_CONSTS
         for item in self.module.items:
+            where = ""
             if isinstance(item, (ast.ContinuousAssign, ast.AlwaysBlock)):
-                for node in ast.walk(item):
-                    if isinstance(node, ast.Ident) and node.name not in known:
-                        self.error(f"identifier '{node.name}' is not declared",
-                                   node.line)
+                root = item
             elif isinstance(item, ast.PropertyDecl):
-                for node in ast.walk(item):
-                    if isinstance(node, ast.Ident) and node.name not in known:
-                        self.error(
-                            f"identifier '{node.name}' in property "
-                            f"'{item.name}' is not declared", node.line)
+                root, where = item, f" in property '{item.name}'"
             elif isinstance(item, ast.AssertionItem) and item.inline is not None:
-                for node in ast.walk(item.inline):
-                    if isinstance(node, ast.Ident) and node.name not in known:
-                        self.error(f"identifier '{node.name}' is not declared",
-                                   node.line)
+                root = item.inline
+            elif isinstance(item, ast.Decl) and item.init is not None:
+                root, where = item.init, None
+            else:
+                continue
+            for node in ast.walk(root):
+                if isinstance(node, ast.Ident):
+                    if where is not None and node.name not in known:
+                        self.error(f"identifier '{node.name}'{where} is not "
+                                   f"declared", node.line)
+                elif (isinstance(node, ast.SysCall) and not node.args
+                      and node.name in _TAKES_ARGUMENT):
+                    self.error(f"system function {node.name} needs an "
+                               f"argument", node.line)
 
     # -- driver checking -------------------------------------------------------
 
@@ -294,7 +305,7 @@ class Elaborator:
         proc_targets: Dict[str, int] = {}
         for item in self.design.assigns:
             for name, line in self._target_names(item.target):
-                sym = self.design.symbols.get(name)
+                sym = self._target_symbol(name, line)
                 if sym is None:
                     continue
                 if sym.is_input:
@@ -312,7 +323,7 @@ class Elaborator:
                 if not isinstance(stmt, ast.Assignment):
                     continue
                 for name, line in self._target_names(stmt.target):
-                    sym = self.design.symbols.get(name)
+                    sym = self._target_symbol(name, line)
                     if sym is None:
                         continue
                     if sym.is_input:
@@ -325,6 +336,13 @@ class Elaborator:
                         self.error(
                             f"'{name}' driven by both assign and always", line)
                     proc_targets[name] = line
+
+    def _target_symbol(self, name: str, line: int) -> Optional[Symbol]:
+        """The symbol an assignment writes; a parameter is not one."""
+        sym = self.design.symbols.get(name)
+        if sym is None and name in self.design.params:
+            self.error(f"assignment to parameter '{name}'", line)
+        return sym
 
     def _target_names(self, target: ast.Expr):
         if isinstance(target, ast.Ident):

@@ -31,11 +31,20 @@ BINARY_PRECEDENCE = {
 
 UNARY_OPS = {"~", "!", "-", "+", "&", "|", "^"}
 
+#: How deep a module item may nest (the item is level 1; each statement,
+#: sub-expression, chained operator and parenthesized group is one more).
+#: Deeper input is a parse error at its line, so no recursive consumer of
+#: the AST runs out of stack and generated programs stay under Python's
+#: 100 indentation levels.  The corpus nests at most 10 deep.
+MAX_NESTING = 64
+
 
 class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: Nesting level of the construct being parsed (items are 1).
+        self.depth = 1
 
     # -- token helpers ------------------------------------------------------
 
@@ -53,6 +62,31 @@ class Parser:
         token = token or self.peek()
         seen = token.text or "<eof>"
         return VerilogParseError(f"{message} (found {seen!r})", token.line)
+
+    def nested(self, parse, *args):
+        """``parse(*args)`` one level deeper, bounding the recursion."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(self.peek().line)
+        node = parse(*args)
+        self.depth -= 1
+        return node
+
+    def check_height(self, node: ast.Node, depth: int, first: int) -> None:
+        """Reject ``node`` (at level ``depth``, parsed from token ``first``)
+        if its tree reaches past :data:`MAX_NESTING`, as the left-deep
+        chains loops build can (``a + b``, ``x[i][j]``, ``p ##1 q``).  All
+        nodes of a path but one ``PropBool`` own a token, so a node parsed
+        from few enough tokens needs no walk."""
+        if depth + self.pos - first <= MAX_NESTING:
+            return
+        stack = [(node, depth)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_NESTING:
+                raise _too_deep(node.line)
+            for child in node.children():
+                stack.append((child, depth + 1))
 
     def expect_op(self, text: str) -> Token:
         token = self.peek()
@@ -109,7 +143,10 @@ class Parser:
         while not self.peek().is_kw("endmodule"):
             if self.peek().kind == "eof":
                 raise self.error("missing 'endmodule'")
-            items.extend(self.parse_item())
+            first = self.pos
+            for item in self.parse_item():
+                self.check_height(item, 1, first)
+                items.append(item)
         end = self.expect_kw("endmodule")
         return ast.Module(name, ports, items, line=start.line, end_line=end.line)
 
@@ -147,9 +184,9 @@ class Parser:
         """Parse ``[msb:lsb]``.  Bounds fold to ints when constant, else the
         expression is kept and resolved against parameters at elaboration."""
         self.expect_op("[")
-        msb_expr = self.parse_expression()
+        msb_expr = self.parse_detached_expression()
         self.expect_op(":")
-        lsb_expr = self.parse_expression()
+        lsb_expr = self.parse_detached_expression()
         self.expect_op("]")
         msb = _fold_const(msb_expr)
         lsb = _fold_const(lsb_expr)
@@ -158,7 +195,7 @@ class Parser:
 
     def parse_const_int(self) -> int:
         """A constant integer expression (numbers, +,-,* on numbers)."""
-        expr = self.parse_expression()
+        expr = self.parse_detached_expression()
         value = _fold_const(expr)
         if value is None:
             raise self.error("expected constant expression", self.peek())
@@ -208,7 +245,7 @@ class Parser:
             ident = self.expect_ident()
             init = None
             if self.accept_op("="):
-                init = self.parse_expression()
+                init = self.parse_detached_expression()
             decls.append(ast.Decl(kind, ident.text, msb, lsb, init, signed,
                                   line=ident.line))
             if not self.accept_op(","):
@@ -225,7 +262,7 @@ class Parser:
         while True:
             ident = self.expect_ident()
             self.expect_op("=")
-            value = self.parse_expression()
+            value = self.parse_detached_expression()
             params.append(ast.ParamDecl(ident.text, value, local, line=ident.line))
             if not self.accept_op(","):
                 break
@@ -296,7 +333,7 @@ class Parser:
                 self.expect_op(".")
                 port = self.expect_ident().text
                 self.expect_op("(")
-                expr = self.parse_expression()
+                expr = self.parse_detached_expression()
                 self.expect_op(")")
                 connections.append((port, expr))
                 if not self.accept_op(","):
@@ -308,6 +345,9 @@ class Parser:
     # -- statements ----------------------------------------------------------
 
     def parse_statement(self) -> ast.Stmt:
+        return self.nested(self._statement)
+
+    def _statement(self) -> ast.Stmt:
         token = self.peek()
         if token.is_kw("begin"):
             return self.parse_block()
@@ -422,7 +462,15 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expression(self) -> ast.Expr:
-        return self.parse_ternary()
+        return self.nested(self.parse_ternary)
+
+    def parse_detached_expression(self) -> ast.Expr:
+        """An expression outside its item's children (a range or delay
+        bound, initializer, parameter value or connection)."""
+        first = self.pos
+        expr = self.parse_expression()
+        self.check_height(expr, self.depth + 1, first)
+        return expr
 
     def parse_ternary(self) -> ast.Expr:
         cond = self.parse_binary(1)
@@ -443,7 +491,7 @@ class Parser:
             if prec is None or prec < min_prec:
                 break
             self.advance()
-            rhs = self.parse_binary(prec + 1)
+            rhs = self.nested(self.parse_binary, prec + 1)
             lhs = ast.Binary(token.text, lhs, rhs, line=token.line)
         return lhs
 
@@ -451,7 +499,7 @@ class Parser:
         token = self.peek()
         if token.kind == "op" and token.text in UNARY_OPS:
             self.advance()
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary)
             return ast.Unary(token.text, operand, line=token.line)
         return self.parse_postfix()
 
@@ -559,7 +607,7 @@ class Parser:
         token = self.peek()
         if token.is_op("|->", "|=>"):
             self.advance()
-            rhs = self.parse_prop_expr()
+            rhs = self.nested(self.parse_prop_expr)
             return ast.PropImplication(lhs, rhs, overlapped=(token.text == "|->"),
                                        line=token.line)
         return lhs
@@ -567,7 +615,7 @@ class Parser:
     def parse_prop_sequence(self) -> ast.PropExpr:
         if self.peek().is_kw("not"):
             token = self.advance()
-            operand = self.parse_prop_sequence()
+            operand = self.nested(self.parse_prop_sequence)
             return ast.PropNot(operand, line=token.line)
         if self.peek().is_op("##"):
             # Leading delay (common after |->): '##N expr' with no LHS term.
@@ -600,6 +648,7 @@ class Parser:
         return ast.PropBool(expr, line=token.line)
 
     def parse_assertion(self, label: Optional[str]) -> ast.AssertionItem:
+        first = self.pos
         start = self.expect_kw("assert")
         self.expect_kw("property")
         self.expect_op("(")
@@ -611,6 +660,7 @@ class Parser:
             clock, disable, body = self.parse_property_spec()
             inline = ast.PropertyDecl(label or "_inline", clock, disable, body,
                                       line=start.line)
+            self.check_height(inline, self.depth + 1, first)
         self.expect_op(")")
         message = ""
         if self.accept_kw("else"):
@@ -630,6 +680,10 @@ class Parser:
         self.expect_op(";")
         return ast.AssertionItem(label or f"assert_{start.line}", property_name,
                                  inline, message, line=start.line)
+
+
+def _too_deep(line: int) -> VerilogParseError:
+    return VerilogParseError(f"nesting deeper than {MAX_NESTING} levels", line)
 
 
 def _fold_const(expr: ast.Expr) -> Optional[int]:

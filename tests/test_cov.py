@@ -24,6 +24,7 @@ import json
 import random
 
 import pytest
+from tiers import TIERS, on_tier
 
 from repro import cov
 from repro.bugs.injector import BugInjector
@@ -52,8 +53,17 @@ FAMILIES = sorted(TEMPLATE_FAMILIES)
 FAST_BMC = dict(depth=6, random_trials=4)
 
 
-def _bmc(sim_mode: str, coverage: bool = True) -> BmcConfig:
-    return BmcConfig(sim_mode=sim_mode, coverage=coverage, **FAST_BMC)
+def _bmc(coverage: bool = True) -> BmcConfig:
+    return BmcConfig(coverage=coverage, **FAST_BMC)
+
+
+def _on_tiers(check, design):
+    """The coverage reports of ``check`` on each tier, dumped."""
+    reports = []
+    for tier in TIERS:
+        with on_tier(tier):
+            reports.append(_dump(check(design, _bmc()).coverage))
+    return reports
 
 
 def _dump(report) -> str:
@@ -82,16 +92,14 @@ def family_design(request):
 class TestTierIdentity:
     def test_bounded_check_coverage_byte_identical(self, family_design):
         family, seed, design, _ = family_design
-        compiled = bounded_check(design, _bmc("compiled"))
-        interp = bounded_check(design, _bmc("interp"))
-        assert compiled.coverage is not None or not design.assertions
-        assert _dump(compiled.coverage) == _dump(interp.coverage), family
+        compiled, interp = _on_tiers(bounded_check, design)
+        assert compiled != "null" or not design.assertions
+        assert compiled == interp, family
 
     def test_bounded_check_batch_coverage_byte_identical(self, family_design):
         family, seed, design, _ = family_design
-        compiled = bounded_check_batch(design, _bmc("compiled"))
-        interp = bounded_check_batch(design, _bmc("interp"))
-        assert _dump(compiled.coverage) == _dump(interp.coverage), family
+        compiled, interp = _on_tiers(bounded_check_batch, design)
+        assert compiled == interp, family
 
     def test_mutated_design_coverage_identical(self, family_design):
         """Bug-injected designs (FAIL verdicts, early exits) must agree
@@ -102,19 +110,15 @@ class TestTierIdentity:
         buggy = compile_with_sva(record.buggy_source, blocks)
         assert buggy.ok, (family, buggy.failure_summary())
         assert buggy.design.assertions, family
-        assert _dump(bounded_check(buggy.design, _bmc("compiled")).coverage) \
-            == _dump(bounded_check(buggy.design, _bmc("interp")).coverage), \
-            family
-        assert _dump(
-            bounded_check_batch(buggy.design, _bmc("compiled")).coverage) \
-            == _dump(
-                bounded_check_batch(buggy.design, _bmc("interp")).coverage), \
-            family
+        compiled, interp = _on_tiers(bounded_check, buggy.design)
+        assert compiled == interp, family
+        compiled, interp = _on_tiers(bounded_check_batch, buggy.design)
+        assert compiled == interp, family
 
     def test_coverage_never_changes_verdicts(self, family_design):
         family, seed, design, _ = family_design
-        plain = bounded_check(design, _bmc("compiled", coverage=False))
-        covered = bounded_check(design, _bmc("compiled", coverage=True))
+        plain = bounded_check(design, _bmc(coverage=False))
+        covered = bounded_check(design, _bmc(coverage=True))
         assert plain.coverage is None
         assert (plain.failed, plain.stimuli_tried, plain.sim_error) == \
             (covered.failed, covered.stimuli_tried, covered.sim_error), family
@@ -197,7 +201,7 @@ class TestSinkSemantics:
 
     def test_report_keys_are_sorted_for_byte_identity(self, family_design):
         family, seed, design, _ = family_design
-        report = bounded_check(design, _bmc("compiled")).coverage
+        report = bounded_check(design, _bmc()).coverage
         assert report is not None, f"{family} produced no assertions"
         assert json.dumps(report) == json.dumps(report, sort_keys=True)
 
@@ -228,7 +232,7 @@ endmodule
 class TestVacuity:
     def test_quality_counters_split_real_and_vacuous(self):
         design = compile_source(VACUOUS_SOURCE).design
-        result = bounded_check(design, _bmc("compiled"))
+        result = bounded_check(design, _bmc())
         counters = result.coverage["assertions"]["req_ack_assertion"]
         assert counters["fails"] == 0
         assert counters["vacuous"] > 0          # req=0 cycles
@@ -237,11 +241,9 @@ class TestVacuity:
 
     def test_quality_identical_across_tiers_and_drivers(self):
         design = compile_source(VACUOUS_SOURCE).design
-        reports = [bounded_check(design, _bmc(mode)).coverage
-                   for mode in ("compiled", "interp")]
-        reports += [bounded_check_batch(design, _bmc(mode)).coverage
-                    for mode in ("compiled", "interp")]
-        quality = [r["assertions"] for r in reports]
+        reports = (_on_tiers(bounded_check, design)
+                   + _on_tiers(bounded_check_batch, design))
+        quality = [json.loads(r)["assertions"] for r in reports]
         assert all(q == quality[0] for q in quality)
 
     def test_failing_assertion_counts_fails(self, accu_buggy_source):
@@ -259,7 +261,7 @@ class TestVacuity:
 class TestMerge:
     def test_counts_add_and_bits_max(self):
         design = compile_source(VACUOUS_SOURCE).design
-        a = bounded_check(design, _bmc("compiled")).coverage
+        a = bounded_check(design, _bmc()).coverage
         assert a["cycles"] > 0
         merged = cov.merge_reports([a, a])
         assert merged["cycles"] == 2 * a["cycles"]
@@ -379,10 +381,9 @@ class TestServeCoverage:
             assert json.dumps(stripped, sort_keys=True) == r_off.to_json()
 
     def test_coverage_identical_across_sim_modes(self, corpus):
-        compiled = self._solve_all(
-            _serve_config(coverage=True, sim_mode="compiled"), corpus)
-        interp = self._solve_all(
-            _serve_config(coverage=True, sim_mode="interp"), corpus)
+        compiled = self._solve_all(_serve_config(coverage=True), corpus)
+        with on_tier("interp"):
+            interp = self._solve_all(_serve_config(coverage=True), corpus)
         assert [r.to_json() for r in compiled] == \
             [r.to_json() for r in interp]
 

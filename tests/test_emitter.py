@@ -6,7 +6,8 @@ random four-state expressions and compares the interpreter's
 :class:`Evaluator` with the emitted code, value for value and error
 message for error message.  Targeted tests cover X-select poisoning,
 wildcard cases, concat and part-select write targets, the comb-loop
-settle error, temporal functions near cycle 0 and ``disable iff``; and
+settle error, temporal functions near cycle 0 and ``disable iff``, and
+concat targets the interpreter rejects or sizes from live values; and
 two tests check the code cache: a constant nudge shares emitted text but
 not constants, and the text does not depend on the hash seed.
 """
@@ -21,12 +22,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from tiers import TIERS, on_tier
 
 from repro.bugs.mutators import SiteTable
 from repro.sim import compiled
 from repro.sim.compiled import CompiledSimulator, compile_program, make_simulator
 from repro.sim.eval import EvalError, Evaluator
-from repro.sim.simulator import SimulationError
+from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.stimulus import reset_sequence, toggle_sequence
 from repro.sim.values import FourState
 from repro.sva.bmc import BmcConfig, bounded_check, bounded_check_batch
@@ -178,9 +180,8 @@ def _run(simulator, stimulus):
 
 
 def _assert_tiers_agree(design, depth=8):
-    compiled_sim = make_simulator(design, "compiled")
-    assert isinstance(compiled_sim, CompiledSimulator)
-    interp_sim = make_simulator(design, "interp")
+    compiled_sim = make_simulator(design)
+    interp_sim = Simulator(design)
     stimuli = [toggle_sequence(design, depth, 0, 2),
                toggle_sequence(design, depth, 1, 2),
                toggle_sequence(design, depth, 0, 0)]
@@ -262,6 +263,33 @@ WRITE_TARGETS = """module targets (input clk, input rst_n, input [7:0] d,
 endmodule
 """
 
+BAD_CONCAT_TARGET = """module badcat (input clk, input [3:0] a, input [7:0] d,
+  output reg [3:0] q);
+  always @(posedge clk) {{q, {part}}} <= d;
+endmodule
+"""
+
+LIVE_BOUNDS = """module live (input clk, input rst_n, input [3:0] a, input [7:0] d,
+  output reg q, output reg [7:0] r, output reg [2:0] k, output [7:0] y,
+  output reg [7:0] z);
+  assign {y[7:4], y[a[1:0]:0]} = {d, d};
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin
+      k = 3'd0;
+      r <= 8'd0;
+    end else begin
+      k = k + a[2:0];
+      {q, r[a[1:0]:0]} <= d;
+      {r[7], r[k:4]} <= {a, a};
+    end
+  end
+  always @(*) begin
+    z = d;
+    {z[a[2:0]:1], z[0]} = ~d;
+  end
+endmodule
+"""
+
 COMB_LOOP = """module loop (input clk, input a, output reg x, output y);
   assign y = a;
   always @(*) x = x === 1'b0 ? 1'b1 : 1'b0;
@@ -281,13 +309,24 @@ class TestTargetedDifferential:
 
     def test_comb_loop_settle_error(self):
         design = _design(COMB_LOOP)
-        simulator = make_simulator(design, "compiled")
-        assert isinstance(simulator, CompiledSimulator)
         stimulus = toggle_sequence(design, 4, 0, 1)
-        outcome = _run(simulator, stimulus)
-        assert outcome == _run(make_simulator(design, "interp"), stimulus)
+        outcome = _run(make_simulator(design), stimulus)
+        assert outcome == _run(Simulator(design), stimulus)
         assert outcome[0] == "SimulationError"
         assert "failed to settle" in outcome[1]
+
+    @pytest.mark.parametrize("part", ["1'b0", "a + 4'd1", "{q, 2'd0}"])
+    def test_concat_part_that_is_no_target(self, part):
+        """The interpreter raises at the statement; so does the program."""
+        design = _design(BAD_CONCAT_TARGET.format(part=part))
+        stimulus = toggle_sequence(design, 4, 0, 1)
+        outcome = _run(make_simulator(design), stimulus)
+        assert outcome == _run(Simulator(design), stimulus)
+        assert outcome == ("SimulationError", "bad assignment target")
+
+    def test_concat_part_select_with_live_bounds(self):
+        """Widths from committed values, written bounds from scratch ones."""
+        _assert_tiers_agree(_design(LIVE_BOUNDS), depth=10)
 
 
 TEMPORAL = """module temporal (input clk, input rst_n, input a, input [3:0] b,
@@ -320,14 +359,13 @@ class TestTemporalAndDisable:
         """Property functions at every start cycle, cycle 0 and past the
         end included, against the interpreting checker."""
         program = _prop_program(design)
-        simulator = make_simulator(design, "interp")
+        simulator = Simulator(design)
         for seed in range(8):
             trace = simulator.run(
                 reset_sequence(design, 8, random.Random(seed), 1))
             checker = PropertyChecker(design, trace)
             for assertion in design.assertions:
                 body = program.prop_fn(assertion.prop.body)
-                assert body is not None, assertion.label
                 disable = assertion.prop.disable
                 disabled = (program.disabled_fn(disable)
                             if disable is not None else None)
@@ -351,10 +389,12 @@ class TestTemporalAndDisable:
                                                  r.stimuli_tried,
                                                  r.design_error))):
             for coverage in (False, True):
-                results = [key(check(design, BmcConfig(
-                    depth=6, random_trials=6, reset_cycles=reset_cycles,
-                    sim_mode=mode, coverage=coverage)))
-                    for mode in ("compiled", "interp")]
+                results = []
+                for tier in TIERS:
+                    with on_tier(tier):
+                        results.append(key(check(design, BmcConfig(
+                            depth=6, random_trials=6,
+                            reset_cycles=reset_cycles, coverage=coverage))))
                 assert results[0] == results[1]
 
 
@@ -395,7 +435,7 @@ class TestCodeCache:
         mutants = _const_nudges(NUDGE_GOLDEN)
         assert mutants
         golden_program = compile_program(golden)
-        interp_golden = make_simulator(golden, "interp")
+        interp_golden = Simulator(golden)
         stimuli = [reset_sequence(golden, 16, random.Random(seed), 2)
                    for seed in range(4)]
         for mutant in mutants:
@@ -405,7 +445,7 @@ class TestCodeCache:
             assert program.edge.__code__ is golden_program.edge.__code__
             assert program.settle.__globals__ is not \
                 golden_program.settle.__globals__
-            interp_mutant = make_simulator(mutant, "interp")
+            interp_mutant = Simulator(mutant)
             for stimulus in stimuli:
                 compiled_pair = (_run(CompiledSimulator(golden_program),
                                       stimulus),
@@ -433,7 +473,7 @@ def test_programs_are_freed_with_their_design():
     from repro.sva.monitor import IncrementalChecker
 
     design = compile_source(NUDGE_GOLDEN, use_cache=False).design
-    make_simulator(design, "compiled")
+    make_simulator(design)
     IncrementalChecker(design, 1)
     alive = weakref.ref(design)
     del design

@@ -19,7 +19,13 @@ from repro.engine import (
 )
 from repro.eval.config import EvalConfig
 from repro.eval.runner import run_eval
-from repro.verilog.compile import CompileCache, _compile_uncached, compile_source
+from repro.sim import compiled
+from repro.verilog.compile import (
+    CompileCache,
+    _compile_uncached,
+    compile_source,
+    default_compile_cache,
+)
 
 
 def _square(x):
@@ -260,10 +266,16 @@ class TestParallelDeterminism:
         assert uncached.stats["compile_cache"]["hits"] == 0
 
     def test_serial_and_process_runs_count_the_same_work(self):
-        serial = run_pipeline(DatagenConfig(coverage=True, **self.CONFIG))
-        pooled = run_pipeline(DatagenConfig(coverage=True, n_workers=2,
-                                            backend="process",
-                                            **self.CONFIG))
+        def cold_run(**settings):
+            # Forked workers inherit this process's caches: empty them so
+            # that neither run finds the other's designs and programs.
+            default_compile_cache().clear()
+            compiled._CODE.clear()
+            return run_pipeline(DatagenConfig(coverage=True, **settings,
+                                              **self.CONFIG))
+
+        serial = cold_run()
+        pooled = cold_run(n_workers=2, backend="process")
         assert serial.stats["coverage"]["reports_total"] > 0
         assert pooled.stats["coverage"] == serial.stats["coverage"]
 

@@ -183,18 +183,18 @@ ALTERNATIVES = {
         n_designs=5, bugs_per_design=2, seed=9, break_rate=0.5,
         hallucination_rate=0.0, train_fraction=0.5, bmc_depth=6,
         bmc_random_trials=8, n_workers=2, backend="thread",
-        sim_mode="interp", coverage=True, template_families=FAMILIES,
+        coverage=True, template_families=FAMILIES,
         family_weights={"counter": 2.0}, store=StoreConfig(max_bytes=4096)),
     PipelineConfig: dict(
         n_designs=5, bugs_per_design=2, seed=9, n_samples=4,
         include_human=False, include_baselines=False, n_workers=2,
-        backend="thread", sim_mode="interp",
+        backend="thread",
         template_families=FAMILIES, family_weights={"counter": 2.0},
         store=StoreConfig(max_bytes=4096)),
     ServeConfig: dict(
         n_workers=2, backend="thread", max_queue=8, max_batch=2,
         batch_window_ms=0.0, result_cache=False, cache_entries=4,
-        sim_mode="interp", coverage=True, seed=7,
+        coverage=True, seed=7,
         store=StoreConfig(max_bytes=4096)),
     SolveOptions: dict(hints=HINTS, mine_hints=False, max_proposals=2,
                        hallucination_rate=0.5, bmc_depth=4,
@@ -212,8 +212,7 @@ ALTERNATIVES = {
                        families=FAMILIES, hallucination_rate=0.5,
                        bmc_depth=4, bmc_random_trials=2),
     BmcConfig: dict(depth=4, random_trials=2, exhaustive_bits=4,
-                    reset_cycles=1, seed=9, sim_mode="interp",
-                    coverage=True),
+                    reset_cycles=1, seed=9, coverage=True),
 }
 
 #: The keys each class derives, with the roles each one must cover.

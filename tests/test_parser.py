@@ -5,7 +5,7 @@ import pytest
 from repro.verilog import ast
 from repro.verilog.compile import compile_source
 from repro.verilog.errors import VerilogLexError, VerilogParseError
-from repro.verilog.parser import parse_module, parse_source
+from repro.verilog.parser import MAX_NESTING, parse_module, parse_source
 from repro.verilog.writer import write_expr
 
 
@@ -262,3 +262,71 @@ class TestUndecodableLiterals:
             parse_module(with_literal(literal))
         assert info.value.line == 2
         assert literal in info.value.message
+
+
+def nested(body: str) -> str:
+    """A module whose line 3 holds ``body``."""
+    return ("module m (input clk, input a, input [3:0] b);\n"
+            "  reg q; wire y;\n"
+            f"  {body}\n"
+            "endmodule\n")
+
+
+#: Nesting probes: ``n`` -> source, and the ``n`` that nests exactly
+#: MAX_NESTING deep (the item is level 1; see MAX_NESTING).
+NESTING_PROBES = {
+    "if": (lambda n: nested("always @(posedge clk) " + "if (a) " * n
+                            + "q <= 1'b1;"), MAX_NESTING - 3),
+    "ternary": (lambda n: nested("assign y = " + "a ? " * n + "a"
+                                 + " : a" * n + ";"), MAX_NESTING - 2),
+    "parenthesis": (lambda n: nested("assign y = " + "(" * n + "a"
+                                     + ")" * n + ";"), MAX_NESTING - 2),
+    "mixed": (lambda n: nested("always @(posedge clk) " + "if (a) " * (n // 2)
+                               + "q <= " + "a ? " * (n - n // 2) + "a"
+                               + " : a" * (n - n // 2) + ";"),
+              MAX_NESTING - 3),
+    "flat_sum": (lambda n: nested("assign y = " + " + ".join(["a"] * n)
+                                  + ";"), MAX_NESTING - 1),
+    "unary": (lambda n: nested("assign y = " + "~" * n + "a;"),
+              MAX_NESTING - 2),
+    "selects": (lambda n: nested("assign y = b" + "[0]" * n + ";"),
+                MAX_NESTING - 2),
+    "initializer": (lambda n: nested("wire w = " + " + ".join(["a"] * n)
+                                     + ";"), MAX_NESTING - 1),
+    "parameter": (lambda n: nested("parameter P = " + " + ".join(["1"] * n)
+                                   + ";"), MAX_NESTING - 1),
+    "range": (lambda n: nested("wire [" + " + ".join(["1"] * n) + ":0] w;"),
+              MAX_NESTING - 1),
+    "delays": (lambda n: nested("assert property (@(posedge clk) a"
+                                + " ##1 a" * n + ");"), MAX_NESTING - 4),
+    "implications": (lambda n: nested("assert property (@(posedge clk) "
+                                      + "a |-> " * n + "a);"),
+                     MAX_NESTING - 4),
+}
+
+
+class TestNestingBound:
+    """Nesting past MAX_NESTING is a compile error at its line, whoever
+    calls: never a RecursionError, and never a design the simulation
+    tiers cannot run."""
+
+    @pytest.mark.parametrize("probe", sorted(NESTING_PROBES))
+    def test_at_the_bound_compiles(self, probe):
+        build, at_bound = NESTING_PROBES[probe]
+        result = compile_source(build(at_bound), use_cache=False)
+        assert result.ok, result.failure_summary()
+
+    @pytest.mark.parametrize("probe", sorted(NESTING_PROBES))
+    @pytest.mark.parametrize("past", [1, 250, 1000])
+    def test_past_the_bound_is_an_error_at_its_line(self, probe, past):
+        build, at_bound = NESTING_PROBES[probe]
+        result = compile_source(build(at_bound + past), use_cache=False)
+        assert not result.ok
+        assert [(d.line, d.message) for d in result.errors()] == \
+            [(3, f"nesting deeper than {MAX_NESTING} levels")]
+        with pytest.raises(VerilogParseError):
+            parse_source(build(at_bound + past))
+
+    def test_deep_statement_nesting_stops_early(self):
+        build, _ = NESTING_PROBES["if"]
+        assert not compile_source(build(20_000), use_cache=False).ok

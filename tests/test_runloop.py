@@ -15,11 +15,12 @@ import random
 from itertools import product
 
 import pytest
+from tiers import TIERS, simulator_on
 
 from repro.bugs.injector import BugInjector
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.registry import TEMPLATE_FAMILIES
-from repro.sim.compiled import SIM_MODES, CompiledSimulator, make_simulator
+from repro.sim.compiled import CompiledSimulator, make_simulator
 from repro.sim.runloop import ExhaustiveWalker
 from repro.sim.stimulus import enumerate_exhaustive
 from repro.sva.bmc import BmcConfig, bounded_check, bounded_check_batch
@@ -49,8 +50,8 @@ def _post_state(simulator):
     return dict(simulator.env)
 
 
-def _fresh_run(design, sim_mode, stimulus):
-    simulator = make_simulator(design, sim_mode)
+def _fresh_run(design, tier, stimulus):
+    simulator = simulator_on(design, tier)
     trace = simulator.run(stimulus)
     return trace, _post_state(simulator)
 
@@ -70,18 +71,18 @@ def _codes(walker):
                   for ds in product(digits, repeat=walker.depth))
 
 
-def _walk_equals_fresh(design, sim_mode, depth, reset_cycles, codes, where):
+def _walk_equals_fresh(design, tier, depth, reset_cycles, codes, where):
     """Run ``codes`` in order through one walker; every run must equal a
     fresh one, replay every prefix an earlier code ran, and list the
     node of each snapshot."""
-    simulator = make_simulator(design, sim_mode)
+    simulator = simulator_on(design, tier)
     walker = ExhaustiveWalker(design.free_inputs(), depth, reset_cycles)
     seen = set()  # every input prefix an earlier code ran
     for code in codes:
         for trace in walker.run_iter(simulator, code):
             pass
         stimulus = walker.stimulus(code)
-        expected, post = _fresh_run(design, sim_mode, stimulus)
+        expected, post = _fresh_run(design, tier, stimulus)
         at = where + (code,)
         assert trace.snapshots == expected.snapshots, at
         assert trace.inputs_applied == expected.inputs_applied, at
@@ -115,34 +116,34 @@ def family_designs(request):
 class TestTrieEquivalence:
     """Walker runs against fresh runs, code by code."""
 
-    @pytest.mark.parametrize("sim_mode", SIM_MODES)
-    def test_trie_runs_equal_fresh_runs(self, family_designs, sim_mode):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_trie_runs_equal_fresh_runs(self, family_designs, tier):
         family, designs = family_designs
         for design in designs:
             walker = ExhaustiveWalker(design.free_inputs(), 3, 2)
-            _walk_equals_fresh(design, sim_mode, 3, 2, _codes(walker),
+            _walk_equals_fresh(design, tier, 3, 2, _codes(walker),
                                (family, design.name))
 
-    @pytest.mark.parametrize("sim_mode", SIM_MODES)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("reset_cycles", [0, 2])
-    def test_two_bit_design(self, sim_mode, reset_cycles):
+    def test_two_bit_design(self, tier, reset_cycles):
         """Base 4, with and without reset cycles: at ``reset_cycles=0``
         the root's children have no reset parent to replay."""
         design = compile_source(TWO_BIT).design
-        walker = _walk_equals_fresh(design, sim_mode, 3, reset_cycles,
+        walker = _walk_equals_fresh(design, tier, 3, reset_cycles,
                                     range(64), ("two_bit",))
         assert walker.base == 4
         assert sum(map(len, walker.table)) == reset_cycles + 4 + 16 + 64
 
-    @pytest.mark.parametrize("sim_mode", SIM_MODES)
+    @pytest.mark.parametrize("tier", TIERS)
     def test_abandoned_run_then_shared_prefix(self, family_designs,
-                                              sim_mode):
+                                              tier):
         """The batch driver may abandon a run mid-stimulus: the node it
         stopped at has no saved post-edge state, so a later code through
         that node must load it and run its tick."""
         family, designs = family_designs
         design = designs[0]
-        simulator = make_simulator(design, sim_mode)
+        simulator = simulator_on(design, tier)
         walker = ExhaustiveWalker(design.free_inputs(), 3, 2)
         cycles = walker.run_iter(simulator, 0)
         for _ in range(4):  # the trace, both reset cycles, cycle 0
@@ -156,7 +157,7 @@ class TestTrieEquivalence:
         for code in ([1, base, base * base] if base > 1 else [0]):
             for trace in walker.run_iter(simulator, code):
                 pass
-            expected, post = _fresh_run(design, sim_mode,
+            expected, post = _fresh_run(design, tier,
                                         walker.stimulus(code))
             assert trace.snapshots == expected.snapshots, (family, code)
             assert trace.inputs_applied == expected.inputs_applied, family
@@ -164,7 +165,7 @@ class TestTrieEquivalence:
 
     def test_exhaustive_trie_holds_one_node_per_prefix(self):
         design = _counter_design()
-        simulator = make_simulator(design, "compiled")
+        simulator = make_simulator(design)
         walker = ExhaustiveWalker(design.free_inputs(), 4, 2)
         for code in range(walker.count):
             for _ in walker.run_iter(simulator, code):

@@ -3,11 +3,11 @@
 import random
 
 import pytest
+from tiers import TIERS, on_tier, simulator_on
 
 from repro.bugs.injector import BugInjector
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.registry import TEMPLATE_FAMILIES
-from repro.sim.compiled import SIM_MODES, CompiledSimulator, make_simulator
 from repro.sim.eval import EvalError
 from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.stimulus import Stimulus, enumerate_exhaustive
@@ -230,16 +230,16 @@ module m (input clk, input rst_n, input a, output reg b);
 endmodule
 """
 
-    @pytest.mark.parametrize("sim_mode", ["compiled", "interp"])
-    def test_property_error_voids_the_stimulus(self, sim_mode):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_property_error_voids_the_stimulus(self, tier):
         # The first assertion cannot be evaluated once `a` rises; the
         # second holds.  The error voids the check, and the scan stops at
         # the raising assertion: the second one's counters never see the
         # voiding stimulus.
         design = compile_source(self.VOIDED).design
-        outcome = bounded_check(design, BmcConfig(depth=6, random_trials=8,
-                                                  sim_mode=sim_mode,
-                                                  coverage=True))
+        with on_tier(tier):
+            outcome = bounded_check(design, BmcConfig(
+                depth=6, random_trials=8, coverage=True))
         assert "$isunknown" in outcome.sim_error
         assert not outcome.failed
         assert outcome.coverage["assertions"]["follows_assertion"][
@@ -322,51 +322,46 @@ endmodule
 TRAP_DEPTH = 3
 
 
-def _fresh_error(design, sim_mode):
+def _fresh_error(design, tier):
     """(error, stimuli_tried) of a loop over fresh simulators."""
     tried = 0
     for stimulus in enumerate_exhaustive(design, TRAP_DEPTH, 2):
         tried += 1
         try:
-            make_simulator(design, sim_mode).run(stimulus)
+            simulator_on(design, tier).run(stimulus)
         except (SimulationError, EvalError) as exc:
             return str(exc), tried
     return None, tried
 
 
-@pytest.mark.parametrize("sim_mode", SIM_MODES)
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("source, first_bad", [(PREFIX_TRAP, 4),
                                                (TICK_TRAP, 5)],
                          ids=["prefix", "trailing_tick"])
 class TestErrorSurfacing:
-    def _design(self, source, sim_mode):
-        design = compile_source(source).design
-        if sim_mode == "compiled":
-            assert isinstance(make_simulator(design, sim_mode),
-                              CompiledSimulator)
-        return design
+    @pytest.fixture(autouse=True)
+    def _on_tier(self, tier):
+        with on_tier(tier):
+            yield
 
-    def test_reference_fails_where_expected(self, source, first_bad,
-                                            sim_mode):
-        error, tried = _fresh_error(self._design(source, sim_mode), sim_mode)
+    def test_reference_fails_where_expected(self, source, first_bad, tier):
+        error, tried = _fresh_error(compile_source(source).design, tier)
         assert "failed to settle" in error
         assert tried == first_bad
 
     def test_bounded_check_matches_fresh_error(self, source, first_bad,
-                                             sim_mode):
-        design = self._design(source, sim_mode)
-        result = bounded_check(design, BmcConfig(depth=TRAP_DEPTH,
-                                                 sim_mode=sim_mode))
+                                               tier):
+        design = compile_source(source).design
+        result = bounded_check(design, BmcConfig(depth=TRAP_DEPTH))
         assert (result.sim_error, result.stimuli_tried) == \
-            _fresh_error(design, sim_mode)
+            _fresh_error(design, tier)
 
     def test_bounded_check_batch_matches_fresh_error(self, source, first_bad,
-                                                   sim_mode):
-        design = self._design(source, sim_mode)
-        result = bounded_check_batch(design, BmcConfig(depth=TRAP_DEPTH,
-                                                       sim_mode=sim_mode))
+                                                     tier):
+        design = compile_source(source).design
+        result = bounded_check_batch(design, BmcConfig(depth=TRAP_DEPTH))
         assert (result.design_error, result.stimuli_tried) == \
-            _fresh_error(design, sim_mode)
+            _fresh_error(design, tier)
 
 
 def _check_key(result):
@@ -547,18 +542,23 @@ endmodule
 
 
 @pytest.mark.parametrize("coverage", [False, True], ids=["cov_off", "cov_on"])
-@pytest.mark.parametrize("sim_mode", SIM_MODES)
+@pytest.mark.parametrize("tier", TIERS)
 class TestReplayedWindowSkip:
     """A trace replayed by the walker skips the windows an earlier
     stimulus settled; results must equal fresh runs scanning every
     window."""
 
-    def test_corpus_checks_match_full_scan(self, corpus_checks, sim_mode,
+    @pytest.fixture(autouse=True)
+    def _on_tier(self, tier):
+        with on_tier(tier):
+            yield
+
+    def test_corpus_checks_match_full_scan(self, corpus_checks, tier,
                                            coverage):
         exhaustive = failing = 0
         for design, depth in corpus_checks:
             config = BmcConfig(depth=depth, exhaustive_bits=6, random_trials=2,
-                               sim_mode=sim_mode, coverage=coverage)
+                               coverage=coverage)
             shared, full = _keys_with_and_without_trie(design, config)
             assert shared == full, design.name
             if bmc._candidate_stimuli(design, config)[1] is not None:
@@ -571,18 +571,16 @@ class TestReplayedWindowSkip:
                                         SHARED_LABEL],
                              ids=["late_error", "late_failure", "windows",
                                   "shared_label"])
-    def test_edge_cases_match_full_scan(self, source, sim_mode, coverage):
+    def test_edge_cases_match_full_scan(self, source, tier, coverage):
         design = compile_source(source).design
-        config = BmcConfig(depth=8, exhaustive_bits=8, sim_mode=sim_mode,
-                           coverage=coverage)
+        config = BmcConfig(depth=8, exhaustive_bits=8, coverage=coverage)
         assert bmc._candidate_stimuli(design, config)[1] is not None
         shared, full = _keys_with_and_without_trie(design, config)
         assert shared == full
 
-    def test_late_error_surfaces(self, sim_mode, coverage):
+    def test_late_error_surfaces(self, tier, coverage):
         design = compile_source(LATE_ERROR).design
-        config = BmcConfig(depth=8, exhaustive_bits=8, sim_mode=sim_mode,
-                           coverage=coverage)
+        config = BmcConfig(depth=8, exhaustive_bits=8, coverage=coverage)
         check = bounded_check(design, config)
         assert "$isunknown" in check.sim_error
         assert check.stimuli_tried == 65
@@ -590,10 +588,9 @@ class TestReplayedWindowSkip:
         assert set(batch.error_labels) == {"guarded_assertion"}
         assert batch.stimuli_tried == 256
 
-    def test_failure_right_after_replayed_prefix(self, sim_mode, coverage):
+    def test_failure_right_after_replayed_prefix(self, tier, coverage):
         design = compile_source(LATE_FAILURE).design
-        config = BmcConfig(depth=10, exhaustive_bits=10, sim_mode=sim_mode,
-                           coverage=coverage)
+        config = BmcConfig(depth=10, exhaustive_bits=10, coverage=coverage)
         check = bounded_check(design, config)
         assert check.stimuli_tried == 129
         assert [(f.start_cycle, f.fail_cycle) for f in check.failures] == \
