@@ -30,7 +30,7 @@ def main():
           f"{max(s.line_count for s in seeds)} lines)\n")
 
     # ---- Stage 1 ---------------------------------------------------------
-    stage1 = run_stage1(seeds, random.Random(1), break_rate=0.4)
+    stage1 = run_stage1(seeds, seed=1, break_rate=0.4)
     print(f"Stage 1: filtered {stage1.filtered_count} junk samples, "
           f"{stage1.failed_compile_count} failed compilation, "
           f"{len(stage1.compiled)} compiled, "

@@ -82,7 +82,7 @@ def make_fleet(n_backends: int = 3, serve: Optional["ServeConfig"] = None,
 class PipelineConfig:
     """Scale and execution knobs for a full reproduction run.
 
-    ``n_workers``/``backend`` parallelize both the datagen stage graph
+    ``n_workers``/``backend`` parallelize both the datagen stages
     and model evaluation; they never change results (all randomness is
     derived per work unit).
 

@@ -11,18 +11,20 @@ Every design is an independent work unit: its RNG stream derives from
 :func:`repro.engine.derive_seed`, never from a shared sequential stream —
 so :meth:`CorpusGenerator.generate` can fan out across an
 :class:`repro.engine.ExecutionEngine` worker pool and stay byte-identical
-to a serial run, making the corpus a real parallel node of the datagen
-stage graph instead of a serial pre-pass.
+to a serial run, making the corpus a parallel stage of the datagen
+pipeline instead of a serial pre-pass.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.meta import DesignSeed
 from repro.corpus.registry import TEMPLATE_FAMILIES, make_instance
+from repro.engine.executor import ExecutionEngine
 from repro.engine.rng import derive_seed
 from repro.store import unit_memo_key
 from repro.verilog.compile import compile_source
@@ -53,9 +55,9 @@ def resolve_families(families: Optional[Sequence[str]] = None,
     every registered family; an explicitly empty selection is an error.
     Raises ``ValueError`` naming the first unregistered family (an
     unknown name would otherwise silently contribute zero designs),
-    duplicate selection, or non-positive weight.  ``weights`` overrides
-    :data:`DEFAULT_FAMILY_WEIGHTS` per family and may only name selected
-    families.
+    duplicate selection, or weight that is not a finite number > 0.
+    ``weights`` overrides :data:`DEFAULT_FAMILY_WEIGHTS` per family and
+    may only name selected families.
     """
     if families is None:
         names = tuple(sorted(TEMPLATE_FAMILIES))
@@ -83,9 +85,9 @@ def resolve_families(families: Optional[Sequence[str]] = None,
                 f"family_weights names unselected family {name!r} "
                 f"(selected: {', '.join(names)})")
         if not isinstance(weight, (int, float)) or isinstance(weight, bool) \
-                or not weight > 0:
+                or not (math.isfinite(weight) and weight > 0):
             raise ValueError(
-                f"family weight for {name!r} must be a number > 0, "
+                f"family weight for {name!r} must be a finite number > 0, "
                 f"got {weight!r}")
     resolved = tuple(
         float(weights.get(name, DEFAULT_FAMILY_WEIGHTS.get(name, 1.0)))
@@ -157,24 +159,22 @@ class CorpusGenerator:
         self._next_index += 1
         return corpus_unit(task)
 
-    def generate(self, count: int, engine=None) -> List[DesignSeed]:
-        """``count`` designs; fans out over ``engine`` when given.
+    def generate(self, count: int,
+                 engine: Optional[ExecutionEngine] = None
+                 ) -> List[DesignSeed]:
+        """``count`` designs, fanned out over ``engine`` (default: a
+        serial one).
 
         Any :class:`repro.engine.ExecutionEngine` backend returns the
         exact designs of a serial run: each task's stream derives only
         from its ``design_id`` and ``engine.map`` preserves input order.
         """
+        engine = engine or ExecutionEngine()
         start = self._next_index
         self._next_index += count
         tasks = [self._task(index) for index in range(start, start + count)]
-        if engine is None:
-            return [corpus_unit(task) for task in tasks]
         return engine.map(
             corpus_unit, tasks, stage=STAGE_NAME,
             memo_key=lambda task: unit_memo_key(
                 STAGE_NAME, task.design_id, engine.memo_context,
                 task.global_seed))
-
-    def stream(self) -> Iterator[DesignSeed]:
-        while True:
-            yield self.generate_one()

@@ -6,10 +6,9 @@ training datasets, the machine half of the SVA-Eval benchmark, and the
 bookkeeping statistics the paper reports (dataset sizes, CoT validity,
 SVA/bug rejection counts).
 
-The pipeline itself is a thin :class:`repro.engine.StageGraph`
-declaration; the per-design work inside each stage fans out across an
-:class:`repro.engine.ExecutionEngine` worker pool (``n_workers`` /
-``backend`` knobs).  All randomness derives per
+The pipeline itself is plain stage calls in order; the per-design work
+inside each stage fans out across an :class:`repro.engine.ExecutionEngine`
+worker pool (``n_workers`` / ``backend`` knobs).  All randomness derives per
 ``(seed, module_name, stage_name)``, so ``n_workers=4`` produces a bundle
 byte-identical to ``n_workers=1`` — assert with
 :meth:`DatasetBundle.fingerprint`, which excludes only the volatile
@@ -25,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import knobs
 from repro.corpus.generator import CorpusGenerator, resolve_families
+from repro.corpus.meta import DesignSeed
 from repro.datagen.records import (
     SvaBugEntry,
     SvaEvalCase,
@@ -33,10 +33,10 @@ from repro.datagen.records import (
     distribution_table,
 )
 from repro.datagen.split import assert_disjoint, split_by_module_name
-from repro.datagen.stage1 import run_stage1
-from repro.datagen.stage2 import run_stage2
-from repro.datagen.stage3 import run_stage3
-from repro.engine import BACKENDS, ExecutionEngine, StageGraph, derive_rng
+from repro.datagen.stage1 import Stage1Result, run_stage1
+from repro.datagen.stage2 import Stage2Result, run_stage2
+from repro.datagen.stage3 import Stage3Result, run_stage3
+from repro.engine import BACKENDS, ExecutionEngine, derive_rng
 from repro.knobs import EXECUTION, SEMANTIC, configclass, knob
 from repro.store import StoreConfig
 from repro.sva.bmc import BmcConfig
@@ -199,50 +199,6 @@ class DatasetBundle:
         return hashlib.sha256(payload).hexdigest()
 
 
-def build_stage_graph(config: DatagenConfig) -> StageGraph:
-    """Declare the Section-II pipeline as a stage DAG.
-
-    Per-design fan-out happens inside the stage bodies via
-    ``inputs.engine``; the graph stays a readable five-node declaration::
-
-        corpus -> stage1 -> stage2 -> split -> stage3
-    """
-    graph = StageGraph("datagen")
-
-    # The corpus is a source node that fans out like any other stage:
-    # every design's template stream derives from its design_id alone.
-    graph.add_stage("corpus", lambda inputs: config.make_corpus_generator()
-                    .generate(config.n_designs, engine=inputs.engine))
-
-    graph.add_stage("stage1", lambda inputs: run_stage1(
-        inputs["corpus"], break_rate=config.break_rate,
-        global_seed=config.seed, engine=inputs.engine),
-        deps=("corpus",))
-
-    graph.add_stage("stage2", lambda inputs: run_stage2(
-        inputs["stage1"].compiled, seed=config.seed,
-        bugs_per_design=config.bugs_per_design,
-        hallucination_rate=config.hallucination_rate,
-        bmc=config.bmc(), engine=inputs.engine),
-        deps=("stage1",))
-
-    def split_stage(inputs):
-        train, test = split_by_module_name(
-            inputs["stage2"].sva_bug_entries,
-            derive_rng(config.seed, "split"),
-            train_fraction=config.train_fraction)
-        assert_disjoint(train, test)
-        return train, test
-
-    graph.add_stage("split", split_stage, deps=("stage2",))
-
-    graph.add_stage("stage3", lambda inputs: run_stage3(
-        inputs["split"][0], seed=config.seed, engine=inputs.engine),
-        deps=("split",))
-
-    return graph
-
-
 def run_pipeline(config: DatagenConfig) -> DatasetBundle:
     """Run the full Section-II pipeline at the configured scale.
 
@@ -256,19 +212,32 @@ def run_pipeline(config: DatagenConfig) -> DatasetBundle:
     store = config.store.make_store() if config.store is not None else None
     with config.make_engine(store=store) as engine:
         before = engine.counter_totals()
-        outputs = build_stage_graph(config).run(engine)
-        bundle = _assemble(config, outputs)
+        # Every design's template stream derives from its design_id
+        # alone, so the corpus fans out like any other stage.
+        corpus = config.make_corpus_generator().generate(
+            config.n_designs, engine=engine)
+        stage1 = run_stage1(corpus, seed=config.seed,
+                            break_rate=config.break_rate, engine=engine)
+        stage2 = run_stage2(stage1.compiled, seed=config.seed,
+                            bugs_per_design=config.bugs_per_design,
+                            hallucination_rate=config.hallucination_rate,
+                            bmc=config.bmc(), engine=engine)
+        train, test = split_by_module_name(
+            stage2.sva_bug_entries, derive_rng(config.seed, "split"),
+            train_fraction=config.train_fraction)
+        assert_disjoint(train, test)
+        stage3 = run_stage3(train, seed=config.seed, engine=engine)
+        bundle = _assemble(config, corpus, stage1, stage2, test, stage3)
         _attach_execution_stats(bundle, engine, before, store)
     return bundle
 
 
-def _assemble(config: DatagenConfig, outputs: Dict[str, object]
+def _assemble(config: DatagenConfig, corpus: List[DesignSeed],
+              stage1: Stage1Result, stage2: Stage2Result,
+              test: List[SvaBugEntry], stage3: Stage3Result
               ) -> DatasetBundle:
-    stage1, stage2 = outputs["stage1"], outputs["stage2"]
-    stage3 = outputs["stage3"]
-    _, test = outputs["split"]
     corpus_families: Dict[str, int] = {}
-    for design in outputs["corpus"]:
+    for design in corpus:
         family = design.meta.family
         corpus_families[family] = corpus_families.get(family, 0) + 1
 

@@ -10,7 +10,7 @@ instances with junk samples (so the filters do real work) and
 syntax-broken variants (so the compiler check and failure analyses do real
 work).
 
-Execution is decomposed for the stage-graph engine: a cheap serial
+Execution is decomposed for the execution engine: a cheap serial
 pre-pass (:func:`prepare_stage1`) mixes junk, shuffles, filters and
 deduplicates (dedup needs corpus-wide state), then the expensive
 per-design work (compile, spec, break-sibling) runs as independent
@@ -34,6 +34,10 @@ from repro.store import unit_memo_key
 from repro.verilog.compile import compile_source
 
 STAGE_NAME = "stage1"
+
+#: Junk samples mixed into the raw stream per golden seed, so the
+#: filters have something to remove.
+JUNK_RATE = 0.1
 
 # Junk families the paper's filters remove before the compiler even runs.
 _JUNK_SAMPLES = [
@@ -99,15 +103,14 @@ class Stage1UnitResult:
     failed_compile_count: int
 
 
-def prepare_stage1(seeds: List[DesignSeed], stream_rng: random.Random,
-                   junk_rate: float = 0.1
+def prepare_stage1(seeds: List[DesignSeed], stream_rng: random.Random
                    ) -> Tuple[List[DesignSeed], int, int]:
     """Serial pre-pass: junk mixing, shuffle, filters, dedup.
 
     Returns ``(survivors, filtered_count, duplicate_count)``; survivors
     keep the shuffled stream order, which the merge step preserves.
     """
-    junk_budget = int(len(seeds) * junk_rate) + 1
+    junk_budget = int(len(seeds) * JUNK_RATE) + 1
     raw_stream: List[Tuple[Optional[DesignSeed], str]] = \
         [(seed, seed.source) for seed in seeds]
     for i in range(junk_budget):
@@ -197,34 +200,26 @@ def merge_stage1(unit_results: List[Stage1UnitResult], filtered_count: int,
     return result
 
 
-def run_stage1(seeds: List[DesignSeed], rng: Optional[random.Random] = None,
-               break_rate: float = 0.25, junk_rate: float = 0.1,
-               global_seed: Optional[int] = None,
+def run_stage1(seeds: List[DesignSeed], seed: int = 0,
+               break_rate: float = 0.25,
                engine: Optional[ExecutionEngine] = None) -> Stage1Result:
     """Run the filter -> syntax-check -> spec/analysis flow.
 
     ``break_rate`` of the golden seeds get a syntax-broken sibling (feeding
-    the failure-analysis path); ``junk_rate`` controls how much junk is
-    mixed in for the filters to remove.  Pass ``global_seed`` (pipeline
-    path) or a legacy ``rng`` from which a global seed is drawn; per-design
-    streams are derived, never shared, so any ``engine`` backend yields
-    identical output.
+    the failure-analysis path).  ``seed`` is the stage's global seed;
+    per-design streams derive from it, never shared, so any ``engine``
+    backend (default: a serial one) yields identical output.
     """
-    if global_seed is None:
-        global_seed = (rng or random.Random(0)).randrange(2 ** 32)
-    stream_rng = derive_rng(global_seed, STAGE_NAME, "stream")
-    survivors, filtered, duplicates = prepare_stage1(
-        seeds, stream_rng, junk_rate=junk_rate)
-    tasks = [Stage1Task(seed=seed,
-                        ctx=StageContext(global_seed, STAGE_NAME, unit_id),
+    engine = engine or ExecutionEngine()
+    stream_rng = derive_rng(seed, STAGE_NAME, "stream")
+    survivors, filtered, duplicates = prepare_stage1(seeds, stream_rng)
+    tasks = [Stage1Task(seed=design,
+                        ctx=StageContext(seed, STAGE_NAME, unit_id),
                         break_rate=break_rate)
-             for seed, unit_id in zip(survivors, unit_ids(survivors))]
-    if engine is None:
-        unit_results = [stage1_unit(task) for task in tasks]
-    else:
-        unit_results = engine.map(
-            stage1_unit, tasks, stage=STAGE_NAME,
-            memo_key=lambda task: unit_memo_key(
-                task.ctx.stage_name, task.ctx.unit_id, engine.memo_context,
-                task.ctx.global_seed))
+             for design, unit_id in zip(survivors, unit_ids(survivors))]
+    unit_results = engine.map(
+        stage1_unit, tasks, stage=STAGE_NAME,
+        memo_key=lambda task: unit_memo_key(
+            task.ctx.stage_name, task.ctx.unit_id, engine.memo_context,
+            task.ctx.global_seed))
     return merge_stage1(unit_results, filtered, duplicates)

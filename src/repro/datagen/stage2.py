@@ -248,8 +248,10 @@ def run_stage2(seeds: List[DesignSeed], seed: int = 0,
     """Run Stage 2 over a list of compiled designs.
 
     ``seed`` is the stage's global seed; each design's streams derive from
-    it plus the module name, so output is identical across backends.
+    it plus the module name, so output is identical across ``engine``
+    backends (default: a serial one).
     """
+    engine = engine or ExecutionEngine()
     bmc = bmc or BmcConfig(depth=10, random_trials=24)
     tasks = [Stage2Task(seed=design,
                         ctx=StageContext(seed, STAGE_NAME, unit_id),
@@ -257,14 +259,11 @@ def run_stage2(seeds: List[DesignSeed], seed: int = 0,
                         hallucination_rate=hallucination_rate,
                         bmc=bmc)
              for design, unit_id in zip(seeds, unit_ids(seeds))]
-    if engine is None:
-        unit_results = [stage2_unit(task) for task in tasks]
-    else:
-        unit_results = engine.map(
-            stage2_unit, tasks, stage=STAGE_NAME,
-            memo_key=lambda task: unit_memo_key(
-                task.ctx.stage_name, task.ctx.unit_id, engine.memo_context,
-                task.ctx.global_seed))
+    unit_results = engine.map(
+        stage2_unit, tasks, stage=STAGE_NAME,
+        memo_key=lambda task: unit_memo_key(
+            task.ctx.stage_name, task.ctx.unit_id, engine.memo_context,
+            task.ctx.global_seed))
     result = Stage2Result()
     for unit_result in unit_results:
         result.merge_from(unit_result)

@@ -64,8 +64,9 @@ def run_stage3(entries: List[SvaBugEntry], seed: int = 0,
     observed validity rate (paper: 74.55%).
 
     Per-entry streams are derived from ``seed``, so any ``engine``
-    backend yields identical output.
+    backend (default: a serial one) yields identical output.
     """
+    engine = engine or ExecutionEngine()
     result = Stage3Result()
     ordinals: Dict[str, int] = {}
     tasks: List[Stage3Task] = []
@@ -77,16 +78,13 @@ def run_stage3(entries: List[SvaBugEntry], seed: int = 0,
             record=entry.record, logs=entry.logs,
             assertion_signals=entry.assertion_signals,
             ctx=StageContext(seed, STAGE_NAME, name), ordinal=ordinal))
-    if engine is None:
-        outcomes = [stage3_unit(task) for task in tasks]
-    else:
-        # Sibling entries of one design share a ctx.unit_id; the ordinal
-        # keeps their memo keys (like their RNG streams) apart.
-        outcomes = engine.map(
-            stage3_unit, tasks, stage=STAGE_NAME,
-            memo_key=lambda task: unit_memo_key(
-                task.ctx.stage_name, task.ctx.unit_id, engine.memo_context,
-                task.ctx.global_seed, task.ordinal))
+    # Sibling entries of one design share a ctx.unit_id; the ordinal
+    # keeps their memo keys (like their RNG streams) apart.
+    outcomes = engine.map(
+        stage3_unit, tasks, stage=STAGE_NAME,
+        memo_key=lambda task: unit_memo_key(
+            task.ctx.stage_name, task.ctx.unit_id, engine.memo_context,
+            task.ctx.global_seed, task.ordinal))
     for entry, (text, validated) in zip(entries, outcomes):
         result.generated += 1
         if validated:

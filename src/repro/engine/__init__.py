@@ -1,25 +1,21 @@
-"""The stage-graph execution engine.
+"""The stage execution engine.
 
 Decomposes pipeline work into per-unit tasks with independently derived
-RNG streams, runs them over serial/thread/process backends, and merges
-results deterministically (parallel output is byte-identical to serial).
+RNG streams, runs them over serial/process backends, and merges results
+deterministically (parallel output is byte-identical to serial).
 
 - :mod:`repro.engine.rng` — SHA-256 seed derivation and ``StageContext``;
 - :mod:`repro.engine.executor` — ordered ``map`` over worker pools;
-- :mod:`repro.engine.graph` — declarative stage DAGs;
 - :mod:`repro.engine.metrics` — worker-side counter aggregation.
 """
 
 from repro.engine.executor import BACKENDS, ExecutionEngine, available_cpus
-from repro.engine.graph import StageGraph, StageInputs
 from repro.engine.rng import StageContext, derive_rng, derive_seed
 
 __all__ = [
     "BACKENDS",
     "ExecutionEngine",
     "StageContext",
-    "StageGraph",
-    "StageInputs",
     "available_cpus",
     "derive_rng",
     "derive_seed",

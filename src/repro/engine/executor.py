@@ -1,13 +1,12 @@
-"""The execution engine: ordered parallel map with pluggable backends.
+"""The execution engine: ordered map over a serial loop or a process pool.
 
 ``ExecutionEngine.map`` applies a picklable task function to a list of
 work units and returns results **in input order**, whatever the backend:
 
 - ``serial``  — plain loop in the calling process (the reference
-  semantics; every other backend must be byte-identical to it);
-- ``thread``  — ``ThreadPoolExecutor`` (useful for I/O-bound units);
-- ``process`` — ``ProcessPoolExecutor`` (CPU-bound units; the pipeline's
-  default for real parallelism);
+  semantics; the process backend must be byte-identical to it);
+- ``process`` — ``ProcessPoolExecutor`` (the units are CPU-bound Python,
+  so a process pool is the only real parallelism);
 - ``auto``    — ``process`` clamped to the CPUs actually available,
   degrading to ``serial`` on a single-core host instead of paying pool
   overhead for nothing.
@@ -24,13 +23,13 @@ from __future__ import annotations
 import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import metrics
 from repro.obs import trace as obs_trace
 
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 
 def available_cpus() -> int:
@@ -88,7 +87,11 @@ class ExecutionEngine:
         ``memo_key`` skip units whose results the store already holds.
         ``memo_context`` is the caller's config digest, available to key
         functions via the engine so stored results are only reused for a
-        semantically identical configuration."""
+        semantically identical configuration.
+
+        A serial engine with no ``compile_store`` holds nothing open, so
+        leaving one unclosed (the stage functions' default engine) leaks
+        nothing."""
         if backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -111,7 +114,6 @@ class ExecutionEngine:
         self._closed = False
         self._stage_stats: "Dict[str, Dict[str, float]]" = {}
         self._metric_totals: Dict[str, Dict[str, int]] = {}
-        self._map_count = 0
         self._compile_hold = _compile_tier().hold_compile_store(
             compile_store)
 
@@ -123,14 +125,10 @@ class ExecutionEngine:
         if self.backend == "serial":
             return None
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=functools.partial(
-                        _compile_tier().hold_compile_store,
-                        self.compile_store))
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                initializer=functools.partial(
+                    _compile_tier().hold_compile_store, self.compile_store))
         return self._pool
 
     def warm(self) -> None:
@@ -169,10 +167,11 @@ class ExecutionEngine:
     def parallel(self) -> bool:
         return self.backend != "serial"
 
-    def map(self, fn: Callable, items: Sequence, stage: Optional[str] = None,
+    def map(self, fn: Callable, items: Sequence, stage: str,
             memo_key: Optional[Callable] = None) -> List:
         """Apply ``fn`` to every item, preserving input order.
 
+        ``stage`` names the bucket :meth:`stats` reports the call under.
         ``fn`` must be a module-level function and items picklable when
         the backend is ``process``.
 
@@ -188,8 +187,6 @@ class ExecutionEngine:
         compile-cache stats) only reflect units that actually ran.
         """
         items = list(items)
-        self._map_count += 1
-        stage = stage or f"map-{self._map_count}"
         started = time.perf_counter()
         # No-op outside a trace (batch datagen): span() yields None when
         # no request trace is ambient, at the cost of one contextvar read.
@@ -250,8 +247,8 @@ class ExecutionEngine:
 
         This process's live snapshot; under the process backend, plus
         the per-unit deltas the workers shipped back — the one place
-        that rule lives.  Serial and thread units run in this process,
-        so their increments are already in the snapshot.  Diff two calls
+        that rule lives.  Serial units run in this process, so their
+        increments are already in the snapshot.  Diff two calls
         for the counts of the work in between (``bundle.stats``), or
         render one (``/metricsz``)."""
         totals = metrics.snapshot()

@@ -9,10 +9,8 @@ run in a process pool.  :meth:`repro.engine.ExecutionEngine.counter_totals`
 adds them to this process's snapshot; ``bundle.stats`` diffs two of its
 results and ``/metricsz`` renders one.
 
-Deltas are exact under the serial and process backends (units run
-sequentially within a process).  Under the thread backend interleaved
-units can observe each other's increments, so aggregated totals are an
-upper bound there.
+Deltas are exact under both backends: units run one at a time within
+a process, so no unit observes another's increments.
 """
 
 from __future__ import annotations

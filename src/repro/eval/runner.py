@@ -133,15 +133,12 @@ def _model_payload(model) -> Tuple[bytes, str]:
     return blob, hashlib.sha256(blob).hexdigest()
 
 
-def _resolve_model(model, digest: Optional[str]):
-    """The in-process model, or the cached/deserialized blob in a worker."""
-    if digest is None:
-        return model
+def _resolve_model(blob: bytes, digest: str):
+    """The worker's model: cached by digest, else deserialized once."""
     cached = _WORKER_MODEL_CACHE.get(digest)
     if cached is not None:
         _WORKER_MODEL_CACHE.move_to_end(digest)
         return cached
-    blob = model
     if hashlib.sha256(blob).hexdigest() != digest:
         raise RuntimeError("model blob fingerprint changed in transit")
     resolved = pickle.loads(blob)
@@ -153,8 +150,8 @@ def _resolve_model(model, digest: Optional[str]):
 
 def _eval_chunk(payload) -> List[Tuple[int, int]]:
     """Worker task: score a contiguous chunk of cases with one model copy."""
-    model, digest, chunk, n, seed, check = payload
-    model = _resolve_model(model, digest)
+    blob, digest, chunk, n, seed, check = payload
+    model = _resolve_model(blob, digest)
     return [_score_case(model, case, n, seed, check) for case in chunk]
 
 
@@ -196,14 +193,10 @@ def _score_cases(model, cases: List[SvaEvalCase], config: EvalConfig,
     if engine is not None and engine.parallel and len(cases) > 1:
         chunk_size = max(1, (len(cases) + engine.n_workers * 4 - 1)
                          // (engine.n_workers * 4))
-        if engine.backend == "process":
-            # One serialization per run, shared by every chunk; workers
-            # deserialize and memoize by digest (thread backend shares
-            # the live object and needs none of this).
-            transport, digest = _model_payload(model)
-        else:
-            transport, digest = model, None
-        payloads = [(transport, digest, cases[i:i + chunk_size],
+        # One serialization per run, shared by every chunk; workers
+        # deserialize and memoize by digest.
+        blob, digest = _model_payload(model)
+        payloads = [(blob, digest, cases[i:i + chunk_size],
                      n, seed, check)
                     for i in range(0, len(cases), chunk_size)]
         # engine.map preserves input order, so the contiguous chunks
@@ -211,12 +204,11 @@ def _score_cases(model, cases: List[SvaEvalCase], config: EvalConfig,
         scores = [score for chunk in
                   engine.map(_eval_chunk, payloads, stage="evaluate")
                   for score in chunk]
-        if digest is not None:
-            _, digest_after = _model_payload(model)
-            if digest_after != digest:
-                raise RuntimeError(
-                    "model fingerprint changed across the evaluation: "
-                    "evaluation must not mutate the model")
+        _, digest_after = _model_payload(model)
+        if digest_after != digest:
+            raise RuntimeError(
+                "model fingerprint changed across the evaluation: "
+                "evaluation must not mutate the model")
         return scores
     return [_score_case(model, case, n, seed, check) for case in cases]
 

@@ -132,8 +132,8 @@ class ArtifactStore:
 # ``/metricsz`` through the engine provider registry with zero per-call-
 # site glue — constructing a store is enough.  Counters are summed per
 # tier class (``disk_hits``, ``tiered_misses``, ...).  A collected store
-# takes its counts with it, so across a store's death the totals are an
-# upper bound on increments, same caveat as the thread backend's deltas.
+# takes its counts with it, so a diff of two snapshots that spans a
+# store's death undercounts by what that store had counted.
 
 _LIVE_STORES: "weakref.WeakSet[ArtifactStore]" = weakref.WeakSet()
 

@@ -93,6 +93,15 @@ class TestFamilySelection:
         with pytest.raises(ValueError, match="> 0"):
             resolve_families(["fsm"], {"fsm": 0.0})
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_families(["fsm"], {"fsm": weight})
+        # Refused by config validation, before the corpus stage runs.
+        with pytest.raises(ValueError, match="finite"):
+            DatagenConfig(template_families=("fsm",),
+                          family_weights={"fsm": weight})
+
     def test_generator_samples_only_selected(self):
         chosen = ["sync_fifo", "round_robin_arbiter"]
         designs = CorpusGenerator(seed=9, families=chosen).generate(20)

@@ -23,20 +23,20 @@ class TestStage1:
         for seed in corpus_samples:
             assert is_filtered_out(seed.source) is None
 
-    def test_stage1_outputs(self, corpus_samples, rng):
-        result = run_stage1(corpus_samples, rng, break_rate=0.5)
+    def test_stage1_outputs(self, corpus_samples):
+        result = run_stage1(corpus_samples, seed=1234, break_rate=0.5)
         assert result.compiled
         assert result.pt_entries
         assert result.filtered_count > 0          # junk was mixed in
         assert result.failed_compile_count > 0    # broken siblings exist
 
-    def test_duplicates_removed(self, corpus_samples, rng):
+    def test_duplicates_removed(self, corpus_samples):
         doubled = corpus_samples + corpus_samples[:3]
-        result = run_stage1(doubled, rng, break_rate=0.0)
+        result = run_stage1(doubled, seed=1234, break_rate=0.0)
         assert result.duplicate_count >= 3
 
-    def test_failing_entries_have_analysis(self, corpus_samples, rng):
-        result = run_stage1(corpus_samples, rng, break_rate=1.0)
+    def test_failing_entries_have_analysis(self, corpus_samples):
+        result = run_stage1(corpus_samples, seed=1234, break_rate=1.0)
         failing = [e for e in result.pt_entries if not e.compiles]
         assert failing
         assert all(e.analysis for e in failing)

@@ -1,19 +1,17 @@
-"""The stage-graph execution engine: RNG derivation, backends, graphs,
-compile caching, config validation, and the parallel==serial guarantee."""
+"""The stage execution engine: RNG derivation, backends, compile
+caching, config validation, and the parallel==serial guarantee."""
 
 import pytest
 
 from repro.datagen.pipeline import (
     VOLATILE_STAT_KEYS,
     DatagenConfig,
-    build_stage_graph,
     run_pipeline,
 )
 from repro.engine import (
     BACKENDS,
     ExecutionEngine,
     StageContext,
-    StageGraph,
     derive_rng,
     derive_seed,
 )
@@ -76,10 +74,10 @@ class TestSeedDerivation:
 
 
 class TestExecutionEngine:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_map_preserves_order(self, backend):
         with ExecutionEngine(n_workers=3, backend=backend) as engine:
-            assert engine.map(_square, list(range(20))) == \
+            assert engine.map(_square, list(range(20)), stage="sq") == \
                 [x * x for x in range(20)]
 
     def test_auto_degrades_to_serial_when_no_cores(self, monkeypatch):
@@ -113,63 +111,15 @@ class TestExecutionEngine:
         engine = ExecutionEngine()
         engine.close()
         with pytest.raises(RuntimeError):
-            engine.map(_square, [1])
+            engine.map(_square, [1], stage="sq")
 
 
-class TestStageGraph:
-    def test_runs_in_dependency_order(self):
-        graph = StageGraph("g")
-        graph.add_stage("a", lambda inputs: 2)
-        graph.add_stage("b", lambda inputs: inputs["a"] + 3, deps=("a",))
-        with ExecutionEngine() as engine:
-            outputs = graph.run(engine)
-        assert outputs == {"a": 2, "b": 5}
-
-    def test_stage_fans_out_through_engine(self):
-        graph = StageGraph("g")
-        graph.add_stage("items", lambda inputs: [1, 2, 3])
-        graph.add_stage("squares", lambda inputs: sum(
-            inputs.engine.map(_square, inputs["items"], stage="squares")),
-            deps=("items",))
-        with ExecutionEngine(n_workers=2, backend="thread") as engine:
-            outputs = graph.run(engine)
-        assert outputs["squares"] == 14
-
-    def test_undeclared_dependency_rejected(self):
-        graph = StageGraph("g")
-        with pytest.raises(ValueError, match="undeclared"):
-            graph.add_stage("b", lambda inputs: 1, deps=("missing",))
-
-    def test_duplicate_stage_rejected(self):
-        graph = StageGraph("g")
-        graph.add_stage("a", lambda inputs: 1)
-        with pytest.raises(ValueError, match="duplicate"):
-            graph.add_stage("a", lambda inputs: 2)
-
-    def test_non_dependency_access_rejected(self):
-        graph = StageGraph("g")
-        graph.add_stage("a", lambda inputs: 1)
-        graph.add_stage("b", lambda inputs: 2)
-        graph.add_stage("c", lambda inputs: inputs["a"], deps=("b",))
-        with ExecutionEngine() as engine:
-            with pytest.raises(KeyError, match="declared"):
-                graph.run(engine)
-
-    def test_only_runs_requested_subgraph(self):
-        ran = []
-        graph = StageGraph("g")
-        graph.add_stage("a", lambda inputs: ran.append("a"))
-        graph.add_stage("b", lambda inputs: ran.append("b"), deps=("a",))
-        graph.add_stage("c", lambda inputs: ran.append("c"))
-        with ExecutionEngine() as engine:
-            graph.run(engine, only=["b"])
-        assert ran == ["a", "b"]
-
-    def test_datagen_graph_shape(self):
-        graph = build_stage_graph(DatagenConfig(n_designs=1))
-        assert graph.stage_names() == \
-            ["corpus", "stage1", "stage2", "split", "stage3"]
-        assert "stage2 <- stage1" in graph.describe()
+class TestPipelineStages:
+    def test_engine_stages_in_pipeline_order(self, small_bundle):
+        # The split runs in the parent between stage2 and stage3, not
+        # through engine.map, so it has no engine bucket.
+        assert list(small_bundle.stats["engine"]["stages"]) == \
+            ["corpus", "stage1", "stage2", "stage3"]
 
 
 class TestCompileCache:
@@ -247,12 +197,6 @@ class TestParallelDeterminism:
         for key in VOLATILE_STAT_KEYS:
             assert key in serial.stats and key in parallel.stats
         assert parallel.stats["engine"]["backend"] == "process"
-
-    def test_thread_backend_equals_serial(self):
-        serial = run_pipeline(DatagenConfig(n_workers=1, **self.CONFIG))
-        threaded = run_pipeline(DatagenConfig(n_workers=3, backend="thread",
-                                              **self.CONFIG))
-        assert serial.fingerprint() == threaded.fingerprint()
 
     def test_cache_disabled_same_datasets(self, monkeypatch):
         cached = run_pipeline(DatagenConfig(**self.CONFIG))

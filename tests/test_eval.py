@@ -178,16 +178,6 @@ class TestModelTransport:
             assert SerializationCountingModel.pickle_count == 2
         assert serial.case_outcomes() == parallel.case_outcomes()
 
-    def test_thread_run_never_pickles(self, small_bundle):
-        from repro.engine import ExecutionEngine
-
-        model = SerializationCountingModel()
-        SerializationCountingModel.pickle_count = 0
-        with ExecutionEngine(n_workers=2, backend="thread") as engine:
-            run_eval(model, small_bundle.sva_eval_machine,
-                     EvalConfig(n_samples=2, seed=9), engine=engine)
-        assert SerializationCountingModel.pickle_count == 0
-
     def test_trained_model_parallel_matches_serial(self, small_bundle,
                                                    trained_models):
         from repro.engine import ExecutionEngine

@@ -182,17 +182,17 @@ ALTERNATIVES = {
     DatagenConfig: dict(
         n_designs=5, bugs_per_design=2, seed=9, break_rate=0.5,
         hallucination_rate=0.0, train_fraction=0.5, bmc_depth=6,
-        bmc_random_trials=8, n_workers=2, backend="thread",
+        bmc_random_trials=8, n_workers=2, backend="serial",
         coverage=True, template_families=FAMILIES,
         family_weights={"counter": 2.0}, store=StoreConfig(max_bytes=4096)),
     PipelineConfig: dict(
         n_designs=5, bugs_per_design=2, seed=9, n_samples=4,
         include_human=False, include_baselines=False, n_workers=2,
-        backend="thread",
+        backend="serial",
         template_families=FAMILIES, family_weights={"counter": 2.0},
         store=StoreConfig(max_bytes=4096)),
     ServeConfig: dict(
-        n_workers=2, backend="thread", max_queue=8, max_batch=2,
+        n_workers=2, backend="serial", max_queue=8, max_batch=2,
         batch_window_ms=0.0, result_cache=False, cache_entries=4,
         coverage=True, seed=7,
         store=StoreConfig(max_bytes=4096)),

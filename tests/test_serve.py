@@ -485,8 +485,17 @@ class TestServingWins:
 
 class TestConfigValidation:
     def test_bad_backend_rejected(self):
+        from repro.core.api import PipelineConfig
+        from repro.datagen.pipeline import DatagenConfig
+        from repro.engine import ExecutionEngine
+
         with pytest.raises(ValueError):
             ServeConfig(backend="quantum")
+        # The thread backend is gone: every entry point refuses it.
+        for make in (DatagenConfig, PipelineConfig, ServeConfig,
+                     ExecutionEngine):
+            with pytest.raises(ValueError, match="backend"):
+                make(backend="thread")
 
     @pytest.mark.parametrize("field,value", [
         ("max_queue", 0), ("max_batch", 0), ("n_workers", 0),
@@ -552,15 +561,7 @@ class TestEngineWarm:
         with ExecutionEngine(n_workers=1, backend="serial") as engine:
             engine.warm()
             engine.warm()
-            assert engine.map(_identity, [1, 2, 3]) == [1, 2, 3]
-
-    def test_warm_starts_thread_pool(self):
-        from repro.engine import ExecutionEngine
-
-        with ExecutionEngine(n_workers=2, backend="thread") as engine:
-            engine.warm()
-            assert engine._pool is not None
-            assert engine.map(_identity, [4, 5]) == [4, 5]
+            assert engine.map(_identity, [1, 2, 3], stage="id") == [1, 2, 3]
 
     def test_warm_actually_spawns_process_workers(self):
         # Executors spawn workers lazily on submit; warm() must force
@@ -570,7 +571,7 @@ class TestEngineWarm:
         with ExecutionEngine(n_workers=2, backend="process") as engine:
             engine.warm()
             assert len(engine._pool._processes) >= 1
-            assert engine.map(_identity, [6]) == [6]
+            assert engine.map(_identity, [6], stage="id") == [6]
 
 
 def _identity(x):
